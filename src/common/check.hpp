@@ -2,9 +2,13 @@
 //
 // The library reports contract violations by throwing: callers passing
 // malformed models or shapes get a diagnosable `dpv::ContractViolation`
-// instead of undefined behaviour. Checks stay enabled in release builds;
-// every call site is on a cold path (construction / configuration), never
-// inside numeric inner loops.
+// instead of undefined behaviour. Checks stay enabled in release builds.
+// The inference kernels (every layer's `forward`, `matvec`,
+// `Dense::backward_input`) check sizes once per call, before their loop;
+// training backward and `Conv2D::backward_input` still index through the
+// checked `Tensor::at2`/`at3` per element. A check with a string-literal
+// message costs one branch when it passes; hot paths whose message
+// formats values (`matvec`, `Tensor::reshaped`) build it only on failure.
 #pragma once
 
 #include <stdexcept>
@@ -24,10 +28,25 @@ class InternalError : public std::logic_error {
   explicit InternalError(const std::string& what) : std::logic_error(what) {}
 };
 
+namespace detail {
+[[noreturn]] void throw_contract_violation(const char* message);
+[[noreturn]] void throw_internal_error(const char* message);
+}  // namespace detail
+
 /// Throws ContractViolation with `message` when `condition` is false.
 void check(bool condition, const std::string& message);
 
+/// As above; the message becomes a std::string only on failure.
+inline void check(bool condition, const char* message) {
+  if (!condition) detail::throw_contract_violation(message);
+}
+
 /// Throws InternalError with `message` when `condition` is false.
 void internal_check(bool condition, const std::string& message);
+
+/// As above; the message becomes a std::string only on failure.
+inline void internal_check(bool condition, const char* message) {
+  if (!condition) detail::throw_internal_error(message);
+}
 
 }  // namespace dpv

@@ -12,7 +12,11 @@
 
 namespace dpv::nn {
 
-/// Shared machinery for shape-preserving elementwise activations.
+/// Shared machinery for shape-preserving elementwise activations. `F` is
+/// the concrete activation; its non-virtual `apply(x)` and
+/// `derivative(x, y)` (pre-activation `x`, activation `y`) are inlined into
+/// the tensor loops, so a pass makes no virtual call per element.
+template <class F>
 class ElementwiseActivation : public Layer {
  public:
   explicit ElementwiseActivation(Shape shape) : shape_(std::move(shape)) {}
@@ -24,36 +28,32 @@ class ElementwiseActivation : public Layer {
   Tensor backward_input(const Tensor& x, const Tensor& grad_out) const override;
 
  protected:
-  /// Scalar activation value.
-  virtual double apply(double x) const = 0;
-  /// Derivative given pre-activation `x` and activation `y`.
-  virtual double derivative(double x, double y) const = 0;
-
   Tensor forward_train(const Tensor& x, std::size_t slot) override;
   Tensor backward_sample(const Tensor& grad_out, std::size_t slot) override;
   void prepare_cache(std::size_t batch_size) override;
 
  private:
+  const F& self() const { return static_cast<const F&>(*this); }
+
   Shape shape_;
   std::vector<Tensor> cached_inputs_;
   std::vector<Tensor> cached_outputs_;
 };
 
 /// max(x, 0). Piecewise-linear, exactly encodable in MILP.
-class ReLU : public ElementwiseActivation {
+class ReLU : public ElementwiseActivation<ReLU> {
  public:
   explicit ReLU(Shape shape) : ElementwiseActivation(std::move(shape)) {}
   LayerKind kind() const override { return LayerKind::kReLU; }
   std::unique_ptr<Layer> clone() const override;
 
- protected:
-  double apply(double x) const override;
-  double derivative(double x, double y) const override;
+  double apply(double x) const;
+  double derivative(double x, double y) const;
 };
 
 /// max(x, alpha*x) with 0 < alpha < 1. Piecewise-linear and convex, so it
 /// remains exactly MILP-encodable and admits tight symbolic bounds.
-class LeakyReLU : public ElementwiseActivation {
+class LeakyReLU : public ElementwiseActivation<LeakyReLU> {
  public:
   LeakyReLU(Shape shape, double alpha = 0.01);
   LayerKind kind() const override { return LayerKind::kLeakyReLU; }
@@ -61,36 +61,39 @@ class LeakyReLU : public ElementwiseActivation {
 
   double alpha() const { return alpha_; }
 
- protected:
-  double apply(double x) const override;
-  double derivative(double x, double y) const override;
+  double apply(double x) const;
+  double derivative(double x, double y) const;
 
  private:
   double alpha_;
 };
 
 /// 1 / (1 + exp(-x)).
-class Sigmoid : public ElementwiseActivation {
+class Sigmoid : public ElementwiseActivation<Sigmoid> {
  public:
   explicit Sigmoid(Shape shape) : ElementwiseActivation(std::move(shape)) {}
   LayerKind kind() const override { return LayerKind::kSigmoid; }
   std::unique_ptr<Layer> clone() const override;
 
- protected:
-  double apply(double x) const override;
-  double derivative(double x, double y) const override;
+  double apply(double x) const;
+  double derivative(double x, double y) const;
 };
 
 /// Hyperbolic tangent.
-class Tanh : public ElementwiseActivation {
+class Tanh : public ElementwiseActivation<Tanh> {
  public:
   explicit Tanh(Shape shape) : ElementwiseActivation(std::move(shape)) {}
   LayerKind kind() const override { return LayerKind::kTanh; }
   std::unique_ptr<Layer> clone() const override;
 
- protected:
-  double apply(double x) const override;
-  double derivative(double x, double y) const override;
+  double apply(double x) const;
+  double derivative(double x, double y) const;
 };
+
+// Instantiated once, in activations.cpp.
+extern template class ElementwiseActivation<ReLU>;
+extern template class ElementwiseActivation<LeakyReLU>;
+extern template class ElementwiseActivation<Sigmoid>;
+extern template class ElementwiseActivation<Tanh>;
 
 }  // namespace dpv::nn

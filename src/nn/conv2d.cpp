@@ -1,5 +1,6 @@
 #include "nn/conv2d.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -12,6 +13,29 @@ std::size_t conv_extent(std::size_t in, std::size_t kernel, std::size_t stride,
                         std::size_t padding) {
   check(in + 2 * padding >= kernel, "Conv2D: kernel larger than padded input");
   return (in + 2 * padding - kernel) / stride + 1;
+}
+
+/// Output positions [first, last) along one axis whose tap `k` reads a real
+/// input coordinate o * stride + k - padding in [0, in) rather than padding.
+struct TapSpan {
+  std::size_t first = 0;
+  std::size_t last = 0;
+};
+
+TapSpan tap_span(std::size_t in, std::size_t out, std::size_t stride, std::size_t padding,
+                 std::size_t k) {
+  TapSpan span;
+  span.first = std::min(out, k >= padding ? 0 : (padding - k + stride - 1) / stride);
+  span.last = in + padding > k ? std::min(out, (in + padding - k - 1) / stride + 1) : 0;
+  span.last = std::max(span.first, span.last);
+  return span;
+}
+
+/// y[i] += a * x[i] as a plain loop: the compiler vectorizes it and fuses
+/// the multiply-add exactly where it fuses a scalar `acc += w * x` (not in
+/// unoptimized builds), which simd::axpy's always-fused intrinsics would not.
+void row_axpy(double a, const double* x, double* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 }  // namespace
 
@@ -48,32 +72,41 @@ void Conv2D::set_parameters(Tensor weight, Tensor bias) {
   bias_ = bias.reshaped(bias_.shape());
 }
 
-double Conv2D::input_at(const Tensor& x, std::size_t c, long r, long col) const {
-  if (r < 0 || col < 0 || r >= static_cast<long>(in_height_) ||
-      col >= static_cast<long>(in_width_))
-    return 0.0;
-  return x.at3(c, static_cast<std::size_t>(r), static_cast<std::size_t>(col));
-}
-
-Tensor Conv2D::forward(const Tensor& x_in) const {
-  const Tensor x = x_in.shape().rank() == 3 ? x_in : x_in.reshaped(input_shape());
+Tensor Conv2D::forward(const Tensor& x) const {
+  check(x.numel() == in_channels_ * in_height_ * in_width_, "Conv2D::forward: input size mismatch");
   Tensor y(output_shape());
-  const std::size_t k2 = kernel_ * kernel_;
+  const double* in = x.data().data();
+  const double* w = weight_.data().data();
+  double* out = y.data().data();
+  // Row by row: every output keeps the accumulation order bias, then
+  // ic -> kr -> kc, one multiply-add per tap. Taps that land in the zero
+  // padding are skipped; each would add an exact w * 0.0.
+  std::vector<TapSpan> col_spans(kernel_);
+  for (std::size_t kc = 0; kc < kernel_; ++kc)
+    col_spans[kc] = tap_span(in_width_, out_width_, stride_, padding_, kc);
   for (std::size_t oc = 0; oc < out_channels_; ++oc) {
     for (std::size_t orow = 0; orow < out_height_; ++orow) {
-      for (std::size_t ocol = 0; ocol < out_width_; ++ocol) {
-        double acc = bias_[oc];
-        const long base_r = static_cast<long>(orow * stride_) - static_cast<long>(padding_);
-        const long base_c = static_cast<long>(ocol * stride_) - static_cast<long>(padding_);
-        for (std::size_t ic = 0; ic < in_channels_; ++ic) {
-          const std::size_t wbase = (oc * in_channels_ + ic) * k2;
-          for (std::size_t kr = 0; kr < kernel_; ++kr)
-            for (std::size_t kc = 0; kc < kernel_; ++kc)
-              acc += weight_[wbase + kr * kernel_ + kc] *
-                     input_at(x, ic, base_r + static_cast<long>(kr),
-                              base_c + static_cast<long>(kc));
+      double* yrow = out + (oc * out_height_ + orow) * out_width_;
+      std::fill(yrow, yrow + out_width_, bias_[oc]);
+      for (std::size_t ic = 0; ic < in_channels_; ++ic) {
+        for (std::size_t kr = 0; kr < kernel_; ++kr) {
+          const std::size_t padded_r = orow * stride_ + kr;
+          if (padded_r < padding_ || padded_r - padding_ >= in_height_) continue;
+          const double* xrow = in + (ic * in_height_ + padded_r - padding_) * in_width_;
+          const double* wrow = w + ((oc * in_channels_ + ic) * kernel_ + kr) * kernel_;
+          for (std::size_t kc = 0; kc < kernel_; ++kc) {
+            const TapSpan span = col_spans[kc];
+            if (span.first == span.last) continue;
+            const double wv = wrow[kc];
+            if (stride_ == 1) {
+              row_axpy(wv, xrow + span.first + kc - padding_, yrow + span.first,
+                       span.last - span.first);
+            } else {
+              for (std::size_t o = span.first; o < span.last; ++o)
+                yrow[o] += wv * xrow[o * stride_ + kc - padding_];
+            }
+          }
         }
-        y.at3(oc, orow, ocol) = acc;
       }
     }
   }

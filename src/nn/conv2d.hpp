@@ -44,8 +44,6 @@ class Conv2D : public Layer {
   void prepare_cache(std::size_t batch_size) override;
 
  private:
-  double input_at(const Tensor& x, std::size_t c, long r, long col) const;
-
   std::size_t in_channels_, in_height_, in_width_;
   std::size_t out_channels_, out_height_, out_width_;
   std::size_t kernel_, stride_, padding_;

@@ -35,7 +35,8 @@ void Dense::set_parameters(Tensor weight, Tensor bias) {
 
 Tensor Dense::forward(const Tensor& x) const {
   check(x.numel() == in_features_, "Dense::forward: input length mismatch");
-  Tensor y = matvec(weight_, x.shape().rank() == 1 ? x : x.reshaped(Shape{in_features_}));
+  Tensor y(Shape{out_features_});
+  matvec(weight_.data().data(), out_features_, in_features_, x.data().data(), y.data().data());
   for (std::size_t i = 0; i < out_features_; ++i) y[i] += bias_[i];
   return y;
 }
@@ -43,10 +44,15 @@ Tensor Dense::forward(const Tensor& x) const {
 Tensor Dense::backward_input(const Tensor& /*x*/, const Tensor& grad_out) const {
   check(grad_out.numel() == out_features_, "Dense::backward_input: gradient length mismatch");
   Tensor gx(Shape{in_features_});
+  const double* w = weight_.data().data();
+  const double* g = grad_out.data().data();
+  double* out = gx.data().data();
+  // Row by row, so every gx[c] accumulates its rows in ascending order.
   for (std::size_t r = 0; r < out_features_; ++r) {
-    const double g = grad_out[r];
-    if (g == 0.0) continue;
-    for (std::size_t c = 0; c < in_features_; ++c) gx[c] += weight_.at2(r, c) * g;
+    const double gr = g[r];
+    if (gr == 0.0) continue;
+    const double* row = w + r * in_features_;
+    for (std::size_t c = 0; c < in_features_; ++c) out[c] += row[c] * gr;
   }
   return gx;
 }

@@ -40,16 +40,19 @@ Tensor Network::forward(const Tensor& x) const { return forward_prefix(x, layers
 
 Tensor Network::forward_prefix(const Tensor& x, std::size_t l) const {
   check(l <= layers_.size(), "Network::forward_prefix: layer index out of range");
-  Tensor v = x;
-  for (std::size_t i = 0; i < l; ++i) v = layers_[i]->forward(v);
-  return v;
+  return forward_range(x, 0, l);
 }
 
 Tensor Network::forward_suffix(const Tensor& v, std::size_t l) const {
   check(l <= layers_.size(), "Network::forward_suffix: layer index out of range");
-  Tensor out = v;
-  for (std::size_t i = l; i < layers_.size(); ++i) out = layers_[i]->forward(out);
-  return out;
+  return forward_range(v, l, layers_.size());
+}
+
+Tensor Network::forward_range(const Tensor& x, std::size_t from, std::size_t to) const {
+  if (from == to) return x;
+  Tensor v = layers_[from]->forward(x);
+  for (std::size_t i = from + 1; i < to; ++i) v = layers_[i]->forward(v);
+  return v;
 }
 
 std::vector<Tensor> Network::all_layer_outputs(const Tensor& x) const {
@@ -67,16 +70,15 @@ Tensor Network::input_gradient(const Tensor& x, const Tensor& grad_out, std::siz
                                std::size_t to_layer) const {
   check(from_layer <= to_layer && to_layer <= layers_.size(),
         "Network::input_gradient: layer range out of bounds");
-  std::vector<Tensor> inputs;
-  inputs.reserve(to_layer - from_layer);
-  Tensor v = x;
-  for (std::size_t i = from_layer; i < to_layer; ++i) {
-    inputs.push_back(v);
-    v = layers_[i]->forward(v);
-  }
+  // outputs[k] is layer (from_layer + k)'s output, so layer i reads x or
+  // outputs[i - from_layer - 1]; no input is copied.
+  std::vector<Tensor> outputs;
+  outputs.reserve(to_layer - from_layer);
+  for (std::size_t i = from_layer; i < to_layer; ++i)
+    outputs.push_back(layers_[i]->forward(outputs.empty() ? x : outputs.back()));
   Tensor g = grad_out;
   for (std::size_t i = to_layer; i-- > from_layer;)
-    g = layers_[i]->backward_input(inputs[i - from_layer], g);
+    g = layers_[i]->backward_input(i == from_layer ? x : outputs[i - from_layer - 1], g);
   return g;
 }
 

@@ -81,6 +81,9 @@ class Network {
   Network clone_suffix(std::size_t l) const;
 
  private:
+  /// Runs layers from..to-1 on `v` (returns `v` when the range is empty).
+  Tensor forward_range(const Tensor& v, std::size_t from, std::size_t to) const;
+
   std::vector<std::unique_ptr<Layer>> layers_;
 };
 

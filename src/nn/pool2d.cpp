@@ -19,19 +19,20 @@ Pool2D::Pool2D(std::size_t channels, std::size_t in_height, std::size_t in_width
         "Pool2D: input extents must be divisible by the window");
 }
 
-Tensor MaxPool2D::forward(const Tensor& x_in) const {
-  const Tensor x = x_in.shape().rank() == 3 ? x_in : x_in.reshaped(input_shape());
+Tensor MaxPool2D::forward(const Tensor& x) const {
+  check(x.numel() == channels_ * in_height_ * in_width_, "MaxPool2D::forward: input size mismatch");
   Tensor y(output_shape());
+  const double* in = x.data().data();
+  double* out = y.data().data();
   for (std::size_t c = 0; c < channels_; ++c)
     for (std::size_t orow = 0; orow < out_height_; ++orow)
       for (std::size_t ocol = 0; ocol < out_width_; ++ocol) {
+        const double* window = in + (c * in_height_ + orow * window_) * in_width_ + ocol * window_;
         double best = -std::numeric_limits<double>::infinity();
-        for (std::size_t wr = 0; wr < window_; ++wr)
-          for (std::size_t wc = 0; wc < window_; ++wc) {
-            const double v = x.at3(c, orow * window_ + wr, ocol * window_ + wc);
-            if (v > best) best = v;
-          }
-        y.at3(c, orow, ocol) = best;
+        for (std::size_t wr = 0; wr < window_; ++wr, window += in_width_)
+          for (std::size_t wc = 0; wc < window_; ++wc)
+            if (window[wc] > best) best = window[wc];
+        *out++ = best;
       }
   return y;
 }
@@ -40,6 +41,8 @@ Tensor MaxPool2D::backward_input(const Tensor& x_in, const Tensor& grad_out) con
   // Recomputes the argmax from `x` instead of reading the training cache;
   // ties resolve to the first window cell, matching forward_train.
   const Tensor x = x_in.shape().rank() == 3 ? x_in : x_in.reshaped(input_shape());
+  check(grad_out.numel() == channels_ * out_height_ * out_width_,
+        "MaxPool2D::backward_input: gradient size mismatch");
   Tensor gx(input_shape());
   std::size_t out_idx = 0;
   for (std::size_t c = 0; c < channels_; ++c)
@@ -103,23 +106,27 @@ Tensor MaxPool2D::backward_sample(const Tensor& grad_out, std::size_t slot) {
 
 void MaxPool2D::prepare_cache(std::size_t batch_size) { cached_argmax_.resize(batch_size); }
 
-Tensor AvgPool2D::forward(const Tensor& x_in) const {
-  const Tensor x = x_in.shape().rank() == 3 ? x_in : x_in.reshaped(input_shape());
+Tensor AvgPool2D::forward(const Tensor& x) const {
+  check(x.numel() == channels_ * in_height_ * in_width_, "AvgPool2D::forward: input size mismatch");
   Tensor y(output_shape());
+  const double* in = x.data().data();
+  double* out = y.data().data();
   const double inv_area = 1.0 / static_cast<double>(window_ * window_);
   for (std::size_t c = 0; c < channels_; ++c)
     for (std::size_t orow = 0; orow < out_height_; ++orow)
       for (std::size_t ocol = 0; ocol < out_width_; ++ocol) {
+        const double* window = in + (c * in_height_ + orow * window_) * in_width_ + ocol * window_;
         double acc = 0.0;
-        for (std::size_t wr = 0; wr < window_; ++wr)
-          for (std::size_t wc = 0; wc < window_; ++wc)
-            acc += x.at3(c, orow * window_ + wr, ocol * window_ + wc);
-        y.at3(c, orow, ocol) = acc * inv_area;
+        for (std::size_t wr = 0; wr < window_; ++wr, window += in_width_)
+          for (std::size_t wc = 0; wc < window_; ++wc) acc += window[wc];
+        *out++ = acc * inv_area;
       }
   return y;
 }
 
 Tensor AvgPool2D::backward_input(const Tensor& /*x*/, const Tensor& grad_out) const {
+  check(grad_out.numel() == channels_ * out_height_ * out_width_,
+        "AvgPool2D::backward_input: gradient size mismatch");
   Tensor gx(input_shape());
   const double inv_area = 1.0 / static_cast<double>(window_ * window_);
   std::size_t out_idx = 0;

@@ -11,9 +11,9 @@ Tensor::Tensor(Shape shape) : shape_(std::move(shape)), values_(shape_.numel(), 
 
 Tensor::Tensor(Shape shape, std::vector<double> values)
     : shape_(std::move(shape)), values_(std::move(values)) {
-  check(values_.size() == shape_.numel(),
-        "Tensor: value count " + std::to_string(values_.size()) + " does not match shape " +
-            shape_.to_string());
+  if (values_.size() != shape_.numel())
+    throw ContractViolation("Tensor: value count " + std::to_string(values_.size()) +
+                            " does not match shape " + shape_.to_string());
 }
 
 Tensor Tensor::vector1d(std::vector<double> values) {
@@ -57,9 +57,9 @@ double Tensor::at3(std::size_t ch, std::size_t r, std::size_t c) const {
 }
 
 Tensor Tensor::reshaped(const Shape& new_shape) const {
-  check(new_shape.numel() == values_.size(),
-        "Tensor::reshaped: numel mismatch between " + shape_.to_string() + " and " +
-            new_shape.to_string());
+  if (new_shape.numel() != values_.size())
+    throw ContractViolation("Tensor::reshaped: numel mismatch between " + shape_.to_string() +
+                            " and " + new_shape.to_string());
   return Tensor(new_shape, values_);
 }
 

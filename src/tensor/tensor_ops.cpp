@@ -13,18 +13,25 @@ Tensor matvec(const Tensor& w, const Tensor& x) {
   check(x.shape().rank() == 1, "matvec: input must be rank 1");
   const std::size_t rows = w.shape().dim(0);
   const std::size_t cols = w.shape().dim(1);
-  check(cols == x.numel(), "matvec: weight cols " + std::to_string(cols) +
-                               " != input length " + std::to_string(x.numel()));
+  if (cols != x.numel())
+    throw ContractViolation("matvec: weight cols " + std::to_string(cols) +
+                            " != input length " + std::to_string(x.numel()));
   Tensor y(Shape{rows});
-  const double* wd = w.data().data();
-  const double* xd = x.data().data();
+  matvec(w.data().data(), rows, cols, x.data().data(), y.data().data());
+  return y;
+}
+
+void matvec(const double* w, std::size_t rows, std::size_t cols, const double* x, double* y) {
+  // One row at a time, in exactly this loop form: the compiler's
+  // vectorization of the column sum decides which products it fuses into
+  // the running sum, so interleaving rows (or calling simd::dot) would
+  // change the rounding of some rows.
   for (std::size_t r = 0; r < rows; ++r) {
     double acc = 0.0;
-    const double* row = wd + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) acc += row[c] * xd[c];
+    const double* row = w + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) acc += row[c] * x[c];
     y[r] = acc;
   }
-  return y;
 }
 
 Tensor add(const Tensor& a, const Tensor& b) {

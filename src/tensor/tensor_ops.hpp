@@ -14,6 +14,11 @@ namespace dpv {
 /// y = W x for a rank-2 weight `w` of shape [rows, cols] and rank-1 `x`.
 Tensor matvec(const Tensor& w, const Tensor& x);
 
+/// Unchecked kernel behind `matvec`: y[r] = sum_c w[r * cols + c] * x[c]
+/// over row-major `w`. Each row sums its columns left to right from 0.0,
+/// so callers that check sizes themselves get bit-identical results.
+void matvec(const double* w, std::size_t rows, std::size_t cols, const double* x, double* y);
+
 /// Elementwise a + b (shapes must match).
 Tensor add(const Tensor& a, const Tensor& b);
 

@@ -3,10 +3,9 @@
 // The library reports contract violations by throwing: callers passing
 // malformed models or shapes get a diagnosable `dpv::ContractViolation`
 // instead of undefined behaviour. Checks stay enabled in release builds.
-// The inference kernels (every layer's `forward`, `matvec`,
-// `Dense::backward_input`) check sizes once per call, before their loop;
-// training backward and `Conv2D::backward_input` still index through the
-// checked `Tensor::at2`/`at3` per element. A check with a string-literal
+// The nn kernels (every layer's `forward`, `backward_input` and training
+// `forward_batch` / `backward_batch`, `matvec`) check sizes once per call,
+// before their loop, then walk raw rows. A check with a string-literal
 // message costs one branch when it passes; hot paths whose message
 // formats values (`matvec`, `Tensor::reshaped`) build it only on failure.
 #pragma once

@@ -29,48 +29,15 @@ double Tanh::derivative(double /*x*/, double y) const { return 1.0 - y * y; }
 std::unique_ptr<Layer> Tanh::clone() const { return std::make_unique<Tanh>(input_shape()); }
 
 template <class F>
-Tensor ElementwiseActivation<F>::forward(const Tensor& x) const {
-  check(x.numel() == shape_.numel(), "activation: input size mismatch");
-  Tensor y(x.shape());
-  const double* in = x.data().data();
-  double* out = y.data().data();
-  for (std::size_t i = 0; i < y.numel(); ++i) out[i] = self().apply(in[i]);
-  return y;
+void ElementwiseActivation<F>::forward_row(const double* x, double* y) const {
+  for (std::size_t i = 0; i < input_size(); ++i) y[i] = self().apply(x[i]);
 }
 
 template <class F>
-Tensor ElementwiseActivation<F>::backward_input(const Tensor& x, const Tensor& grad_out) const {
-  check(x.numel() == shape_.numel(), "activation: input size mismatch");
-  check(grad_out.numel() == x.numel(), "activation: gradient size mismatch");
-  Tensor gx = grad_out;
-  const double* in = x.data().data();
-  double* g = gx.data().data();
-  for (std::size_t i = 0; i < gx.numel(); ++i)
-    g[i] *= self().derivative(in[i], self().apply(in[i]));
-  return gx;
-}
-
-template <class F>
-Tensor ElementwiseActivation<F>::forward_train(const Tensor& x, std::size_t slot) {
-  Tensor y = forward(x);
-  cached_inputs_[slot] = x;
-  cached_outputs_[slot] = y;
-  return y;
-}
-
-template <class F>
-Tensor ElementwiseActivation<F>::backward_sample(const Tensor& grad_out, std::size_t slot) {
-  const Tensor& x = cached_inputs_[slot];
-  const Tensor& y = cached_outputs_[slot];
-  Tensor gx = grad_out;
-  for (std::size_t i = 0; i < gx.numel(); ++i) gx[i] *= self().derivative(x[i], y[i]);
-  return gx;
-}
-
-template <class F>
-void ElementwiseActivation<F>::prepare_cache(std::size_t batch_size) {
-  cached_inputs_.resize(batch_size);
-  cached_outputs_.resize(batch_size);
+void ElementwiseActivation<F>::input_grad_row(const double* x, const double* g,
+                                              double* gx) const {
+  for (std::size_t i = 0; i < input_size(); ++i)
+    gx[i] = g[i] * self().derivative(x[i], self().apply(x[i]));
 }
 
 template class ElementwiseActivation<ReLU>;

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "nn/layer.hpp"
 
@@ -19,25 +18,20 @@ namespace dpv::nn {
 template <class F>
 class ElementwiseActivation : public Layer {
  public:
-  explicit ElementwiseActivation(Shape shape) : shape_(std::move(shape)) {}
+  explicit ElementwiseActivation(Shape shape)
+      : Layer(shape.numel(), shape.numel()), shape_(std::move(shape)) {}
 
   Shape input_shape() const override { return shape_; }
   Shape output_shape() const override { return shape_; }
 
-  Tensor forward(const Tensor& x) const override;
-  Tensor backward_input(const Tensor& x, const Tensor& grad_out) const override;
-
  protected:
-  Tensor forward_train(const Tensor& x, std::size_t slot) override;
-  Tensor backward_sample(const Tensor& grad_out, std::size_t slot) override;
-  void prepare_cache(std::size_t batch_size) override;
+  void forward_row(const double* x, double* y) const final;
+  void input_grad_row(const double* x, const double* g, double* gx) const final;
 
  private:
   const F& self() const { return static_cast<const F&>(*this); }
 
   Shape shape_;
-  std::vector<Tensor> cached_inputs_;
-  std::vector<Tensor> cached_outputs_;
 };
 
 /// max(x, 0). Piecewise-linear, exactly encodable in MILP.

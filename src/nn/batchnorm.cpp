@@ -1,5 +1,6 @@
 #include "nn/batchnorm.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -7,7 +8,8 @@
 namespace dpv::nn {
 
 BatchNorm::BatchNorm(std::size_t features, double eps, double momentum)
-    : features_(features),
+    : Layer(features, features),
+      features_(features),
       eps_(eps),
       momentum_(momentum),
       gamma_(Shape{features}),
@@ -15,28 +17,26 @@ BatchNorm::BatchNorm(std::size_t features, double eps, double momentum)
       gamma_grad_(Shape{features}),
       beta_grad_(Shape{features}),
       running_mean_(Shape{features}),
-      running_var_(Shape{features}) {
+      running_var_(Shape{features}),
+      batch_mean_(features),
+      batch_inv_std_(features),
+      sum_dy_(features),
+      sum_dy_xhat_(features) {
   check(features > 0, "BatchNorm: features must be positive");
   check(eps > 0.0, "BatchNorm: eps must be positive");
   gamma_.fill(1.0);
   running_var_.fill(1.0);
 }
 
-Tensor BatchNorm::forward(const Tensor& x) const {
-  check(x.numel() == features_, "BatchNorm::forward: input length mismatch");
-  Tensor y(Shape{features_});
+void BatchNorm::forward_row(const double* x, double* y) const {
   for (std::size_t i = 0; i < features_; ++i)
     y[i] = effective_scale(i) * x[i] + effective_shift(i);
-  return y;
 }
 
-Tensor BatchNorm::backward_input(const Tensor& /*x*/, const Tensor& grad_out) const {
+void BatchNorm::input_grad_row(const double* /*x*/, const double* g, double* gx) const {
   // Frozen inference form y_i = scale_i * x_i + shift_i, so the VJP is a
   // per-feature rescale by the effective scale.
-  check(grad_out.numel() == features_, "BatchNorm::backward_input: gradient length mismatch");
-  Tensor gx = grad_out;
-  for (std::size_t i = 0; i < features_; ++i) gx[i] *= effective_scale(i);
-  return gx;
+  for (std::size_t i = 0; i < features_; ++i) gx[i] = g[i] * effective_scale(i);
 }
 
 double BatchNorm::effective_scale(std::size_t feature) const {
@@ -61,78 +61,79 @@ void BatchNorm::set_affine(Tensor gamma, Tensor beta) {
   beta_ = std::move(beta);
 }
 
-std::vector<Tensor> BatchNorm::forward_batch(const std::vector<Tensor>& xs, bool training) {
-  if (!training) {
-    std::vector<Tensor> ys;
-    ys.reserve(xs.size());
-    for (const Tensor& x : xs) ys.push_back(forward(x));
-    return ys;
-  }
-  check(!xs.empty(), "BatchNorm: training batch must be non-empty");
-  const std::size_t n = xs.size();
-  Tensor mean(Shape{features_});
-  Tensor var(Shape{features_});
-  for (const Tensor& x : xs) {
-    check(x.numel() == features_, "BatchNorm: sample length mismatch");
-    for (std::size_t i = 0; i < features_; ++i) mean[i] += x[i];
+void BatchNorm::forward_rows(const Batch& x, Batch& y) {
+  const std::size_t n = x.rows();
+  std::vector<double>& mean = batch_mean_;
+  std::vector<double>& var = batch_inv_std_;  // becomes inv_std below
+  std::fill(mean.begin(), mean.end(), 0.0);
+  std::fill(var.begin(), var.end(), 0.0);
+  for (std::size_t s = 0; s < n; ++s) {
+    const double* xs = x.row(s);
+    for (std::size_t i = 0; i < features_; ++i) mean[i] += xs[i];
   }
   for (std::size_t i = 0; i < features_; ++i) mean[i] /= static_cast<double>(n);
-  for (const Tensor& x : xs)
+  for (std::size_t s = 0; s < n; ++s) {
+    const double* xs = x.row(s);
     for (std::size_t i = 0; i < features_; ++i) {
-      const double d = x[i] - mean[i];
+      const double d = xs[i] - mean[i];
       var[i] += d * d;
     }
+  }
   for (std::size_t i = 0; i < features_; ++i) var[i] /= static_cast<double>(n);
-
-  cached_batch_ = n;
-  cached_normalized_.assign(n, Tensor(Shape{features_}));
-  cached_inv_std_ = Tensor(Shape{features_});
-  for (std::size_t i = 0; i < features_; ++i)
-    cached_inv_std_[i] = 1.0 / std::sqrt(var[i] + eps_);
-
-  std::vector<Tensor> ys(n, Tensor(Shape{features_}));
-  for (std::size_t s = 0; s < n; ++s)
-    for (std::size_t i = 0; i < features_; ++i) {
-      const double x_hat = (xs[s][i] - mean[i]) * cached_inv_std_[i];
-      cached_normalized_[s][i] = x_hat;
-      ys[s][i] = gamma_[i] * x_hat + beta_[i];
-    }
 
   for (std::size_t i = 0; i < features_; ++i) {
     running_mean_[i] = (1.0 - momentum_) * running_mean_[i] + momentum_ * mean[i];
     running_var_[i] = (1.0 - momentum_) * running_var_[i] + momentum_ * var[i];
   }
-  return ys;
+  std::vector<double>& inv_std = batch_inv_std_;
+  for (std::size_t i = 0; i < features_; ++i) inv_std[i] = 1.0 / std::sqrt(var[i] + eps_);
+
+  for (std::size_t s = 0; s < n; ++s) {
+    const double* xs = x.row(s);
+    double* ys = y.row(s);
+    for (std::size_t i = 0; i < features_; ++i) {
+      const double x_hat = (xs[i] - mean[i]) * inv_std[i];
+      ys[i] = gamma_[i] * x_hat + beta_[i];
+    }
+  }
 }
 
-std::vector<Tensor> BatchNorm::backward_batch(const std::vector<Tensor>& grad_out) {
-  check(grad_out.size() == cached_batch_, "BatchNorm::backward_batch: batch size mismatch");
-  const std::size_t n = cached_batch_;
+void BatchNorm::backward_rows(const Batch& x, const Batch& grad_out, Batch* grad_in) {
+  const std::size_t n = x.rows();
   const double inv_n = 1.0 / static_cast<double>(n);
+  const std::vector<double>& mean = batch_mean_;
+  const std::vector<double>& inv_std = batch_inv_std_;
 
-  // Standard batch-norm backward over cached x_hat and inv_std:
+  // Standard batch-norm backward over x_hat and inv_std:
   //   dx = (gamma * inv_std / n) * (n * dy - sum(dy) - x_hat * sum(dy * x_hat))
-  Tensor sum_dy(Shape{features_});
-  Tensor sum_dy_xhat(Shape{features_});
-  for (std::size_t s = 0; s < n; ++s)
+  std::fill(sum_dy_.begin(), sum_dy_.end(), 0.0);
+  std::fill(sum_dy_xhat_.begin(), sum_dy_xhat_.end(), 0.0);
+  for (std::size_t s = 0; s < n; ++s) {
+    const double* xs = x.row(s);
+    const double* g = grad_out.row(s);
     for (std::size_t i = 0; i < features_; ++i) {
-      sum_dy[i] += grad_out[s][i];
-      sum_dy_xhat[i] += grad_out[s][i] * cached_normalized_[s][i];
+      const double x_hat = (xs[i] - mean[i]) * inv_std[i];
+      sum_dy_[i] += g[i];
+      sum_dy_xhat_[i] += g[i] * x_hat;
     }
-
-  for (std::size_t i = 0; i < features_; ++i) {
-    gamma_grad_[i] += sum_dy_xhat[i];
-    beta_grad_[i] += sum_dy[i];
   }
 
-  std::vector<Tensor> gxs(n, Tensor(Shape{features_}));
-  for (std::size_t s = 0; s < n; ++s)
+  for (std::size_t i = 0; i < features_; ++i) {
+    gamma_grad_[i] += sum_dy_xhat_[i];
+    beta_grad_[i] += sum_dy_[i];
+  }
+  if (grad_in == nullptr) return;
+
+  for (std::size_t s = 0; s < n; ++s) {
+    const double* xs = x.row(s);
+    const double* g = grad_out.row(s);
+    double* gx = grad_in->row(s);
     for (std::size_t i = 0; i < features_; ++i) {
-      const double term = static_cast<double>(n) * grad_out[s][i] - sum_dy[i] -
-                          cached_normalized_[s][i] * sum_dy_xhat[i];
-      gxs[s][i] = gamma_[i] * cached_inv_std_[i] * inv_n * term;
+      const double x_hat = (xs[i] - mean[i]) * inv_std[i];
+      const double term = static_cast<double>(n) * g[i] - sum_dy_[i] - x_hat * sum_dy_xhat_[i];
+      gx[i] = gamma_[i] * inv_std[i] * inv_n * term;
     }
-  return gxs;
+  }
 }
 
 std::vector<ParamRef> BatchNorm::params() {
@@ -147,15 +148,5 @@ std::unique_ptr<Layer> BatchNorm::clone() const {
   copy->running_var_ = running_var_;
   return copy;
 }
-
-Tensor BatchNorm::forward_train(const Tensor&, std::size_t) {
-  throw InternalError("BatchNorm: per-sample training path is not used");
-}
-
-Tensor BatchNorm::backward_sample(const Tensor&, std::size_t) {
-  throw InternalError("BatchNorm: per-sample training path is not used");
-}
-
-void BatchNorm::prepare_cache(std::size_t) {}
 
 }  // namespace dpv::nn

@@ -24,10 +24,6 @@ class BatchNorm : public Layer {
   Shape input_shape() const override { return Shape{features_}; }
   Shape output_shape() const override { return Shape{features_}; }
 
-  Tensor forward(const Tensor& x) const override;
-  Tensor backward_input(const Tensor& x, const Tensor& grad_out) const override;
-  std::vector<Tensor> forward_batch(const std::vector<Tensor>& xs, bool training) override;
-  std::vector<Tensor> backward_batch(const std::vector<Tensor>& grad_out) override;
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
 
@@ -45,13 +41,17 @@ class BatchNorm : public Layer {
   const Tensor& running_mean() const { return running_mean_; }
   const Tensor& running_var() const { return running_var_; }
   double eps() const { return eps_; }
+  double momentum() const { return momentum_; }
 
  protected:
-  // Per-sample hooks are unused: BatchNorm overrides the batch API because
-  // training-mode normalization couples samples through batch statistics.
-  Tensor forward_train(const Tensor& x, std::size_t slot) override;
-  Tensor backward_sample(const Tensor& grad_out, std::size_t slot) override;
-  void prepare_cache(std::size_t batch_size) override;
+  // Row kernels: the frozen inference form.
+  void forward_row(const double* x, double* y) const final;
+  void input_grad_row(const double* x, const double* g, double* gx) const final;
+
+  // Training normalizes with the batch statistics, which couple the
+  // samples; the backward differentiates through them.
+  void forward_rows(const Batch& x, Batch& y) override;
+  void backward_rows(const Batch& x, const Batch& grad_out, Batch* grad_in) override;
 
  private:
   std::size_t features_;
@@ -63,10 +63,13 @@ class BatchNorm : public Layer {
   Tensor beta_grad_;
   Tensor running_mean_;
   Tensor running_var_;
-  // Batch-forward caches for backward.
-  std::vector<Tensor> cached_normalized_;  // x_hat per sample
-  Tensor cached_inv_std_;                  // 1/sqrt(var + eps) per feature
-  std::size_t cached_batch_ = 0;
+  // Per feature: the last training batch's statistics (the backward
+  // recomputes x_hat = (x - mean) * inv_std from them) and the backward's
+  // sums over the batch.
+  std::vector<double> batch_mean_;
+  std::vector<double> batch_inv_std_;
+  std::vector<double> sum_dy_;
+  std::vector<double> sum_dy_xhat_;
 };
 
 }  // namespace dpv::nn

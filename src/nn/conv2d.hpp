@@ -2,8 +2,8 @@
 //
 // The convolutional front-end of the direct perception network. Never
 // encoded into MILP: the paper's layer abstraction (Lemma 1) cuts the
-// network after the convolutional stack, so Conv2D only needs forward and
-// training backward.
+// network after the convolutional stack, so Conv2D only needs forward,
+// its vector-Jacobian product and training backward.
 #pragma once
 
 #include <memory>
@@ -27,8 +27,6 @@ class Conv2D : public Layer {
   Shape input_shape() const override { return Shape{in_channels_, in_height_, in_width_}; }
   Shape output_shape() const override { return Shape{out_channels_, out_height_, out_width_}; }
 
-  Tensor forward(const Tensor& x) const override;
-  Tensor backward_input(const Tensor& x, const Tensor& grad_out) const override;
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
 
@@ -39,19 +37,26 @@ class Conv2D : public Layer {
   const Tensor& bias() const { return bias_; }
 
  protected:
-  Tensor forward_train(const Tensor& x, std::size_t slot) override;
-  Tensor backward_sample(const Tensor& grad_out, std::size_t slot) override;
-  void prepare_cache(std::size_t batch_size) override;
+  void forward_row(const double* x, double* y) const final;
+  void input_grad_row(const double* x, const double* g, double* gx) const final;
+  void accumulate_param_grads(const double* x, const double* g) override;
 
  private:
+  /// Output columns [first, last) whose tap at kernel column kc reads a
+  /// real input column o * stride + kc - padding rather than padding.
+  struct TapSpan {
+    std::size_t first = 0;
+    std::size_t last = 0;
+  };
+
   std::size_t in_channels_, in_height_, in_width_;
   std::size_t out_channels_, out_height_, out_width_;
   std::size_t kernel_, stride_, padding_;
+  std::vector<TapSpan> col_spans_;  // one per kernel column
   Tensor weight_;  // flat [out_ch, in_ch, k, k]
   Tensor bias_;    // [out_ch]
   Tensor weight_grad_;
   Tensor bias_grad_;
-  std::vector<Tensor> cached_inputs_;
 };
 
 }  // namespace dpv::nn

@@ -1,5 +1,6 @@
 #include "nn/dense.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -9,7 +10,8 @@
 namespace dpv::nn {
 
 Dense::Dense(std::size_t in_features, std::size_t out_features)
-    : in_features_(in_features),
+    : Layer(in_features, out_features),
+      in_features_(in_features),
       out_features_(out_features),
       weight_(Shape{out_features, in_features}),
       bias_(Shape{out_features}),
@@ -33,30 +35,6 @@ void Dense::set_parameters(Tensor weight, Tensor bias) {
   bias_ = std::move(bias);
 }
 
-Tensor Dense::forward(const Tensor& x) const {
-  check(x.numel() == in_features_, "Dense::forward: input length mismatch");
-  Tensor y(Shape{out_features_});
-  matvec(weight_.data().data(), out_features_, in_features_, x.data().data(), y.data().data());
-  for (std::size_t i = 0; i < out_features_; ++i) y[i] += bias_[i];
-  return y;
-}
-
-Tensor Dense::backward_input(const Tensor& /*x*/, const Tensor& grad_out) const {
-  check(grad_out.numel() == out_features_, "Dense::backward_input: gradient length mismatch");
-  Tensor gx(Shape{in_features_});
-  const double* w = weight_.data().data();
-  const double* g = grad_out.data().data();
-  double* out = gx.data().data();
-  // Row by row, so every gx[c] accumulates its rows in ascending order.
-  for (std::size_t r = 0; r < out_features_; ++r) {
-    const double gr = g[r];
-    if (gr == 0.0) continue;
-    const double* row = w + r * in_features_;
-    for (std::size_t c = 0; c < in_features_; ++c) out[c] += row[c] * gr;
-  }
-  return gx;
-}
-
 std::vector<ParamRef> Dense::params() {
   return {{"weight", &weight_, &weight_grad_}, {"bias", &bias_, &bias_grad_}};
 }
@@ -68,26 +46,34 @@ std::unique_ptr<Layer> Dense::clone() const {
   return copy;
 }
 
-Tensor Dense::forward_train(const Tensor& x, std::size_t slot) {
-  cached_inputs_[slot] = x.shape().rank() == 1 ? x : x.reshaped(Shape{in_features_});
-  return forward(x);
+void Dense::forward_row(const double* x, double* y) const {
+  matvec(weight_.data().data(), out_features_, in_features_, x, y);
+  for (std::size_t i = 0; i < out_features_; ++i) y[i] += bias_[i];
 }
 
-Tensor Dense::backward_sample(const Tensor& grad_out, std::size_t slot) {
-  const Tensor& x = cached_inputs_[slot];
-  // dW[r][c] += gy[r] * x[c]; db[r] += gy[r]; gx[c] = sum_r W[r][c] * gy[r]
-  Tensor gx(Shape{in_features_});
+void Dense::input_grad_row(const double* /*x*/, const double* g, double* gx) const {
+  std::fill(gx, gx + in_features_, 0.0);
+  const double* w = weight_.data().data();
+  // Row by row, so every gx[c] accumulates its rows in ascending order,
+  // each multiply-add fused where the compiler fuses `acc += w * g`.
   for (std::size_t r = 0; r < out_features_; ++r) {
-    const double g = grad_out[r];
-    bias_grad_[r] += g;
-    for (std::size_t c = 0; c < in_features_; ++c) {
-      weight_grad_.at2(r, c) += g * x[c];
-      gx[c] += weight_.at2(r, c) * g;
-    }
+    const double gr = g[r];
+    if (gr == 0.0) continue;
+    const double* row = w + r * in_features_;
+    for (std::size_t c = 0; c < in_features_; ++c) gx[c] += row[c] * gr;
   }
-  return gx;
 }
 
-void Dense::prepare_cache(std::size_t batch_size) { cached_inputs_.resize(batch_size); }
+void Dense::accumulate_param_grads(const double* x, const double* g) {
+  // dW[r][c] += g[r] * x[c] with the product rounded before the add
+  // (unfused); db[r] += g[r].
+  double* wg = weight_grad_.data().data();
+  for (std::size_t r = 0; r < out_features_; ++r) {
+    const double gr = g[r];
+    bias_grad_[r] += gr;
+    double* wrow = wg + r * in_features_;
+    for (std::size_t c = 0; c < in_features_; ++c) wrow[c] += detail::rounded(gr * x[c]);
+  }
+}
 
 }  // namespace dpv::nn

@@ -24,8 +24,6 @@ class Dense : public Layer {
   Shape input_shape() const override { return Shape{in_features_}; }
   Shape output_shape() const override { return Shape{out_features_}; }
 
-  Tensor forward(const Tensor& x) const override;
-  Tensor backward_input(const Tensor& x, const Tensor& grad_out) const override;
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
 
@@ -33,9 +31,9 @@ class Dense : public Layer {
   const Tensor& bias() const { return bias_; }
 
  protected:
-  Tensor forward_train(const Tensor& x, std::size_t slot) override;
-  Tensor backward_sample(const Tensor& grad_out, std::size_t slot) override;
-  void prepare_cache(std::size_t batch_size) override;
+  void forward_row(const double* x, double* y) const final;
+  void input_grad_row(const double* x, const double* g, double* gx) const final;
+  void accumulate_param_grads(const double* x, const double* g) override;
 
  private:
   std::size_t in_features_;
@@ -44,7 +42,6 @@ class Dense : public Layer {
   Tensor bias_;         // [out]
   Tensor weight_grad_;  // [out, in]
   Tensor bias_grad_;    // [out]
-  std::vector<Tensor> cached_inputs_;
 };
 
 }  // namespace dpv::nn

@@ -1,26 +1,17 @@
 #include "nn/flatten.hpp"
 
-#include "common/check.hpp"
+#include <algorithm>
 
 namespace dpv::nn {
 
-Tensor Flatten::forward(const Tensor& x) const {
-  check(x.numel() == in_shape_.numel(), "Flatten: input size mismatch");
-  return x.reshaped(Shape{in_shape_.numel()});
-}
-
-Tensor Flatten::backward_input(const Tensor& /*x*/, const Tensor& grad_out) const {
-  return grad_out.reshaped(in_shape_);
-}
-
 std::unique_ptr<Layer> Flatten::clone() const { return std::make_unique<Flatten>(in_shape_); }
 
-Tensor Flatten::forward_train(const Tensor& x, std::size_t /*slot*/) { return forward(x); }
-
-Tensor Flatten::backward_sample(const Tensor& grad_out, std::size_t /*slot*/) {
-  return grad_out.reshaped(in_shape_);
+void Flatten::forward_row(const double* x, double* y) const {
+  std::copy(x, x + input_size(), y);
 }
 
-void Flatten::prepare_cache(std::size_t /*batch_size*/) {}
+void Flatten::input_grad_row(const double* /*x*/, const double* g, double* gx) const {
+  std::copy(g, g + input_size(), gx);
+}
 
 }  // namespace dpv::nn

@@ -9,20 +9,18 @@ namespace dpv::nn {
 
 class Flatten : public Layer {
  public:
-  explicit Flatten(Shape in_shape) : in_shape_(std::move(in_shape)) {}
+  explicit Flatten(Shape in_shape)
+      : Layer(in_shape.numel(), in_shape.numel()), in_shape_(std::move(in_shape)) {}
 
   LayerKind kind() const override { return LayerKind::kFlatten; }
   Shape input_shape() const override { return in_shape_; }
   Shape output_shape() const override { return Shape{in_shape_.numel()}; }
 
-  Tensor forward(const Tensor& x) const override;
-  Tensor backward_input(const Tensor& x, const Tensor& grad_out) const override;
   std::unique_ptr<Layer> clone() const override;
 
  protected:
-  Tensor forward_train(const Tensor& x, std::size_t slot) override;
-  Tensor backward_sample(const Tensor& grad_out, std::size_t slot) override;
-  void prepare_cache(std::size_t batch_size) override;
+  void forward_row(const double* x, double* y) const final;
+  void input_grad_row(const double* x, const double* g, double* gx) const final;
 
  private:
   Shape in_shape_;

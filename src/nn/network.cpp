@@ -7,8 +7,8 @@ namespace dpv::nn {
 void Network::add(std::unique_ptr<Layer> layer) {
   check(layer != nullptr, "Network::add: null layer");
   if (!layers_.empty()) {
-    const std::size_t produced = layers_.back()->output_shape().numel();
-    const std::size_t consumed = layer->input_shape().numel();
+    const std::size_t produced = layers_.back()->output_size();
+    const std::size_t consumed = layer->input_size();
     check(produced == consumed,
           "Network::add: layer expects " + std::to_string(consumed) + " values but previous " +
               "layer produces " + std::to_string(produced));
@@ -86,16 +86,28 @@ Tensor Network::input_gradient(const Tensor& x, const Tensor& grad_out) const {
   return input_gradient(x, grad_out, 0, layers_.size());
 }
 
-std::vector<Tensor> Network::forward_batch(const std::vector<Tensor>& xs, bool training) {
-  std::vector<Tensor> vs = xs;
-  for (auto& layer : layers_) vs = layer->forward_batch(vs, training);
-  return vs;
+Batch& Network::batch_input(std::size_t rows) {
+  check(!layers_.empty(), "Network::batch_input: empty network");
+  activations_.resize(layers_.size() + 1);
+  activations_[0].resize(rows, layers_.front()->input_size());
+  return activations_[0];
 }
 
-std::vector<Tensor> Network::backward_batch(const std::vector<Tensor>& grad_out) {
-  std::vector<Tensor> gs = grad_out;
-  for (std::size_t i = layers_.size(); i-- > 0;) gs = layers_[i]->backward_batch(gs);
-  return gs;
+const Batch& Network::forward_batch() {
+  check(activations_.size() == layers_.size() + 1, "Network::forward_batch: no batch input");
+  for (std::size_t i = 0; i < layers_.size(); ++i)
+    layers_[i]->forward_batch(activations_[i], activations_[i + 1]);
+  return activations_.back();
+}
+
+void Network::backward_batch(const Batch& grad_out, Batch* grad_in) {
+  check(activations_.size() == layers_.size() + 1, "Network::backward_batch: no training forward");
+  const Batch* g = &grad_out;
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    Batch* gx = i > 0 ? &grads_[i % 2] : grad_in;
+    layers_[i]->backward_batch(activations_[i], *g, gx);
+    g = gx;
+  }
 }
 
 std::vector<ParamRef> Network::params() {
@@ -103,10 +115,6 @@ std::vector<ParamRef> Network::params() {
   for (auto& layer : layers_)
     for (ParamRef& p : layer->params()) all.push_back(p);
   return all;
-}
-
-void Network::zero_grad() {
-  for (auto& layer : layers_) layer->zero_grad();
 }
 
 Network Network::clone() const {

@@ -19,7 +19,7 @@ class Network {
  public:
   Network() = default;
 
-  // Move-only: layers own training state that must not be shared.
+  // Move-only: layers and buffers hold training state that must not be shared.
   Network(Network&&) = default;
   Network& operator=(Network&&) = default;
   Network(const Network&) = delete;
@@ -58,20 +58,31 @@ class Network {
   /// Whole-network convenience overload: d(grad_out · f(x)) / dx.
   Tensor input_gradient(const Tensor& x, const Tensor& grad_out) const;
 
-  /// Training-mode forward through all layers; caches for backward.
-  std::vector<Tensor> forward_batch(const std::vector<Tensor>& xs, bool training);
+  /// Training. The network owns one contiguous [batch × width] buffer per
+  /// layer boundary and two gradient buffers; they grow to the largest
+  /// batch seen and are reused after that, so steady-state training
+  /// allocates nothing.
+  ///
+  /// Input rows for a training batch of `rows` samples: the caller writes
+  /// sample s into row s, then calls `forward_batch`.
+  Batch& batch_input(std::size_t rows);
 
-  /// Backward from per-sample output gradients; accumulates parameter
-  /// gradients and returns gradients w.r.t. the network inputs (used by
-  /// the adversarial-example search).
-  std::vector<Tensor> backward_batch(const std::vector<Tensor>& grad_out);
+  /// Training-mode forward of the `batch_input` rows through every layer
+  /// (BatchNorm on batch statistics). Returns the output rows, valid until
+  /// the next training call.
+  const Batch& forward_batch();
+
+  /// Backward through the last `forward_batch` from dL/dy rows: every layer
+  /// accumulates its parameter gradients (callers zero them per step).
+  /// Writes dL/dx into `grad_in` when given; without it the first layer
+  /// skips its input gradient.
+  void backward_batch(const Batch& grad_out, Batch* grad_in = nullptr);
 
   /// All learnable parameters across layers.
   std::vector<ParamRef> params();
 
-  void zero_grad();
-
-  /// Deep copy of structure and weights (training caches are not copied).
+  /// Deep copy of structure and weights, with zeroed gradients (training
+  /// buffers are not copied).
   Network clone() const;
 
   /// Deep copy of the first `l` layers (the f^(l) feature extractor).
@@ -85,6 +96,10 @@ class Network {
   Tensor forward_range(const Tensor& v, std::size_t from, std::size_t to) const;
 
   std::vector<std::unique_ptr<Layer>> layers_;
+  // Training buffers: activations_[i] is layer i's input, activations_[L]
+  // the output; grads_ alternate between layers on the way back.
+  std::vector<Batch> activations_;
+  Batch grads_[2];
 };
 
 }  // namespace dpv::nn

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "nn/layer.hpp"
 
@@ -32,18 +31,11 @@ class MaxPool2D : public Pool2D {
  public:
   using Pool2D::Pool2D;
   LayerKind kind() const override { return LayerKind::kMaxPool2D; }
-  Tensor forward(const Tensor& x) const override;
-  Tensor backward_input(const Tensor& x, const Tensor& grad_out) const override;
   std::unique_ptr<Layer> clone() const override;
 
  protected:
-  Tensor forward_train(const Tensor& x, std::size_t slot) override;
-  Tensor backward_sample(const Tensor& grad_out, std::size_t slot) override;
-  void prepare_cache(std::size_t batch_size) override;
-
- private:
-  // Flat input index of the max cell for every output cell, per sample.
-  std::vector<std::vector<std::size_t>> cached_argmax_;
+  void forward_row(const double* x, double* y) const final;
+  void input_grad_row(const double* x, const double* g, double* gx) const final;
 };
 
 /// Mean over each window; backward spreads gradient uniformly.
@@ -51,14 +43,11 @@ class AvgPool2D : public Pool2D {
  public:
   using Pool2D::Pool2D;
   LayerKind kind() const override { return LayerKind::kAvgPool2D; }
-  Tensor forward(const Tensor& x) const override;
-  Tensor backward_input(const Tensor& x, const Tensor& grad_out) const override;
   std::unique_ptr<Layer> clone() const override;
 
  protected:
-  Tensor forward_train(const Tensor& x, std::size_t slot) override;
-  Tensor backward_sample(const Tensor& grad_out, std::size_t slot) override;
-  void prepare_cache(std::size_t batch_size) override;
+  void forward_row(const double* x, double* y) const final;
+  void input_grad_row(const double* x, const double* g, double* gx) const final;
 };
 
 }  // namespace dpv::nn

@@ -16,24 +16,44 @@ void update_errors(double analytic, double numeric, GradCheckResult& result) {
   result.max_rel_error = std::max(result.max_rel_error, abs_err / denom);
 }
 
+/// Training-mode forward of `input` as a batch of one, so BatchNorm uses
+/// the same statistics path the analytic backward differentiates through.
+Tensor forward_one(nn::Network& net, const Tensor& input) {
+  nn::Batch& x = net.batch_input(1);
+  check(input.numel() == x.width(), "gradcheck: input size mismatch");
+  std::copy(input.data().begin(), input.data().end(), x.row(0));
+  const nn::Batch& y = net.forward_batch();
+  return Tensor(net.output_shape(), std::vector<double>(y.row(0), y.row(0) + y.width()));
+}
+
+/// Analytic backward of `loss` at `input` through the training path on a
+/// fresh clone: leaves the parameter gradients in `net` (zero before, as
+/// in every clone) and returns dL/dinput.
+Tensor analytic_backward(nn::Network& net, const Tensor& input, const Tensor& target,
+                         const Loss& loss) {
+  const Tensor pred = forward_one(net, input);
+  const Tensor g = loss.gradient(pred, target);
+  nn::Batch grad_out(1, g.numel());
+  std::copy(g.data().begin(), g.data().end(), grad_out.row(0));
+  nn::Batch grad_in;
+  net.backward_batch(grad_out, &grad_in);
+  return Tensor(input.shape(),
+                std::vector<double>(grad_in.row(0), grad_in.row(0) + grad_in.width()));
+}
+
 double loss_at(nn::Network& net, const Tensor& input, const Tensor& target, const Loss& loss) {
-  // Training-mode forward so BatchNorm uses the same statistics path the
-  // analytic backward differentiates through.
-  const std::vector<Tensor> ys = net.forward_batch({input}, /*training=*/true);
-  return loss.value(ys[0], target);
+  return loss.value(forward_one(net, input), target);
 }
 
 }  // namespace
 
-GradCheckResult check_parameter_gradients(nn::Network& net, const Tensor& input,
+GradCheckResult check_parameter_gradients(const nn::Network& original, const Tensor& input,
                                           const Tensor& target, const Loss& loss,
                                           double epsilon) {
   check(epsilon > 0.0, "check_parameter_gradients: epsilon must be positive");
   GradCheckResult result;
-
-  net.zero_grad();
-  const std::vector<Tensor> ys = net.forward_batch({input}, /*training=*/true);
-  net.backward_batch({loss.gradient(ys[0], target)});
+  nn::Network net = original.clone();
+  analytic_backward(net, input, target, loss);
 
   // Snapshot analytic gradients before perturbing parameters.
   std::vector<std::vector<double>> analytic;
@@ -57,15 +77,12 @@ GradCheckResult check_parameter_gradients(nn::Network& net, const Tensor& input,
   return result;
 }
 
-GradCheckResult check_input_gradients(nn::Network& net, const Tensor& input,
+GradCheckResult check_input_gradients(const nn::Network& original, const Tensor& input,
                                       const Tensor& target, const Loss& loss, double epsilon) {
   check(epsilon > 0.0, "check_input_gradients: epsilon must be positive");
   GradCheckResult result;
-
-  net.zero_grad();
-  const std::vector<Tensor> ys = net.forward_batch({input}, /*training=*/true);
-  const std::vector<Tensor> gxs = net.backward_batch({loss.gradient(ys[0], target)});
-  const Tensor& analytic = gxs[0];
+  nn::Network net = original.clone();
+  const Tensor analytic = analytic_backward(net, input, target, loss);
 
   Tensor probe = input;
   for (std::size_t i = 0; i < probe.numel(); ++i) {

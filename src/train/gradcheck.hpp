@@ -15,16 +15,19 @@ struct GradCheckResult {
 };
 
 /// Compares analytic parameter gradients of `net` against central
-/// differences for one (input, target) pair under `loss`.
+/// differences for one (input, target) pair under `loss`, both through
+/// the training path (a batch of one, so BatchNorm on batch statistics).
 ///
-/// `epsilon` is the finite-difference step. The network is restored to
-/// its original parameters before returning.
-GradCheckResult check_parameter_gradients(nn::Network& net, const Tensor& input,
+/// `epsilon` is the finite-difference step. Every forward and probe runs
+/// on a clone: `net` itself, BatchNorm running statistics included, is
+/// left untouched.
+GradCheckResult check_parameter_gradients(const nn::Network& net, const Tensor& input,
                                           const Tensor& target, const Loss& loss,
                                           double epsilon = 1e-6);
 
-/// Compares the analytic input gradient against central differences.
-GradCheckResult check_input_gradients(nn::Network& net, const Tensor& input,
+/// Compares the analytic input gradient against central differences, on
+/// a clone as above.
+GradCheckResult check_input_gradients(const nn::Network& net, const Tensor& input,
                                       const Tensor& target, const Loss& loss,
                                       double epsilon = 1e-6);
 

@@ -6,6 +6,8 @@
 // stays purely piecewise-linear for the MILP encoder).
 #pragma once
 
+#include <cstddef>
+
 #include "tensor/tensor.hpp"
 
 namespace dpv::train {
@@ -15,18 +17,26 @@ class Loss {
  public:
   virtual ~Loss() = default;
 
-  /// Scalar loss value.
-  virtual double value(const Tensor& pred, const Tensor& target) const = 0;
+  /// Scalar loss value; `pred` and `target` must have the same shape.
+  double value(const Tensor& pred, const Tensor& target) const;
 
   /// dL/dpred, same shape as `pred`.
-  virtual Tensor gradient(const Tensor& pred, const Tensor& target) const = 0;
+  Tensor gradient(const Tensor& pred, const Tensor& target) const;
+
+  /// The same two on one sample's `n` raw values, sizes checked by the
+  /// caller: the training loop's allocation-free form over its batch rows.
+  /// `row_gradient` writes dL/dpred into `grad`.
+  virtual double row_value(const double* pred, const double* target, std::size_t n) const = 0;
+  virtual void row_gradient(const double* pred, const double* target, std::size_t n,
+                            double* grad) const = 0;
 };
 
 /// Mean squared error: mean_i (pred_i - target_i)^2.
 class MseLoss : public Loss {
  public:
-  double value(const Tensor& pred, const Tensor& target) const override;
-  Tensor gradient(const Tensor& pred, const Tensor& target) const override;
+  double row_value(const double* pred, const double* target, std::size_t n) const override;
+  void row_gradient(const double* pred, const double* target, std::size_t n,
+                    double* grad) const override;
 };
 
 /// Binary cross entropy on a single logit; target is {0, 1}.
@@ -34,8 +44,9 @@ class MseLoss : public Loss {
 /// Numerically stable form: loss = max(z, 0) - z*t + log(1 + exp(-|z|)).
 class BceWithLogitsLoss : public Loss {
  public:
-  double value(const Tensor& pred, const Tensor& target) const override;
-  Tensor gradient(const Tensor& pred, const Tensor& target) const override;
+  double row_value(const double* pred, const double* target, std::size_t n) const override;
+  void row_gradient(const double* pred, const double* target, std::size_t n,
+                    double* grad) const override;
 };
 
 }  // namespace dpv::train

@@ -12,7 +12,7 @@ Sgd::Sgd(double learning_rate, double momentum)
   check(momentum >= 0.0 && momentum < 1.0, "Sgd: momentum must be in [0, 1)");
 }
 
-void Sgd::step(std::vector<nn::ParamRef> params) {
+void Sgd::step(const std::vector<nn::ParamRef>& params) {
   if (velocity_.empty())
     for (const auto& p : params) velocity_.emplace_back(p.value->numel(), 0.0);
   internal_check(velocity_.size() == params.size(), "Sgd: parameter set changed between steps");
@@ -35,7 +35,7 @@ Adam::Adam(double learning_rate, double beta1, double beta2, double eps)
         "Adam: betas must be in [0, 1)");
 }
 
-void Adam::step(std::vector<nn::ParamRef> params) {
+void Adam::step(const std::vector<nn::ParamRef>& params) {
   if (first_moment_.empty()) {
     for (const auto& p : params) {
       first_moment_.emplace_back(p.value->numel(), 0.0);

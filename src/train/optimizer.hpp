@@ -15,14 +15,14 @@ class Optimizer {
   virtual ~Optimizer() = default;
 
   /// One update step given the network's current parameter references.
-  virtual void step(std::vector<nn::ParamRef> params) = 0;
+  virtual void step(const std::vector<nn::ParamRef>& params) = 0;
 };
 
 /// Stochastic gradient descent with optional classical momentum.
 class Sgd : public Optimizer {
  public:
   explicit Sgd(double learning_rate, double momentum = 0.0);
-  void step(std::vector<nn::ParamRef> params) override;
+  void step(const std::vector<nn::ParamRef>& params) override;
 
  private:
   double learning_rate_;
@@ -35,7 +35,7 @@ class Adam : public Optimizer {
  public:
   explicit Adam(double learning_rate, double beta1 = 0.9, double beta2 = 0.999,
                 double eps = 1e-8);
-  void step(std::vector<nn::ParamRef> params) override;
+  void step(const std::vector<nn::ParamRef>& params) override;
 
  private:
   double learning_rate_, beta1_, beta2_, eps_;

@@ -1,5 +1,6 @@
 #include "train/trainer.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <numeric>
 
@@ -12,41 +13,43 @@ LossHistory Trainer::fit(nn::Network& net, const Dataset& data, const Loss& loss
                          Optimizer& optimizer) {
   check(!data.empty(), "Trainer::fit: empty dataset");
   check(config_.batch_size > 0, "Trainer::fit: batch size must be positive");
+  const std::vector<nn::ParamRef> params = net.params();
+  const std::size_t in_width = net.input_shape().numel();
+  const std::size_t out_width = net.output_shape().numel();
   Rng rng(config_.shuffle_seed);
   std::vector<std::size_t> order(data.size());
   std::iota(order.begin(), order.end(), 0);
+  nn::Batch grad_out;
 
   LossHistory history;
   history.reserve(config_.epochs);
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     rng.shuffle(order);
     double epoch_loss = 0.0;
-    std::size_t seen = 0;
     for (std::size_t start = 0; start < order.size(); start += config_.batch_size) {
-      const std::size_t end = std::min(start + config_.batch_size, order.size());
-      std::vector<Tensor> xs, ts;
-      xs.reserve(end - start);
-      ts.reserve(end - start);
-      for (std::size_t i = start; i < end; ++i) {
-        xs.push_back(data[order[i]].input);
-        ts.push_back(data[order[i]].target);
+      const std::size_t rows = std::min(config_.batch_size, order.size() - start);
+      nn::Batch& x = net.batch_input(rows);
+      for (std::size_t s = 0; s < rows; ++s) {
+        const Sample& sample = data[order[start + s]];
+        check(sample.input.numel() == in_width && sample.target.numel() == out_width,
+              "Trainer::fit: sample size differs from the network's input or output");
+        std::copy(sample.input.data().begin(), sample.input.data().end(), x.row(s));
       }
-      net.zero_grad();
-      const std::vector<Tensor> ys = net.forward_batch(xs, /*training=*/true);
-      std::vector<Tensor> grads;
-      grads.reserve(ys.size());
-      const double inv_batch = 1.0 / static_cast<double>(ys.size());
-      for (std::size_t i = 0; i < ys.size(); ++i) {
-        epoch_loss += loss.value(ys[i], ts[i]);
-        Tensor g = loss.gradient(ys[i], ts[i]);
-        for (std::size_t j = 0; j < g.numel(); ++j) g[j] *= inv_batch;
-        grads.push_back(std::move(g));
+      for (const nn::ParamRef& p : params) p.grad->fill(0.0);
+      const nn::Batch& y = net.forward_batch();
+      grad_out.resize(rows, out_width);
+      const double inv_batch = 1.0 / static_cast<double>(rows);
+      for (std::size_t s = 0; s < rows; ++s) {
+        const double* target = data[order[start + s]].target.data().data();
+        epoch_loss += loss.row_value(y.row(s), target, out_width);
+        double* g = grad_out.row(s);
+        loss.row_gradient(y.row(s), target, out_width, g);
+        for (std::size_t j = 0; j < out_width; ++j) g[j] *= inv_batch;
       }
-      seen += ys.size();
-      net.backward_batch(grads);
-      optimizer.step(net.params());
+      net.backward_batch(grad_out);
+      optimizer.step(params);
     }
-    history.push_back(epoch_loss / static_cast<double>(seen));
+    history.push_back(epoch_loss / static_cast<double>(order.size()));
     if (config_.verbose)
       std::printf("epoch %3zu  loss %.6f\n", epoch + 1, history.back());
   }

@@ -65,11 +65,14 @@ TEST(BatchNorm, InferenceIsFrozenAffine) {
 
 TEST(BatchNorm, TrainingNormalizesBatch) {
   BatchNorm bn(1, 1e-8);
-  std::vector<Tensor> batch{Tensor::vector1d({1.0}), Tensor::vector1d({3.0})};
-  const std::vector<Tensor> out = bn.forward_batch(batch, /*training=*/true);
+  Batch batch(2, 1);
+  batch.row(0)[0] = 1.0;
+  batch.row(1)[0] = 3.0;
+  Batch out;
+  bn.forward_batch(batch, out);
   // mean 2, var 1 -> normalized to -1 and +1 (gamma=1, beta=0).
-  EXPECT_NEAR(out[0][0], -1.0, 1e-3);
-  EXPECT_NEAR(out[1][0], 1.0, 1e-3);
+  EXPECT_NEAR(out.row(0)[0], -1.0, 1e-3);
+  EXPECT_NEAR(out.row(1)[0], 1.0, 1e-3);
 }
 
 TEST(Conv2D, IdentityKernelPreservesInterior) {

@@ -2,6 +2,7 @@
 // trainable layer arrangement are checked against central differences.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 
@@ -170,6 +171,32 @@ TEST(GradCheck, BatchNormGradientsThroughBatchStatistics) {
   const MseLoss loss;
   const GradCheckResult result = check_parameter_gradients(net, input, target, loss);
   EXPECT_LT(result.max_rel_error, 5e-4);
+}
+
+TEST(GradCheck, LeavesTheCheckedNetworkUntouched) {
+  // Every probe is a training-mode forward, which moves BatchNorm running
+  // statistics; the checks must run them on a copy.
+  Rng rng(29);
+  nn::Network net;
+  auto d1 = std::make_unique<nn::Dense>(3, 4);
+  d1->init_he(rng);
+  net.add(std::move(d1));
+  net.add(std::make_unique<nn::BatchNorm>(4));
+  net.add(std::make_unique<nn::ReLU>(Shape{4}));
+  auto d2 = std::make_unique<nn::Dense>(4, 1);
+  d2->init_he(rng);
+  net.add(std::move(d2));
+
+  const Tensor input = Tensor::randn(Shape{3}, rng, 1.0);
+  const Tensor target = Tensor::randn(Shape{1}, rng, 1.0);
+  const Tensor before = net.forward(input);
+  const MseLoss loss;
+  (void)check_parameter_gradients(net, input, target, loss);
+  (void)check_input_gradients(net, input, target, loss);
+  const Tensor after = net.forward(input);
+  ASSERT_EQ(after.numel(), before.numel());
+  EXPECT_EQ(std::memcmp(after.data().data(), before.data().data(), sizeof(double)), 0)
+      << before[0] << " became " << after[0];
 }
 
 TEST(GradCheck, BceWithLogitsGradient) {

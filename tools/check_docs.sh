@@ -145,7 +145,10 @@ check_symbol src/train   "AttackConfig"
 check_symbol src/train   "pgd_attack"
 check_symbol src/train   "concretize_activation"
 check_symbol src/nn      "input_gradient"
-check_symbol src/nn      "backward_sample"
+check_symbol src/nn      "backward_batch"
+check_symbol src/nn      "batch_input"
+check_symbol src/nn      "rounded"
+check_symbol src/train   "row_gradient"
 check_symbol src/tensor  "matvec"
 check_symbol src/absint  "zonotope_supported"
 check_symbol src/core    "OperationalDomain"

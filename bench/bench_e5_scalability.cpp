@@ -21,13 +21,11 @@
 // with per-optimization deltas at verdict parity — compared against
 // bench/baselines/BENCH_simplex.json by tools/bench_compare.py), the
 // cutting-plane axis writes BENCH_cuts.json (B&B node counts with the
-// cut engine off / root / root+local at verdict parity), the
-// search-strategy axis writes BENCH_search.json (nodes-to-proof, steal
-// counters, peak open nodes and gap-at-limit per node-store x
-// branching-rule x thread combination), and the bounds-method x
+// cut engine off / root at verdict parity), and the bounds-method x
 // encoding-cache battery additionally writes BENCH_encoding.json
 // (binaries, stable ReLUs and encode time per bound method, plus the
-// cached stamp-out speedup after the first entry).
+// cached stamp-out speedup after the first entry). Every axis runs the
+// verifier's one branch & bound search.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -122,16 +120,9 @@ std::vector<Query> make_query_set() {
   return queries;
 }
 
-/// Runs one query with every solver axis pinned explicitly. Note the
-/// search strategy defaults to the *baseline* (depth-first +
-/// most-fractional), not the verifier's hybrid + pseudocost default:
-/// each axis of this bench varies one knob against the same fixed
-/// search, and the search-strategy axis owns the strategy comparison.
-verify::VerificationResult verify_tail(
-    const Query& query, solver::LpBackendKind backend, std::size_t threads,
-    std::size_t cut_rounds = 0, bool local_cuts = false,
-    lp::FactorizationKind factorization = lp::FactorizationKind::kSparseLu,
-    const milp::search::SearchOptions& search = {}) {
+/// Runs one query with every solver axis pinned explicitly.
+verify::VerificationResult verify_tail(const Query& query, solver::LpBackendKind backend,
+                                       std::size_t threads, std::size_t cut_rounds = 0) {
   verify::VerificationQuery vq;
   vq.network = &query.net;
   vq.attach_layer = 0;
@@ -144,9 +135,6 @@ verify::VerificationResult verify_tail(
   options.milp.backend = backend;
   options.milp.threads = threads;
   options.milp.cuts.root_rounds = cut_rounds;
-  options.milp.cuts.local = local_cuts;
-  options.milp.lp_options.factorization = factorization;
-  options.milp.search = search;
   return verify::TailVerifier(options).verify(vq);
 }
 
@@ -241,7 +229,7 @@ double run_battery_pooled(const std::vector<Query>& queries, std::size_t pool) {
 
 // --------------------------------------------------------------------
 // Cutting-plane axis: the same SAFE-proof battery with the cut engine
-// off, root-only, and root+local. Cuts attack the tree size itself —
+// off and with root rounds. Cuts attack the tree size itself —
 // the cost PR 1 (cheap node solves) and PR 2 (cheap problem builds)
 // left standing — so the headline number is the B&B node reduction at
 // verdict parity.
@@ -249,7 +237,6 @@ double run_battery_pooled(const std::vector<Query>& queries, std::size_t pool) {
 struct CutsSweep {
   std::string config;
   std::size_t rounds = 0;
-  bool local = false;
   std::size_t nodes = 0;
   std::size_t lp_iterations = 0;
   std::size_t cuts_added = 0;
@@ -258,15 +245,14 @@ struct CutsSweep {
 };
 
 CutsSweep run_cuts_sweep(const std::vector<Query>& queries, const char* config,
-                         std::size_t rounds, bool local) {
+                         std::size_t rounds) {
   CutsSweep sweep;
   sweep.config = config;
   sweep.rounds = rounds;
-  sweep.local = local;
   const auto start = std::chrono::steady_clock::now();
   for (const Query& query : queries) {
     const verify::VerificationResult r =
-        verify_tail(query, solver::LpBackendKind::kRevisedBounded, 1, rounds, local);
+        verify_tail(query, solver::LpBackendKind::kRevisedBounded, 1, rounds);
     sweep.nodes += r.milp_nodes;
     sweep.lp_iterations += r.lp_iterations;
     sweep.cuts_added += r.solver_stats.cuts_added;
@@ -288,18 +274,15 @@ void emit_cuts_json(const std::vector<CutsSweep>& sweeps, bool parity) {
   for (std::size_t i = 0; i < sweeps.size(); ++i) {
     const CutsSweep& s = sweeps[i];
     std::fprintf(f,
-                 "    {\"config\": \"%s\", \"root_rounds\": %zu, \"local\": %s, "
+                 "    {\"config\": \"%s\", \"root_rounds\": %zu, "
                  "\"nodes\": %zu, \"lp_iterations\": %zu, \"cuts_added\": %zu, "
                  "\"wall_seconds\": %.6f, \"verdicts\": \"%s\"}%s\n",
-                 s.config.c_str(), s.rounds, s.local ? "true" : "false", s.nodes,
-                 s.lp_iterations, s.cuts_added, s.wall_seconds, s.verdicts.c_str(),
-                 i + 1 < sweeps.size() ? "," : "");
+                 s.config.c_str(), s.rounds, s.nodes, s.lp_iterations, s.cuts_added,
+                 s.wall_seconds, s.verdicts.c_str(), i + 1 < sweeps.size() ? "," : "");
   }
   const double base = static_cast<double>(sweeps.front().nodes);
   std::fprintf(f, "  ],\n  \"node_reduction_root\": %.3f,\n",
                sweeps[1].nodes > 0 ? base / sweeps[1].nodes : 0.0);
-  std::fprintf(f, "  \"node_reduction_root_local\": %.3f,\n",
-               sweeps[2].nodes > 0 ? base / sweeps[2].nodes : 0.0);
   std::fprintf(f, "  \"verdicts_compatible\": %s\n}\n", parity ? "true" : "false");
   std::fclose(f);
   std::printf("wrote BENCH_cuts.json\n");
@@ -311,9 +294,8 @@ void print_cuts_report(const std::vector<Query>& queries) {
               "lp-iter", "wall s", "nodes/off");
   std::printf("---------------+---------+-----------+-----------+-----------+-----------\n");
   std::vector<CutsSweep> sweeps;
-  sweeps.push_back(run_cuts_sweep(queries, "cuts-off", 0, false));
-  sweeps.push_back(run_cuts_sweep(queries, "root-8", 8, false));
-  sweeps.push_back(run_cuts_sweep(queries, "root-8+local", 8, true));
+  sweeps.push_back(run_cuts_sweep(queries, "cuts-off", 0));
+  sweeps.push_back(run_cuts_sweep(queries, "root-8", 8));
   std::vector<std::string> all_verdicts;
   for (const CutsSweep& s : sweeps) {
     all_verdicts.push_back(s.verdicts);
@@ -614,140 +596,6 @@ void print_simplex_report() {
 }
 
 // --------------------------------------------------------------------
-// Search-strategy axis: the same SAFE-proof battery across node-store x
-// branching-rule combinations (src/milp/search/), plus a thread sweep on
-// the strongest combination for the work-stealing counters. Node order
-// cannot shrink an infeasibility proof, but the branching rule can —
-// pseudocost / strong branching pick splits whose children go infeasible
-// sooner — so nodes-to-proof is the headline (measurable even on the
-// single-core CI host). Gap-at-limit is the second axis: on entries that
-// exhaust the budget, best-first orderings prove tighter bounds.
-
-struct SearchSweep {
-  std::string config;
-  milp::search::NodeStoreKind store = milp::search::NodeStoreKind::kDepthFirst;
-  milp::search::BranchingRuleKind branching =
-      milp::search::BranchingRuleKind::kMostFractional;
-  std::size_t threads = 1;
-  std::size_t nodes = 0;
-  std::size_t lp_iterations = 0;
-  std::size_t steals = 0;
-  std::size_t steal_attempts = 0;
-  std::size_t peak_open = 0;     ///< widest frontier seen (max over entries)
-  double max_gap = 0.0;          ///< worst best-bound gap at the node limit
-  double wall_seconds = 0.0;
-  std::string verdicts;
-};
-
-SearchSweep run_search_sweep(const std::vector<Query>& queries, const char* config,
-                             milp::search::NodeStoreKind store,
-                             milp::search::BranchingRuleKind branching,
-                             std::size_t threads) {
-  SearchSweep sweep;
-  sweep.config = config;
-  sweep.store = store;
-  sweep.branching = branching;
-  sweep.threads = threads;
-  milp::search::SearchOptions search;
-  search.node_store = store;
-  search.branching = branching;
-  const auto start = std::chrono::steady_clock::now();
-  for (const Query& query : queries) {
-    const verify::VerificationResult r =
-        verify_tail(query, solver::LpBackendKind::kRevisedBounded, threads, 0, false,
-                    lp::FactorizationKind::kSparseLu, search);
-    sweep.nodes += r.milp_nodes;
-    sweep.lp_iterations += r.lp_iterations;
-    sweep.steals += r.solver_stats.nodes_stolen;
-    sweep.steal_attempts += r.solver_stats.steal_attempts;
-    sweep.peak_open = std::max(sweep.peak_open, r.solver_stats.peak_open_nodes);
-    sweep.max_gap = std::max(sweep.max_gap, r.solver_stats.best_bound_gap);
-    if (!sweep.verdicts.empty()) sweep.verdicts += ',';
-    sweep.verdicts += verify::verdict_name(r.verdict);
-  }
-  sweep.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return sweep;
-}
-
-void emit_search_json(const std::vector<SearchSweep>& sweeps, bool parity) {
-  std::FILE* f = std::fopen("BENCH_search.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "BENCH_search.json: cannot open for writing\n");
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"e5_search_strategy\",\n  \"sweeps\": [\n");
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    const SearchSweep& s = sweeps[i];
-    std::fprintf(f,
-                 "    {\"config\": \"%s\", \"store\": \"%s\", \"branching\": \"%s\", "
-                 "\"threads\": %zu, \"nodes\": %zu, \"lp_iterations\": %zu, "
-                 "\"nodes_stolen\": %zu, \"steal_attempts\": %zu, "
-                 "\"peak_open_nodes\": %zu, \"gap_at_limit\": %.6f, "
-                 "\"wall_seconds\": %.6f, \"verdicts\": \"%s\"}%s\n",
-                 s.config.c_str(), milp::search::node_store_kind_name(s.store),
-                 milp::search::branching_rule_kind_name(s.branching), s.threads,
-                 s.nodes, s.lp_iterations, s.steals, s.steal_attempts, s.peak_open,
-                 s.max_gap, s.wall_seconds, s.verdicts.c_str(),
-                 i + 1 < sweeps.size() ? "," : "");
-  }
-  const double base = static_cast<double>(sweeps.front().nodes);
-  double best_nodes = base;
-  for (const SearchSweep& s : sweeps)
-    if (s.threads == 1) best_nodes = std::min(best_nodes, static_cast<double>(s.nodes));
-  std::fprintf(f, "  ],\n  \"node_reduction_best_config\": %.3f,\n",
-               best_nodes > 0 ? base / best_nodes : 0.0);
-  std::fprintf(f, "  \"verdicts_compatible\": %s\n}\n", parity ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote BENCH_search.json\n");
-}
-
-void print_search_report(const std::vector<Query>& queries) {
-  std::printf("\n=== E5: search-strategy axis (same SAFE-proof battery, revised backend) ===\n");
-  std::printf("%22s | %7s | %8s | %8s | %8s | %9s | %8s | %8s\n", "config", "threads",
-              "nodes", "lp-iter", "steals", "peak-open", "max-gap", "wall s");
-  std::printf("-----------------------+---------+----------+----------+----------+-----------+----------+---------\n");
-  using Store = milp::search::NodeStoreKind;
-  using Rule = milp::search::BranchingRuleKind;
-  std::vector<SearchSweep> sweeps;
-  sweeps.push_back(run_search_sweep(queries, "dfs+mostfrac", Store::kDepthFirst,
-                                    Rule::kMostFractional, 1));
-  sweeps.push_back(run_search_sweep(queries, "best-first+mostfrac", Store::kBestFirst,
-                                    Rule::kMostFractional, 1));
-  sweeps.push_back(run_search_sweep(queries, "hybrid+mostfrac", Store::kHybrid,
-                                    Rule::kMostFractional, 1));
-  sweeps.push_back(run_search_sweep(queries, "dfs+pseudocost", Store::kDepthFirst,
-                                    Rule::kPseudocost, 1));
-  sweeps.push_back(run_search_sweep(queries, "hybrid+pseudocost", Store::kHybrid,
-                                    Rule::kPseudocost, 1));
-  sweeps.push_back(run_search_sweep(queries, "hybrid+strong", Store::kHybrid,
-                                    Rule::kStrongBranching, 1));
-  sweeps.push_back(run_search_sweep(queries, "hybrid+pseudocost", Store::kHybrid,
-                                    Rule::kPseudocost, 2));
-  sweeps.push_back(run_search_sweep(queries, "hybrid+pseudocost", Store::kHybrid,
-                                    Rule::kPseudocost, 4));
-  std::vector<std::string> all_verdicts;
-  for (const SearchSweep& s : sweeps) {
-    all_verdicts.push_back(s.verdicts);
-    std::printf("%22s | %7zu | %8zu | %8zu | %8zu | %9zu | %8.3f | %8.3f\n",
-                s.config.c_str(), s.threads, s.nodes, s.lp_iterations, s.steals,
-                s.peak_open, s.max_gap, s.wall_seconds);
-  }
-  const bool parity = decided_verdicts_agree(all_verdicts);
-  std::printf("verdict compatibility across strategies and thread counts "
-              "(UNKNOWN = budget): %s\n",
-              parity ? "OK" : "CONFLICT");
-  std::size_t best_nodes = sweeps.front().nodes;
-  for (const SearchSweep& s : sweeps)
-    if (s.threads == 1) best_nodes = std::min(best_nodes, s.nodes);
-  std::printf("nodes-to-proof: baseline %zu -> best strategy %zu (%.2fx)\n",
-              sweeps.front().nodes, best_nodes,
-              best_nodes > 0 ? static_cast<double>(sweeps.front().nodes) / best_nodes
-                             : 0.0);
-  emit_search_json(sweeps, parity);
-}
-
-// --------------------------------------------------------------------
 // Bounds-method x encoding-cache battery: one fixed tail, many (risk)
 // entries — the campaign shape where only the risk rows differ. Fresh
 // encoding rebuilds the tail per entry; the cache freezes it once and
@@ -986,8 +834,8 @@ void print_report() {
   }
   // Threads 2/4 run under the shared node budget, where steal timing
   // decides which subtrees fit (see src/milp/branch_and_bound.hpp) —
-  // so, like the cuts/search axes, decided verdicts must agree and
-  // UNKNOWN is a budget artifact.
+  // so, like the cuts axis, decided verdicts must agree and UNKNOWN is
+  // a budget artifact.
   const bool verdicts_match = decided_verdicts_agree(sweep_verdicts);
   std::printf("verdict compatibility across backends and thread counts "
               "(UNKNOWN = budget): %s\n",
@@ -1013,8 +861,6 @@ void print_report() {
   print_simplex_report();
 
   print_cuts_report(queries);
-
-  print_search_report(queries);
 
   print_encoding_report();
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <utility>
 
 #include "common/check.hpp"
@@ -33,13 +34,25 @@ void RecordReader::expect_tag(const char* t) {
   if (got != t) fail(std::string("expected '") + t + "', got '" + got + "'");
 }
 
-std::size_t RecordReader::size_value() {
-  const std::string t = token();
-  try {
-    return static_cast<std::size_t>(std::stoull(t));
-  } catch (...) {
-    fail("bad integer '" + t + "'");
+std::size_t RecordReader::parse_digits(const std::string& token, std::size_t first) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  if (first >= token.size()) fail("bad integer '" + token + "'");
+  std::size_t v = 0;
+  for (std::size_t i = first; i < token.size(); ++i) {
+    if (token[i] < '0' || token[i] > '9') fail("bad integer '" + token + "'");
+    const auto d = static_cast<std::size_t>(token[i] - '0');
+    if (v > (kMax - d) / 10) fail("integer out of range '" + token + "'");
+    v = v * 10 + d;
   }
+  return v;
+}
+
+std::size_t RecordReader::size_value() { return parse_digits(token(), 0); }
+
+std::size_t RecordReader::count() {
+  const std::size_t n = size_value();
+  if (n > (text_.size() - pos_) / 2) fail("count " + std::to_string(n) + " exceeds the file");
+  return n;
 }
 
 double RecordReader::dbl() {
@@ -61,15 +74,10 @@ bool RecordReader::boolean() {
 std::string RecordReader::str() {
   const std::string t = token();
   if (t.empty() || t[0] != 's') fail("bad string token '" + t + "'");
-  std::size_t len = 0;
-  try {
-    len = static_cast<std::size_t>(std::stoull(t.substr(1)));
-  } catch (...) {
-    fail("bad string length '" + t + "'");
-  }
+  const std::size_t len = parse_digits(t, 1);
   if (pos_ >= text_.size() || text_[pos_] != ' ') fail("malformed string payload");
   ++pos_;  // the single separator space
-  if (pos_ + len > text_.size()) fail("truncated string payload");
+  if (len > text_.size() - pos_) fail("truncated string payload");
   std::string s = text_.substr(pos_, len);
   pos_ += len;
   return s;

@@ -50,8 +50,14 @@ class RecordReader {
 
   std::string token();
   void expect_tag(const char* t);
+  /// A decimal integer of digits only (no sign, no trailing text) that
+  /// fits in std::size_t.
   std::size_t size_value();
   std::uint64_t u64() { return static_cast<std::uint64_t>(size_value()); }
+  /// An element count about to size a container. Each element takes at
+  /// least one separator and one token byte, so a count larger than
+  /// half the unread text is rejected here, before any allocation.
+  std::size_t count();
   double dbl();
   bool boolean();
   std::string str();
@@ -60,6 +66,9 @@ class RecordReader {
 
  private:
   void skip_ws();
+  /// Value of the digits-only text token[first..]; fails on anything
+  /// else or on overflow.
+  std::size_t parse_digits(const std::string& token, std::size_t first);
 
   std::string text_;
   std::size_t pos_ = 0;

@@ -56,7 +56,7 @@ void write_tensor(Writer& w, const Tensor& t) {
 }
 
 Tensor read_tensor(Reader& r) {
-  const std::size_t numel = r.size_value();
+  const std::size_t numel = r.count();
   if (numel == 0) return Tensor();
   const std::size_t rank = r.size_value();
   if (rank > 8) r.fail("implausible tensor rank");
@@ -244,7 +244,7 @@ bool load_campaign_checkpoint(const std::string& path, CampaignCheckpoint& out) 
   r.expect_tag("entries");
   out.entry_count = r.size_value();
   r.expect_tag("records");
-  const std::size_t count = r.size_value();
+  const std::size_t count = r.count();
   if (count > out.entry_count) r.fail("more records than entries");
   out.records.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -332,11 +332,11 @@ bool load_coverage_checkpoint(const std::string& path, CoverageCheckpoint& out) 
   out = CoverageCheckpoint{};
   read_header(r, "coverage", out.fingerprint, out.config_hash);
   r.expect_tag("rounds");
-  const std::size_t round_count = r.size_value();
+  const std::size_t round_count = r.count();
   out.rounds.reserve(round_count);
   for (std::size_t i = 0; i < round_count; ++i) out.rounds.push_back(read_round(r));
   r.expect_tag("cells");
-  const std::size_t cell_count = r.size_value();
+  const std::size_t cell_count = r.count();
   out.cells.reserve(cell_count);
   for (std::size_t i = 0; i < cell_count; ++i) {
     r.expect_tag("cell");
@@ -362,7 +362,7 @@ bool load_coverage_checkpoint(const std::string& path, CoverageCheckpoint& out) 
     out.cells.push_back(std::move(c));
   }
   r.expect_tag("pool");
-  const std::size_t pool_count = r.size_value();
+  const std::size_t pool_count = r.count();
   out.pool.reserve(pool_count);
   for (std::size_t i = 0; i < pool_count; ++i) {
     r.expect_tag("pt");

@@ -5,6 +5,15 @@
 // gain slack / surplus / artificial columns as needed. Phase 1 minimizes
 // the sum of artificials; phase 2 the user objective. Dantzig pricing
 // with a Bland's-rule fallback guards against cycling.
+//
+// SimplexSolver is a production engine, not only a reference: it solves
+// every bound-tightening LP of the encoder's kLpTightening pre-pass
+// (src/verify/encoder.cpp) and every per-query bound-refresh LP
+// (src/verify/verifier.cpp), and backs the kDenseTableau solver
+// backend. Of SimplexOptions it reads only `max_iterations`,
+// `bland_after` and `tolerance`; in particular it never polls
+// `run_control`, so the tightening pre-pass runs to completion under a
+// deadline and the refresh loop stops only between variables.
 #pragma once
 
 #include <cstddef>
@@ -100,8 +109,9 @@ struct SimplexOptions {
   /// Cooperative cancellation: the revised simplex polls this every 64
   /// iterations and returns kDeadline when it has expired (partial state
   /// is discarded; no solution fields beyond iterations are valid).
-  /// Ignored by the dense-tableau SimplexSolver, which only runs as a
-  /// differential oracle on small instances. Not owned.
+  /// Ignored by the dense-tableau SimplexSolver (see the file comment):
+  /// the kLpTightening pre-pass and the per-query bound refresh it runs
+  /// do not stop mid-solve. Not owned.
   const RunControl* run_control = nullptr;
 };
 

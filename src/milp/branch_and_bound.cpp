@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "common/check.hpp"
@@ -37,8 +36,8 @@ namespace {
 using search::SearchNode;
 
 /// Search state shared by the worker pool beside the frontier: the
-/// incumbent, termination flags and the node-local cut pool live under
-/// `mutex`; counters that only need atomicity do not.
+/// incumbent and termination flags live under `mutex`; counters that
+/// only need atomicity do not.
 struct SharedSearch {
   std::mutex mutex;
   bool have_incumbent = false;
@@ -55,15 +54,8 @@ struct SharedSearch {
   std::vector<double> frontier_values;
   std::exception_ptr error;
 
-  /// Node-local cut pool (CutOptions::local): append-only rows every
-  /// worker folds into its backend before the next node solve, plus the
-  /// dedup hashes (seeded with the root cuts). Guarded by `mutex`.
-  std::vector<lp::Row> local_cut_rows;
-  std::unordered_set<std::size_t> cut_hashes;
-  std::size_t local_cuts = 0;
-
   std::atomic<std::size_t> nodes_explored{0};
-  /// Stable node ids: all strategy-layer tie-breaking orders on them.
+  /// Stable node ids: all node-store tie-breaking orders on them.
   std::atomic<std::uint64_t> next_node_id{1};
 };
 
@@ -71,10 +63,9 @@ class Worker {
  public:
   Worker(std::size_t index, const MilpProblem& problem,
          const BranchAndBoundOptions& options, SharedSearch& shared,
-         search::ParallelFrontier& frontier, search::PseudocostTable* pseudocosts)
+         search::ParallelFrontier& frontier, search::PseudocostTable& pseudocosts)
       : index_(index), problem_(problem), options_(options), shared_(shared),
         frontier_(frontier), pseudocosts_(pseudocosts),
-        rule_(search::make_branching_rule(options.search.branching, options.search)),
         backend_(solver::make_lp_backend(options.backend, options.lp_options)) {
     backend_->load(problem.relaxation());
   }
@@ -134,53 +125,33 @@ class Worker {
         return;
       }
 
-      // ---- Pop-time pruning + cut-pool snapshot --------------------
-      std::vector<lp::Row> pending_cut_rows;
+      // ---- Pop-time pruning -----------------------------------------
+      bool retired = false;
       {
-        std::unique_lock<std::mutex> lock(shared_.mutex);
-        if (node.has_bound && shared_.have_incumbent &&
-            !better(node.bound, shared_.incumbent_objective)) {
-          // A later incumbent retired this queued subtree; no LP work.
-          lock.unlock();
-          frontier_.complete();
-          continue;
-        }
-        if (options_.cuts.local &&
-            shared_.local_cut_rows.size() > applied_local_rows_) {
-          pending_cut_rows.assign(
-              shared_.local_cut_rows.begin() +
-                  static_cast<std::ptrdiff_t>(applied_local_rows_),
-              shared_.local_cut_rows.end());
-          applied_local_rows_ = shared_.local_cut_rows.size();
-        }
+        std::lock_guard<std::mutex> lock(shared_.mutex);
+        retired = node.has_bound && shared_.have_incumbent &&
+                  !better(node.bound, shared_.incumbent_objective);
+      }
+      if (retired) {
+        // A later incumbent retired this queued subtree; no LP work.
+        frontier_.complete();
+        continue;
       }
 
       // ---- LP solve outside any lock -------------------------------
-      if (!pending_cut_rows.empty()) {
-        // Fold the grown shared cut pool into this worker's backend.
-        // Bases captured against the old row count no longer fit, so
-        // the next resolve falls back to one cold solve.
-        if (!cut_relaxation_loaded_) {
-          cut_relaxation_ = problem_.relaxation();
-          cut_relaxation_loaded_ = true;
-        }
-        cut_relaxation_.add_rows(std::move(pending_cut_rows));
-        backend_->load(cut_relaxation_);
-        overridden_.clear();
-      }
       apply_fixings(node);
       // A node presolved by its parent's sibling batch carries its own
       // relaxation solution: the pop skips the LP entirely. The fixings
-      // above still land on the backend, so branching-rule probes and
-      // this node's own sibling batch solve against the right box.
+      // above still land on the backend, so reliability probes and this
+      // node's own sibling batch solve against the right box.
       const lp::LpSolution lp = node.presolved ? node.presolved->solution
                                 : node.parent_basis
                                     ? backend_->resolve(*node.parent_basis)
                                     : backend_->solve();
 
       // Feed the pseudocost table with this child's actual outcome —
-      // the per-re-solve degradation statistics every branching rule
-      // shares, learned for free from solves the search does anyway.
+      // degradation statistics learned for free from solves the search
+      // does anyway.
       record_branch_outcome(node, lp);
 
       // ---- Branch selection ----------------------------------------
@@ -227,25 +198,16 @@ class Worker {
         ctx.integrality_tolerance = options_.integrality_tolerance;
         ctx.minimize =
             problem_.relaxation().objective_direction() == lp::Objective::kMinimize;
-        ctx.pseudocosts = pseudocosts_;
+        ctx.pseudocosts = &pseudocosts_;
         ctx.stop = &frontier_.stop_flag();
-        decision = rule_->decide(ctx);
-        // A fractional node MUST branch: a rule returning "integral"
-        // here (e.g. a stricter private tolerance) would publish a
-        // fractional point as an incumbent — under feasibility mode, a
-        // bogus counterexample. Fail loudly instead.
+        decision = search::decide_branch(ctx);
+        // A fractional node MUST branch: a decision of "integral" here
+        // would publish a fractional point as an incumbent — under
+        // feasibility mode, a bogus counterexample. Fail loudly instead.
         internal_check(decision.var != search::kNoBranchVariable,
-                       "branching rule returned no variable on a fractional node");
+                       "branching returned no variable on a fractional node");
       }
       const std::size_t branch_var = decision.var;
-
-      // Node-local separation (globally-valid ReLU-split cuts only),
-      // restricted to shallow nodes about to branch.
-      std::vector<cuts::Cut> node_cuts;
-      if (options_.cuts.local && lp.status == lp::SolveStatus::kOptimal &&
-          branch_var != search::kNoBranchVariable &&
-          node.fixings.size() < options_.cuts.local_depth_limit)
-        node_cuts = cuts::separate_local_cuts(problem_, lp, options_.cuts);
 
       // ---- Publish the outcome -------------------------------------
       std::unique_lock<std::mutex> lock(shared_.mutex);
@@ -319,27 +281,15 @@ class Worker {
         shared_.frontier_objective = lp.objective;
         shared_.frontier_values = lp.values;
       }
-
-      // Publish this node's cuts; every worker folds them in before its
-      // next node solve, starting with this node's own children.
-      for (cuts::Cut& cut : node_cuts) {
-        if (shared_.local_cuts >= options_.cuts.max_local_cuts) break;
-        if (!shared_.cut_hashes.insert(cuts::cut_row_hash(cut.row)).second) continue;
-        shared_.local_cut_rows.push_back(std::move(cut.row));
-        ++shared_.local_cuts;
-      }
       lock.unlock();
 
       // ---- Children ------------------------------------------------
-      // A probing rule may already have proved a child's relaxation
-      // infeasible; the probe *was* that child's solve, so it is never
-      // pushed (its pseudocost outcome was recorded by the probe).
+      // A reliability probe may already have proved a child's
+      // relaxation infeasible; the probe *was* that child's solve, so
+      // it is never pushed (its pseudocost outcome was recorded by the
+      // probe).
       const double value = lp.values[branch_var];
-      // Only pseudocost learning reads the children's parent
-      // fractionality; skip the scan on the baseline rule.
-      const double parent_frac =
-          pseudocosts_ != nullptr ? search::total_fractionality(problem_, lp.values)
-                                  : 0.0;
+      const double parent_frac = search::total_fractionality(problem_, lp.values);
       SearchNode zero;
       zero.fixings = node.fixings;
       zero.fixings.emplace_back(branch_var, 0.0);
@@ -370,9 +320,9 @@ class Worker {
       // backend just worked from (sharing its factorization and Devex
       // pricing weights via the reuse_matching_basis fast path), and
       // queue them under their own — strictly tighter — relaxation
-      // objectives. Skipped when the branching rule's probes already
-      // solved either child: the probe WAS that solve, and batching
-      // would repeat the LP work it paid for.
+      // objectives. Skipped when the reliability probes already solved
+      // either child: the probe WAS that solve, and batching would
+      // repeat the LP work it paid for.
       const bool probe_touched =
           decision.down_recorded || decision.up_recorded ||
           decision.down_infeasible || decision.up_infeasible ||
@@ -390,8 +340,8 @@ class Worker {
         push_one = attach_presolved(one, results[1]);
       }
 
-      // Push the rounded-toward branch last so a LIFO pops it first
-      // (dive toward integrality); order is irrelevant to a heap.
+      // Push the rounded-toward branch last so the plunge pops it first
+      // (dive toward integrality); order is irrelevant to the heap.
       if (value >= 0.5) {
         if (push_zero) frontier_.push(index_, std::move(zero));
         if (push_one) frontier_.push(index_, std::move(one));
@@ -407,11 +357,9 @@ class Worker {
   /// child relaxation either proved infeasible (the strongest outcome)
   /// or degraded the parent objective / reduced total fractionality.
   void record_branch_outcome(const SearchNode& node, const lp::LpSolution& lp) {
-    if (pseudocosts_ == nullptr || node.branch_var == search::kNoBranchVariable ||
-        node.probe_recorded)
-      return;
+    if (node.branch_var == search::kNoBranchVariable || node.probe_recorded) return;
     if (lp.status == lp::SolveStatus::kInfeasible) {
-      search::record_child_outcome(*pseudocosts_, node.branch_var, node.branch_up,
+      search::record_child_outcome(pseudocosts_, node.branch_var, node.branch_up,
                                    node.branch_frac, /*infeasible=*/true, 0.0, 0.0);
       return;
     }
@@ -423,7 +371,7 @@ class Worker {
     const double drop =
         std::max(0.0, node.parent_fractionality -
                           search::total_fractionality(problem_, lp.values));
-    search::record_child_outcome(*pseudocosts_, node.branch_var, node.branch_up,
+    search::record_child_outcome(pseudocosts_, node.branch_var, node.branch_up,
                                  node.branch_frac, /*infeasible=*/false, degradation,
                                  drop);
   }
@@ -472,15 +420,9 @@ class Worker {
   const BranchAndBoundOptions& options_;
   SharedSearch& shared_;
   search::ParallelFrontier& frontier_;
-  search::PseudocostTable* pseudocosts_;
-  std::unique_ptr<search::BranchingRule> rule_;
+  search::PseudocostTable& pseudocosts_;
   std::unique_ptr<solver::LpBackend> backend_;
   std::vector<std::size_t> overridden_;
-  /// Local-cut bookkeeping: how much of the shared pool this worker's
-  /// backend has folded in, and the grown relaxation it is loaded with.
-  std::size_t applied_local_rows_ = 0;
-  lp::LpProblem cut_relaxation_;
-  bool cut_relaxation_loaded_ = false;
 };
 
 }  // namespace
@@ -496,8 +438,6 @@ MilpResult BranchAndBoundSolver::solve(const MilpProblem& problem) const {
   // Root cutting-plane rounds run on a working copy appended through
   // MilpProblem::add_rows, so the caller's problem — possibly a frozen
   // cache base's stamp-out — is never mutated.
-  // (Local-only separation needs no copy: node cuts land in per-worker
-  // relaxation copies, never in the shared problem.)
   const bool root_cuts_enabled =
       options.cuts.root_rounds > 0 && !problem.binary_variables().empty();
   const bool inject_cuts =
@@ -520,9 +460,9 @@ MilpResult BranchAndBoundSolver::solve(const MilpProblem& problem) const {
     if (root_cuts_enabled)
       root_cuts = cuts::run_root_cuts(working, options.cuts, options.backend,
                                       options.lp_options, options.integrality_tolerance);
-    // Injected rows count as live cuts from here on: the local-cut
-    // dedup seed, the harvest window below, and the provenance list all
-    // cover them (injected sources first — row order in the problem).
+    // Injected rows count as live cuts from here on: the harvest window
+    // below and the provenance list both cover them (injected sources
+    // first — row order in the problem).
     root_cuts.cuts_live += cuts_recycled;
     if (inject_cuts) {
       std::vector<const char*> merged;
@@ -540,32 +480,20 @@ MilpResult BranchAndBoundSolver::solve(const MilpProblem& problem) const {
   const std::size_t thread_count = std::max<std::size_t>(options.threads, 1);
 
   SharedSearch shared;
-  search::ParallelFrontier frontier(thread_count, options.search.node_store,
-                                    minimize, options.search);
+  search::ParallelFrontier frontier(thread_count, minimize);
   frontier.push(0, SearchNode{});  // root: id 0, no fixings, no bound yet
-  if (options.cuts.local && root_cuts.cuts_live > 0) {
-    // Seed dedup so node-local separation cannot re-add a root cut.
-    // (cuts_live, not cuts_added: aging may have removed some again.)
-    const std::vector<lp::Row>& rows = active->relaxation().rows();
-    for (std::size_t r = rows.size() - root_cuts.cuts_live; r < rows.size(); ++r)
-      shared.cut_hashes.insert(cuts::cut_row_hash(rows[r]));
-  }
 
-  // One shared pseudocost table (rules that never read it skip the
-  // allocation): every worker's child re-solves feed it, so learning
-  // crosses worker boundaries.
-  std::unique_ptr<search::PseudocostTable> pseudocosts;
-  if (options.search.branching != search::BranchingRuleKind::kMostFractional) {
-    pseudocosts = std::make_unique<search::PseudocostTable>(problem.variable_count());
-    if (options.pseudocost_priors != nullptr)
-      pseudocosts->seed(*options.pseudocost_priors, options.pseudocost_prior_weight);
-  }
+  // One shared pseudocost table: every worker's child re-solves feed
+  // it, so learning crosses worker boundaries.
+  search::PseudocostTable pseudocosts(problem.variable_count());
+  if (options.pseudocost_priors != nullptr)
+    pseudocosts.seed(*options.pseudocost_priors, options.pseudocost_prior_weight);
 
   std::vector<std::unique_ptr<Worker>> workers;
   workers.reserve(thread_count);
   for (std::size_t t = 0; t < thread_count; ++t)
-    workers.push_back(std::make_unique<Worker>(t, *active, options, shared, frontier,
-                                               pseudocosts.get()));
+    workers.push_back(
+        std::make_unique<Worker>(t, *active, options, shared, frontier, pseudocosts));
 
   if (thread_count == 1) {
     workers[0]->run();
@@ -582,7 +510,7 @@ MilpResult BranchAndBoundSolver::solve(const MilpProblem& problem) const {
   result.nodes_explored = shared.nodes_explored.load();
   for (const auto& worker : workers) result.solver_stats.merge(worker->stats());
   result.solver_stats.merge(root_cuts.solver_stats);
-  result.solver_stats.cuts_added = root_cuts.cuts_added + shared.local_cuts;
+  result.solver_stats.cuts_added = root_cuts.cuts_added;
   result.solver_stats.cut_rounds = root_cuts.rounds;
   result.solver_stats.nodes_stolen = frontier.nodes_stolen();
   result.solver_stats.steal_attempts = frontier.steal_attempts();
@@ -601,8 +529,7 @@ MilpResult BranchAndBoundSolver::solve(const MilpProblem& problem) const {
       result.root_cut_rows.push_back({rows[first + k], 0.0, source});
     }
   }
-  if (options.export_pseudocosts && pseudocosts != nullptr)
-    result.pseudocost_snapshot = pseudocosts->snapshot_all();
+  if (options.export_pseudocosts) result.pseudocost_snapshot = pseudocosts.snapshot_all();
   if (shared.have_incumbent) {
     result.objective = shared.incumbent_objective;
     result.values = std::move(shared.incumbent_values);

@@ -1,20 +1,18 @@
-// LP-relaxation branch & bound for MILP, with a pluggable search core.
+// LP-relaxation branch & bound for MILP.
 //
-// The tree *shape* is owned by the strategy layer (src/milp/search/):
-// a NodeStore orders the open nodes (depth-first dive, best-first on
-// the relaxation bound, or a hybrid that plunges then resumes from the
-// best bound), a BranchingRule picks the split variable
-// (most-fractional baseline, reliability-initialized pseudocosts fed
-// by every child re-solve's objective degradation, or strong
-// branching), and with `threads > 1` a work-stealing frontier of
-// per-worker deques replaces a single contended stack. Nodes are
-// pruned by LP infeasibility and by objective bound against the
-// incumbent (checked again at pop time, so a late incumbent retires
-// queued subtrees without an LP solve). For pure feasibility queries
-// (`stop_at_first_feasible`), the solver returns as soon as any
-// integral point is found — the common mode for safety verification,
-// where any feasible point is a counterexample and exhaustive
-// infeasibility is the proof.
+// One search (src/milp/search/): a NodeStore orders each worker's open
+// nodes (a bounded depth-first plunge, then a restart from the best
+// open relaxation bound), reliability-initialized pseudocost branching
+// picks the split variable (fed by every child re-solve's objective
+// degradation, fractionality reduction and infeasibility), and with
+// `threads > 1` a work-stealing frontier of per-worker deques replaces
+// a single contended stack. Nodes are pruned by LP infeasibility and by
+// objective bound against the incumbent (checked again at pop time, so
+// a late incumbent retires queued subtrees without an LP solve). For
+// pure feasibility queries (`stop_at_first_feasible`), the solver
+// returns as soon as any integral point is found — the common mode for
+// safety verification, where any feasible point is a counterexample
+// and exhaustive infeasibility is the proof.
 //
 // Node relaxations are solved through the pluggable solver backend layer
 // (src/solver/): each node carries its parent's optimal basis, and since
@@ -38,9 +36,8 @@
 //
 // When `options.cuts` enables it, the search is preceded by root-node
 // cutting-plane rounds (ReLU-split + Gomory, see src/milp/cuts/) on a
-// working copy of the problem, and may keep separating globally-valid
-// ReLU-split cuts at shallow tree nodes; cut rows persist for the whole
-// search, so every warm-started node re-solve benefits from them.
+// working copy of the problem; cut rows persist for the whole search,
+// so every warm-started node re-solve benefits from them.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +48,6 @@
 #include "milp/cuts/cut_generator.hpp"
 #include "milp/milp_problem.hpp"
 #include "milp/search/branching_rule.hpp"
-#include "milp/search/strategy.hpp"
 #include "solver/lp_backend.hpp"
 
 namespace dpv::milp {
@@ -112,9 +108,9 @@ struct MilpResult {
   /// recyclability. `violation` is not meaningful here.
   std::vector<cuts::Cut> root_cut_rows;
   /// Final pseudocost table in variable order (element [var] =
-  /// (down, up)); populated when options.export_pseudocosts and the
-  /// branching rule kept a table. Persisted by delta re-certification
-  /// as warm priors for the next model version's searches.
+  /// (down, up)); populated when options.export_pseudocosts. Persisted
+  /// by delta re-certification as warm priors for the next model
+  /// version's searches.
   std::vector<std::pair<search::PseudocostTable::DirectionStats,
                         search::PseudocostTable::DirectionStats>>
       pseudocost_snapshot;
@@ -131,14 +127,11 @@ struct BranchAndBoundOptions {
   /// Worker threads for parallel node exploration (<= 1: serial).
   std::size_t threads = 1;
   /// Cutting-plane engine (off by default; `cuts.root_rounds > 0`
-  /// enables root separation, `cuts.local` node-local separation). Cuts
-  /// are appended to a working copy of the problem — the caller's
-  /// instance, including cached/stamped encodings, is never mutated.
+  /// enables root separation, `cuts.initial_cuts` injects a recycled
+  /// pool). Cuts are appended to a working copy of the problem — the
+  /// caller's instance, including cached/stamped encodings, is never
+  /// mutated.
   cuts::CutOptions cuts = {};
-  /// Search strategy: node ordering, branching rule and their tuning
-  /// (src/milp/search/strategy.hpp). Defaults reproduce the classic
-  /// depth-first / most-fractional search.
-  search::SearchOptions search = {};
   /// Solve both children of a branch immediately at expansion through
   /// LpBackend::solve_children, while the parent basis is still the one
   /// factorized in the worker's backend (sharing the factorization and
@@ -146,9 +139,9 @@ struct BranchAndBoundOptions {
   /// time. Children then carry their *own* relaxation objective as the
   /// queue bound — strictly tighter than the parent objective the pop
   /// path queues under — and infeasible children are pruned without
-  /// ever entering the frontier. Skipped for branching rules whose
-  /// probes already solved the children (strong branching / reliability
-  /// probes), which would double the LP work.
+  /// ever entering the frontier. Skipped when the reliability probes
+  /// already solved the chosen variable's children, which would double
+  /// the LP work.
   bool batch_sibling_solves = true;
   /// Reference for the reported `best_bound_gap` when a node-limit stop
   /// holds no incumbent (NaN = no reference). The verifier sets this to
@@ -164,9 +157,8 @@ struct BranchAndBoundOptions {
   /// (down, up) statistics exported by a previous solve of a
   /// structurally identical problem), demoted by
   /// `pseudocost_prior_weight` before the search starts — see
-  /// search::PseudocostTable::seed. Read only when the branching rule
-  /// uses pseudocosts; priors bias node order, never verdicts. Not
-  /// owned.
+  /// search::PseudocostTable::seed. Priors bias node order, never
+  /// verdicts. Not owned.
   const std::vector<std::pair<search::PseudocostTable::DirectionStats,
                               search::PseudocostTable::DirectionStats>>*
       pseudocost_priors = nullptr;

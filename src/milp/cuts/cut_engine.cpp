@@ -23,8 +23,7 @@ std::uint64_t double_bits(double d) {
   return bits;
 }
 
-}  // namespace
-
+/// Order-sensitive content hash of a row, for cut deduplication.
 std::size_t cut_row_hash(const lp::Row& row) {
   std::size_t h = 1469598103934665603ull;
   hash_mix(h, static_cast<std::uint64_t>(row.sense));
@@ -35,6 +34,8 @@ std::size_t cut_row_hash(const lp::Row& row) {
   }
   return h;
 }
+
+}  // namespace
 
 bool sanitize_cut(const MilpProblem& problem, const std::vector<double>& values,
                   const CutOptions& options, Cut& cut) {
@@ -100,21 +101,6 @@ bool sanitize_cut(const MilpProblem& problem, const std::vector<double>& values,
   cut.violation = row.sense == lp::RowSense::kGreaterEqual ? row.rhs - activity
                                                            : activity - row.rhs;
   return std::isfinite(cut.violation) && cut.violation >= options.min_violation;
-}
-
-std::vector<Cut> separate_local_cuts(const MilpProblem& problem, const lp::LpSolution& lp,
-                                     const CutOptions& options) {
-  std::vector<Cut> cuts;
-  if (!options.relu_split || lp.status != lp::SolveStatus::kOptimal) return cuts;
-  const ReluSplitCutGenerator generator;
-  const CutContext ctx{problem, lp, nullptr, options};
-  std::vector<Cut> raw;
-  generator.generate(ctx, raw);
-  for (Cut& cut : raw)
-    if (sanitize_cut(problem, lp.values, options, cut)) cuts.push_back(std::move(cut));
-  std::stable_sort(cuts.begin(), cuts.end(),
-                   [](const Cut& a, const Cut& b) { return a.violation > b.violation; });
-  return cuts;
 }
 
 namespace {

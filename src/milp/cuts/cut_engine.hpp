@@ -1,6 +1,6 @@
-// Cutting-plane engine: root separation loop, node-local separation and
-// the shared cut hygiene (normalization, sound coefficient dropping,
-// violation re-measurement, deduplication hashes).
+// Cutting-plane engine: the root separation loop and its cut hygiene
+// (normalization, sound coefficient dropping, violation re-measurement,
+// deduplication).
 //
 // Ownership of the search stays with branch & bound; this engine only
 // mutates the problem it is handed — always a working copy, appended
@@ -57,16 +57,6 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
                             solver::LpBackendKind backend,
                             const lp::SimplexOptions& lp_options,
                             double integrality_tolerance);
-
-/// Node-local separation: ReLU-split cuts only (globally valid by
-/// construction — Gomory derivations bake in node-tightened bounds).
-/// Candidates are sanitized against `lp.values`; deduplication against
-/// the shared pool is the caller's job (cut_row_hash).
-std::vector<Cut> separate_local_cuts(const MilpProblem& problem, const lp::LpSolution& lp,
-                                     const CutOptions& options);
-
-/// Order-sensitive content hash of a row, for cut deduplication.
-std::size_t cut_row_hash(const lp::Row& row);
 
 /// Cleans one candidate in place: merges duplicate variables, scales
 /// the row to unit inf-norm, drops near-zero coefficients by soundly

@@ -12,12 +12,11 @@
 // adding a third):
 //   * ReluSplitCutGenerator — Anderson-style splits of the encoder's
 //     big-M ReLU blocks, separated from the MilpProblem's ReluSplitInfo
-//     metadata and the frozen variable boxes. Globally valid at any
-//     node, so also used for node-local separation.
+//     metadata and the frozen variable boxes.
 //   * GomoryCutGenerator — textbook Gomory mixed-integer cuts read off
-//     the revised simplex tableau via LpBackend::row_of_basis. Root
-//     only: the derivation bakes in the node's variable bounds, which
-//     branching tightens below the root.
+//     the revised simplex tableau via LpBackend::row_of_basis.
+// Both separate at the root only; the rows then persist for the whole
+// search.
 #pragma once
 
 #include <cstddef>
@@ -46,12 +45,6 @@ struct CutOptions {
   std::size_t max_cuts_per_round = 32;
   bool relu_split = true;  ///< enable the ReLU-split family
   bool gomory = true;      ///< enable Gomory mixed-integer cuts
-  /// Also separate ReLU-split cuts at tree nodes (near the top of the
-  /// tree); workers reload their backend when the shared pool grows, so
-  /// the first re-solve after a pool growth runs cold.
-  bool local = false;
-  std::size_t local_depth_limit = 4;  ///< max fixings for local separation
-  std::size_t max_local_cuts = 64;    ///< total node-local cut budget
   /// Warm-start the root separation loop: re-solve each round from the
   /// previous round's optimal basis padded with the new cut rows'
   /// logicals (the dual simplex then only repairs the violated cuts)

@@ -17,9 +17,7 @@
 //
 // The derivation only uses the problem-level variable boxes — which
 // branch & bound never changes (fixings live in the backend) — so cuts
-// from this family are globally valid even when separated at a deep
-// node. That is why node-local separation (CutOptions::local) is
-// restricted to this generator.
+// from this family are globally valid for the whole tree.
 #pragma once
 
 #include "milp/cuts/cut_generator.hpp"

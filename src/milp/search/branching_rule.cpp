@@ -136,6 +136,19 @@ void record_child_outcome(PseudocostTable& table, std::size_t var, bool up,
 
 namespace {
 
+/// Minimum recorded observations per (variable, direction) before its
+/// pseudocost estimate is trusted; thinner candidates are probed first.
+constexpr std::size_t kReliability = 1;
+/// At most this many candidates are probed per node (two LP re-solves
+/// each).
+constexpr std::size_t kProbeCandidates = 4;
+/// Weight of the observed child-infeasibility rate in a direction's
+/// score. An infeasible child is the strongest outcome of a branch (the
+/// subtree vanishes), and on pure feasibility MILPs — the verifier's
+/// workload, objective zero — it is the only signal besides the
+/// fractionality reduction.
+constexpr double kInfeasibleScoreWeight = 1.0;
+
 struct Candidate {
   std::size_t var = 0;
   double value = 0.0;
@@ -143,9 +156,8 @@ struct Candidate {
 };
 
 /// Fractional binaries of the node relaxation, most fractional first,
-/// ties on the smaller variable index (the deterministic baseline
-/// order — with no further information the first candidate is exactly
-/// the most-fractional choice).
+/// ties on the smaller variable index (with no further information the
+/// first candidate is the most-fractional choice).
 std::vector<Candidate> collect_candidates(const BranchContext& ctx) {
   std::vector<Candidate> out;
   for (const std::size_t b : ctx.problem->binary_variables()) {
@@ -160,7 +172,7 @@ std::vector<Candidate> collect_candidates(const BranchContext& ctx) {
   return out;
 }
 
-/// One strong-branching probe: re-solve the child with `var` fixed to
+/// One reliability probe: re-solve the child with `var` fixed to
 /// `value` (warm from the node's basis when available), then restore
 /// the variable's problem-level box.
 struct ProbeOutcome {
@@ -201,16 +213,16 @@ ProbeOutcome probe_child(const BranchContext& ctx, std::size_t var, double value
 /// Records one probe outcome into the shared table through the common
 /// record_child_outcome scale; probes that solved to neither optimal
 /// nor infeasible carry no information and record nothing.
-void record_probe(PseudocostTable* table, std::size_t var, bool up, double distance,
+void record_probe(PseudocostTable& table, std::size_t var, bool up, double distance,
                   const ProbeOutcome& probe) {
-  if (table == nullptr || (!probe.infeasible && !probe.solved)) return;
-  record_child_outcome(*table, var, up, distance, probe.infeasible,
-                       probe.degradation, probe.fractionality_drop);
+  if (!probe.infeasible && !probe.solved) return;
+  record_child_outcome(table, var, up, distance, probe.infeasible, probe.degradation,
+                       probe.fractionality_drop);
 }
 
 /// Transfers one probed (down, up) outcome pair onto the decision —
 /// the single place the BranchDecision probe-evidence contract is
-/// written, shared by every probing rule.
+/// written.
 void attach_probe_pair(BranchDecision& decision, const ProbeOutcome& down,
                        const ProbeOutcome& up) {
   decision.down_infeasible = down.infeasible;
@@ -223,183 +235,81 @@ void attach_probe_pair(BranchDecision& decision, const ProbeOutcome& down,
   decision.up_bound = up.objective;
 }
 
-class MostFractionalRule final : public BranchingRule {
- public:
-  BranchDecision decide(const BranchContext& ctx) override {
-    // Single max scan — this rule runs on every node of the baseline
-    // configuration and only ever needs the front of the sorted order
-    // (strictly-greater keeps the smallest index on ties, matching
-    // collect_candidates' order).
-    BranchDecision decision;
-    double worst = ctx.integrality_tolerance;
-    for (const std::size_t b : ctx.problem->binary_variables()) {
-      const double v = ctx.lp->values[b];
-      const double frac = std::abs(v - std::round(v));
-      if (frac > worst) {
-        worst = frac;
-        decision.var = b;
-      }
-    }
-    return decision;
-  }
-};
-
-class PseudocostRule final : public BranchingRule {
- public:
-  explicit PseudocostRule(const SearchOptions& options) : options_(options) {}
-
-  BranchDecision decide(const BranchContext& ctx) override {
-    const std::vector<Candidate> candidates = collect_candidates(ctx);
-    BranchDecision decision;
-    if (candidates.empty()) return decision;
-    decision.var = candidates.front().var;
-    PseudocostTable* table = ctx.pseudocosts;
-    if (table == nullptr) return decision;  // degenerate: baseline
-
-    // One-lock snapshot of every candidate's statistics: this runs per
-    // node on every worker, so the shared mutex must stay cold.
-    std::vector<std::size_t> vars;
-    vars.reserve(candidates.size());
-    for (const Candidate& c : candidates) vars.push_back(c.var);
-    auto snap = table->snapshot(vars);
-
-    // Reliability initialization: probe (both children of) the most
-    // fractional candidates whose statistics are still thin, up to the
-    // per-node probe budget. Probe outcomes are kept: if the chosen
-    // variable was probed, its infeasible children need not be pushed.
-    const double parent_frac = total_fractionality(*ctx.problem, ctx.lp->values);
-    std::vector<std::pair<std::size_t, std::pair<ProbeOutcome, ProbeOutcome>>> probed;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (probed.size() >= options_.strong_candidates) break;
-      if (ctx.stop != nullptr && ctx.stop->load(std::memory_order_acquire)) break;
-      const Candidate& c = candidates[i];
-      if (snap[i].first.observations() >= options_.pseudocost_reliability &&
-          snap[i].second.observations() >= options_.pseudocost_reliability)
-        continue;
-      const ProbeOutcome down = probe_child(ctx, c.var, 0.0, parent_frac);
-      const ProbeOutcome up = probe_child(ctx, c.var, 1.0, parent_frac);
-      record_probe(table, c.var, false, c.value, down);
-      record_probe(table, c.var, true, 1.0 - c.value, up);
-      if (down.infeasible && up.infeasible) {
-        // Both children infeasible: the node is dead. No score can
-        // beat that — branch here so the search fathoms it for free
-        // instead of re-proving the subtree under another variable.
-        decision.var = c.var;
-        attach_probe_pair(decision, down, up);
-        return decision;
-      }
-      probed.emplace_back(c.var, std::make_pair(down, up));
-    }
-    if (!probed.empty()) snap = table->snapshot(vars);  // fold probes in
-
-    // Product score over both directions. Directions never observed
-    // fall back to the table-wide mean gain so a lone thin candidate
-    // is not scored as worthless.
-    const double global_gain = table->global_average_gain();
-    double best_score = -1.0;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const Candidate& c = candidates[i];
-      const double down = direction_score(snap[i].first, c.value, global_gain);
-      const double up = direction_score(snap[i].second, 1.0 - c.value, global_gain);
-      const double score = (1e-6 + down) * (1e-6 + up);
-      if (score > best_score) {
-        best_score = score;
-        decision.var = c.var;
-      }
-    }
-    attach_probe_evidence(decision, probed);
-    return decision;
-  }
-
- private:
-  double direction_score(const PseudocostTable::DirectionStats& stats,
-                         double distance, double global_gain) const {
-    if (stats.observations() == 0) return global_gain * distance;
-    return stats.average_gain() * distance +
-           options_.infeasible_score_weight * stats.infeasible_rate();
-  }
-
-  static void attach_probe_evidence(
-      BranchDecision& decision,
-      const std::vector<std::pair<std::size_t, std::pair<ProbeOutcome, ProbeOutcome>>>&
-          probed) {
-    for (const auto& [var, outcomes] : probed) {
-      if (var != decision.var) continue;
-      attach_probe_pair(decision, outcomes.first, outcomes.second);
-      return;
-    }
-  }
-
-  SearchOptions options_;
-};
-
-class StrongBranchingRule final : public BranchingRule {
- public:
-  explicit StrongBranchingRule(const SearchOptions& options) : options_(options) {}
-
-  BranchDecision decide(const BranchContext& ctx) override {
-    const std::vector<Candidate> candidates = collect_candidates(ctx);
-    BranchDecision decision;
-    if (candidates.empty()) return decision;
-    decision.var = candidates.front().var;
-    const std::size_t k = std::min(options_.strong_candidates, candidates.size());
-    if (k == 0) return decision;
-
-    const double parent_frac = total_fractionality(*ctx.problem, ctx.lp->values);
-    double best_score = -1.0;
-    ProbeOutcome best_down, best_up;
-    for (std::size_t i = 0; i < k; ++i) {
-      if (ctx.stop != nullptr && ctx.stop->load(std::memory_order_acquire)) break;
-      const Candidate& c = candidates[i];
-      const ProbeOutcome down = probe_child(ctx, c.var, 0.0, parent_frac);
-      const ProbeOutcome up = probe_child(ctx, c.var, 1.0, parent_frac);
-      record_probe(ctx.pseudocosts, c.var, false, c.value, down);
-      record_probe(ctx.pseudocosts, c.var, true, 1.0 - c.value, up);
-      if (down.infeasible && up.infeasible) {
-        // Node proven dead; no finite degradation can outscore it.
-        decision.var = c.var;
-        attach_probe_pair(decision, down, up);
-        return decision;
-      }
-      const double score =
-          (1e-6 + probe_score(down)) * (1e-6 + probe_score(up));
-      if (score > best_score) {
-        best_score = score;
-        decision.var = c.var;
-        best_down = down;
-        best_up = up;
-      }
-    }
-    attach_probe_pair(decision, best_down, best_up);
-    return decision;
-  }
-
- private:
-  /// An infeasible child kills its whole subtree — worth more than any
-  /// finite degradation.
-  static double probe_score(const ProbeOutcome& probe) {
-    if (probe.infeasible) return 1e6;
-    if (!probe.solved) return 0.0;
-    return probe.degradation + probe.fractionality_drop;
-  }
-
-  SearchOptions options_;
-};
+/// Estimated gain of branching `distance` in one direction. Directions
+/// never observed fall back to the table-wide mean gain so a lone thin
+/// candidate is not scored as worthless.
+double direction_score(const PseudocostTable::DirectionStats& stats, double distance,
+                       double global_gain) {
+  if (stats.observations() == 0) return global_gain * distance;
+  return stats.average_gain() * distance +
+         kInfeasibleScoreWeight * stats.infeasible_rate();
+}
 
 }  // namespace
 
-std::unique_ptr<BranchingRule> make_branching_rule(BranchingRuleKind kind,
-                                                   const SearchOptions& options) {
-  switch (kind) {
-    case BranchingRuleKind::kMostFractional:
-      return std::make_unique<MostFractionalRule>();
-    case BranchingRuleKind::kPseudocost:
-      return std::make_unique<PseudocostRule>(options);
-    case BranchingRuleKind::kStrongBranching:
-      return std::make_unique<StrongBranchingRule>(options);
+BranchDecision decide_branch(const BranchContext& ctx) {
+  internal_check(ctx.pseudocosts != nullptr, "decide_branch: no pseudocost table");
+  const std::vector<Candidate> candidates = collect_candidates(ctx);
+  BranchDecision decision;
+  if (candidates.empty()) return decision;
+  decision.var = candidates.front().var;
+  PseudocostTable& table = *ctx.pseudocosts;
+
+  // One-lock snapshot of every candidate's statistics: this runs per
+  // node on every worker, so the shared mutex must stay cold.
+  std::vector<std::size_t> vars;
+  vars.reserve(candidates.size());
+  for (const Candidate& c : candidates) vars.push_back(c.var);
+  auto snap = table.snapshot(vars);
+
+  // Reliability initialization: probe (both children of) the most
+  // fractional candidates whose statistics are still thin, up to the
+  // per-node probe budget. Probe outcomes are kept: if the chosen
+  // variable was probed, its infeasible children need not be pushed.
+  const double parent_frac = total_fractionality(*ctx.problem, ctx.lp->values);
+  std::vector<std::pair<std::size_t, std::pair<ProbeOutcome, ProbeOutcome>>> probed;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (probed.size() >= kProbeCandidates) break;
+    if (ctx.stop != nullptr && ctx.stop->load(std::memory_order_acquire)) break;
+    const Candidate& c = candidates[i];
+    if (snap[i].first.observations() >= kReliability &&
+        snap[i].second.observations() >= kReliability)
+      continue;
+    const ProbeOutcome down = probe_child(ctx, c.var, 0.0, parent_frac);
+    const ProbeOutcome up = probe_child(ctx, c.var, 1.0, parent_frac);
+    record_probe(table, c.var, false, c.value, down);
+    record_probe(table, c.var, true, 1.0 - c.value, up);
+    if (down.infeasible && up.infeasible) {
+      // Both children infeasible: the node is dead. No score can
+      // beat that — branch here so the search fathoms it for free
+      // instead of re-proving the subtree under another variable.
+      decision.var = c.var;
+      attach_probe_pair(decision, down, up);
+      return decision;
+    }
+    probed.emplace_back(c.var, std::make_pair(down, up));
   }
-  internal_check(false, "make_branching_rule: unknown branching-rule kind");
-  return nullptr;
+  if (!probed.empty()) snap = table.snapshot(vars);  // fold probes in
+
+  // Product score over both directions.
+  const double global_gain = table.global_average_gain();
+  double best_score = -1.0;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const Candidate& c = candidates[i];
+    const double down = direction_score(snap[i].first, c.value, global_gain);
+    const double up = direction_score(snap[i].second, 1.0 - c.value, global_gain);
+    const double score = (1e-6 + down) * (1e-6 + up);
+    if (score > best_score) {
+      best_score = score;
+      decision.var = c.var;
+    }
+  }
+  for (const auto& [var, outcomes] : probed) {
+    if (var != decision.var) continue;
+    attach_probe_pair(decision, outcomes.first, outcomes.second);
+    break;
+  }
+  return decision;
 }
 
 }  // namespace dpv::milp::search

@@ -1,40 +1,28 @@
-// Branching rules: which fractional binary a node splits on.
+// Branching: which fractional binary a node splits on.
 //
-// A BranchingRule sees one solved node relaxation and returns the
-// binary variable to branch on (or npos when the point is integral).
-// Three rules ship (make_branching_rule):
-//   * kMostFractional — the extracted baseline: largest distance to
-//     integrality, tie-break on the smaller variable index.
-//   * kPseudocost — reliability-initialized pseudocost branching. A
-//     shared PseudocostTable accumulates, per (variable, direction),
-//     the observed branch gain of every child LP re-solve the search
-//     performs: objective degradation plus integer-infeasibility
-//     reduction per unit of fractional distance, and the rate of
-//     outright child infeasibility (the dominant signal on the
-//     verifier's feasibility MILPs, where the objective is zero).
-//     Candidates with fewer than `pseudocost_reliability` observations
-//     in either direction are strong-branch probed first — both
-//     children re-solved through the node's warm basis — seeding the
-//     table before estimates are trusted.
-//   * kStrongBranching — probe both children of the top-k most
-//     fractional candidates every node and pick the best product
-//     score. The most informed rule and by far the most expensive;
-//     meant for small trees where nodes-to-proof dominates.
+// Reliability-initialized pseudocost branching. A shared
+// PseudocostTable accumulates, per (variable, direction), the observed
+// branch gain of every child LP re-solve the search performs: objective
+// degradation plus integer-infeasibility reduction per unit of
+// fractional distance, and the rate of outright child infeasibility
+// (the dominant signal on the verifier's feasibility MILPs, where the
+// objective is zero). Candidates with no observation yet in either
+// direction are strong-branch probed first — both children re-solved
+// through the node's warm basis, at most 4 candidates per node —
+// seeding the table before its estimates are trusted.
 //
-// Rules are per-worker objects (no shared mutable state of their own);
-// cross-worker learning flows through the PseudocostTable, which is
-// internally synchronized.
+// The rule is a stateless function; cross-worker learning flows
+// through the PseudocostTable, which is internally synchronized.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "milp/milp_problem.hpp"
-#include "milp/search/strategy.hpp"
+#include "milp/search/node_store.hpp"
 #include "solver/lp_backend.hpp"
 
 namespace dpv::milp::search {
@@ -123,10 +111,10 @@ class PseudocostTable {
   std::size_t global_solved_ = 0;
 };
 
-/// Everything a rule may consult for one node. The backend is loaded
+/// Everything the rule consults for one node. The backend is loaded
 /// with the node's bound fixings already applied and `lp` is its
-/// optimal relaxation, so probing rules may re-solve children in place
-/// (they must restore any bounds they touch before returning).
+/// optimal relaxation, so the reliability probes re-solve children in
+/// place (restoring every bound they touch before returning).
 struct BranchContext {
   const MilpProblem* problem = nullptr;
   solver::LpBackend* backend = nullptr;
@@ -135,19 +123,19 @@ struct BranchContext {
   const solver::WarmBasis* warm_basis = nullptr;
   double integrality_tolerance = 1e-6;
   bool minimize = true;
-  /// Shared table; null disables pseudocost learning (kMostFractional).
+  /// The search's shared table (required).
   PseudocostTable* pseudocosts = nullptr;
-  /// Optional cooperative-cancel flag (the frontier's stop flag):
-  /// probing rules poll it between candidates so a search that is
+  /// Optional cooperative-cancel flag (the frontier's stop flag): the
+  /// probe loop polls it between candidates so a search that is
   /// already stopping does not keep burning probe LP re-solves.
   const std::atomic<bool>* stop = nullptr;
 };
 
-/// A rule's verdict for one node: the variable to split on, plus any
-/// probe evidence about the chosen variable's children. A probing rule
-/// that already solved a child to LP infeasibility hands the proof to
-/// the search, which then skips pushing (and later re-solving) that
-/// child entirely.
+/// The rule's verdict for one node: the variable to split on, plus any
+/// probe evidence about the chosen variable's children. A probe that
+/// already solved a child to LP infeasibility hands the proof to the
+/// search, which then skips pushing (and later re-solving) that child
+/// entirely.
 struct BranchDecision {
   std::size_t var = kNoBranchVariable;
   bool down_infeasible = false;  ///< probe proved the var = 0 child infeasible
@@ -168,18 +156,10 @@ struct BranchDecision {
   double up_bound = 0.0;
 };
 
-class BranchingRule {
- public:
-  virtual ~BranchingRule() = default;
-
-  /// The branching decision, `var == kNoBranchVariable` when every
-  /// binary is integral within tolerance. Deterministic for a given
-  /// context and pseudocost-table state.
-  virtual BranchDecision decide(const BranchContext& ctx) = 0;
-};
-
-std::unique_ptr<BranchingRule> make_branching_rule(BranchingRuleKind kind,
-                                                   const SearchOptions& options);
+/// The branching decision for one solved node, `var ==
+/// kNoBranchVariable` when every binary is integral within tolerance.
+/// Deterministic for a given context and pseudocost-table state.
+BranchDecision decide_branch(const BranchContext& ctx);
 
 /// Total integer infeasibility of `values`: sum over the problem's
 /// binaries of the distance to the nearest integer. The fractionality
@@ -188,7 +168,7 @@ double total_fractionality(const MilpProblem& problem, const std::vector<double>
 
 /// The one entry point for feeding the table a child outcome, shared by
 /// the in-search bookkeeping (every popped child's actual re-solve) and
-/// the probing rules, so both sources stay on the same gain scale:
+/// the reliability probes, so both sources stay on the same gain scale:
 /// infeasible children count toward the direction's infeasibility rate,
 /// solved ones record (degradation + fractionality drop) per unit of
 /// branch distance.

@@ -4,16 +4,12 @@
 
 namespace dpv::milp::search {
 
-ParallelFrontier::ParallelFrontier(std::size_t workers, NodeStoreKind kind,
-                                   bool minimize, const SearchOptions& options)
+ParallelFrontier::ParallelFrontier(std::size_t workers, bool minimize)
     : minimize_(minimize) {
   check(workers > 0, "ParallelFrontier: need at least one worker");
   deques_.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    auto deque = std::make_unique<Deque>();
-    deque->store = make_node_store(kind, minimize, options);
-    deques_.push_back(std::move(deque));
-  }
+  for (std::size_t w = 0; w < workers; ++w)
+    deques_.push_back(std::make_unique<Deque>(minimize));
 }
 
 void ParallelFrontier::push(std::size_t worker, SearchNode node) {
@@ -28,7 +24,7 @@ void ParallelFrontier::push(std::size_t worker, SearchNode node) {
   }
   {
     std::lock_guard<std::mutex> lock(deques_[worker]->mutex);
-    deques_[worker]->store->push(std::move(node));
+    deques_[worker]->store.push(std::move(node));
   }
   work_epoch_.fetch_add(1);
   wake_sleepers();
@@ -46,7 +42,7 @@ void ParallelFrontier::wake_sleepers() {
 
 bool ParallelFrontier::try_pop_own(std::size_t worker, SearchNode& out) {
   std::lock_guard<std::mutex> lock(deques_[worker]->mutex);
-  return deques_[worker]->store->pop(out);
+  return deques_[worker]->store.pop(out);
 }
 
 bool ParallelFrontier::try_steal(std::size_t worker, SearchNode& out) {
@@ -57,18 +53,17 @@ bool ParallelFrontier::try_steal(std::size_t worker, SearchNode& out) {
     std::vector<SearchNode> loot;
     {
       std::lock_guard<std::mutex> lock(deques_[victim]->mutex);
-      deques_[victim]->store->steal_half(loot);
+      deques_[victim]->store.steal_half(loot);
     }
     if (loot.empty()) continue;
     stolen_.fetch_add(loot.size(), std::memory_order_relaxed);
     {
-      // Reverse push so the most promising loot (loot[0]: the oldest
-      // of a LIFO, the best bound of a heap) lands on top of a
-      // LIFO-backed thief store and pops first; heap-backed stores are
-      // order-insensitive.
+      // Reverse push so the most promising loot (loot[0]: the best
+      // heap bound, or the oldest dive entry) lands on top of the
+      // thief's dive stack and pops first.
       std::lock_guard<std::mutex> lock(deques_[worker]->mutex);
       for (auto it = loot.rbegin(); it != loot.rend(); ++it)
-        deques_[worker]->store->push(std::move(*it));
+        deques_[worker]->store.push(std::move(*it));
     }
     // The loot was invisible while in flight: workers that swept during
     // that window may have gone to sleep over it, so announce it like a
@@ -119,7 +114,7 @@ void ParallelFrontier::complete() {
 void ParallelFrontier::abandon(std::size_t worker, SearchNode node) {
   internal_check(worker < deques_.size(), "ParallelFrontier::abandon: bad worker");
   std::lock_guard<std::mutex> lock(deques_[worker]->mutex);
-  deques_[worker]->store->push(std::move(node));
+  deques_[worker]->store.push(std::move(node));
 }
 
 void ParallelFrontier::request_stop() {
@@ -133,7 +128,7 @@ bool ParallelFrontier::best_open_bound(double& out) const {
   for (const std::unique_ptr<Deque>& deque : deques_) {
     std::lock_guard<std::mutex> lock(deque->mutex);
     double bound = 0.0;
-    if (!deque->store->best_bound(bound)) continue;
+    if (!deque->store.best_bound(bound)) continue;
     if (!found || (minimize_ ? bound < out : bound > out)) out = bound;
     found = true;
   }

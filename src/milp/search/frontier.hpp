@@ -1,18 +1,16 @@
 // Work-stealing parallel frontier for branch & bound.
 //
-// Replaces the single mutex-guarded shared stack of the original
-// parallel search with one NodeStore per worker behind a per-deque
-// mutex, in the owner/thief discipline of Chase–Lev deques: the owner
-// pushes and pops its own deque (uncontended in the common case), and
-// an idle worker sweeps the other deques in a fixed order, stealing
-// half of the victim's far end in one lock acquisition — the *oldest*
-// half of a depth-first stack (the nodes the owner would reach last,
-// i.e. the widest subtrees) or the *best-bound* half of a best-first
-// heap (spreading the most promising frontier across workers). Unlike
-// textbook Chase–Lev the per-deque lock is a mutex rather than a CAS
-// loop: steals move half the deque at once and are rare by design, so
-// the lock is cold; what matters for contention is that owners never
-// touch a shared structure on the hot push/pop path.
+// One NodeStore per worker behind a per-deque mutex, in the
+// owner/thief discipline of Chase–Lev deques: the owner pushes and
+// pops its own deque (uncontended in the common case), and an idle
+// worker sweeps the other deques in a fixed order, stealing half of the
+// victim's far end in one lock acquisition — the best-bound half of its
+// heap (spreading the most promising frontier across workers), or the
+// oldest half of its dive stack (the widest subtrees) when its heap is
+// empty. Unlike textbook Chase–Lev the per-deque lock is a mutex rather
+// than a CAS loop: steals move half the deque at once and are rare by
+// design, so the lock is cold; what matters for contention is that
+// owners never touch a shared structure on the hot push/pop path.
 //
 // Termination detection: `open_count` tracks nodes pushed but not yet
 // completed. A worker that finds every deque empty sleeps on the
@@ -45,9 +43,8 @@ namespace dpv::milp::search {
 
 class ParallelFrontier {
  public:
-  /// One store of `kind` per worker. `minimize` orients bound order.
-  ParallelFrontier(std::size_t workers, NodeStoreKind kind, bool minimize,
-                   const SearchOptions& options);
+  /// One store per worker. `minimize` orients bound order.
+  ParallelFrontier(std::size_t workers, bool minimize);
 
   /// Pushes onto `worker`'s own deque and wakes one sleeper.
   void push(std::size_t worker, SearchNode node);
@@ -74,8 +71,8 @@ class ParallelFrontier {
   void request_stop();
   bool stopped() const { return stop_.load(std::memory_order_acquire); }
   /// The raw stop flag, for cooperative cancellation inside long
-  /// node-level work (e.g. strong-branching probe loops polling it
-  /// between LP re-solves via BranchContext::stop).
+  /// node-level work (the reliability-probe loop polls it between LP
+  /// re-solves via BranchContext::stop).
   const std::atomic<bool>& stop_flag() const { return stop_; }
 
   /// Nodes pushed and not yet completed.
@@ -95,8 +92,9 @@ class ParallelFrontier {
 
  private:
   struct Deque {
+    explicit Deque(bool minimize) : store(minimize) {}
     std::mutex mutex;
-    std::unique_ptr<NodeStore> store;
+    NodeStore store;
   };
 
   bool try_pop_own(std::size_t worker, SearchNode& out);

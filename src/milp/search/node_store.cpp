@@ -2,213 +2,87 @@
 
 #include <algorithm>
 
-#include "common/check.hpp"
-
 namespace dpv::milp::search {
-
-const char* node_store_kind_name(NodeStoreKind kind) {
-  switch (kind) {
-    case NodeStoreKind::kDepthFirst:
-      return "depth-first";
-    case NodeStoreKind::kBestFirst:
-      return "best-first";
-    case NodeStoreKind::kHybrid:
-      return "hybrid";
-  }
-  return "unknown";
-}
-
-const char* branching_rule_kind_name(BranchingRuleKind kind) {
-  switch (kind) {
-    case BranchingRuleKind::kMostFractional:
-      return "most-fractional";
-    case BranchingRuleKind::kPseudocost:
-      return "pseudocost";
-    case BranchingRuleKind::kStrongBranching:
-      return "strong";
-  }
-  return "unknown";
-}
 
 namespace {
 
+/// Consecutive LIFO pops (the plunge) before the store spills its dive
+/// stack into the heap and resumes from the best open bound.
+constexpr std::size_t kPlungeLimit = 8;
+
 /// Direction-aware "a is a more promising bound than b". Unbounded
 /// nodes (the root before its first solve) rank as most promising.
-struct BoundBetter {
-  bool minimize;
-  bool operator()(const SearchNode& a, const SearchNode& b) const {
-    if (a.has_bound != b.has_bound) return !a.has_bound;
-    if (a.has_bound && a.bound != b.bound)
-      return minimize ? a.bound < b.bound : a.bound > b.bound;
-    return a.id < b.id;  // stable id, never pointer order
-  }
-};
-
-bool scan_best_bound(const std::vector<SearchNode>& nodes, bool minimize, double& out) {
-  bool found = false;
-  for (const SearchNode& node : nodes) {
-    if (!node.has_bound) continue;
-    if (!found || (minimize ? node.bound < out : node.bound > out)) out = node.bound;
-    found = true;
-  }
-  return found;
+bool bound_better(bool minimize, const SearchNode& a, const SearchNode& b) {
+  if (a.has_bound != b.has_bound) return !a.has_bound;
+  if (a.has_bound && a.bound != b.bound)
+    return minimize ? a.bound < b.bound : a.bound > b.bound;
+  return a.id < b.id;  // stable id, never pointer order
 }
 
-/// Classic LIFO dive: children pushed last pop first; thieves take the
-/// oldest half from the bottom of the stack.
-class LifoStore final : public NodeStore {
- public:
-  explicit LifoStore(bool minimize) : minimize_(minimize) {}
-
-  void push(SearchNode node) override { stack_.push_back(std::move(node)); }
-
-  bool pop(SearchNode& out) override {
-    if (stack_.empty()) return false;
-    out = std::move(stack_.back());
-    stack_.pop_back();
-    return true;
+/// std::push_heap keeps the *largest* element on top, so the heap
+/// predicate is "worse than" — the negation of bound_better.
+struct Worse {
+  bool minimize;
+  bool operator()(const SearchNode& a, const SearchNode& b) const {
+    return bound_better(minimize, b, a);
   }
-
-  std::size_t size() const override { return stack_.size(); }
-
-  std::size_t steal_half(std::vector<SearchNode>& out) override {
-    const std::size_t k = (stack_.size() + 1) / 2;
-    for (std::size_t i = 0; i < k; ++i) out.push_back(std::move(stack_[i]));
-    stack_.erase(stack_.begin(), stack_.begin() + static_cast<std::ptrdiff_t>(k));
-    return k;
-  }
-
-  bool best_bound(double& out) const override {
-    return scan_best_bound(stack_, minimize_, out);
-  }
-
- private:
-  bool minimize_;
-  std::vector<SearchNode> stack_;
-};
-
-/// Binary heap on (bound, id): the most promising open node pops first;
-/// thieves take the best half, spreading good bounds across workers.
-class BestFirstStore final : public NodeStore {
- public:
-  explicit BestFirstStore(bool minimize) : better_{minimize} {}
-
-  void push(SearchNode node) override {
-    heap_.push_back(std::move(node));
-    std::push_heap(heap_.begin(), heap_.end(), worse());
-  }
-
-  bool pop(SearchNode& out) override {
-    if (heap_.empty()) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), worse());
-    out = std::move(heap_.back());
-    heap_.pop_back();
-    return true;
-  }
-
-  std::size_t size() const override { return heap_.size(); }
-
-  std::size_t steal_half(std::vector<SearchNode>& out) override {
-    const std::size_t k = (heap_.size() + 1) / 2;
-    for (std::size_t i = 0; i < k; ++i) {
-      std::pop_heap(heap_.begin(), heap_.end(), worse());
-      out.push_back(std::move(heap_.back()));
-      heap_.pop_back();
-    }
-    return k;
-  }
-
-  bool best_bound(double& out) const override {
-    return scan_best_bound(heap_, better_.minimize, out);
-  }
-
- private:
-  /// std::push_heap keeps the *largest* element on top, so the heap
-  /// predicate is "worse than" — the negation of BoundBetter.
-  struct Worse {
-    BoundBetter better;
-    bool operator()(const SearchNode& a, const SearchNode& b) const {
-      return better(b, a);
-    }
-  };
-  Worse worse() const { return Worse{better_}; }
-
-  BoundBetter better_;
-  std::vector<SearchNode> heap_;
-};
-
-/// Dive-then-best-bound with plunging: fresh children land on a LIFO
-/// dive stack and pop from it for up to `plunge_limit` consecutive
-/// pops; then the dive stack spills into the best-first heap and the
-/// next pop restarts a dive from the best open bound. Thieves take
-/// from the heap (the shareable frontier) and only raid the private
-/// dive stack when the heap is empty.
-class HybridStore final : public NodeStore {
- public:
-  HybridStore(bool minimize, std::size_t plunge_limit)
-      : minimize_(minimize), dive_(minimize), heap_(minimize),
-        plunge_limit_(std::max<std::size_t>(plunge_limit, 1)) {}
-
-  void push(SearchNode node) override { dive_.push(std::move(node)); }
-
-  bool pop(SearchNode& out) override {
-    if (!dive_.empty() && plunge_pops_ < plunge_limit_) {
-      ++plunge_pops_;
-      return dive_.pop(out);
-    }
-    spill_dive();
-    plunge_pops_ = 0;
-    return heap_.pop(out);
-  }
-
-  std::size_t size() const override { return dive_.size() + heap_.size(); }
-
-  std::size_t steal_half(std::vector<SearchNode>& out) override {
-    if (!heap_.empty()) return heap_.steal_half(out);
-    return dive_.steal_half(out);
-  }
-
-  bool best_bound(double& out) const override {
-    double dive_bound = 0.0, heap_bound = 0.0;
-    const bool from_dive = dive_.best_bound(dive_bound);
-    const bool from_heap = heap_.best_bound(heap_bound);
-    if (from_dive && from_heap) {
-      out = minimize_ ? std::min(dive_bound, heap_bound)
-                      : std::max(dive_bound, heap_bound);
-      return true;
-    }
-    if (from_dive) out = dive_bound;
-    if (from_heap) out = heap_bound;
-    return from_dive || from_heap;
-  }
-
- private:
-  void spill_dive() {
-    SearchNode node;
-    while (dive_.pop(node)) heap_.push(std::move(node));
-  }
-
-  bool minimize_;
-  LifoStore dive_;
-  BestFirstStore heap_;
-  std::size_t plunge_limit_;
-  std::size_t plunge_pops_ = 0;
 };
 
 }  // namespace
 
-std::unique_ptr<NodeStore> make_node_store(NodeStoreKind kind, bool minimize,
-                                           const SearchOptions& options) {
-  switch (kind) {
-    case NodeStoreKind::kDepthFirst:
-      return std::make_unique<LifoStore>(minimize);
-    case NodeStoreKind::kBestFirst:
-      return std::make_unique<BestFirstStore>(minimize);
-    case NodeStoreKind::kHybrid:
-      return std::make_unique<HybridStore>(minimize, options.plunge_limit);
+void NodeStore::heap_push(SearchNode node) {
+  heap_.push_back(std::move(node));
+  std::push_heap(heap_.begin(), heap_.end(), Worse{minimize_});
+}
+
+SearchNode NodeStore::heap_pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), Worse{minimize_});
+  SearchNode node = std::move(heap_.back());
+  heap_.pop_back();
+  return node;
+}
+
+bool NodeStore::pop(SearchNode& out) {
+  if (!dive_.empty() && plunge_pops_ < kPlungeLimit) {
+    ++plunge_pops_;
+    out = std::move(dive_.back());
+    dive_.pop_back();
+    return true;
   }
-  internal_check(false, "make_node_store: unknown node-store kind");
-  return nullptr;
+  // Plunge over (or the dive ran dry): spill the dive stack, newest
+  // first, and restart from the best open bound.
+  while (!dive_.empty()) {
+    heap_push(std::move(dive_.back()));
+    dive_.pop_back();
+  }
+  plunge_pops_ = 0;
+  if (heap_.empty()) return false;
+  out = heap_pop();
+  return true;
+}
+
+std::size_t NodeStore::steal_half(std::vector<SearchNode>& out) {
+  if (!heap_.empty()) {
+    const std::size_t k = (heap_.size() + 1) / 2;
+    for (std::size_t i = 0; i < k; ++i) out.push_back(heap_pop());
+    return k;
+  }
+  const std::size_t k = (dive_.size() + 1) / 2;
+  for (std::size_t i = 0; i < k; ++i) out.push_back(std::move(dive_[i]));
+  dive_.erase(dive_.begin(), dive_.begin() + static_cast<std::ptrdiff_t>(k));
+  return k;
+}
+
+bool NodeStore::best_bound(double& out) const {
+  bool found = false;
+  for (const std::vector<SearchNode>* nodes : {&dive_, &heap_}) {
+    for (const SearchNode& node : *nodes) {
+      if (!node.has_bound) continue;
+      if (!found || (minimize_ ? node.bound < out : node.bound > out)) out = node.bound;
+      found = true;
+    }
+  }
+  return found;
 }
 
 }  // namespace dpv::milp::search

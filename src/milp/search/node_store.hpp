@@ -1,22 +1,15 @@
-// Node stores: the open-node containers behind branch & bound.
+// Node store: the open-node container behind branch & bound.
 //
 // A NodeStore owns the order in which one worker expands its open
-// nodes. Three implementations ship (make_node_store):
-//   * kDepthFirst — LIFO stack; children pushed rounded-toward-last pop
-//     first, i.e. the classic dive. Minimal memory, finds integral
-//     points fast, but can grind through a bad subtree while a much
-//     better bound waits elsewhere.
-//   * kBestFirst — binary heap keyed on the node's relaxation bound
-//     (the parent LP objective): always expand the most promising open
-//     node. Minimizes the proved best-bound gap at any node budget; the
-//     price is memory (the frontier stays wide) and late incumbents.
-//   * kHybrid — dive-then-best-bound with plunging: pops LIFO from the
-//     most recent children for `SearchOptions::plunge_limit` pops, then
-//     spills the dive stack into the heap and resumes from the best
-//     open bound.
+// nodes: dive-then-best-bound with plunging. Fresh children land on a
+// LIFO dive stack and pop from it for up to 8 consecutive pops (the
+// plunge, which reaches integral points fast); then the dive stack
+// spills into a binary heap keyed on the node's relaxation bound and
+// the next pop restarts a dive from the best open bound, so the proved
+// bound keeps moving and a node-limit stop reports a tight gap.
 //
-// Determinism: every ordering decision tie-breaks on the stable node
-// id (`SearchNode::id`, assigned from a per-search counter) — never on
+// Determinism: every heap decision tie-breaks on the stable node id
+// (`SearchNode::id`, assigned from a per-search counter) — never on
 // pointer values or insertion addresses — so a serial search replays
 // identically and heap order is reproducible across runs.
 //
@@ -31,14 +24,17 @@
 #include <utility>
 #include <vector>
 
-#include "milp/search/strategy.hpp"
 #include "solver/lp_backend.hpp"
 
 namespace dpv::milp::search {
 
+/// Sentinel for "no fractional binary": the root's branch_var and the
+/// decision of an integral node.
+constexpr std::size_t kNoBranchVariable = static_cast<std::size_t>(-1);
+
 /// One open node of the branch & bound tree: bound overrides along its
 /// branch, the parent's optimal basis for warm re-solves, and the
-/// bookkeeping the strategy layer orders and learns from.
+/// bookkeeping the search orders and learns from.
 struct SearchNode {
   /// Stable id from the search-wide counter; all tie-breaking uses it.
   std::uint64_t id = 0;
@@ -61,16 +57,14 @@ struct SearchNode {
   bool branch_up = false;
   double branch_frac = 0.0;
   double parent_fractionality = 0.0;
-  /// A strong-branch probe already recorded this branch's outcome into
+  /// A reliability probe already recorded this branch's outcome into
   /// the pseudocost table; the node's own re-solve must not record the
   /// same event again.
   bool probe_recorded = false;
 
   /// Relaxation already solved at push time by a batched sibling
   /// re-solve (LpBackend::solve_children): the pop skips the LP and
-  /// reuses this solution/basis. Sound even when cuts were separated
-  /// after the batch: the cached objective is a valid (merely weaker)
-  /// bound, and globally-valid cut rows cannot cut off integral points.
+  /// reuses this solution/basis.
   struct PresolvedChild {
     lp::LpSolution solution;
     std::shared_ptr<const solver::WarmBasis> basis;
@@ -78,31 +72,37 @@ struct SearchNode {
   std::shared_ptr<const PresolvedChild> presolved;
 };
 
-/// Open-node container; see file comment for the shipped orderings.
+/// Open-node container; see the file comment for the order.
 class NodeStore {
  public:
-  virtual ~NodeStore() = default;
+  /// `minimize` orients bound comparisons.
+  explicit NodeStore(bool minimize) : minimize_(minimize) {}
 
-  virtual void push(SearchNode node) = 0;
+  void push(SearchNode node) { dive_.push_back(std::move(node)); }
   /// Pops the next node to expand; false when empty.
-  virtual bool pop(SearchNode& out) = 0;
-  virtual std::size_t size() const = 0;
+  bool pop(SearchNode& out);
+  std::size_t size() const { return dive_.size() + heap_.size(); }
   bool empty() const { return size() == 0; }
 
-  /// Moves roughly half of this store's entries into `out` — the oldest
-  /// half of a LIFO (the entries the owner would reach last), the best
-  /// half of a heap (spreading good bounds across workers). Returns the
-  /// number of nodes moved. Deterministic given the store's content.
-  virtual std::size_t steal_half(std::vector<SearchNode>& out) = 0;
+  /// Moves roughly half of this store's entries into `out`: the best
+  /// half of the heap (the shareable frontier, spreading good bounds
+  /// across workers), or — when the heap is empty — the oldest half of
+  /// the dive stack (the entries the owner would reach last). Returns
+  /// the number of nodes moved. Deterministic given the store's content.
+  std::size_t steal_half(std::vector<SearchNode>& out);
 
   /// Most optimistic bound over the open nodes (direction-aware);
   /// false when empty or no stored node carries a bound yet.
-  virtual bool best_bound(double& out) const = 0;
-};
+  bool best_bound(double& out) const;
 
-/// Builds a store of `kind`. `minimize` orients bound comparisons;
-/// `options` supplies kHybrid's plunge limit.
-std::unique_ptr<NodeStore> make_node_store(NodeStoreKind kind, bool minimize,
-                                           const SearchOptions& options);
+ private:
+  void heap_push(SearchNode node);
+  SearchNode heap_pop();
+
+  bool minimize_;
+  std::vector<SearchNode> dive_;  ///< LIFO: newest child on top
+  std::vector<SearchNode> heap_;  ///< binary heap, best bound on top
+  std::size_t plunge_pops_ = 0;
+};
 
 }  // namespace dpv::milp::search

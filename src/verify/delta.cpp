@@ -73,7 +73,7 @@ void write_box(RecordWriter& writer, const absint::Box& box) {
 }
 
 absint::Box read_box(RecordReader& reader) {
-  absint::Box box(reader.size_value());
+  absint::Box box(reader.count());
   for (absint::Interval& iv : box) {
     iv.lo = reader.dbl();
     iv.hi = reader.dbl();
@@ -278,10 +278,10 @@ bool load_delta_artifacts(const std::string& path, DeltaArtifacts& out) {
   reader.expect_tag("attach");
   artifacts.attach_layer = reader.size_value();
   reader.expect_tag("chain");
-  artifacts.delta_chain.resize(reader.size_value());
+  artifacts.delta_chain.resize(reader.count());
   for (std::size_t& link : artifacts.delta_chain) link = reader.size_value();
   reader.expect_tag("queries");
-  artifacts.queries.resize(reader.size_value());
+  artifacts.queries.resize(reader.count());
   for (QueryArtifacts& entry : artifacts.queries) {
     reader.expect_tag("query");
     entry.query_key = reader.size_value();
@@ -292,30 +292,30 @@ bool load_delta_artifacts(const std::string& path, DeltaArtifacts& out) {
     reader.expect_tag("box");
     entry.input_box = read_box(reader);
     reader.expect_tag("boxes");
-    entry.tail_boxes.resize(reader.size_value());
+    entry.tail_boxes.resize(reader.count());
     for (absint::Box& box : entry.tail_boxes) box = read_box(reader);
     reader.expect_tag("vars");
-    entry.tail_vars.resize(reader.size_value());
+    entry.tail_vars.resize(reader.count());
     for (std::vector<std::size_t>& layer : entry.tail_vars) {
-      layer.resize(reader.size_value());
+      layer.resize(reader.count());
       for (std::size_t& var : layer) var = reader.size_value();
     }
     reader.expect_tag("cuts");
-    entry.root_cuts.resize(reader.size_value());
+    entry.root_cuts.resize(reader.count());
     for (milp::cuts::Cut& cut : entry.root_cuts) {
       cut.source = intern_source(reader.str());
       const std::size_t sense = reader.size_value();
       if (sense > 2) reader.fail("bad row sense " + std::to_string(sense));
       cut.row.sense = static_cast<lp::RowSense>(sense);
       cut.row.rhs = reader.dbl();
-      cut.row.terms.resize(reader.size_value());
+      cut.row.terms.resize(reader.count());
       for (lp::LinearTerm& term : cut.row.terms) {
         term.var = reader.size_value();
         term.coeff = reader.dbl();
       }
     }
     reader.expect_tag("pcs");
-    entry.pseudocosts.resize(reader.size_value());
+    entry.pseudocosts.resize(reader.count());
     for (NamedPseudocost& prior : entry.pseudocosts) {
       prior.var = reader.str();
       prior.down = read_stats(reader);

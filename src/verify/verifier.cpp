@@ -198,9 +198,9 @@ VerificationResult TailVerifier::verify(const VerificationQuery& query) const {
   // (possibly widened) trace left the entry bounds stale.
   if (options_.refresh_query_bounds && !encoding.input_vars.empty()) {
     const auto refresh_start = std::chrono::steady_clock::now();
-    lp::SimplexOptions refresh_lp = options_.encode.lp_options;
-    refresh_lp.run_control = control;
-    const lp::SimplexSolver refresh_solver(refresh_lp);
+    // The dense-tableau solver does not poll RunControl; the loop's own
+    // run_expired check between variables is what stops a refresh.
+    const lp::SimplexSolver refresh_solver(options_.encode.lp_options);
     lp::LpProblem& relaxation = encoding.problem.relaxation();
     for (const std::size_t var : encoding.input_vars) {
       if (run_expired(control)) break;
@@ -229,7 +229,7 @@ VerificationResult TailVerifier::verify(const VerificationQuery& query) const {
   // when stamped from a frozen cache base) gets "maximize the leading
   // risk inequality's activation" with its threshold as the search's
   // bound target. Feasibility is untouched — the risk rows still
-  // constrain — but the strategy layer gains an ordering signal and a
+  // constrain — but the search gains an ordering signal and a
   // node-limit stop can report the remaining margin headroom as a gap.
   milp::BranchAndBoundOptions milp_options = options_.milp;
   milp_options.run_control = control;  // B&B inherits it into lp_options too

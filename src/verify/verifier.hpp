@@ -140,37 +140,20 @@ struct VerificationResult {
   std::string summary() const;
 };
 
-/// The verifier's default MILP search configuration. While the raw
-/// milp::BranchAndBoundOptions default reproduces the classic
-/// depth-first / most-fractional search, the verifier defaults to the
-/// hybrid dive-then-best-bound store with pseudocost branching: on the
-/// E5 SAFE-proof battery that is ~30x fewer nodes-to-proof at verdict
-/// parity (BENCH_search.json), because pseudocosts learn which ReLU
-/// phase splits kill subtrees. Callers can always set `milp.search`
-/// back to the baseline.
-inline milp::BranchAndBoundOptions default_verifier_milp_options() {
-  milp::BranchAndBoundOptions milp;
-  milp.search.node_store = milp::search::NodeStoreKind::kHybrid;
-  milp.search.branching = milp::search::BranchingRuleKind::kPseudocost;
-  return milp;
-}
-
 struct TailVerifierOptions {
   EncodeOptions encode = {};
   /// MILP search options; `milp.backend` selects the LP backend,
-  /// `milp.threads` enables parallel node exploration,
+  /// `milp.threads` enables parallel node exploration and
   /// `milp.cuts.root_rounds` turns on the cutting-plane engine
-  /// (verdict-preserving; shrinks proof trees on hard SAFE queries) and
-  /// `milp.search` picks the node store / branching rule (defaults to
-  /// hybrid + pseudocost here — see default_verifier_milp_options).
-  milp::BranchAndBoundOptions milp = default_verifier_milp_options();
+  /// (verdict-preserving; shrinks proof trees on hard SAFE queries).
+  milp::BranchAndBoundOptions milp = {};
   /// Tolerance for re-validating counterexamples on the concrete tail.
   double validation_tolerance = 1e-6;
   /// Give the (otherwise objective-free) feasibility MILP a risk-margin
   /// objective: maximize the first risk inequality's activation, with
   /// its threshold as the search's bound target. Verdicts are
-  /// unaffected — the rows still constrain — but best-first node
-  /// ordering and pseudocost branching get a signal to order on, and a
+  /// unaffected — the rows still constrain — but the best-bound node
+  /// order and pseudocost branching get a signal to order on, and a
   /// node-limit UNKNOWN reports a best-bound gap (how much margin the
   /// unexplored frontier still admits) instead of nothing.
   bool risk_margin_objective = true;

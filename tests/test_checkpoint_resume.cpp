@@ -9,8 +9,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -39,6 +41,20 @@ std::string temp_path(const std::string& name) {
 }
 
 bool bits_equal(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Copies the file at `source` to temp file `name` with the first
+/// occurrence of `from` replaced by `to`; returns the copy's path.
+std::string corrupted_copy(const std::string& source, const std::string& name,
+                           const std::string& from, const std::string& to) {
+  std::ifstream in(source, std::ios::binary);
+  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << "'" << from << "' not in " << source;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  const std::string path = temp_path(name);
+  std::ofstream(path, std::ios::binary) << text;
+  return path;
+}
 
 bool tensor_bits_equal(const Tensor& a, const Tensor& b) {
   if (a.numel() != b.numel()) return false;
@@ -207,6 +223,46 @@ TEST(CheckpointFile, MissingMalformedAndWrongKindFiles) {
   save_campaign_checkpoint(wrong_kind, CampaignCheckpoint{});
   CoverageCheckpoint cov;
   EXPECT_THROW(load_coverage_checkpoint(wrong_kind, cov), ContractViolation);
+
+  // Malformed numbers: integers are digits only, and a string length
+  // that would overflow the bounds check is truncation, not a rewind.
+  CampaignCheckpoint one;
+  one.entry_count = 1;
+  CampaignEntryRecord rec;
+  rec.property_name = "prop";
+  rec.risk_name = "risk";
+  one.records.push_back(rec);
+  const std::string campaign = temp_path("ckpt_one_record");
+  save_campaign_checkpoint(campaign, one);
+  ASSERT_TRUE(load_campaign_checkpoint(campaign, out));
+  EXPECT_EQ(out.records.at(0).property_name, "prop");
+  const std::pair<const char*, const char*> campaign_cases[] = {
+      {"fingerprint 0 ", "fingerprint -1 "},
+      {"entries 1 ", "entries 1abc "},
+      {"s4 prop ", "s18446744073709551615 "},
+      // Counts the rest of the file cannot hold fail before any
+      // allocation is sized from them.
+      {"entries 1 records 1 ", "entries 99999999999999 records 99999999999999 "},
+  };
+  for (const auto& [from, to] : campaign_cases)
+    EXPECT_THROW(load_campaign_checkpoint(
+                     corrupted_copy(campaign, "ckpt_bad_campaign", from, to), out),
+                 ContractViolation)
+        << to;
+
+  const std::string coverage = temp_path("ckpt_empty_coverage");
+  save_coverage_checkpoint(coverage, CoverageCheckpoint{});
+  ASSERT_TRUE(load_coverage_checkpoint(coverage, cov));
+  const std::pair<const char*, const char*> coverage_cases[] = {
+      {"rounds 0 ", "rounds -1 "},
+      {"cells 0 ", "cells 99999999999999 "},
+      {"pool 0 ", "pool 18446744073709551615 "},
+  };
+  for (const auto& [from, to] : coverage_cases)
+    EXPECT_THROW(load_coverage_checkpoint(
+                     corrupted_copy(coverage, "ckpt_bad_coverage", from, to), cov),
+                 ContractViolation)
+        << to;
 }
 
 TEST(CheckpointFile, ConfigHasherSeparatesBitPatterns) {

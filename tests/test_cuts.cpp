@@ -289,18 +289,15 @@ TEST(CutParity, VerdictsMatchCutsOnOffAcrossBackendsAndThreads) {
     for (const LpBackendKind backend :
          {LpBackendKind::kRevisedBounded, LpBackendKind::kDenseTableau}) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        // root-only, root+local, and local-only (no working copy).
-        for (const auto& [rounds, local] :
-             {std::pair<std::size_t, bool>{5, false}, {5, true}, {0, true}}) {
+        for (const std::size_t rounds : {std::size_t{0}, std::size_t{5}}) {
           verify::TailVerifierOptions options = base;
           options.milp.backend = backend;
           options.milp.threads = threads;
           options.milp.cuts.root_rounds = rounds;
-          options.milp.cuts.local = local;
           const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
           EXPECT_EQ(r.verdict, reference.verdict)
               << "seed " << seed << " backend " << solver::lp_backend_kind_name(backend)
-              << " threads " << threads << " rounds " << rounds << " local " << local;
+              << " threads " << threads << " rounds " << rounds;
           if (r.verdict == verify::Verdict::kUnsafe)
             EXPECT_TRUE(r.counterexample_validated) << "seed " << seed;
           if (rounds > 0)
@@ -338,7 +335,6 @@ TEST(CutParity, MilpOptimaMatchBruteForceWithCutsEnabled) {
 
     milp::BranchAndBoundOptions options;
     options.cuts.root_rounds = 5;
-    options.cuts.local = true;
     const milp::MilpResult r = milp::BranchAndBoundSolver(options).solve(p);
     if (!any) {
       EXPECT_EQ(r.status, milp::MilpStatus::kInfeasible) << "seed " << seed;

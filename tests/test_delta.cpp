@@ -18,11 +18,15 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "absint/box_domain.hpp"
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/campaign.hpp"
 #include "nn/activations.hpp"
@@ -42,6 +46,20 @@ std::string temp_path(const std::string& name) {
 }
 
 bool bits_equal(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Copies the file at `source` to temp file `name` with the first
+/// occurrence of `from` replaced by `to`; returns the copy's path.
+std::string corrupted_copy(const std::string& source, const std::string& name,
+                           const std::string& from, const std::string& to) {
+  std::ifstream in(source, std::ios::binary);
+  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << "'" << from << "' not in " << source;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  const std::string path = temp_path(name);
+  std::ofstream(path, std::ios::binary) << text;
+  return path;
+}
 
 nn::Network make_relu_tail(std::size_t width, std::size_t depth, Rng& rng) {
   nn::Network net;
@@ -232,6 +250,45 @@ TEST(DeltaArtifactsFile, RoundTripsBitExactly) {
   EXPECT_EQ(e.pseudocosts[0].up.infeasible, 2u);
 
   EXPECT_FALSE(verify::load_delta_artifacts(temp_path("delta_missing"), loaded));
+}
+
+TEST(DeltaArtifactsFile, MalformedNumbersAndCountsThrowContractViolation) {
+  verify::DeltaArtifacts bundle;
+  bundle.base_fingerprint = 5;
+  bundle.delta_chain = {7u};
+  bundle.attach_layer = 3;
+  verify::QueryArtifacts entry;
+  entry.input_box = {absint::Interval(0.0, 1.0)};
+  entry.tail_boxes = {{absint::Interval(-1.0, 1.0)}};
+  milp::cuts::Cut cut;
+  cut.row.terms = {{0, 1.0}};
+  cut.row.sense = lp::RowSense::kLessEqual;
+  cut.source = "relu-split";
+  entry.root_cuts.push_back(cut);
+  bundle.queries.push_back(entry);
+  const std::string path = temp_path("delta_malformed_base");
+  verify::save_delta_artifacts(path, bundle);
+  verify::DeltaArtifacts loaded;
+  ASSERT_TRUE(verify::load_delta_artifacts(path, loaded));
+
+  const std::pair<const char*, const char*> cases[] = {
+      // Counts the rest of the file cannot hold fail before the
+      // container is sized from them.
+      {"chain 1 ", "chain 99999999999999 "},
+      {"chain 1 ", "chain -1 "},
+      {"boxes 1 ", "boxes 18446744073709551615 "},
+      // Integers are digits only.
+      {"base 5 ", "base -5 "},
+      {"attach 3 ", "attach 3abc "},
+      // A string length that would overflow the bounds check is
+      // truncation, not a rewind into earlier text.
+      {"s10 relu-split ", "s18446744073709551615 "},
+  };
+  for (const auto& [from, to] : cases)
+    EXPECT_THROW(verify::load_delta_artifacts(
+                     corrupted_copy(path, "delta_malformed", from, to), loaded),
+                 ContractViolation)
+        << to;
 }
 
 // ------------------------------------- reuse class 1: bound trace parity

@@ -1,8 +1,8 @@
-// Search-strategy layer tests: node-store ordering and steal semantics,
+// Search-layer tests: node-store ordering and steal semantics,
 // work-stealing frontier stress (every node processed exactly once),
 // pseudocost bookkeeping against hand-computed degradations, verdict
-// parity across (node store x branching rule x backend x threads x
-// cuts), and best-bound gap reporting on node-limit stops.
+// parity against brute force across (backend x threads x cuts), and
+// best-bound gap reporting on node-limit stops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,91 +35,138 @@ search::SearchNode make_node(std::uint64_t id, double bound) {
 
 // ------------------------------------------------------------ stores
 
-TEST(NodeStore, LifoPopsNewestFirstAndStealsOldestHalf) {
-  const auto store =
-      search::make_node_store(search::NodeStoreKind::kDepthFirst, true, {});
-  for (std::uint64_t id = 0; id < 5; ++id) store->push(make_node(id, 0.0));
+/// Pushes `count` filler nodes (ids from `first_id`, bound 50) on top
+/// of whatever the store holds and pops them again: exactly one
+/// plunge's worth of LIFO pops, so the next pop spills the dive stack
+/// into the heap.
+void plunge_through_fillers(search::NodeStore& store, std::uint64_t first_id) {
+  constexpr std::size_t kPlunge = 8;
+  for (std::uint64_t k = 0; k < kPlunge; ++k) store.push(make_node(first_id + k, 50.0));
+  search::SearchNode node;
+  for (std::uint64_t k = kPlunge; k-- > 0;) {
+    ASSERT_TRUE(store.pop(node));
+    ASSERT_EQ(node.id, first_id + k);  // LIFO: newest first
+  }
+}
 
+TEST(NodeStore, PlungesEightPopsThenResumesFromBestBound) {
+  search::NodeStore store(/*minimize=*/true);
+  store.push(make_node(0, 1.0));  // best bound, but oldest
+  store.push(make_node(1, 9.0));
+  plunge_through_fillers(store, 10);
+
+  search::SearchNode node;
+  ASSERT_TRUE(store.pop(node));
+  EXPECT_EQ(node.id, 0u);  // plunge exhausted: best bound (1 < 9), not LIFO
+  // A fresh child starts a new plunge even though the heap holds a
+  // better bound.
+  store.push(make_node(2, 100.0));
+  ASSERT_TRUE(store.pop(node));
+  EXPECT_EQ(node.id, 2u);
+  ASSERT_TRUE(store.pop(node));
+  EXPECT_EQ(node.id, 1u);  // dive ran dry: back to the heap
+  EXPECT_FALSE(store.pop(node));
+  EXPECT_TRUE(store.empty());
+}
+
+TEST(NodeStore, HeapPopsBoundOrderWithStableIdTieBreak) {
+  search::NodeStore store(/*minimize=*/true);
+  store.push(make_node(0, 7.0));
+  store.push(make_node(1, 2.0));
+  store.push(make_node(2, 2.0));  // same bound as id 1: id order decides
+  store.push(make_node(3, 5.0));
+  search::SearchNode root;  // no bound yet: ranks as most promising
+  root.id = 4;
+  store.push(root);
+  plunge_through_fillers(store, 10);
+
+  search::SearchNode node;
+  for (const std::uint64_t expected : {4u, 1u, 2u, 3u, 0u}) {
+    ASSERT_TRUE(store.pop(node));
+    EXPECT_EQ(node.id, expected);
+  }
+  EXPECT_FALSE(store.pop(node));
+
+  // Maximize orientation flips the order.
+  search::NodeStore max_store(/*minimize=*/false);
+  max_store.push(make_node(0, 1.0));
+  max_store.push(make_node(1, 9.0));
+  max_store.push(make_node(2, 5.0));
+  plunge_through_fillers(max_store, 10);
+  for (const std::uint64_t expected : {1u, 2u, 0u}) {
+    ASSERT_TRUE(max_store.pop(node));
+    EXPECT_EQ(node.id, expected);
+  }
+}
+
+TEST(NodeStore, StealsBestHeapHalfElseOldestDiveHalf) {
+  // Dive stack only: thieves take the oldest half, the owner keeps the
+  // newest (its dive).
+  search::NodeStore dive(/*minimize=*/true);
+  for (std::uint64_t id = 0; id < 5; ++id) dive.push(make_node(id, 0.0));
   std::vector<search::SearchNode> loot;
-  EXPECT_EQ(store->steal_half(loot), 3u);  // ceil(5/2) oldest entries
+  EXPECT_EQ(dive.steal_half(loot), 3u);  // ceil(5/2) oldest entries
   ASSERT_EQ(loot.size(), 3u);
   EXPECT_EQ(loot[0].id, 0u);
   EXPECT_EQ(loot[1].id, 1u);
   EXPECT_EQ(loot[2].id, 2u);
-
   search::SearchNode node;
-  ASSERT_TRUE(store->pop(node));
-  EXPECT_EQ(node.id, 4u);  // owner keeps the newest (the dive)
-  ASSERT_TRUE(store->pop(node));
+  ASSERT_TRUE(dive.pop(node));
+  EXPECT_EQ(node.id, 4u);
+  ASSERT_TRUE(dive.pop(node));
   EXPECT_EQ(node.id, 3u);
-  EXPECT_FALSE(store->pop(node));
-}
+  EXPECT_FALSE(dive.pop(node));
 
-TEST(NodeStore, BestFirstPopsBoundOrderWithStableIdTieBreak) {
-  search::SearchOptions options;
-  const auto store =
-      search::make_node_store(search::NodeStoreKind::kBestFirst, true, options);
-  store->push(make_node(3, 5.0));
-  store->push(make_node(1, 2.0));
-  store->push(make_node(2, 2.0));  // same bound as id 1: id order decides
-  store->push(make_node(0, 7.0));
-
-  double bound = 0.0;
-  ASSERT_TRUE(store->best_bound(bound));
-  EXPECT_NEAR(bound, 2.0, 1e-12);
-
-  search::SearchNode node;
-  ASSERT_TRUE(store->pop(node));
-  EXPECT_EQ(node.id, 1u);  // bound 2, older id first
-  ASSERT_TRUE(store->pop(node));
-  EXPECT_EQ(node.id, 2u);
-  ASSERT_TRUE(store->pop(node));
-  EXPECT_EQ(node.id, 3u);
-  ASSERT_TRUE(store->pop(node));
+  // Heap non-empty: thieves take its best half and leave the dive alone.
+  search::NodeStore store(/*minimize=*/true);
+  for (std::uint64_t id = 0; id < 4; ++id) store.push(make_node(id, static_cast<double>(id)));
+  plunge_through_fillers(store, 10);
+  ASSERT_TRUE(store.pop(node));  // spills ids 0..3, pops the best
   EXPECT_EQ(node.id, 0u);
-
-  // Maximize orientation flips the order.
-  const auto max_store =
-      search::make_node_store(search::NodeStoreKind::kBestFirst, false, options);
-  max_store->push(make_node(0, 1.0));
-  max_store->push(make_node(1, 9.0));
-  ASSERT_TRUE(max_store->pop(node));
-  EXPECT_EQ(node.id, 1u);
-}
-
-TEST(NodeStore, BestFirstStealsBestHalf) {
-  const auto store =
-      search::make_node_store(search::NodeStoreKind::kBestFirst, true, {});
-  for (std::uint64_t id = 0; id < 4; ++id)
-    store->push(make_node(id, static_cast<double>(id)));
-  std::vector<search::SearchNode> loot;
-  EXPECT_EQ(store->steal_half(loot), 2u);
+  store.push(make_node(20, 0.5));
+  store.push(make_node(21, 0.5));
+  loot.clear();
+  EXPECT_EQ(store.steal_half(loot), 2u);  // ceil(3/2) of the heap
   ASSERT_EQ(loot.size(), 2u);
-  EXPECT_EQ(loot[0].id, 0u);  // best bounds leave first
-  EXPECT_EQ(loot[1].id, 1u);
-  EXPECT_EQ(store->size(), 2u);
+  EXPECT_EQ(loot[0].id, 1u);  // best bounds leave first
+  EXPECT_EQ(loot[1].id, 2u);
+  EXPECT_EQ(store.size(), 3u);
+  loot.clear();
+  EXPECT_EQ(store.steal_half(loot), 1u);
+  EXPECT_EQ(loot[0].id, 3u);
+  loot.clear();
+  EXPECT_EQ(store.steal_half(loot), 1u);  // heap empty: oldest dive entry
+  EXPECT_EQ(loot[0].id, 20u);
+  EXPECT_EQ(store.size(), 1u);
 }
 
-TEST(NodeStore, HybridPlungesThenResumesFromBestBound) {
-  search::SearchOptions options;
-  options.plunge_limit = 2;
-  const auto store =
-      search::make_node_store(search::NodeStoreKind::kHybrid, true, options);
-  store->push(make_node(0, 10.0));
-  store->push(make_node(1, 9.0));
-  store->push(make_node(2, 8.0));
-  store->push(make_node(3, 1.0));  // newest, but not the best bound
+TEST(NodeStore, BestBoundCoversDiveAndHeap) {
+  search::NodeStore store(/*minimize=*/true);
+  double bound = 0.0;
+  EXPECT_FALSE(store.best_bound(bound));
+  search::SearchNode root;  // unbounded nodes carry no bound to report
+  store.push(root);
+  EXPECT_FALSE(store.best_bound(bound));
 
+  store.push(make_node(1, 4.0));
+  store.push(make_node(2, 6.0));
+  plunge_through_fillers(store, 10);
   search::SearchNode node;
-  ASSERT_TRUE(store->pop(node));
-  EXPECT_EQ(node.id, 3u);  // plunge pop 1: LIFO
-  ASSERT_TRUE(store->pop(node));
-  EXPECT_EQ(node.id, 2u);  // plunge pop 2: LIFO
-  ASSERT_TRUE(store->pop(node));
-  EXPECT_EQ(node.id, 1u);  // plunge exhausted: best bound (9 < 10)
-  ASSERT_TRUE(store->pop(node));
+  ASSERT_TRUE(store.pop(node));  // spill; the unbounded root pops first
   EXPECT_EQ(node.id, 0u);
-  EXPECT_FALSE(store->pop(node));
+  store.push(make_node(3, 3.0));  // dive stack
+  ASSERT_TRUE(store.best_bound(bound));
+  EXPECT_DOUBLE_EQ(bound, 3.0);  // from the dive stack
+  ASSERT_TRUE(store.pop(node));
+  EXPECT_EQ(node.id, 3u);
+  ASSERT_TRUE(store.best_bound(bound));
+  EXPECT_DOUBLE_EQ(bound, 4.0);  // from the heap
+
+  search::NodeStore max_store(/*minimize=*/false);
+  max_store.push(make_node(0, 4.0));
+  max_store.push(make_node(1, 6.0));
+  ASSERT_TRUE(max_store.best_bound(bound));
+  EXPECT_DOUBLE_EQ(bound, 6.0);
 }
 
 // ---------------------------------------------------------- frontier
@@ -136,57 +183,52 @@ TEST(WorkStealingFrontier, WideTreeProcessesEveryNodeExactlyOnce) {
   std::size_t expected = 0, layer = 1;
   for (std::size_t d = 0; d <= kDepth; ++d, layer *= kFanout) expected += layer;
 
-  for (const search::NodeStoreKind kind :
-       {search::NodeStoreKind::kDepthFirst, search::NodeStoreKind::kBestFirst,
-        search::NodeStoreKind::kHybrid}) {
-    search::ParallelFrontier frontier(kWorkers, kind, true, {});
-    std::atomic<std::uint64_t> next_id{1};
-    search::SearchNode root;  // id 0, depth encoded in `bound`
-    root.bound = 0.0;
-    root.has_bound = true;
-    frontier.push(0, root);
+  search::ParallelFrontier frontier(kWorkers, /*minimize=*/true);
+  std::atomic<std::uint64_t> next_id{1};
+  search::SearchNode root;  // id 0, depth encoded in `bound`
+  root.bound = 0.0;
+  root.has_bound = true;
+  frontier.push(0, root);
 
-    std::vector<std::vector<std::uint64_t>> seen(kWorkers);
-    const auto work = [&](std::size_t w) {
-      search::SearchNode node;
-      while (frontier.acquire(w, node) ==
-             search::ParallelFrontier::Acquire::kGot) {
-        seen[w].push_back(node.id);
-        const auto depth = static_cast<std::size_t>(node.bound);
-        if (depth < kDepth) {
-          for (std::size_t c = 0; c < kFanout; ++c) {
-            search::SearchNode child;
-            child.id = next_id.fetch_add(1);
-            child.bound = static_cast<double>(depth + 1);
-            child.has_bound = true;
-            frontier.push(w, child);
-          }
+  std::vector<std::vector<std::uint64_t>> seen(kWorkers);
+  const auto work = [&](std::size_t w) {
+    search::SearchNode node;
+    while (frontier.acquire(w, node) == search::ParallelFrontier::Acquire::kGot) {
+      seen[w].push_back(node.id);
+      const auto depth = static_cast<std::size_t>(node.bound);
+      if (depth < kDepth) {
+        for (std::size_t c = 0; c < kFanout; ++c) {
+          search::SearchNode child;
+          child.id = next_id.fetch_add(1);
+          child.bound = static_cast<double>(depth + 1);
+          child.has_bound = true;
+          frontier.push(w, child);
         }
-        frontier.complete();
       }
-    };
-    std::vector<std::thread> pool;
-    for (std::size_t w = 0; w < kWorkers; ++w) pool.emplace_back(work, w);
-    for (std::thread& t : pool) t.join();
-
-    std::vector<std::uint64_t> all;
-    bool others_worked = false;
-    for (std::size_t w = 0; w < kWorkers; ++w) {
-      all.insert(all.end(), seen[w].begin(), seen[w].end());
-      if (w > 0 && !seen[w].empty()) others_worked = true;
+      frontier.complete();
     }
-    ASSERT_EQ(all.size(), expected) << node_store_kind_name(kind);
-    std::sort(all.begin(), all.end());
-    for (std::uint64_t id = 0; id < expected; ++id)
-      ASSERT_EQ(all[id], id) << "duplicate or lost node, store "
-                             << node_store_kind_name(kind);
-    // Only worker 0 holds the root: anything processed elsewhere must
-    // have been stolen.
-    if (others_worked)
-      EXPECT_GT(frontier.nodes_stolen(), 0u) << node_store_kind_name(kind);
-    EXPECT_EQ(frontier.open_count(), 0u);
-    EXPECT_GE(frontier.peak_open(), kFanout);
+  };
+  std::vector<std::thread> pool;
+  for (std::size_t w = 0; w < kWorkers; ++w) pool.emplace_back(work, w);
+  for (std::thread& t : pool) t.join();
+
+  std::vector<std::uint64_t> all;
+  bool others_worked = false;
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    all.insert(all.end(), seen[w].begin(), seen[w].end());
+    if (w > 0 && !seen[w].empty()) others_worked = true;
   }
+  ASSERT_EQ(all.size(), expected);
+  std::sort(all.begin(), all.end());
+  for (std::uint64_t id = 0; id < expected; ++id)
+    ASSERT_EQ(all[id], id) << "duplicate or lost node";
+  // Only worker 0 holds the root: anything processed elsewhere must
+  // have been stolen.
+  if (others_worked) {
+    EXPECT_GT(frontier.nodes_stolen(), 0u);
+  }
+  EXPECT_EQ(frontier.open_count(), 0u);
+  EXPECT_GE(frontier.peak_open(), kFanout);
 }
 
 // -------------------------------------------------------- pseudocosts
@@ -237,12 +279,6 @@ TEST(PseudocostRule, ReliabilityProbesRecordHandComputedDegradations) {
   ASSERT_NEAR(lp.values[b0], 0.5, kTol);
   ASSERT_NEAR(lp.values[b1], 1.0, kTol);
 
-  search::SearchOptions options;
-  options.branching = search::BranchingRuleKind::kPseudocost;
-  options.pseudocost_reliability = 1;
-  options.strong_candidates = 4;
-  const auto rule = search::make_branching_rule(options.branching, options);
-
   search::PseudocostTable table(p.variable_count());
   search::BranchContext ctx;
   ctx.problem = &p;
@@ -250,7 +286,7 @@ TEST(PseudocostRule, ReliabilityProbesRecordHandComputedDegradations) {
   ctx.lp = &lp;
   ctx.minimize = false;
   ctx.pseudocosts = &table;
-  EXPECT_EQ(rule->decide(ctx).var, b0);
+  EXPECT_EQ(search::decide_branch(ctx).var, b0);
 
   EXPECT_EQ(table.observations(b0, false), 1u);
   EXPECT_EQ(table.observations(b0, true), 1u);
@@ -280,9 +316,6 @@ TEST(PseudocostRule, InfeasibleProbeChildrenAreRecorded) {
   ASSERT_EQ(lp.status, lp::SolveStatus::kOptimal);
   ASSERT_NEAR(lp.values[b0], 0.5, kTol);
 
-  search::SearchOptions options;
-  options.branching = search::BranchingRuleKind::kPseudocost;
-  const auto rule = search::make_branching_rule(options.branching, options);
   search::PseudocostTable table(p.variable_count());
   search::BranchContext ctx;
   ctx.problem = &p;
@@ -290,7 +323,16 @@ TEST(PseudocostRule, InfeasibleProbeChildrenAreRecorded) {
   ctx.lp = &lp;
   ctx.minimize = false;
   ctx.pseudocosts = &table;
-  EXPECT_EQ(rule->decide(ctx).var, b0);
+  const search::BranchDecision decision = search::decide_branch(ctx);
+  EXPECT_EQ(decision.var, b0);
+  // The probe was the children's solve: the search must neither push
+  // the infeasible child nor record either outcome again.
+  EXPECT_TRUE(decision.up_infeasible);
+  EXPECT_FALSE(decision.down_infeasible);
+  EXPECT_TRUE(decision.down_recorded);
+  EXPECT_TRUE(decision.up_recorded);
+  ASSERT_TRUE(decision.have_down_bound);
+  EXPECT_NEAR(decision.down_bound, 0.0, kTol);
 
   EXPECT_NEAR(table.average_gain(b0, false), 1.0, kTol);
   EXPECT_DOUBLE_EQ(table.infeasible_rate(b0, true), 1.0);
@@ -338,9 +380,10 @@ TEST(WarmResolveIterationDelta, BackendReportsPerSolveIterations) {
 // -------------------------------------------------- verdict parity
 
 /// Random small MILP instances cross-checked against brute force over
-/// all binary assignments, swept over the full strategy grid.
-TEST(StrategyParity, RandomMilpsAgreeWithBruteForceAcrossStrategies) {
-  for (int seed = 0; seed < 6; ++seed) {
+/// all binary assignments, on both backends, serial and threaded, with
+/// and without root cuts.
+TEST(SearchParity, RandomMilpsAgreeWithBruteForce) {
+  for (int seed = 0; seed < 24; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed) * 6151 + 11);
     const std::size_t n_bin = static_cast<std::size_t>(rng.uniform_int(3, 6));
     const std::size_t n_rows = static_cast<std::size_t>(rng.uniform_int(2, 4));
@@ -386,37 +429,24 @@ TEST(StrategyParity, RandomMilpsAgreeWithBruteForceAcrossStrategies) {
       best = std::max(best, value);
     }
 
-    for (const search::NodeStoreKind store :
-         {search::NodeStoreKind::kDepthFirst, search::NodeStoreKind::kBestFirst,
-          search::NodeStoreKind::kHybrid}) {
-      for (const search::BranchingRuleKind branching :
-           {search::BranchingRuleKind::kMostFractional,
-            search::BranchingRuleKind::kPseudocost,
-            search::BranchingRuleKind::kStrongBranching}) {
-        for (const auto backend : {solver::LpBackendKind::kDenseTableau,
-                                   solver::LpBackendKind::kRevisedBounded}) {
-          for (const std::size_t threads : {1u, 4u}) {
-            for (const std::size_t cut_rounds : {0u, 2u}) {
-              BranchAndBoundOptions options;
-              options.search.node_store = store;
-              options.search.branching = branching;
-              options.backend = backend;
-              options.threads = threads;
-              options.cuts.root_rounds = cut_rounds;
-              const MilpResult r = BranchAndBoundSolver(options).solve(p);
-              const std::string label =
-                  std::string(search::node_store_kind_name(store)) + "/" +
-                  search::branching_rule_kind_name(branching) + "/" +
-                  solver::lp_backend_kind_name(backend) + "/t" +
-                  std::to_string(threads) + "/cuts" + std::to_string(cut_rounds) +
-                  " seed " + std::to_string(seed);
-              if (!any) {
-                EXPECT_EQ(r.status, MilpStatus::kInfeasible) << label;
-              } else {
-                ASSERT_EQ(r.status, MilpStatus::kOptimal) << label;
-                EXPECT_NEAR(r.objective, best, 1e-5) << label;
-              }
-            }
+    for (const auto backend : {solver::LpBackendKind::kDenseTableau,
+                               solver::LpBackendKind::kRevisedBounded}) {
+      for (const std::size_t threads : {1u, 4u}) {
+        for (const std::size_t cut_rounds : {0u, 2u}) {
+          BranchAndBoundOptions options;
+          options.backend = backend;
+          options.threads = threads;
+          options.cuts.root_rounds = cut_rounds;
+          const MilpResult r = BranchAndBoundSolver(options).solve(p);
+          const std::string label = std::string(solver::lp_backend_kind_name(backend)) +
+                                    "/t" + std::to_string(threads) + "/cuts" +
+                                    std::to_string(cut_rounds) + " seed " +
+                                    std::to_string(seed);
+          if (!any) {
+            EXPECT_EQ(r.status, MilpStatus::kInfeasible) << label;
+          } else {
+            ASSERT_EQ(r.status, MilpStatus::kOptimal) << label;
+            EXPECT_NEAR(r.objective, best, 1e-5) << label;
           }
         }
       }
@@ -425,8 +455,9 @@ TEST(StrategyParity, RandomMilpsAgreeWithBruteForceAcrossStrategies) {
 }
 
 /// The verifier's shape: a small ReLU tail with a proof-forcing
-/// threshold, identical verdicts across the whole strategy grid.
-TEST(StrategyParity, VerifierVerdictsAgreeAcrossStrategiesAndThreads) {
+/// threshold, identical verdicts serial and threaded, with and without
+/// root cuts.
+TEST(SearchParity, VerifierVerdictsAgreeAcrossThreadsAndCuts) {
   Rng rng(77);
   nn::Network net;
   auto d1 = std::make_unique<nn::Dense>(5, 8);
@@ -453,29 +484,20 @@ TEST(StrategyParity, VerifierVerdictsAgreeAcrossStrategiesAndThreads) {
 
     bool have_reference = false;
     verify::Verdict reference = verify::Verdict::kUnknown;
-    for (const search::NodeStoreKind store :
-         {search::NodeStoreKind::kDepthFirst, search::NodeStoreKind::kBestFirst,
-          search::NodeStoreKind::kHybrid}) {
-      for (const search::BranchingRuleKind branching :
-           {search::BranchingRuleKind::kMostFractional,
-            search::BranchingRuleKind::kPseudocost,
-            search::BranchingRuleKind::kStrongBranching}) {
-        for (const std::size_t threads : {1u, 4u}) {
-          verify::TailVerifierOptions options;
-          options.milp.search.node_store = store;
-          options.milp.search.branching = branching;
-          options.milp.threads = threads;
-          const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
-          if (!have_reference) {
-            reference = r.verdict;
-            have_reference = true;
-          }
-          EXPECT_EQ(r.verdict, reference)
-              << search::node_store_kind_name(store) << "/"
-              << search::branching_rule_kind_name(branching) << "/t" << threads
-              << " threshold " << threshold;
-          if (r.verdict == verify::Verdict::kUnsafe)
-            EXPECT_TRUE(r.counterexample_validated);
+    for (const std::size_t threads : {1u, 4u}) {
+      for (const std::size_t cut_rounds : {0u, 2u}) {
+        verify::TailVerifierOptions options;
+        options.milp.threads = threads;
+        options.milp.cuts.root_rounds = cut_rounds;
+        const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
+        if (!have_reference) {
+          reference = r.verdict;
+          have_reference = true;
+        }
+        EXPECT_EQ(r.verdict, reference)
+            << "t" << threads << "/cuts" << cut_rounds << " threshold " << threshold;
+        if (r.verdict == verify::Verdict::kUnsafe) {
+          EXPECT_TRUE(r.counterexample_validated);
         }
       }
     }
@@ -500,7 +522,6 @@ TEST(GapReporting, NodeLimitReportsBestBoundAndGap) {
 
   BranchAndBoundOptions options;
   options.max_nodes = 8;
-  options.search.node_store = search::NodeStoreKind::kBestFirst;
   const MilpResult r = BranchAndBoundSolver(options).solve(p);
   ASSERT_TRUE(r.status == MilpStatus::kFeasible || r.status == MilpStatus::kNodeLimit);
   ASSERT_TRUE(r.have_best_bound);
@@ -584,33 +605,6 @@ TEST(GapReporting, VerifierNodeLimitUnknownCarriesMarginGap) {
     // verdict itself is then the (stronger) regression signal.
     EXPECT_EQ(r.verdict, verify::Verdict::kSafe);
   }
-}
-
-TEST(GapReporting, HybridAndBestFirstLeaveSmallerOrEqualGapThanDfsAtLimit) {
-  // Best-first expands by bound, so at an equal node budget its proved
-  // bound can only be at least as tight as blind DFS on this
-  // maximization (equal when both exhaust the interesting frontier).
-  Rng rng(13);
-  MilpProblem p;
-  std::vector<lp::LinearTerm> row, obj;
-  for (int i = 0; i < 14; ++i) {
-    const std::size_t b = p.add_variable(VarType::kBinary, 0.0, 1.0);
-    row.push_back({b, rng.uniform(1.0, 3.0)});
-    obj.push_back({b, rng.uniform(1.0, 4.0)});
-  }
-  p.add_row(row, lp::RowSense::kLessEqual, 7.0);
-  p.set_objective(obj, lp::Objective::kMaximize);
-
-  const auto gap_at_limit = [&](search::NodeStoreKind store) {
-    BranchAndBoundOptions options;
-    options.max_nodes = 10;
-    options.search.node_store = store;
-    const MilpResult r = BranchAndBoundSolver(options).solve(p);
-    return r.have_best_bound ? r.best_bound : 1e100;
-  };
-  const double dfs = gap_at_limit(search::NodeStoreKind::kDepthFirst);
-  const double best = gap_at_limit(search::NodeStoreKind::kBestFirst);
-  EXPECT_LE(best, dfs + kTol);
 }
 
 }  // namespace

@@ -65,14 +65,15 @@ check_symbol src/lp      "should_refactorize"
 check_symbol src/lp      "ftran"
 check_symbol src/lp      "btran"
 check_symbol src/milp    "NodeStore"
-check_symbol src/milp    "NodeStoreKind"
-check_symbol src/milp    "BranchingRule"
-check_symbol src/milp    "BranchingRuleKind"
+check_symbol src/milp    "decide_branch"
 check_symbol src/milp    "PseudocostTable"
 check_symbol src/milp    "ParallelFrontier"
 check_symbol src/milp    "steal_half"
-check_symbol src/milp    "plunge_limit"
-check_symbol src/milp    "pseudocost_reliability"
+check_symbol src/milp    "kPlungeLimit"
+check_symbol src/milp    "kProbeCandidates"
+check_symbol src/milp    "pseudocost_priors"
+check_symbol src/milp    "initial_cuts"
+check_symbol src/milp    "harvest_root_cuts"
 check_symbol src/milp    "bound_target"
 check_symbol src/milp    "best_bound"
 check_symbol src/solver  "nodes_stolen"
@@ -81,7 +82,6 @@ check_symbol src/solver  "peak_open_nodes"
 check_symbol src/solver  "best_bound_gap"
 check_symbol src/absint  "leaky_relu"
 check_symbol src/verify  "risk_margin_objective"
-check_symbol src/verify  "default_verifier_milp_options"
 check_symbol src/core    "reallocate_node_budget"
 check_symbol src/milp    "remove_rows"
 check_symbol src/milp    "root_age_limit"

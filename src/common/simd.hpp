@@ -1,5 +1,6 @@
 // Small SIMD dispatch layer for the numeric hot loops (FTRAN/BTRAN,
-// dense-inverse row operations, zonotope generator-matrix affine maps).
+// dense-inverse row operations, zonotope generator-matrix affine maps,
+// convolution and max-pool rows).
 //
 // Design rules:
 //   * The scalar fallback is ALWAYS compiled and reachable at runtime via
@@ -25,6 +26,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -339,6 +341,195 @@ inline double sparse_gather_dot(const std::int32_t* idx, const double* val,
 inline void sparse_scatter_axpy(const std::int32_t* idx, const double* val,
                                 double scale, double* x, std::size_t n) {
   for (std::size_t k = 0; k < n; ++k) x[idx[k]] -= scale * val[k];
+}
+
+// ---------------------------------------------------------------------------
+// Register-blocked nn forward kernels (convolution and max-pool rows)
+//
+// Each output is specified step by step, so the vector and scalar bodies
+// return the same bits in every build: the vector bodies only run several
+// outputs side by side. A block of up to 16 outputs stays in registers
+// until its last step; when n is not a multiple of 4, the last vector of
+// a block is shifted left to end at n and recomputes a few outputs of the
+// vector before it, bit for bit.
+// ---------------------------------------------------------------------------
+
+/// A planes × rows × cols grid of taps: tap (p, r, c) weighs the input
+/// x[p * x_plane + r * x_row + c] by w[p * w_plane + r * w_row + c].
+struct TapGrid {
+  std::size_t planes = 0, rows = 0, cols = 0;
+  std::size_t w_plane = 0, w_row = 0;
+  std::size_t x_plane = 0, x_row = 0;
+};
+
+namespace detail {
+#if defined(__AVX2__) && defined(__FMA__)
+/// fma_taps over the V vectors of outputs starting at j0 + 4 v, each
+/// clamped to end by n.
+template <std::size_t V>
+inline void fma_taps_block(const double* w, const double* x, const TapGrid& g, double init,
+                           double* y, std::size_t j0, std::size_t n) {
+  std::size_t at[V];
+  __m256d acc[V];
+  for (std::size_t v = 0; v < V; ++v) {
+    at[v] = std::min(j0 + 4 * v, n - 4);
+    acc[v] = _mm256_set1_pd(init);
+  }
+  for (std::size_t p = 0; p < g.planes; ++p)
+    for (std::size_t r = 0; r < g.rows; ++r) {
+      const double* wr = w + p * g.w_plane + r * g.w_row;
+      const double* xr = x + p * g.x_plane + r * g.x_row;
+      for (std::size_t c = 0; c < g.cols; ++c) {
+        const __m256d wv = _mm256_set1_pd(wr[c]);
+        for (std::size_t v = 0; v < V; ++v)
+          acc[v] = _mm256_fmadd_pd(wv, _mm256_loadu_pd(xr + c + at[v]), acc[v]);
+      }
+    }
+  for (std::size_t v = 0; v < V; ++v) _mm256_storeu_pd(y + at[v], acc[v]);
+}
+
+/// fma_taps_shared_input over the V vectors of chains starting at
+/// i0 + 4 v, each clamped to end by m.
+template <std::size_t V>
+inline void fma_taps_shared_block(const double* w, std::size_t w_step, const double* x,
+                                  const TapGrid& g, const double* init, double* y,
+                                  std::size_t y_step, std::size_t i0, std::size_t m) {
+  std::size_t at[V];
+  __m256d acc[V];
+  for (std::size_t v = 0; v < V; ++v) {
+    at[v] = std::min(i0 + 4 * v, m - 4);
+    acc[v] = _mm256_loadu_pd(init + at[v]);
+  }
+  for (std::size_t p = 0; p < g.planes; ++p)
+    for (std::size_t r = 0; r < g.rows; ++r) {
+      const double* wr = w + p * g.w_plane + r * g.w_row;
+      const double* xr = x + p * g.x_plane + r * g.x_row;
+      for (std::size_t c = 0; c < g.cols; ++c) {
+        const __m256d xv = _mm256_set1_pd(xr[c]);
+        for (std::size_t v = 0; v < V; ++v) {
+          const double* wc = wr + c + at[v] * w_step;
+          const __m256d wv =
+              _mm256_setr_pd(wc[0], wc[w_step], wc[2 * w_step], wc[3 * w_step]);
+          acc[v] = _mm256_fmadd_pd(wv, xv, acc[v]);
+        }
+      }
+    }
+  alignas(32) double lanes[4];
+  for (std::size_t v = 0; v < V; ++v) {
+    _mm256_store_pd(lanes, acc[v]);
+    for (std::size_t l = 0; l < 4; ++l) y[(at[v] + l) * y_step] = lanes[l];
+  }
+}
+#endif
+}  // namespace detail
+
+/// n fused multiply-add chains over the tap grid, output j reading every
+/// tap's input j columns further on (a stride-1 correlation row): y[j] =
+/// init, then y[j] = fma(w(p, r, c), x(p, r, c)[j], y[j]) for each tap in
+/// (p, r, c) order. Each step rounds once, so vector lanes and the scalar
+/// body agree exactly.
+inline void fma_taps(const double* w, const double* x, const TapGrid& grid, double init,
+                     double* y, std::size_t n) {
+#if defined(__AVX2__) && defined(__FMA__)
+  if (!force_scalar() && n >= 4) {
+    std::size_t j = 0;
+    for (; n - j > 16; j += 16) detail::fma_taps_block<4>(w, x, grid, init, y, j, n);
+    switch ((n - j + 3) / 4) {
+      case 4:
+        detail::fma_taps_block<4>(w, x, grid, init, y, j, n);
+        break;
+      case 3:
+        detail::fma_taps_block<3>(w, x, grid, init, y, j, n);
+        break;
+      case 2:
+        detail::fma_taps_block<2>(w, x, grid, init, y, j, n);
+        break;
+      case 1:
+        detail::fma_taps_block<1>(w, x, grid, init, y, j, n);
+        break;
+    }
+    return;
+  }
+#endif
+  for (std::size_t j = 0; j < n; ++j) {
+    double acc = init;
+    for (std::size_t p = 0; p < grid.planes; ++p)
+      for (std::size_t r = 0; r < grid.rows; ++r) {
+        const double* wr = w + p * grid.w_plane + r * grid.w_row;
+        const double* xr = x + p * grid.x_plane + r * grid.x_row + j;
+        for (std::size_t c = 0; c < grid.cols; ++c) acc = std::fma(wr[c], xr[c], acc);
+      }
+    y[j] = acc;
+  }
+}
+
+/// m fused multiply-add chains that read the same inputs through weights
+/// w_step apart (one convolution column across output channels):
+/// y[i * y_step] = init[i], then that output takes fma(w(p, r, c)[i *
+/// w_step], x(p, r, c), ·) for each tap in (p, r, c) order. The AVX2 body
+/// runs up to eight chains at once, four per vector.
+inline void fma_taps_shared_input(const double* w, std::size_t w_step, const double* x,
+                                  const TapGrid& grid, const double* init, double* y,
+                                  std::size_t y_step, std::size_t m) {
+#if defined(__AVX2__) && defined(__FMA__)
+  if (!force_scalar() && m >= 4) {
+    std::size_t i = 0;
+    for (; m - i > 8; i += 8)
+      detail::fma_taps_shared_block<2>(w, w_step, x, grid, init, y, y_step, i, m);
+    if (m - i > 4)
+      detail::fma_taps_shared_block<2>(w, w_step, x, grid, init, y, y_step, i, m);
+    else
+      detail::fma_taps_shared_block<1>(w, w_step, x, grid, init, y, y_step, i, m);
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < m; ++i) {
+    double acc = init[i];
+    for (std::size_t p = 0; p < grid.planes; ++p)
+      for (std::size_t r = 0; r < grid.rows; ++r) {
+        const double* wr = w + i * w_step + p * grid.w_plane + r * grid.w_row;
+        const double* xr = x + p * grid.x_plane + r * grid.x_row;
+        for (std::size_t c = 0; c < grid.cols; ++c) acc = std::fma(wr[c], xr[c], acc);
+      }
+    y[i * y_step] = acc;
+  }
+}
+
+/// Maxima of n side-by-side window × window windows whose top-left cells
+/// are x[j * window] (rows x_row apart): y[j] starts at -inf and takes
+/// each cell v in row-major window order as `if (v > best) best = v`.
+/// The AVX2 body (window 2) takes that step as _mm256_max_pd(v, best),
+/// which is exactly it, NaN cells (never taken) and equal zeros of either
+/// sign (the earlier one kept) included.
+inline void window_max(const double* x, std::size_t window, std::size_t x_row, double* y,
+                       std::size_t n) {
+#if defined(__AVX2__)
+  if (!force_scalar() && window == 2 && n >= 4) {
+    // Unpacking the 8 cells of one window row for outputs j..j+3 splits
+    // them into left and right cells, in lanes ordered j, j+2, j+1, j+3.
+    for (std::size_t j0 = 0; j0 < n; j0 += 4) {
+      const std::size_t j = std::min(j0, n - 4);
+      __m256d best = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
+      for (std::size_t r = 0; r < 2; ++r) {
+        const double* row = x + r * x_row + 2 * j;
+        const __m256d a = _mm256_loadu_pd(row), b = _mm256_loadu_pd(row + 4);
+        best = _mm256_max_pd(_mm256_unpacklo_pd(a, b), best);
+        best = _mm256_max_pd(_mm256_unpackhi_pd(a, b), best);
+      }
+      _mm256_storeu_pd(y + j, _mm256_permute4x64_pd(best, 0xD8));
+    }
+    return;
+  }
+#endif
+  for (std::size_t j = 0; j < n; ++j) {
+    double best = -std::numeric_limits<double>::infinity();
+    for (std::size_t r = 0; r < window; ++r) {
+      const double* row = x + r * x_row + j * window;
+      for (std::size_t c = 0; c < window; ++c)
+        if (row[c] > best) best = row[c];
+    }
+    y[j] = best;
+  }
 }
 
 }  // namespace dpv::simd

@@ -128,6 +128,7 @@ void RevisedSimplex::load(const LpProblem& problem) {
   binv_.clear();
   xb_.clear();
   alpha_.assign(total_, 0.0);
+  is_touched_.assign(total_, 0);
   touched_.clear();
   devex_.clear();
   dval_.clear();
@@ -189,18 +190,29 @@ void RevisedSimplex::ftran_column(std::size_t q, std::vector<double>& w) const {
 }
 
 void RevisedSimplex::compute_pivot_row(const std::vector<double>& rho, bool sort_touched) {
-  for (const std::size_t j : touched_) alpha_[j] = 0.0;
+  for (const std::size_t j : touched_) {
+    alpha_[j] = 0.0;
+    is_touched_[j] = 0;
+  }
   touched_.clear();
   for (std::size_t i = 0; i < m_; ++i) {
     const double r = rho[i];
     if (r == 0.0) continue;
+    // A structural column is listed once even when its partial sum
+    // cancels to 0.0 between two rows: run_dual's reduced-cost update
+    // walks touched_ and must subtract each column's share once.
     for (std::size_t e = row_start_[i]; e < row_start_[i + 1]; ++e) {
       const std::size_t j = row_col_[e];
-      if (alpha_[j] == 0.0) touched_.push_back(j);
+      if (!is_touched_[j]) {
+        is_touched_[j] = 1;
+        touched_.push_back(j);
+      }
       alpha_[j] += r * row_val_[e];
     }
+    // Logical n + i has its single entry in row i.
     const std::size_t s = n_ + i;
-    if (alpha_[s] == 0.0) touched_.push_back(s);
+    is_touched_[s] = 1;
+    touched_.push_back(s);
     alpha_[s] -= r;
   }
   // Bland's anti-cycling rule wants the smallest eligible index, so give

@@ -185,10 +185,11 @@ class RevisedSimplex {
   std::vector<double> binv_;          ///< kDenseInverse: m_ x m_, row-major
   BasisLu lu_;                        ///< kSparseLu engine
   std::vector<double> xb_;            ///< basic values, size m_
-  /// Pivot-row pricing scratch: dense alpha over all columns plus the
-  /// indices touched by the last scatter.
+  /// Pivot-row pricing scratch: dense alpha over all columns, the
+  /// indices touched by the last scatter (each once) and their marks.
   std::vector<double> alpha_;
   std::vector<std::size_t> touched_;
+  std::vector<std::uint8_t> is_touched_;
   std::size_t pivots_since_refactor_ = 0;
   bool last_resolve_was_warm_ = false;
   std::size_t last_solve_iterations_ = 0;

@@ -5,6 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 
 namespace dpv::nn {
 
@@ -14,13 +15,6 @@ std::size_t conv_extent(std::size_t in, std::size_t kernel, std::size_t stride,
   check(kernel > 0 && stride > 0, "Conv2D: dimensions must be positive");
   check(in + 2 * padding >= kernel, "Conv2D: kernel larger than padded input");
   return (in + 2 * padding - kernel) / stride + 1;
-}
-
-/// y[i] += a * x[i] as a plain loop: the compiler vectorizes it and fuses
-/// the multiply-add exactly where it fuses a scalar `acc += w * x` (not in
-/// unoptimized builds), which simd::axpy's always-fused intrinsics would not.
-void row_axpy(double a, const double* x, double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 }  // namespace
 
@@ -55,6 +49,13 @@ Conv2D::Conv2D(std::size_t in_channels, std::size_t in_height, std::size_t in_wi
   }
 }
 
+Conv2D::TapSpan Conv2D::real_taps(std::size_t start, std::size_t extent) const {
+  const std::size_t first = start >= padding_ ? 0 : std::min(kernel_, padding_ - start);
+  const std::size_t last =
+      start < extent + padding_ ? std::min(kernel_, extent + padding_ - start) : 0;
+  return {first, std::max(first, last)};
+}
+
 void Conv2D::init_he(Rng& rng) {
   const double fan_in = static_cast<double>(in_channels_ * kernel_ * kernel_);
   weight_ = Tensor::randn(weight_.shape(), rng, std::sqrt(2.0 / fan_in));
@@ -81,34 +82,57 @@ std::unique_ptr<Layer> Conv2D::clone() const {
 }
 
 void Conv2D::forward_row(const double* x, double* y) const {
+  // Every output is its bias, then one fused multiply-add per tap in
+  // ic -> kr -> kc order (std::fma or an FMA lane: the same bits). Taps
+  // that land in the zero padding are skipped. At stride 1 the columns
+  // whose taps all read real input run along the row, one output channel
+  // at a time; every other column runs across the output channels.
   const double* w = weight_.data().data();
-  // Row by row: every output keeps the accumulation order bias, then
-  // ic -> kr -> kc, one multiply-add per tap. Taps that land in the zero
-  // padding are skipped; each would add an exact w * 0.0.
-  for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-    for (std::size_t orow = 0; orow < out_height_; ++orow) {
-      double* yrow = y + (oc * out_height_ + orow) * out_width_;
-      std::fill(yrow, yrow + out_width_, bias_[oc]);
-      for (std::size_t ic = 0; ic < in_channels_; ++ic) {
-        for (std::size_t kr = 0; kr < kernel_; ++kr) {
-          const std::size_t padded_r = orow * stride_ + kr;
-          if (padded_r < padding_ || padded_r - padding_ >= in_height_) continue;
-          const double* xrow = x + (ic * in_height_ + padded_r - padding_) * in_width_;
-          const double* wrow = w + ((oc * in_channels_ + ic) * kernel_ + kr) * kernel_;
-          for (std::size_t kc = 0; kc < kernel_; ++kc) {
-            const TapSpan span = col_spans_[kc];
-            if (span.first == span.last) continue;
-            const double wv = wrow[kc];
-            if (stride_ == 1) {
-              row_axpy(wv, xrow + span.first + kc - padding_, yrow + span.first,
-                       span.last - span.first);
-            } else {
-              for (std::size_t o = span.first; o < span.last; ++o)
-                yrow[o] += wv * xrow[o * stride_ + kc - padding_];
-            }
-          }
-        }
+  const double* bias = bias_.data().data();
+  // At stride 1, output columns [padding, out_width - padding) read no padding.
+  const bool blocked = stride_ == 1 && 2 * padding_ < out_width_;
+  const std::size_t interior_first = blocked ? padding_ : out_width_;
+  const std::size_t interior_last = blocked ? out_width_ - padding_ : out_width_;
+  const std::size_t out_plane = out_height_ * out_width_;
+  const std::size_t w_channel = in_channels_ * kernel_ * kernel_;
+  simd::TapGrid grid;
+  grid.planes = in_channels_;
+  grid.w_plane = kernel_ * kernel_;
+  grid.w_row = kernel_;
+  grid.x_plane = in_height_ * in_width_;
+  grid.x_row = in_width_;
+  for (std::size_t orow = 0; orow < out_height_; ++orow) {
+    double* yrow = y + orow * out_width_;
+    const std::size_t top = orow * stride_;
+    const TapSpan rows = real_taps(top, in_height_);
+    if (rows.first == rows.last) {
+      for (std::size_t oc = 0; oc < out_channels_; ++oc)
+        std::fill(yrow + oc * out_plane, yrow + oc * out_plane + out_width_, bias[oc]);
+      continue;
+    }
+    grid.rows = rows.last - rows.first;
+    const double* wtap = w + rows.first * kernel_;
+    const double* xrow = x + (top + rows.first - padding_) * in_width_;
+    for (std::size_t o = 0; o < out_width_;) {
+      if (o == interior_first) {
+        grid.cols = kernel_;
+        for (std::size_t oc = 0; oc < out_channels_; ++oc)
+          simd::fma_taps(wtap + oc * w_channel, xrow + (o - padding_), grid, bias[oc],
+                         yrow + oc * out_plane + o, interior_last - o);
+        o = interior_last;
+        continue;
       }
+      const std::size_t left = o * stride_;
+      const TapSpan cols = real_taps(left, in_width_);
+      grid.cols = cols.last - cols.first;
+      if (grid.cols == 0) {
+        for (std::size_t oc = 0; oc < out_channels_; ++oc) yrow[oc * out_plane + o] = bias[oc];
+      } else {
+        simd::fma_taps_shared_input(wtap + cols.first, w_channel,
+                                    xrow + (left + cols.first - padding_), grid, bias, yrow + o,
+                                    out_plane, out_channels_);
+      }
+      ++o;
     }
   }
 }
@@ -160,15 +184,10 @@ void Conv2D::accumulate_param_grads(const double* x, const double* g) {
           const double* xrow = x + (ic * in_height_ + padded_r - padding_) * in_width_;
           double* wgrow = wg + ((oc * in_channels_ + ic) * kernel_ + kr) * kernel_;
           for (std::size_t ocol = 0; ocol < out_width_; ++ocol) {
-            // Kernel columns whose padded column ocol * stride + kc is a real one.
             const std::size_t padded_c = ocol * stride_;
-            const std::size_t kc_first = padded_c >= padding_ ? 0 : padding_ - padded_c;
-            const std::size_t kc_last =
-                padded_c < in_width_ + padding_
-                    ? std::min(kernel_, in_width_ + padding_ - padded_c)
-                    : 0;
+            const TapSpan cols = real_taps(padded_c, in_width_);
             const double gv = grow[ocol];
-            for (std::size_t kc = kc_first; kc < kc_last; ++kc)
+            for (std::size_t kc = cols.first; kc < cols.last; ++kc)
               wgrow[kc] += gv * xrow[padded_c + kc - padding_];
           }
         }

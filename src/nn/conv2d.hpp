@@ -42,17 +42,23 @@ class Conv2D : public Layer {
   void accumulate_param_grads(const double* x, const double* g) override;
 
  private:
-  /// Output columns [first, last) whose tap at kernel column kc reads a
-  /// real input column o * stride + kc - padding rather than padding.
+  /// A half-open index range [first, last).
   struct TapSpan {
     std::size_t first = 0;
     std::size_t last = 0;
   };
 
+  /// Kernel offsets [first, last) at which a window starting at padded
+  /// position `start` of an axis with `extent` real cells reads a real
+  /// cell rather than padding (first == last when it reads none).
+  TapSpan real_taps(std::size_t start, std::size_t extent) const;
+
   std::size_t in_channels_, in_height_, in_width_;
   std::size_t out_channels_, out_height_, out_width_;
   std::size_t kernel_, stride_, padding_;
-  std::vector<TapSpan> col_spans_;  // one per kernel column
+  /// Per kernel column kc: the output columns o whose tap reads a real
+  /// input column o * stride + kc - padding rather than padding.
+  std::vector<TapSpan> col_spans_;
   Tensor weight_;  // flat [out_ch, in_ch, k, k]
   Tensor bias_;    // [out_ch]
   Tensor weight_grad_;

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/check.hpp"
+#include "common/simd.hpp"
 
 namespace dpv::nn {
 
@@ -28,16 +29,10 @@ Pool2D::Pool2D(std::size_t channels, std::size_t in_height, std::size_t in_width
       window_(window) {}
 
 void MaxPool2D::forward_row(const double* x, double* y) const {
-  for (std::size_t c = 0; c < channels_; ++c)
-    for (std::size_t orow = 0; orow < out_height_; ++orow)
-      for (std::size_t ocol = 0; ocol < out_width_; ++ocol) {
-        const double* window = x + (c * in_height_ + orow * window_) * in_width_ + ocol * window_;
-        double best = -std::numeric_limits<double>::infinity();
-        for (std::size_t wr = 0; wr < window_; ++wr, window += in_width_)
-          for (std::size_t wc = 0; wc < window_; ++wc)
-            if (window[wc] > best) best = window[wc];
-        *y++ = best;
-      }
+  // Output row r (over all channels) reads input rows r * window onward.
+  for (std::size_t r = 0; r < channels_ * out_height_; ++r)
+    simd::window_max(x + r * window_ * in_width_, window_, in_width_, y + r * out_width_,
+                     out_width_);
 }
 
 void MaxPool2D::input_grad_row(const double* x, const double* g, double* gx) const {

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 
+#include "absint/interval.hpp"
 #include "common/rng.hpp"
 #include "lp/basis_lu.hpp"
 #include "lp/revised_simplex.hpp"
@@ -673,6 +674,108 @@ double forcing_threshold(const nn::Network& net, std::size_t in_n, Rng& rng) {
   const double relax_max =
       root.status == SolveStatus::kOptimal ? root.objective : sampled_max + 1.0;
   return sampled_max + 0.75 * std::max(relax_max - sampled_max, 0.1);
+}
+
+/// The encoder's kLpTightening walk (src/verify/encoder.cpp) over a
+/// Dense/ReLU tail, replayed with the revised simplex's optima setting
+/// each neuron's bounds: every tightening LP must match the dense tableau.
+/// On this tail a pivot-row column whose partial sum cancels to exactly
+/// 0.0 was once listed twice, so the incremental reduced-cost update
+/// subtracted its share twice; the output neuron's max LP then stopped at
+/// a non-optimal basis 1.45e-4 below the optimum (an unsound bound).
+TEST(PivotRowScatter, TighteningReplayOnReluTailMatchesDenseTableau) {
+  Rng rng(2020);  // the recertify benchmark's base tail
+  nn::Network net;
+  for (int d = 0; d < 3; ++d) {
+    auto dense = std::make_unique<nn::Dense>(16, 16);
+    dense->init_he(rng);
+    net.add(std::move(dense));
+    net.add(std::make_unique<nn::ReLU>(Shape{16}));
+  }
+  auto out = std::make_unique<nn::Dense>(16, 2);
+  out->init_he(rng);
+  net.add(std::move(out));
+
+  LpProblem lp;
+  std::vector<std::size_t> vars;
+  std::vector<absint::Interval> bounds;
+  for (std::size_t i = 0; i < 16; ++i) {
+    vars.push_back(lp.add_variable(-1.0, 1.0));
+    bounds.emplace_back(-1.0, 1.0);
+  }
+  std::size_t lps = 0;
+  const auto solve_both = [&](std::size_t var, Objective direction) {
+    lp.set_objective({{var, 1.0}}, direction);
+    const LpSolution dense = lp::SimplexSolver().solve(lp);
+    RevisedSimplex revised;
+    revised.load(lp);
+    const LpSolution rs = revised.solve();
+    ++lps;
+    EXPECT_EQ(rs.status, dense.status) << "variable " << var;
+    if (rs.status == SolveStatus::kOptimal && dense.status == SolveStatus::kOptimal) {
+      EXPECT_NEAR(rs.objective, dense.objective, 1e-9 * std::max(1.0, std::abs(dense.objective)))
+          << "variable " << var << (direction == Objective::kMaximize ? " max" : " min");
+    }
+    return rs;
+  };
+  for (std::size_t l = 0; l < net.layer_count(); ++l) {
+    std::vector<std::size_t> next_vars;
+    std::vector<absint::Interval> next_bounds;
+    if (net.layer(l).kind() == nn::LayerKind::kDense) {
+      const auto& layer = static_cast<const nn::Dense&>(net.layer(l));
+      for (std::size_t r = 0; r < layer.output_shape().numel(); ++r) {
+        absint::Interval iv(layer.bias()[r], layer.bias()[r]);
+        for (std::size_t c = 0; c < vars.size(); ++c)
+          iv = iv + absint::scale(bounds[c], layer.weight().at2(r, c));
+        const std::size_t y = lp.add_variable(iv.lo, iv.hi);
+        std::vector<LinearTerm> terms{{y, 1.0}};
+        for (std::size_t c = 0; c < vars.size(); ++c) {
+          const double weight = layer.weight().at2(r, c);
+          if (weight != 0.0) terms.push_back({vars[c], -weight});
+        }
+        lp.add_row(std::move(terms), RowSense::kEqual, layer.bias()[r]);
+        double lo = iv.lo, hi = iv.hi;
+        const LpSolution min_sol = solve_both(y, Objective::kMinimize);
+        if (min_sol.status == SolveStatus::kOptimal) lo = std::max(lo, min_sol.objective - 1e-9);
+        const LpSolution max_sol = solve_both(y, Objective::kMaximize);
+        if (max_sol.status == SolveStatus::kOptimal) hi = std::min(hi, max_sol.objective + 1e-9);
+        lp.set_objective({}, Objective::kMinimize);
+        if (lo > hi) lo = hi;
+        lp.set_bounds(y, lo, hi);
+        next_vars.push_back(y);
+        next_bounds.emplace_back(lo, hi);
+      }
+    } else {  // ReLU: stable ones eliminated, unstable ones big-M plus triangle
+      for (std::size_t i = 0; i < vars.size(); ++i) {
+        const double lo = bounds[i].lo, hi = bounds[i].hi;
+        if (lo >= 0.0) {
+          next_vars.push_back(vars[i]);
+          next_bounds.push_back(bounds[i]);
+          continue;
+        }
+        if (hi <= 0.0) {
+          next_vars.push_back(lp.add_variable(0.0, 0.0));
+          next_bounds.emplace_back(0.0, 0.0);
+          continue;
+        }
+        const std::size_t x = vars[i];
+        const std::size_t y = lp.add_variable(0.0, hi);
+        const std::size_t z = lp.add_variable(0.0, 1.0);
+        lp.add_row({{y, 1.0}, {x, -1.0}}, RowSense::kGreaterEqual, 0.0);
+        lp.add_row({{y, 1.0}, {z, -hi}}, RowSense::kLessEqual, 0.0);
+        lp.add_row({{y, 1.0}, {x, -1.0}, {z, -lo}}, RowSense::kLessEqual, -lo);
+        const double slope = hi / (hi - lo);
+        lp.add_row({{y, 1.0}, {x, -slope}}, RowSense::kLessEqual, -slope * lo);
+        next_vars.push_back(y);
+        next_bounds.push_back(absint::relu(bounds[i]));
+      }
+    }
+    vars = std::move(next_vars);
+    bounds = std::move(next_bounds);
+  }
+  EXPECT_EQ(lps, 2u * (3 * 16 + 2));
+  EXPECT_EQ(lp.variable_count(), 162u);
+  EXPECT_EQ(lp.row_count(), 242u);
 }
 
 TEST(FactorizationVerdictParity, FullBatteryAcrossBackendsThreadsAndCuts) {

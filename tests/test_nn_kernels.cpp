@@ -1,13 +1,20 @@
 // Bit-exact oracle for the nn inference kernels.
 //
-// The raw-pointer kernels (Conv2D / MaxPool2D / AvgPool2D forward, the
-// activations, matvec, Dense::backward_input) must reproduce the checked
-// per-element loops they replaced bit for bit: same accumulation order,
-// and a multiply-add fused wherever the compiler fused the old one. The
-// reference loops below are those loops, kept here as test-only oracles;
-// every output element is compared by bit pattern, with no tolerance,
-// once with the SIMD dispatch on and once forced scalar. Run it in an
-// optimized and in an unoptimized build: the two fuse differently.
+// Conv2D and MaxPool2D forward follow a written specification: each conv
+// output is its bias, then one std::fma per tap in ic -> kr -> kc order,
+// padded taps skipped; each max-pool output starts at -inf and takes its
+// window's cells in row-major order as `if (v > best) best = v`. The
+// other raw-pointer kernels (AvgPool2D forward, the activations, matvec,
+// Dense::backward_input) must reproduce the checked per-element loops
+// they replaced bit for bit: same accumulation order, and a multiply-add
+// fused wherever the compiler fused the old one. The reference loops
+// below are that specification and those loops, kept here as test-only
+// oracles; every output element is compared by bit pattern, with no
+// tolerance, once with the SIMD dispatch on and once forced scalar. Run
+// it in an optimized and in an unoptimized build: the two fuse
+// differently where the compiler decides. A hash of a testbed-shaped
+// conv / max-pool stack pins the specified kernels to one committed
+// value in every build, with or without the SIMD bodies.
 // A second suite checks that every layer kind rejects a mis-sized tensor
 // with ContractViolation before touching memory.
 #include <gtest/gtest.h>
@@ -44,14 +51,6 @@ namespace {
 // Reference loops: checked accessors, one element at a time.
 // ---------------------------------------------------------------------------
 
-double ref_input_at(const Tensor& x, std::size_t in_height, std::size_t in_width,
-                    std::size_t c, long r, long col) {
-  if (r < 0 || col < 0 || r >= static_cast<long>(in_height) ||
-      col >= static_cast<long>(in_width))
-    return 0.0;
-  return x.at3(c, static_cast<std::size_t>(r), static_cast<std::size_t>(col));
-}
-
 Tensor ref_conv_forward(const Conv2D& conv, const Tensor& x_in) {
   const Shape in = conv.input_shape();
   const Shape out = conv.output_shape();
@@ -72,10 +71,16 @@ Tensor ref_conv_forward(const Conv2D& conv, const Tensor& x_in) {
         for (std::size_t ic = 0; ic < in_channels; ++ic) {
           const std::size_t wbase = (oc * in_channels + ic) * k2;
           for (std::size_t kr = 0; kr < kernel; ++kr)
-            for (std::size_t kc = 0; kc < kernel; ++kc)
-              acc += weight[wbase + kr * kernel + kc] *
-                     ref_input_at(x, in_height, in_width, ic, base_r + static_cast<long>(kr),
-                                  base_c + static_cast<long>(kc));
+            for (std::size_t kc = 0; kc < kernel; ++kc) {
+              const long r = base_r + static_cast<long>(kr);
+              const long c = base_c + static_cast<long>(kc);
+              if (r < 0 || c < 0 || r >= static_cast<long>(in_height) ||
+                  c >= static_cast<long>(in_width))
+                continue;  // a padded tap
+              acc = std::fma(weight[wbase + kr * kernel + kc],
+                             x.at3(ic, static_cast<std::size_t>(r), static_cast<std::size_t>(c)),
+                             acc);
+            }
         }
         y.at3(oc, orow, ocol) = acc;
       }
@@ -337,6 +342,97 @@ TEST_P(KernelOracle, PoolingForwardMatchesReference) {
       expect_bit_identical(avg_pool.forward(x), ref_avgpool_forward(avg_pool, x),
                            "avgpool " + what);
     }
+}
+
+TEST_P(KernelOracle, Conv2DForwardMatchesReferenceAtEveryRowWidth) {
+  // Stride-1 rows of 1 to 40 columns: every split of a row into 16-column
+  // register blocks and a shifted last vector, and 1 to 10 output channels
+  // across the padded edge columns.
+  Rng rng(111);
+  const std::pair<std::size_t, std::size_t> kernel_padding[] = {{3, 1}, {3, 0}, {5, 2}};
+  for (std::size_t w = 1; w <= 40; ++w)
+    for (const auto& [kernel, padding] : kernel_padding) {
+      if (w + 2 * padding < kernel) continue;
+      const std::size_t in_c = static_cast<std::size_t>(rng.uniform_int(1, 3));
+      const std::size_t out_c = static_cast<std::size_t>(rng.uniform_int(1, 10));
+      const std::size_t h = static_cast<std::size_t>(rng.uniform_int(static_cast<int>(kernel), 6));
+      Conv2D conv(in_c, h, w, out_c, kernel, 1, padding);
+      conv.set_parameters(random_tensor(Shape{out_c * in_c * kernel * kernel}, rng),
+                          random_tensor(Shape{out_c}, rng));
+      const Tensor x = random_tensor(Shape{in_c, h, w}, rng);
+      expect_bit_identical(conv.forward(x), ref_conv_forward(conv, x),
+                           "conv out " + conv.output_shape().to_string() + " k" +
+                               std::to_string(kernel) + " p" + std::to_string(padding));
+    }
+}
+
+TEST_P(KernelOracle, MaxPoolKeepsTheFirstOfEqualZerosAndNeverTakesANaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double cells[] = {-0.0, 0.0, nan, -inf, inf, 1.0, -1.0, 0.0, -0.0, nan, 0.25};
+  Rng rng(222);
+  for (std::size_t window : {2, 3})
+    for (std::size_t out_w : {1, 4, 5, 6, 7, 8, 9}) {
+      const MaxPool2D pool(2, 2 * window, out_w * window, window);
+      Tensor x(pool.input_shape());
+      for (std::size_t i = 0; i < x.numel(); ++i)
+        x[i] = cells[static_cast<std::size_t>(rng.uniform_int(0, 10))];
+      expect_bit_identical(pool.forward(x), ref_maxpool_forward(pool, x),
+                           "maxpool window " + std::to_string(window) + " out width " +
+                               std::to_string(out_w));
+    }
+}
+
+/// 64-bit FNV-1a over the bit patterns of a tensor's values.
+std::uint64_t fnv1a(const Tensor& t) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (std::size_t i = 0; i < t.numel(); ++i) {
+    const std::uint64_t b = bits(t[i]);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (b >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+/// Value k of a fixed sequence in [lo_num / den, (lo_num + 1000) / den]: an
+/// integer pattern and one division, so every build computes the same bits.
+double pattern_value(std::size_t k, std::size_t mul, long lo_num, double den) {
+  return static_cast<double>(static_cast<long>((k * mul + 17) % 1001) + lo_num) / den;
+}
+
+TEST_P(KernelOracle, ConvPoolStackHashIsBuildIndependent) {
+  // The testbed's convolutional stack (1x16x32 image, 4 and 8 channels),
+  // with parameters and images from integer patterns rather than
+  // Rng::normal or the renderer, whose arithmetic the compiler may fuse.
+  // The specified kernels compute one result in every build: optimized or
+  // not, with or without the SIMD bodies, and forced scalar.
+  Network net;
+  auto conv1 = std::make_unique<Conv2D>(1, 16, 32, 4, 3, 1, 1);
+  auto conv2 = std::make_unique<Conv2D>(4, 8, 16, 8, 3, 1, 1);
+  for (Conv2D* conv : {conv1.get(), conv2.get()}) {
+    Tensor w(conv->weight().shape());
+    Tensor b(conv->bias().shape());
+    for (std::size_t i = 0; i < w.numel(); ++i) w[i] = pattern_value(i, 7919, -500, 1999.0);
+    for (std::size_t i = 0; i < b.numel(); ++i) b[i] = pattern_value(i, 104729, -500, 9973.0);
+    conv->set_parameters(w, b);
+  }
+  net.add(std::move(conv1));
+  net.add(std::make_unique<ReLU>(Shape{4, 16, 32}));
+  net.add(std::make_unique<MaxPool2D>(4, 16, 32, 2));
+  net.add(std::move(conv2));
+  net.add(std::make_unique<ReLU>(Shape{8, 8, 16}));
+  net.add(std::make_unique<MaxPool2D>(8, 8, 16, 2));
+  Tensor outputs(Shape{4, 8 * 4 * 8});
+  for (std::size_t image = 0; image < 4; ++image) {
+    Tensor x(Shape{1, 16, 32});
+    for (std::size_t i = 0; i < x.numel(); ++i)
+      x[i] = pattern_value(image * x.numel() + i, 6007, 0, 1000.0);
+    const Tensor y = net.forward(x);
+    std::copy(y.data().begin(), y.data().end(), outputs.data().begin() + image * y.numel());
+  }
+  EXPECT_EQ(fnv1a(outputs), 0xc6c608a0705f7749ull) << std::hex << fnv1a(outputs);
 }
 
 TEST_P(KernelOracle, ActivationsMatchPerElementVirtualReference) {

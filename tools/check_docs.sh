@@ -121,6 +121,10 @@ check_symbol src/common  "argmax_violation"
 check_symbol src/common  "sparse_gather_dot"
 check_symbol src/common  "max_square_scaled"
 check_symbol src/common  "hadamard_fma"
+check_symbol src/common  "TapGrid"
+check_symbol src/common  "fma_taps"
+check_symbol src/common  "fma_taps_shared_input"
+check_symbol src/common  "window_max"
 check_symbol src/verify  "FalsifyOptions"
 check_symbol src/verify  "falsify_query"
 check_symbol src/verify  "prove_by_bounds"

@@ -15,13 +15,12 @@
 //
 // Machine-readable results land in BENCH_e5.json (cwd) so the perf
 // trajectory is tracked across PRs; the LP-core axis writes
-// BENCH_simplex.json (a cumulative config chain from the product-form /
-// Dantzig / cold-install baseline through basis reuse, Forrest–Tomlin
-// updates, Devex pricing, SIMD kernels and batched sibling re-solves,
-// with per-optimization deltas at verdict parity — compared against
-// bench/baselines/BENCH_simplex.json by tools/bench_compare.py), the
-// cutting-plane axis writes BENCH_cuts.json (B&B node counts with the
-// cut engine off / root at verdict parity), and the bounds-method x
+// BENCH_simplex.json (deterministic pivot, factorization, pricing and
+// node counters of the one LP-core configuration plus exact verdicts,
+// for a heavier battery, its widest tail and the E5 battery — compared
+// against bench/baselines/BENCH_simplex.json by tools/bench_compare.py),
+// the cutting-plane axis writes BENCH_cuts.json (B&B node counts with
+// the cut engine off / root at verdict parity), and the bounds-method x
 // encoding-cache battery additionally writes BENCH_encoding.json
 // (binaries, stable ReLUs and encode time per bound method, plus the
 // cached stamp-out speedup after the first entry). Every axis runs the
@@ -35,6 +34,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -310,31 +310,15 @@ void print_cuts_report(const std::vector<Query>& queries) {
 }
 
 // --------------------------------------------------------------------
-// LP-core axis: the same SAFE-proof battery through a *cumulative*
-// configuration chain, so each rung isolates one optimization's delta
-// against the rung below it:
-//   dense-inverse   — the O(m²)-per-pivot explicit-inverse oracle
-//   pr5-baseline    — sparse LU + product-form etas + Dantzig pricing,
-//                     cold basis installs, no batching, scalar kernels
-//                     (the state of the LP core before this PR)
-//   +basis-reuse    — matching-basis installs skip refactorization
-//   +ft             — Forrest–Tomlin U-updates replace the eta file
-//   +incr-d         — incremental reduced costs replace the
-//                     per-iteration duals BTRAN + lazy pricing dots
-//   +devex          — Devex reference-weight dual pricing
-//   +simd           — AVX2 kernels on (the shipped default)
-//   +batch          — batched sibling re-solves in branch & bound
-// The headline is widest-tail wall of pr5-baseline vs +simd (the
-// Devex+FT+SIMD core the ISSUE targets); +batch is reported on top.
+// LP-core axis: the counters of the one LP-core configuration (sparse
+// LU with Forrest–Tomlin updates, Devex pricing, matching-basis reuse,
+// incremental reduced costs, batched sibling re-solves) on serial,
+// cuts-off searches. They are deterministic for a given build, so the
+// committed baseline gates drift in them and exact verdicts; wall
+// seconds are recorded but not compared.
 
 /// The LP-core axis uses a heavier battery than the scalability table:
-/// the optimizations it isolates (update density, pricing, SIMD width)
-/// only pay off once the basis is large enough that pivot kernels — not
-/// encoding and node bookkeeping — dominate the wall. Queries that
-/// exhaust the shared node budget print UNKNOWN on every rung, which
-/// the parity check treats as compatible; the timing comparison is then
-/// a fixed-node-budget per-pivot cost measurement, which is exactly the
-/// quantity this axis exists to track.
+/// pivot kernels, not encoding and node bookkeeping, dominate its wall.
 std::vector<Query> make_lp_core_query_set() {
   std::vector<Query> queries;
   for (const std::size_t depth : {2u, 3u}) {
@@ -351,35 +335,6 @@ std::vector<Query> make_lp_core_query_set() {
   return queries;
 }
 
-struct LpCoreConfig {
-  const char* name;
-  lp::FactorizationKind factorization = lp::FactorizationKind::kSparseLu;
-  lp::BasisUpdateKind update = lp::BasisUpdateKind::kProductFormEta;
-  lp::PricingRule pricing = lp::PricingRule::kDantzig;
-  bool reuse_basis = false;
-  bool incremental_d = false;
-  bool batch_siblings = false;
-  bool force_scalar = true;
-};
-
-struct SimplexSweep {
-  std::string config;
-  double wall_seconds = 0.0;
-  std::size_t nodes = 0;
-  std::size_t pivots = 0;  ///< simplex iterations across the battery
-  std::size_t factorizations = 0;
-  std::size_t updates = 0;
-  std::size_t ft_updates = 0;
-  std::size_t eta_updates = 0;
-  std::size_t pricing_resets = 0;
-  std::size_t sibling_batches = 0;
-  double avg_eta_nnz = 0.0;
-  double factor_seconds = 0.0;
-  double pivot_seconds = 0.0;
-  double widest_seconds = 0.0;  ///< wall on the widest tail of the battery
-  std::string verdicts;
-};
-
 std::size_t widest_query_index(const std::vector<Query>& queries) {
   std::size_t widest = 0;
   for (std::size_t i = 0; i < queries.size(); ++i)
@@ -389,84 +344,34 @@ std::size_t widest_query_index(const std::vector<Query>& queries) {
   return widest;
 }
 
-/// One query of the LP-core battery under `config`; returns its wall
-/// seconds. The caller owns the simd force-scalar toggle.
-double run_lp_core_query(const std::vector<Query>& queries, std::size_t i,
-                         const LpCoreConfig& config,
-                         verify::VerificationResult& r) {
-  const auto query_start = std::chrono::steady_clock::now();
-  verify::VerificationQuery vq;
-  vq.network = &queries[i].net;
-  vq.attach_layer = 0;
-  vq.input_box = absint::uniform_box(queries[i].width, -1.0, 1.0);
-  vq.risk.output_at_least(0, 2, queries[i].threshold);
-  verify::TailVerifierOptions options;
-  options.milp.max_nodes = 4000;
-  options.milp.backend = solver::LpBackendKind::kRevisedBounded;
-  options.milp.threads = 1;
-  options.milp.lp_options.factorization = config.factorization;
-  options.milp.lp_options.basis_update = config.update;
-  options.milp.lp_options.pricing = config.pricing;
-  options.milp.lp_options.reuse_matching_basis = config.reuse_basis;
-  options.milp.lp_options.incremental_reduced_costs = config.incremental_d;
-  options.milp.batch_sibling_solves = config.batch_siblings;
-  r = verify::TailVerifier(options).verify(vq);
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       query_start)
-      .count();
-}
-
-SimplexSweep run_simplex_sweep(const std::vector<Query>& queries,
-                               const LpCoreConfig& config) {
-  SimplexSweep sweep;
-  sweep.config = config.name;
-  const std::size_t widest = widest_query_index(queries);
-  simd::set_force_scalar(config.force_scalar);
+/// One BENCH_simplex row: counters summed over the queries it covers.
+struct LpCoreRow {
+  std::string config;
+  double wall_seconds = 0.0;
+  std::size_t nodes = 0;
+  std::size_t pivots = 0;  ///< simplex iterations
   solver::SolverStats stats;
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    verify::VerificationResult r;
-    const double seconds = run_lp_core_query(queries, i, config, r);
-    if (i == widest) sweep.widest_seconds = seconds;
-    sweep.nodes += r.milp_nodes;
-    sweep.pivots += r.lp_iterations;
+  std::string verdicts;
+
+  void add(const verify::VerificationResult& r, double seconds) {
+    wall_seconds += seconds;
+    nodes += r.milp_nodes;
+    pivots += r.lp_iterations;
     stats.merge(r.solver_stats);
-    if (!sweep.verdicts.empty()) sweep.verdicts += ',';
-    sweep.verdicts += verify::verdict_name(r.verdict);
+    if (!verdicts.empty()) verdicts += ',';
+    verdicts += verify::verdict_name(r.verdict);
   }
-  sweep.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  // Wall times feed the headline, so single-shot noise (scheduler
-  // interference on a shared box) must not swing them: a second
-  // timing-only pass over the battery makes both walls best-of-two.
-  // Deterministic solver ⇒ the rerun is byte-identical work; its
-  // counters are deliberately NOT merged (the counter columns describe
-  // exactly one pass over the battery).
-  const auto second_pass = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    verify::VerificationResult r;
-    const double seconds = run_lp_core_query(queries, i, config, r);
-    if (i == widest) sweep.widest_seconds = std::min(sweep.widest_seconds, seconds);
-  }
-  sweep.wall_seconds = std::min(
-      sweep.wall_seconds,
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - second_pass)
-          .count());
-  simd::set_force_scalar(false);
-  sweep.factorizations = stats.basis_factorizations;
-  sweep.updates = stats.basis_updates;
-  sweep.ft_updates = stats.ft_updates;
-  sweep.eta_updates = stats.eta_updates;
-  sweep.pricing_resets = stats.pricing_resets;
-  sweep.sibling_batches = stats.sibling_batches;
-  sweep.avg_eta_nnz = stats.avg_eta_nonzeros();
-  sweep.factor_seconds = stats.factor_seconds;
-  sweep.pivot_seconds = stats.pivot_seconds;
-  return sweep;
+};
+
+/// Serial, cuts-off verification of `query`, with its wall seconds.
+std::pair<verify::VerificationResult, double> timed_verify(const Query& query) {
+  const auto start = std::chrono::steady_clock::now();
+  verify::VerificationResult r = verify_tail(query, solver::LpBackendKind::kRevisedBounded, 1);
+  return {std::move(r),
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count()};
 }
 
-void emit_simplex_json(const std::vector<SimplexSweep>& sweeps, std::size_t base,
-                       std::size_t head, bool parity) {
+void emit_simplex_json(const std::vector<LpCoreRow>& rows) {
   std::FILE* f = std::fopen("BENCH_simplex.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "BENCH_simplex.json: cannot open for writing\n");
@@ -475,124 +380,52 @@ void emit_simplex_json(const std::vector<SimplexSweep>& sweeps, std::size_t base
   std::fprintf(f, "{\n  \"bench\": \"e5_lp_core\",\n  \"simd_compiled\": %s,\n",
                simd::compiled_with_avx2() ? "true" : "false");
   std::fprintf(f, "  \"configs\": [\n");
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    const SimplexSweep& s = sweeps[i];
-    // step_speedup_widest: this rung's widest-tail gain over the rung
-    // below it — the per-optimization delta (1.0 for the first rung).
-    const double step =
-        i > 0 && s.widest_seconds > 0
-            ? sweeps[i - 1].widest_seconds / s.widest_seconds
-            : 1.0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const LpCoreRow& row = rows[i];
     std::fprintf(f,
-                 "    {\"config\": \"%s\", \"wall_seconds\": %.6f, "
-                 "\"widest_tail_seconds\": %.6f, \"step_speedup_widest\": %.3f, "
-                 "\"nodes\": %zu, \"pivots\": %zu, "
-                 "\"refactorizations\": %zu, \"updates\": %zu, \"ft_updates\": %zu, "
-                 "\"eta_updates\": %zu, \"pricing_resets\": %zu, "
+                 "    {\"config\": \"%s\", \"nodes\": %zu, \"pivots\": %zu, "
+                 "\"refactorizations\": %zu, \"updates\": %zu, \"pricing_resets\": %zu, "
                  "\"sibling_batches\": %zu, \"avg_eta_nnz\": %.2f, "
-                 "\"factor_seconds\": %.6f, \"pivot_seconds\": %.6f, "
-                 "\"verdicts\": \"%s\"}%s\n",
-                 s.config.c_str(), s.wall_seconds, s.widest_seconds, step, s.nodes,
-                 s.pivots, s.factorizations, s.updates, s.ft_updates, s.eta_updates,
-                 s.pricing_resets, s.sibling_batches, s.avg_eta_nnz, s.factor_seconds,
-                 s.pivot_seconds, s.verdicts.c_str(), i + 1 < sweeps.size() ? "," : "");
+                 "\"wall_seconds\": %.6f, \"factor_seconds\": %.6f, "
+                 "\"pivot_seconds\": %.6f, \"verdicts\": \"%s\"}%s\n",
+                 row.config.c_str(), row.nodes, row.pivots, row.stats.basis_factorizations,
+                 row.stats.basis_updates, row.stats.pricing_resets,
+                 row.stats.sibling_batches, row.stats.avg_eta_nonzeros(), row.wall_seconds,
+                 row.stats.factor_seconds, row.stats.pivot_seconds, row.verdicts.c_str(),
+                 i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"headline\": {\"baseline\": \"%s\", \"optimized\": \"%s\", ",
-               sweeps[base].config.c_str(), sweeps[head].config.c_str());
-  std::fprintf(f, "\"speedup_battery\": %.3f, ",
-               sweeps[head].wall_seconds > 0
-                   ? sweeps[base].wall_seconds / sweeps[head].wall_seconds
-                   : 0.0);
-  std::fprintf(f, "\"speedup_widest_tail\": %.3f},\n",
-               sweeps[head].widest_seconds > 0
-                   ? sweeps[base].widest_seconds / sweeps[head].widest_seconds
-                   : 0.0);
-  std::fprintf(f, "  \"verdict_parity\": %s\n}\n", parity ? "true" : "false");
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote BENCH_simplex.json\n");
 }
 
-void print_simplex_report() {
+void print_simplex_report(const std::vector<Query>& e5_queries) {
   const std::vector<Query> queries = make_lp_core_query_set();
-  std::printf("\n=== E5: LP-core axis (heavier proof battery, cumulative config chain) ===\n");
-  std::printf("%14s | %8s | %8s | %8s | %8s | %8s | %6s | %8s | %8s\n", "config",
-              "wall s", "widest s", "pivots", "refactor", "updates", "resets",
-              "batches", "step-x");
-  std::printf("---------------+----------+----------+----------+----------+----------+--------+----------+---------\n");
-  std::vector<LpCoreConfig> chain;
-  chain.push_back({"dense-inverse", lp::FactorizationKind::kDenseInverse,
-                   lp::BasisUpdateKind::kProductFormEta, lp::PricingRule::kDantzig,
-                   false, false, false, true});
-  chain.push_back({"pr5-baseline", lp::FactorizationKind::kSparseLu,
-                   lp::BasisUpdateKind::kProductFormEta, lp::PricingRule::kDantzig,
-                   false, false, false, true});
-  chain.push_back({"+basis-reuse", lp::FactorizationKind::kSparseLu,
-                   lp::BasisUpdateKind::kProductFormEta, lp::PricingRule::kDantzig,
-                   true, false, false, true});
-  chain.push_back({"+ft", lp::FactorizationKind::kSparseLu,
-                   lp::BasisUpdateKind::kForrestTomlin, lp::PricingRule::kDantzig,
-                   true, false, false, true});
-  chain.push_back({"+incr-d", lp::FactorizationKind::kSparseLu,
-                   lp::BasisUpdateKind::kForrestTomlin, lp::PricingRule::kDantzig,
-                   true, true, false, true});
-  chain.push_back({"+devex", lp::FactorizationKind::kSparseLu,
-                   lp::BasisUpdateKind::kForrestTomlin, lp::PricingRule::kDevex,
-                   true, true, false, true});
-  chain.push_back({"+simd", lp::FactorizationKind::kSparseLu,
-                   lp::BasisUpdateKind::kForrestTomlin, lp::PricingRule::kDevex,
-                   true, true, false, false});
-  chain.push_back({"+batch", lp::FactorizationKind::kSparseLu,
-                   lp::BasisUpdateKind::kForrestTomlin, lp::PricingRule::kDevex,
-                   true, true, true, false});
-  std::vector<SimplexSweep> sweeps;
-  std::vector<std::string> all_verdicts;
-  for (const LpCoreConfig& config : chain) {
-    sweeps.push_back(run_simplex_sweep(queries, config));
-    all_verdicts.push_back(sweeps.back().verdicts);
-  }
-  const bool parity = decided_verdicts_agree(all_verdicts);
-  const std::size_t base = 1;                 // pr5-baseline
-  const std::size_t head = sweeps.size() - 2; // +simd (the shipped LP core)
-  // Interleaved headline duel: the headline ratio compares two sweeps
-  // timed minutes apart, so a load spike during either one skews it.
-  // Re-time just the headline pair on the widest query back-to-back,
-  // alternating sides for three rounds and keeping each side's best —
-  // both rungs see the same machine conditions, and min-of-N discards
-  // the interference that only ever adds time.
   const std::size_t widest = widest_query_index(queries);
-  for (int round = 0; round < 3; ++round) {
-    for (const std::size_t side : {base, head}) {
-      verify::VerificationResult r;
-      simd::set_force_scalar(chain[side].force_scalar);
-      sweeps[side].widest_seconds =
-          std::min(sweeps[side].widest_seconds,
-                   run_lp_core_query(queries, widest, chain[side], r));
-    }
+  std::vector<LpCoreRow> rows(3);
+  rows[0].config = "lp-core-battery";
+  rows[1].config = "widest-tail";
+  rows[2].config = "e5-battery";
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto [r, seconds] = timed_verify(queries[i]);
+    rows[0].add(r, seconds);
+    if (i == widest) rows[1].add(r, seconds);
   }
-  simd::set_force_scalar(false);
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    const SimplexSweep& s = sweeps[i];
-    const double step = i > 0 && s.widest_seconds > 0
-                            ? sweeps[i - 1].widest_seconds / s.widest_seconds
-                            : 1.0;
-    std::printf("%14s | %8.3f | %8.3f | %8zu | %8zu | %8zu | %6zu | %8zu | %7.2fx\n",
-                s.config.c_str(), s.wall_seconds, s.widest_seconds, s.pivots,
-                s.factorizations, s.updates, s.pricing_resets, s.sibling_batches, step);
+  for (const Query& query : e5_queries) {
+    const auto [r, seconds] = timed_verify(query);
+    rows[2].add(r, seconds);
   }
-  std::printf("verdict compatibility across the config chain (UNKNOWN = budget): %s\n",
-              parity ? "OK" : "CONFLICT");
-  std::printf("headline: %s -> %s widest tail %.3fs -> %.3fs (%.2fx), battery %.2fx; "
-              "+batch widest %.3fs\n",
-              sweeps[base].config.c_str(), sweeps[head].config.c_str(),
-              sweeps[base].widest_seconds, sweeps[head].widest_seconds,
-              sweeps[head].widest_seconds > 0
-                  ? sweeps[base].widest_seconds / sweeps[head].widest_seconds
-                  : 0.0,
-              sweeps[head].wall_seconds > 0
-                  ? sweeps[base].wall_seconds / sweeps[head].wall_seconds
-                  : 0.0,
-              sweeps.back().widest_seconds);
-  emit_simplex_json(sweeps, base, head, parity);
+
+  std::printf("\n=== E5: LP-core axis (serial, cuts off; counters gated, walls not) ===\n");
+  std::printf("%16s | %8s | %8s | %8s | %8s | %8s | %6s | %8s\n", "config", "wall s",
+              "nodes", "pivots", "refactor", "updates", "resets", "batches");
+  std::printf("-----------------+----------+----------+----------+----------+----------+--------+---------\n");
+  for (const LpCoreRow& row : rows)
+    std::printf("%16s | %8.3f | %8zu | %8zu | %8zu | %8zu | %6zu | %8zu  %s\n",
+                row.config.c_str(), row.wall_seconds, row.nodes, row.pivots,
+                row.stats.basis_factorizations, row.stats.basis_updates,
+                row.stats.pricing_resets, row.stats.sibling_batches, row.verdicts.c_str());
+  emit_simplex_json(rows);
 }
 
 // --------------------------------------------------------------------
@@ -858,7 +691,7 @@ void print_report() {
 
   emit_json(sweeps, verdicts_match, queries.size(), serial, pooled);
 
-  print_simplex_report();
+  print_simplex_report(queries);
 
   print_cuts_report(queries);
 

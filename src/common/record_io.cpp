@@ -51,8 +51,12 @@ std::size_t RecordReader::size_value() { return parse_digits(token(), 0); }
 
 std::size_t RecordReader::count() {
   const std::size_t n = size_value();
-  if (n > (text_.size() - pos_) / 2) fail("count " + std::to_string(n) + " exceeds the file");
+  expect_room(n);
   return n;
+}
+
+void RecordReader::expect_room(std::size_t n) {
+  if (n > (text_.size() - pos_) / 2) fail("count " + std::to_string(n) + " exceeds the file");
 }
 
 double RecordReader::dbl() {

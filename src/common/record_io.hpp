@@ -58,6 +58,9 @@ class RecordReader {
   /// least one separator and one token byte, so a count larger than
   /// half the unread text is rejected here, before any allocation.
   std::size_t count();
+  /// Fails unless `n` elements, by the rule of count(), still fit in the
+  /// unread text.
+  void expect_room(std::size_t n);
   double dbl();
   bool boolean();
   std::string str();

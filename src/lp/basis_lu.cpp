@@ -13,7 +13,7 @@ namespace {
 constexpr double kAbsPivotTol = 1e-11;
 /// Threshold (relative to the column max) for Markowitz pivot stability.
 constexpr double kRelPivotTol = 0.01;
-/// Update pivots (eta pivot / FT spike diagonal) below this force a
+/// Update pivots (the new FT spike diagonal) below this force a
 /// refactorization instead of an update.
 constexpr double kEtaPivotTol = 1e-10;
 /// Entries below this are dropped from update columns/rows.
@@ -21,35 +21,21 @@ constexpr double kEtaDropTol = 1e-12;
 
 /// Adaptive update cadence: small bases refactorize eagerly (the LU is
 /// nearly free and short files keep solves tight); large bases amortize
-/// the O(nnz) refactorization over proportionally more updates. The
-/// historical fixed cap was 64 regardless of dimension. Forrest–Tomlin
-/// keeps U genuinely triangular — its per-update solve tax is a short
-/// row-eta, not a densifying eta column — so it can run twice as long
-/// between refactorizations (the nonzero-growth trigger still guards
-/// pathological fill either way).
-std::size_t cadence_for_dimension(std::size_t m, BasisUpdateKind kind) {
-  return kind == BasisUpdateKind::kForrestTomlin
-             ? std::clamp<std::size_t>(m, 64, 512)
-             : std::clamp<std::size_t>(m / 2, 32, 256);
+/// the O(nnz) refactorization over proportionally more updates.
+/// Forrest–Tomlin keeps U genuinely triangular — its per-update solve tax
+/// is a short row-eta, not a densifying eta column — so the cap can grow
+/// with the dimension (the nonzero-growth trigger still guards
+/// pathological fill).
+std::size_t cadence_for_dimension(std::size_t m) {
+  return std::clamp<std::size_t>(m, 64, 512);
 }
 
 }  // namespace
-
-const char* basis_update_kind_name(BasisUpdateKind kind) {
-  switch (kind) {
-    case BasisUpdateKind::kForrestTomlin:
-      return "forrest-tomlin";
-    case BasisUpdateKind::kProductFormEta:
-      return "product-form-eta";
-  }
-  return "?";
-}
 
 bool BasisLu::factorize(const CscMatrix& A, std::size_t n,
                         const std::vector<std::int32_t>& basic) {
   m_ = basic.size();
   valid_ = false;
-  active_kind_ = requested_kind_;
   lrow_.assign(m_, 0);
   // Keep inner-vector capacities alive across factorizations: the
   // engine refactorizes thousands of times per verification query and
@@ -64,13 +50,12 @@ bool BasisLu::factorize(const CscMatrix& A, std::size_t n,
   udiag_.assign(m_, 0.0);
   step_of_col_.assign(m_, 0);
   lu_nonzeros_ = 0;
-  etas_.clear();
   ft_etas_.clear();
   eta_file_nonzeros_ = 0;
   updates_since_factor_ = 0;
   u_fill_ = 0;
   spike_cache_valid_ = false;
-  cadence_ = cadence_for_dimension(m_, active_kind_);
+  cadence_ = cadence_for_dimension(m_);
   if (m_ == 0) {
     valid_ = true;
     return true;
@@ -305,10 +290,8 @@ void BasisLu::ftran(std::vector<double>& x) const {
   // Stash the pre-back-substitution vector: it equals U·(final result)
   // in row space, which is exactly the spike a Forrest–Tomlin update of
   // this column would otherwise recompute with a full pass over U.
-  if (active_kind_ == BasisUpdateKind::kForrestTomlin) {
-    spike_cache_.assign(x.begin(), x.end());
-    spike_cache_valid_ = true;
-  }
+  spike_cache_.assign(x.begin(), x.end());
+  spike_cache_valid_ = true;
   // Back substitution through U into basis-position space.
   solve_scratch_.assign(m_, 0.0);
   std::vector<double>& out = solve_scratch_;
@@ -320,27 +303,9 @@ void BasisLu::ftran(std::vector<double>& x) const {
     out[pcol_[t]] = v / udiag_[t];
   }
   x.swap(solve_scratch_);
-  // Product-form eta file, oldest first (empty in FT mode).
-  for (const Eta& eta : etas_) {
-    const double xr = x[eta.pivot];
-    if (xr == 0.0) continue;
-    const double scaled = xr * eta.inv_pivot;
-    simd::sparse_scatter_axpy(eta.entries.idx.data(), eta.entries.val.data(),
-                              scaled, x.data(), eta.entries.size());
-    x[eta.pivot] = scaled;
-  }
 }
 
 void BasisLu::btran(std::vector<double>& x) const {
-  // Product-form eta transposes, newest first (empty in FT mode).
-  for (std::size_t e = etas_.size(); e-- > 0;) {
-    const Eta& eta = etas_[e];
-    const double acc =
-        x[eta.pivot] - simd::sparse_gather_dot(eta.entries.idx.data(),
-                                               eta.entries.val.data(), x.data(),
-                                               eta.entries.size());
-    x[eta.pivot] = acc * eta.inv_pivot;
-  }
   // Forward solve through Uᵀ (column-oriented scatter), result lands in
   // constraint-row space.
   solve_scratch_.assign(m_, 0.0);
@@ -381,33 +346,13 @@ bool BasisLu::update(std::size_t r, const std::vector<double>& w) {
   // comparison on it is false) and poison U permanently.
   for (const double v : w)
     if (!std::isfinite(v)) return false;
-  return active_kind_ == BasisUpdateKind::kForrestTomlin
-             ? update_forrest_tomlin(r, w)
-             : update_product_form(r, w);
-}
 
-bool BasisLu::update_product_form(std::size_t r, const std::vector<double>& w) {
-  const double pivot = w[r];
-  if (std::abs(pivot) < kEtaPivotTol) return false;
-  Eta eta;
-  eta.pivot = r;
-  eta.inv_pivot = 1.0 / pivot;
-  for (std::size_t i = 0; i < m_; ++i) {
-    if (i == r || std::abs(w[i]) <= kEtaDropTol) continue;
-    eta.entries.push(i, w[i]);
-  }
-  eta_file_nonzeros_ += eta.entries.size() + 1;
-  etas_.push_back(std::move(eta));
-  ++updates_since_factor_;
-  return true;
-}
-
-// Forrest–Tomlin: replacing the column at basis position r turns U's
-// column r into the spike v = U w (w is already B^{-1} a_q, so v costs
-// one pass over U — no second L solve). The spiked row is moved to the
-// back of the pivot sequence and re-eliminated against the rows below
-// it; the multipliers become one FtEta. Everything here is O(nnz(U) + m).
-bool BasisLu::update_forrest_tomlin(std::size_t r, const std::vector<double>& w) {
+  // Forrest–Tomlin: replacing the column at basis position r turns U's
+  // column r into the spike v = U w (w is already B^{-1} a_q, so v costs
+  // one pass over U — no second L solve). The spiked row is moved to the
+  // back of the pivot sequence and re-eliminated against the rows below
+  // it; the multipliers become one FtEta. Everything here is
+  // O(nnz(U) + m).
   const std::size_t tr = static_cast<std::size_t>(step_of_col_[r]);
 
   // Spike v in step space: v_t = udiag_[t]·w[pcol_[t]] + Σ u·w[col].
@@ -520,10 +465,9 @@ bool BasisLu::update_forrest_tomlin(std::size_t r, const std::vector<double>& w)
 
 bool BasisLu::should_refactorize() const {
   if (updates_since_factor_ >= cadence_) return true;
-  // Every update taxes every later solve (eta applications in PFI mode,
-  // spike fill plus row-etas in FT mode); once the accumulated update
-  // nonzeros outweigh the LU factors several times over, refactorizing
-  // is the cheaper steady state.
+  // Every update taxes every later solve (spike fill plus row-etas); once
+  // the accumulated update nonzeros outweigh the LU factors several times
+  // over, refactorizing is the cheaper steady state.
   return eta_file_nonzeros_ + u_fill_ > 4 * (lu_nonzeros_ + m_);
 }
 

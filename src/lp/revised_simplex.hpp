@@ -15,24 +15,20 @@
 // restarts from the parent's optimal basis, which stays dual feasible,
 // typically needing only a handful of pivots.
 //
-// The basis inverse lives behind SimplexOptions::factorization:
-//   * kSparseLu (default) — sparse LU of the basis (lp::BasisLu) with
-//     Forrest–Tomlin updates by default (product-form etas behind
-//     SimplexOptions::basis_update for differential tests); FTRAN/BTRAN
-//     and the pivot-row pricing all scale with nonzeros, and
-//     refactorization is driven by an adaptive update cadence plus a
-//     numerical-drift trigger.
-//   * kDenseInverse — the original explicit m×m B^{-1}, kept as the
-//     differential-testing oracle (O(m²) per pivot).
-// Either way, a refactorization that discovers a singular basis falls
-// back to the all-logical crash basis (reported in factor_stats())
-// instead of failing the solve.
+// The basis is a sparse LU (lp::BasisLu) absorbing pivots as
+// Forrest–Tomlin updates: FTRAN/BTRAN and the pivot-row pricing all
+// scale with nonzeros, and refactorization is driven by an adaptive
+// update cadence plus a numerical-drift trigger. A refactorization that
+// discovers a singular basis falls back to the all-logical crash basis
+// (reported in factor_stats()) instead of failing the solve. Reduced
+// costs are maintained incrementally from each pivot row and rebuilt
+// with the factors.
 //
-// Leaving-row pricing follows SimplexOptions::pricing: Devex reference
-// weights (default) or plain Dantzig most-violated; see PricingRule in
-// lp/simplex.hpp. Devex state survives a warm resolve() when
-// SimplexOptions::reuse_matching_basis recognises the incoming basis as
-// the one already factorized (the branch-and-bound dive fast path).
+// The leaving row is priced by Devex reference weights, estimates of
+// ||e_r B^{-1}||² (the dual steepest-edge measure) kept up to date from
+// the FTRAN column each pivot already computes. Factors and Devex state
+// survive a warm resolve() whose basis is the one already factorized
+// (the branch-and-bound dive fast path: only the bounds changed).
 #pragma once
 
 #include <cstddef>
@@ -120,7 +116,7 @@ class RevisedSimplex {
   const BasisFactorStats& factor_stats() const { return factor_stats_; }
 
   /// Cumulative Devex reference-framework restarts (weights reset to 1
-  /// after growing past trust). Zero under kDantzig pricing.
+  /// after growing past trust).
   std::size_t pricing_resets() const { return pricing_resets_; }
 
   std::size_t structural_count() const { return n_; }
@@ -129,9 +125,6 @@ class RevisedSimplex {
  private:
   enum : std::int8_t { kAtLower = 0, kAtUpper = 1, kBasic = 2 };
 
-  bool sparse() const {
-    return options_.factorization == FactorizationKind::kSparseLu;
-  }
   void reset_to_logical_basis();
   bool install_basis(const SimplexBasis& basis);
   /// Rebuilds the factorization from basic_; false when singular.
@@ -182,8 +175,7 @@ class RevisedSimplex {
   // Basis state.
   std::vector<std::int32_t> basic_;   ///< size m_
   std::vector<std::int8_t> status_;   ///< size total_
-  std::vector<double> binv_;          ///< kDenseInverse: m_ x m_, row-major
-  BasisLu lu_;                        ///< kSparseLu engine
+  BasisLu lu_;
   std::vector<double> xb_;            ///< basic values, size m_
   /// Pivot-row pricing scratch: dense alpha over all columns, the
   /// indices touched by the last scatter (each once) and their marks.

@@ -18,7 +18,11 @@
 // (src/solver/): each node carries its parent's optimal basis, and since
 // branching only tightens a single variable's box, a warm-startable
 // backend re-solves with a handful of dual-simplex pivots instead of a
-// full cold solve. Each worker owns a private backend instance.
+// full cold solve. When a node branches, both children are solved at
+// once from the parent basis still in the backend
+// (LpBackend::solve_children) and queued under their own relaxation
+// objectives, unless reliability probes already solved them. Each
+// worker owns a private backend instance.
 // Verdicts (and optimal objective values) of searches that run to
 // completion are thread-count-invariant; the specific incumbent point,
 // node counts and steal counts may differ between runs. The exception
@@ -132,17 +136,6 @@ struct BranchAndBoundOptions {
   /// caller's instance, including cached/stamped encodings, is never
   /// mutated.
   cuts::CutOptions cuts = {};
-  /// Solve both children of a branch immediately at expansion through
-  /// LpBackend::solve_children, while the parent basis is still the one
-  /// factorized in the worker's backend (sharing the factorization and
-  /// Devex pricing weights), instead of re-solving each child at pop
-  /// time. Children then carry their *own* relaxation objective as the
-  /// queue bound — strictly tighter than the parent objective the pop
-  /// path queues under — and infeasible children are pruned without
-  /// ever entering the frontier. Skipped when the reliability probes
-  /// already solved the chosen variable's children, which would double
-  /// the LP work.
-  bool batch_sibling_solves = true;
   /// Reference for the reported `best_bound_gap` when a node-limit stop
   /// holds no incumbent (NaN = no reference). The verifier sets this to
   /// the risk threshold of its margin objective, so an UNKNOWN reports

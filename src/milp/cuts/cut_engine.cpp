@@ -13,6 +13,11 @@ namespace dpv::milp::cuts {
 
 namespace {
 
+/// Keep only the most violated cuts of each root round.
+constexpr std::size_t kMaxCutsPerRound = 32;
+/// Reject cuts whose max/min absolute coefficient ratio exceeds this.
+constexpr double kMaxDynamism = 1e7;
+
 void hash_mix(std::size_t& h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
 }
@@ -38,7 +43,7 @@ std::size_t cut_row_hash(const lp::Row& row) {
 }  // namespace
 
 bool sanitize_cut(const MilpProblem& problem, const std::vector<double>& values,
-                  const CutOptions& options, Cut& cut) {
+                  Cut& cut) {
   lp::Row& row = cut.row;
   if (row.sense == lp::RowSense::kEqual) return false;  // generators emit inequalities
   const lp::LpProblem& relax = problem.relaxation();
@@ -91,7 +96,7 @@ bool sanitize_cut(const MilpProblem& problem, const std::vector<double>& values,
   }
   row.terms.resize(out);
   if (row.terms.empty()) return false;
-  if (1.0 / min_abs > options.max_dynamism) return false;
+  if (1.0 / min_abs > kMaxDynamism) return false;
 
   double activity = 0.0;
   for (const lp::LinearTerm& t : row.terms) {
@@ -100,7 +105,7 @@ bool sanitize_cut(const MilpProblem& problem, const std::vector<double>& values,
   }
   cut.violation = row.sense == lp::RowSense::kGreaterEqual ? row.rhs - activity
                                                            : activity - row.rhs;
-  return std::isfinite(cut.violation) && cut.violation >= options.min_violation;
+  return std::isfinite(cut.violation) && cut.violation >= kMinCutViolation;
 }
 
 namespace {
@@ -131,10 +136,9 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
   RootCutReport report;
   if (options.root_rounds == 0 || problem.binary_variables().empty()) return report;
 
-  std::vector<std::unique_ptr<CutGenerator>> generators;
-  if (options.relu_split) generators.push_back(std::make_unique<ReluSplitCutGenerator>());
-  if (options.gomory) generators.push_back(std::make_unique<GomoryCutGenerator>());
-  if (generators.empty()) return report;
+  const ReluSplitCutGenerator relu_split;
+  const GomoryCutGenerator gomory;
+  const CutGenerator* const generators[] = {&relu_split, &gomory};
 
   const std::unique_ptr<solver::LpBackend> backend =
       solver::make_lp_backend(backend_kind, lp_options);
@@ -178,12 +182,12 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
     if (!fractional) break;  // integral root: nothing to separate
     ++report.rounds;
 
-    const CutContext ctx{problem, lp, backend.get(), options};
+    const CutContext ctx{problem, lp, backend.get()};
     std::vector<Cut> candidates;
-    for (const auto& generator : generators) generator->generate(ctx, candidates);
+    for (const CutGenerator* generator : generators) generator->generate(ctx, candidates);
     std::vector<Cut> kept;
     for (Cut& cut : candidates) {
-      if (!sanitize_cut(problem, lp.values, options, cut)) continue;
+      if (!sanitize_cut(problem, lp.values, cut)) continue;
       if (!seen.insert(cut_row_hash(cut.row)).second) continue;
       kept.push_back(std::move(cut));
     }
@@ -278,7 +282,7 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
     if (!kept.empty()) {
       std::stable_sort(kept.begin(), kept.end(),
                        [](const Cut& a, const Cut& b) { return a.violation > b.violation; });
-      if (kept.size() > options.max_cuts_per_round) kept.resize(options.max_cuts_per_round);
+      if (kept.size() > kMaxCutsPerRound) kept.resize(kMaxCutsPerRound);
       std::vector<lp::Row> rows;
       rows.reserve(kept.size());
       for (Cut& cut : kept) {

@@ -41,8 +41,8 @@ struct RootCutReport {
 /// Runs up to `options.root_rounds` rounds of root-node separation on
 /// `problem`: solve the relaxation, generate (ReLU-split and, on
 /// tableau-capable backends, Gomory) cuts for the fractional optimum,
-/// sanitize + dedup, append the most violated `max_cuts_per_round`
-/// through MilpProblem::add_rows, repeat. Stops early when the root is
+/// sanitize + dedup, append the 32 most violated through
+/// MilpProblem::add_rows, repeat. Stops early when the root is
 /// integral, infeasible, unsolved, or a round yields nothing new.
 ///
 /// With `options.warm_root` the loop re-solves each round from the
@@ -62,9 +62,9 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
 /// the row to unit inf-norm, drops near-zero coefficients by soundly
 /// padding the rhs with the dropped term's worst-case box activity,
 /// then re-measures the violation at `values`. Returns false (cut must
-/// be discarded) on sub-threshold violation, excessive coefficient
-/// dynamism or non-finite data.
+/// be discarded) on a violation below kMinCutViolation, a max/min
+/// coefficient ratio above 1e7, or non-finite data.
 bool sanitize_cut(const MilpProblem& problem, const std::vector<double>& values,
-                  const CutOptions& options, Cut& cut);
+                  Cut& cut);
 
 }  // namespace dpv::milp::cuts

@@ -36,15 +36,16 @@ struct Cut {
   const char* source = "";
 };
 
+/// Minimum violation (after normalizing the row to unit inf-norm) for a
+/// cut to be kept; the ReLU-split separator skips candidates below it.
+inline constexpr double kMinCutViolation = 1e-4;
+
 /// Knobs of the cutting-plane engine; lives in BranchAndBoundOptions as
-/// `cuts`. All defaults keep the engine off (`root_rounds = 0`).
+/// `cuts`. All defaults keep the engine off (`root_rounds = 0`). Both
+/// generators always run when it is on.
 struct CutOptions {
   /// Separation rounds at the root node (0 disables the engine).
   std::size_t root_rounds = 0;
-  /// Keep only the most violated cuts of each root round.
-  std::size_t max_cuts_per_round = 32;
-  bool relu_split = true;  ///< enable the ReLU-split family
-  bool gomory = true;      ///< enable Gomory mixed-integer cuts
   /// Warm-start the root separation loop: re-solve each round from the
   /// previous round's optimal basis padded with the new cut rows'
   /// logicals (the dual simplex then only repairs the violated cuts)
@@ -55,14 +56,6 @@ struct CutOptions {
   /// Aged-out rows are removed from the problem before the search, so
   /// dead cuts stop taxing every node re-solve.
   std::size_t root_age_limit = 3;
-  /// Minimum violation (after normalizing the row to unit inf-norm) for
-  /// a cut to be kept.
-  double min_violation = 1e-4;
-  /// Gomory guard: skip rows whose basic fractional part is within this
-  /// distance of an integer (weak and numerically fragile cuts).
-  double min_fraction = 0.02;
-  /// Reject cuts whose max/min absolute coefficient ratio exceeds this.
-  double max_dynamism = 1e7;
   /// Pre-validated, globally valid cuts appended to the working copy
   /// before the first separation round (delta re-certification
   /// recycles a previous run's harvested root pool here, after
@@ -87,7 +80,6 @@ struct CutContext {
   const MilpProblem& problem;
   const lp::LpSolution& relaxation;
   const solver::LpBackend* backend = nullptr;
-  const CutOptions& options;
 };
 
 /// Stateless separator: inspects the context and appends violated,

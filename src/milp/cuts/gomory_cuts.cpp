@@ -11,6 +11,10 @@ namespace {
 /// them.
 constexpr double kInfBound = 1e29;
 
+/// Skip rows whose basic fractional part is within this distance of an
+/// integer (weak and numerically fragile cuts).
+constexpr double kMinFraction = 0.02;
+
 }  // namespace
 
 void GomoryCutGenerator::generate(const CutContext& ctx, std::vector<Cut>& out) const {
@@ -28,7 +32,7 @@ void GomoryCutGenerator::generate(const CutContext& ctx, std::vector<Cut>& out) 
     const std::size_t basic = static_cast<std::size_t>(row.basic_col);
     if (problem.variable_type(basic) != VarType::kBinary) continue;
     const double f0 = row.basic_value - std::floor(row.basic_value);
-    if (f0 < ctx.options.min_fraction || f0 > 1.0 - ctx.options.min_fraction) continue;
+    if (f0 < kMinFraction || f0 > 1.0 - kMinFraction) continue;
 
     std::fill(coeff.begin(), coeff.end(), 0.0);
     double rhs = f0;

@@ -45,7 +45,7 @@ void ReluSplitCutGenerator::generate(const CutContext& ctx, std::vector<Cut>& ou
 
     const double rhs_min = lhs_s - (1.0 - z) * a + z * b;
     const double violation = x[rs.out_var] - rhs_min;
-    if (violation <= ctx.options.min_violation) continue;
+    if (violation <= kMinCutViolation) continue;
 
     // y - sum_S w_i v_i - (a + b) z <= -a
     Cut cut;

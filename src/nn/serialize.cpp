@@ -1,12 +1,16 @@
 #include "nn/serialize.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <istream>
+#include <iterator>
+#include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "common/check.hpp"
+#include "common/record_io.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
@@ -18,8 +22,10 @@ namespace dpv::nn {
 
 namespace {
 
+using common::RecordReader;
+
 constexpr const char* kMagic = "dpv-network";
-constexpr int kVersion = 1;
+constexpr std::size_t kVersion = 1;
 
 void write_tensor(std::ostream& out, const Tensor& t) {
   out << t.numel();
@@ -28,13 +34,37 @@ void write_tensor(std::ostream& out, const Tensor& t) {
   out << '\n';
 }
 
-Tensor read_tensor(std::istream& in, const Shape& shape) {
-  std::size_t count = 0;
-  check(static_cast<bool>(in >> count), "load: truncated tensor header");
-  check(count == shape.numel(), "load: tensor size " + std::to_string(count) +
-                                    " does not match expected shape " + shape.to_string());
+/// A decimal number of the file; non-finite values are malformed.
+double read_finite(RecordReader& in) {
+  const double v = in.dbl();
+  if (!std::isfinite(v)) in.fail("non-finite value");
+  return v;
+}
+
+/// The product of header dimensions, failing instead of wrapping.
+std::size_t checked_product(RecordReader& in, const std::vector<std::size_t>& dims) {
+  std::size_t n = 1;
+  for (const std::size_t d : dims) {
+    if (d != 0 && n > std::numeric_limits<std::size_t>::max() / d)
+      in.fail("dimension product overflows");
+    n *= d;
+  }
+  return n;
+}
+
+/// Fails unless a tensor of `dims` still fits in the unread input: run
+/// before the layer that holds it allocates its zero tensors.
+void expect_tensor(RecordReader& in, const std::vector<std::size_t>& dims) {
+  in.expect_room(checked_product(in, dims));
+}
+
+Tensor read_tensor(RecordReader& in, const Shape& shape) {
+  const std::size_t count = in.count();
+  if (count != shape.numel())
+    in.fail("tensor size " + std::to_string(count) + " does not match expected shape " +
+            shape.to_string());
   std::vector<double> values(count);
-  for (double& v : values) check(static_cast<bool>(in >> v), "load: truncated tensor data");
+  for (double& v : values) v = read_finite(in);
   return Tensor(shape, std::move(values));
 }
 
@@ -43,12 +73,12 @@ void write_shape(std::ostream& out, const Shape& shape) {
   for (std::size_t d : shape.dims()) out << ' ' << d;
 }
 
-Shape read_shape(std::istream& in) {
-  std::size_t rank = 0;
-  check(static_cast<bool>(in >> rank), "load: truncated shape");
-  check(rank <= 4, "load: implausible shape rank");
+Shape read_shape(RecordReader& in) {
+  const std::size_t rank = in.size_value();
+  if (rank > 4) in.fail("implausible shape rank");
   std::vector<std::size_t> dims(rank);
-  for (std::size_t& d : dims) check(static_cast<bool>(in >> d), "load: truncated shape dims");
+  for (std::size_t& d : dims) d = in.size_value();
+  checked_product(in, dims);
   return Shape(dims);
 }
 
@@ -110,10 +140,14 @@ void save_layer(std::ostream& out, const Layer& layer) {
   }
 }
 
-std::unique_ptr<Layer> load_layer(std::istream& in, const std::string& kind) {
+// Every header dimension is digits only, and every tensor a layer holds
+// is checked against the unread input before the layer is constructed.
+std::unique_ptr<Layer> load_layer(RecordReader& in, const std::string& kind) {
   if (kind == "dense") {
-    std::size_t in_f = 0, out_f = 0;
-    check(static_cast<bool>(in >> in_f >> out_f), "load: truncated dense header");
+    const std::size_t in_f = in.size_value();
+    const std::size_t out_f = in.size_value();
+    expect_tensor(in, {out_f, in_f});
+    expect_tensor(in, {out_f});
     auto layer = std::make_unique<Dense>(in_f, out_f);
     Tensor w = read_tensor(in, Shape{out_f, in_f});
     Tensor b = read_tensor(in, Shape{out_f});
@@ -122,16 +156,15 @@ std::unique_ptr<Layer> load_layer(std::istream& in, const std::string& kind) {
   }
   if (kind == "relu") return std::make_unique<ReLU>(read_shape(in));
   if (kind == "leakyrelu") {
-    double alpha = 0.0;
-    check(static_cast<bool>(in >> alpha), "load: truncated leakyrelu header");
+    const double alpha = read_finite(in);
     return std::make_unique<LeakyReLU>(read_shape(in), alpha);
   }
   if (kind == "sigmoid") return std::make_unique<Sigmoid>(read_shape(in));
   if (kind == "tanh") return std::make_unique<Tanh>(read_shape(in));
   if (kind == "batchnorm") {
-    std::size_t features = 0;
-    double eps = 0.0;
-    check(static_cast<bool>(in >> features >> eps), "load: truncated batchnorm header");
+    const std::size_t features = in.size_value();
+    const double eps = read_finite(in);
+    expect_tensor(in, {features});
     auto layer = std::make_unique<BatchNorm>(features, eps);
     Tensor gamma = read_tensor(in, Shape{features});
     Tensor beta = read_tensor(in, Shape{features});
@@ -142,9 +175,17 @@ std::unique_ptr<Layer> load_layer(std::istream& in, const std::string& kind) {
     return layer;
   }
   if (kind == "conv2d") {
-    std::size_t ic = 0, ih = 0, iw = 0, oc = 0, k = 0, s = 0, p = 0;
-    check(static_cast<bool>(in >> ic >> ih >> iw >> oc >> k >> s >> p),
-          "load: truncated conv2d header");
+    std::size_t dims[7];  // ic ih iw oc k s p
+    for (std::size_t& d : dims) d = in.size_value();
+    const auto [ic, ih, iw, oc, k, s, p] = dims;
+    expect_tensor(in, {oc, ic, k, k});
+    expect_tensor(in, {oc});
+    checked_product(in, {ic, ih, iw});
+    // The padded extents bound the output extents the layer multiplies.
+    const std::size_t pad = checked_product(in, {2, p});
+    if (pad > std::numeric_limits<std::size_t>::max() - std::max(ih, iw))
+      in.fail("conv2d padding overflows");
+    checked_product(in, {oc, ih + pad, iw + pad});
     auto layer = std::make_unique<Conv2D>(ic, ih, iw, oc, k, s, p);
     Tensor w = read_tensor(in, Shape{oc * ic * k * k});
     Tensor b = read_tensor(in, Shape{oc});
@@ -152,13 +193,15 @@ std::unique_ptr<Layer> load_layer(std::istream& in, const std::string& kind) {
     return layer;
   }
   if (kind == "maxpool2d" || kind == "avgpool2d") {
-    std::size_t c = 0, h = 0, w = 0, win = 0;
-    check(static_cast<bool>(in >> c >> h >> w >> win), "load: truncated pool header");
+    std::size_t dims[4];  // c h w window
+    for (std::size_t& d : dims) d = in.size_value();
+    const auto [c, h, w, win] = dims;
+    checked_product(in, {c, h, w});
     if (kind == "maxpool2d") return std::make_unique<MaxPool2D>(c, h, w, win);
     return std::make_unique<AvgPool2D>(c, h, w, win);
   }
   if (kind == "flatten") return std::make_unique<Flatten>(read_shape(in));
-  throw ContractViolation("load: unknown layer kind '" + kind + "'");
+  in.fail("unknown layer kind '" + kind + "'");
 }
 
 }  // namespace
@@ -170,21 +213,14 @@ void save(const Network& net, std::ostream& out) {
 }
 
 Network load(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  check(static_cast<bool>(in >> magic >> version), "load: missing header");
-  check(magic == kMagic, "load: bad magic '" + magic + "'");
-  check(version == kVersion, "load: unsupported version " + std::to_string(version));
-  std::string token;
-  std::size_t count = 0;
-  check(static_cast<bool>(in >> token >> count) && token == "layers",
-        "load: missing layer count");
+  RecordReader reader(std::string(std::istreambuf_iterator<char>(in), {}), "load");
+  reader.expect_tag(kMagic);
+  const std::size_t version = reader.size_value();
+  if (version != kVersion) reader.fail("unsupported version " + std::to_string(version));
+  reader.expect_tag("layers");
+  const std::size_t count = reader.count();
   Network net;
-  for (std::size_t i = 0; i < count; ++i) {
-    std::string kind;
-    check(static_cast<bool>(in >> kind), "load: truncated at layer " + std::to_string(i));
-    net.add(load_layer(in, kind));
-  }
+  for (std::size_t i = 0; i < count; ++i) net.add(load_layer(reader, reader.token()));
   return net;
 }
 

@@ -15,8 +15,9 @@ namespace dpv::nn {
 /// Writes `net` to `out` in the dpv-network text format.
 void save(const Network& net, std::ostream& out);
 
-/// Reads a network previously written by `save`. Throws ContractViolation
-/// on malformed input.
+/// Reads a network previously written by `save`, consuming `in` to its
+/// end. Throws ContractViolation on malformed input, before allocating
+/// for any tensor the remaining input cannot hold.
 Network load(std::istream& in);
 
 /// Convenience file wrappers.

@@ -53,9 +53,6 @@ std::string VerificationResult::summary() const {
   if (solver_stats.basis_factorizations > 0 || solver_stats.basis_updates > 0) {
     out << ", basis=" << solver_stats.basis_factorizations << "f/"
         << solver_stats.basis_updates << "u";
-    if (solver_stats.ft_updates > 0 && solver_stats.eta_updates > 0)
-      out << " (ft=" << solver_stats.ft_updates << ", eta="
-          << solver_stats.eta_updates << ")";
     if (solver_stats.eta_nonzeros > 0)
       out << ", eta-nnz=" << solver_stats.avg_eta_nonzeros();
     if (solver_stats.singular_recoveries > 0)

@@ -1,14 +1,15 @@
 // Sparse LU factorization engine tests: factor/solve identity against a
-// dense reference on randomized sparse bases, product-form eta update
-// equivalence to refactorization across pivot chains, tableau parity
-// between the dense-inverse and sparse-LU revised simplex, verdict
-// parity across factorization x backend x threads x cuts, and the
-// singular-basis crash recovery path.
+// dense reference on randomized sparse bases, Forrest–Tomlin update
+// equivalence to refactorization across pivot chains, revised-simplex
+// optima against the dense-tableau SimplexSolver, tableau rows against
+// the dense row e_r^T B^{-1} [A | -I], verdict parity across backend x
+// threads x cuts, and the singular-basis crash recovery path.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
 #include <memory>
+#include <string>
 
 #include "absint/interval.hpp"
 #include "common/rng.hpp"
@@ -26,14 +27,11 @@ namespace {
 constexpr double kTol = 1e-6;
 
 using lp::BasisLu;
-using lp::BasisUpdateKind;
 using lp::CscMatrix;
-using lp::FactorizationKind;
 using lp::LinearTerm;
 using lp::LpProblem;
 using lp::LpSolution;
 using lp::Objective;
-using lp::PricingRule;
 using lp::RevisedSimplex;
 using lp::RowSense;
 using lp::SimplexOptions;
@@ -253,7 +251,7 @@ TEST(BasisLuFactor, EtaUpdatesStayEquivalentToRefactorizationAcrossPivotChains) 
   }
 }
 
-TEST(BasisLuFactor, ForrestTomlinAndProductFormAgreeOverHundredPivotChains) {
+TEST(BasisLuFactor, ForrestTomlinMatchesRefactorizationOverHundredPivotChains) {
   for (int seed = 0; seed < 4; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 11);
     const std::size_t m = 24;
@@ -263,13 +261,7 @@ TEST(BasisLuFactor, ForrestTomlinAndProductFormAgreeOverHundredPivotChains) {
     for (std::size_t k = 0; k < m; ++k) basic[k] = static_cast<std::int32_t>(n + k);
 
     BasisLu ft;
-    ft.set_update_kind(BasisUpdateKind::kForrestTomlin);
-    BasisLu pfi;
-    pfi.set_update_kind(BasisUpdateKind::kProductFormEta);
     ASSERT_TRUE(ft.factorize(A, n, basic));
-    ASSERT_TRUE(pfi.factorize(A, n, basic));
-    ASSERT_EQ(ft.update_kind(), BasisUpdateKind::kForrestTomlin);
-    ASSERT_EQ(pfi.update_kind(), BasisUpdateKind::kProductFormEta);
 
     std::size_t applied = 0;
     for (int attempt = 0; attempt < 1000 && applied < 100; ++attempt) {
@@ -279,61 +271,44 @@ TEST(BasisLuFactor, ForrestTomlinAndProductFormAgreeOverHundredPivotChains) {
       for (const std::int32_t b : basic)
         if (static_cast<std::size_t>(b) == q) in_basis = true;
       if (in_basis) continue;
-      std::vector<double> column(m, 0.0);
+      std::vector<double> w(m, 0.0);
       for (std::size_t e = A.col_start[q]; e < A.col_start[q + 1]; ++e)
-        column[A.row_index[e]] = A.value[e];
-      std::vector<double> w_ft = column, w_pfi = column;
-      ft.ftran(w_ft);
-      pfi.ftran(w_pfi);
-      for (std::size_t i = 0; i < m; ++i)
-        ASSERT_NEAR(w_ft[i], w_pfi[i], 1e-6)
-            << "ftran seed " << seed << " pivot " << applied;
+        w[A.row_index[e]] = A.value[e];
+      ft.ftran(w);
       std::size_t r = m;
       double best = 1e-6;
       for (std::size_t i = 0; i < m; ++i) {
-        if (std::abs(w_ft[i]) > best) {
-          best = std::abs(w_ft[i]);
+        if (std::abs(w[i]) > best) {
+          best = std::abs(w[i]);
           r = i;
         }
       }
       if (r == m) continue;
-      const bool ok_ft = ft.update(r, w_ft);
-      const bool ok_pfi = pfi.update(r, w_pfi);
+      const bool ok = ft.update(r, w);
       basic[r] = static_cast<std::int32_t>(q);
-      if (!ok_ft || !ok_pfi) {
-        // A scheme declined a marginal pivot: both restart from a fresh
-        // factorization of the current basis and the chain continues.
-        ASSERT_TRUE(ft.factorize(A, n, basic));
-        ASSERT_TRUE(pfi.factorize(A, n, basic));
-      }
+      // A declined marginal pivot restarts from a fresh factorization of
+      // the current basis and the chain continues.
+      if (!ok) ASSERT_TRUE(ft.factorize(A, n, basic));
       ++applied;
 
-      // Both update schemes must agree with each other AND with a
-      // from-scratch factorization of the current basis.
+      // The updated engine must agree with a from-scratch factorization
+      // of the current basis in both directions.
       BasisLu fresh;
       ASSERT_TRUE(fresh.factorize(A, n, basic)) << "seed " << seed;
       std::vector<double> rhs(m);
       for (std::size_t i = 0; i < m; ++i) rhs[i] = rng.uniform(-1.0, 1.0);
-      std::vector<double> via_ft = rhs, via_pfi = rhs, via_fresh = rhs;
+      std::vector<double> via_ft = rhs, via_fresh = rhs;
       ft.ftran(via_ft);
-      pfi.ftran(via_pfi);
       fresh.ftran(via_fresh);
-      for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t i = 0; i < m; ++i)
         EXPECT_NEAR(via_ft[i], via_fresh[i], 1e-5)
-            << "ft-ftran seed " << seed << " pivot " << applied;
-        EXPECT_NEAR(via_pfi[i], via_fresh[i], 1e-5)
-            << "pfi-ftran seed " << seed << " pivot " << applied;
-      }
-      via_ft = via_pfi = via_fresh = rhs;
+            << "ftran seed " << seed << " pivot " << applied;
+      via_ft = via_fresh = rhs;
       ft.btran(via_ft);
-      pfi.btran(via_pfi);
       fresh.btran(via_fresh);
-      for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t i = 0; i < m; ++i)
         EXPECT_NEAR(via_ft[i], via_fresh[i], 1e-5)
-            << "ft-btran seed " << seed << " pivot " << applied;
-        EXPECT_NEAR(via_pfi[i], via_fresh[i], 1e-5)
-            << "pfi-btran seed " << seed << " pivot " << applied;
-      }
+            << "btran seed " << seed << " pivot " << applied;
     }
     ASSERT_GE(applied, 100u) << "seed " << seed;
   }
@@ -346,33 +321,17 @@ TEST(BasisLuFactor, AdaptiveCadenceScalesWithBasisDimension) {
     std::vector<std::int32_t> basic(m);
     for (std::size_t k = 0; k < m; ++k)
       basic[k] = static_cast<std::int32_t>(m + 4 + k);
-    // Forrest–Tomlin keeps U triangular, so it sustains a longer update
-    // run than the eta file: cadence clamp(m, 64, 512) vs clamp(m/2, 32,
-    // 256).
+    // Forrest–Tomlin keeps U triangular, so the update run grows with the
+    // basis: cadence clamp(m, 64, 512).
     BasisLu ft;
-    ft.set_update_kind(BasisUpdateKind::kForrestTomlin);
     ASSERT_TRUE(ft.factorize(A, m + 4, basic));
     EXPECT_GE(ft.refactor_cadence(), 64u);
     EXPECT_LE(ft.refactor_cadence(), 512u);
     if (m >= 200) EXPECT_GE(ft.refactor_cadence(), m / 2);
-
-    BasisLu pfi;
-    pfi.set_update_kind(BasisUpdateKind::kProductFormEta);
-    ASSERT_TRUE(pfi.factorize(A, m + 4, basic));
-    EXPECT_GE(pfi.refactor_cadence(), 32u);
-    EXPECT_LE(pfi.refactor_cadence(), 256u);
-    if (m >= 200) EXPECT_GE(pfi.refactor_cadence(), m / 4);
-    EXPECT_LE(pfi.refactor_cadence(), ft.refactor_cadence());
   }
 }
 
 // ------------------------------------------- revised simplex parity
-
-SimplexOptions options_for(FactorizationKind kind) {
-  SimplexOptions options;
-  options.factorization = kind;
-  return options;
-}
 
 LpProblem random_lp(Rng& rng) {
   const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 10));
@@ -428,105 +387,108 @@ void expect_feasible(const LpProblem& p, const LpSolution& sol, const char* labe
   }
 }
 
+/// The loaded problem's structural columns, duplicates merged (the
+/// revised simplex's computational form; logical n + i is -e_i).
+CscMatrix csc_of(const LpProblem& p) {
+  std::vector<std::map<std::size_t, double>> cols(p.variable_count());
+  for (std::size_t i = 0; i < p.row_count(); ++i)
+    for (const LinearTerm& t : p.rows()[i].terms) cols[t.var][i] += t.coeff;
+  CscMatrix A;
+  A.rows = p.row_count();
+  A.cols = p.variable_count();
+  for (const auto& col : cols) {
+    A.col_start.push_back(A.row_index.size());
+    for (const auto& [row, coeff] : col) {
+      A.row_index.push_back(row);
+      A.value.push_back(coeff);
+    }
+  }
+  A.col_start.push_back(A.row_index.size());
+  return A;
+}
+
+/// Checks every tableau_row of an optimal `simplex` against the dense
+/// row e_r^T B^{-1} [A | -I] of its captured basis: the basic column,
+/// every nonbasic alpha (none missing, none spurious), each entry's
+/// resting bound, and the basic value -sum alpha_j x_j over the nonbasic
+/// resting values.
+void expect_tableau_rows_match_dense(const LpProblem& p, const RevisedSimplex& simplex,
+                                     const std::string& label) {
+  const std::size_t n = p.variable_count();
+  const std::size_t m = p.row_count();
+  const CscMatrix A = csc_of(p);
+  const lp::SimplexBasis basis = simplex.capture_basis();
+  ASSERT_EQ(basis.basic.size(), m) << label;
+  const std::vector<double> Bt = transpose(dense_basis(A, n, basis.basic), m);
+  std::vector<std::uint8_t> is_basic(n + m, 0);
+  for (const std::int32_t b : basis.basic) is_basic[static_cast<std::size_t>(b)] = 1;
+  // Resting value of a nonbasic column. Logical n + i carries row i's
+  // sense as its box, so it can only rest at its finite bound, the rhs.
+  const auto resting_value = [&](std::size_t j) {
+    if (j >= n) return p.rows()[j - n].rhs;
+    return basis.at_upper[j] ? p.upper_bound(j) : p.lower_bound(j);
+  };
+  for (std::size_t r = 0; r < m; ++r) {
+    std::vector<double> y(m, 0.0);
+    y[r] = 1.0;
+    ASSERT_TRUE(dense_solve(Bt, m, y)) << label << " row " << r;
+    std::vector<double> alpha(n + m, 0.0);
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t e = A.col_start[j]; e < A.col_start[j + 1]; ++e)
+        alpha[j] += y[A.row_index[e]] * A.value[e];
+    for (std::size_t i = 0; i < m; ++i) alpha[n + i] = -y[i];
+
+    lp::TableauRow row;
+    ASSERT_TRUE(simplex.tableau_row(r, row)) << label << " row " << r;
+    EXPECT_EQ(row.basic_col, basis.basic[r]) << label << " row " << r;
+    std::vector<std::uint8_t> listed(n + m, 0);
+    for (const auto& e : row.entries) {
+      ASSERT_LT(e.col, n + m) << label;
+      EXPECT_FALSE(is_basic[e.col]) << label << " row " << r << " col " << e.col;
+      EXPECT_NEAR(e.alpha, alpha[e.col], 1e-7 * std::max(1.0, std::abs(alpha[e.col])))
+          << label << " row " << r << " col " << e.col;
+      EXPECT_EQ(e.at_upper, basis.at_upper[e.col] != 0) << label << " col " << e.col;
+      listed[e.col] = 1;
+    }
+    double basic_value = 0.0;
+    for (std::size_t j = 0; j < n + m; ++j) {
+      if (is_basic[j]) continue;
+      if (!listed[j])
+        EXPECT_LT(std::abs(alpha[j]), 1e-9) << label << " row " << r << " col " << j;
+      basic_value -= alpha[j] * resting_value(j);
+    }
+    EXPECT_NEAR(row.basic_value, basic_value, 1e-7 * std::max(1.0, std::abs(basic_value)))
+        << label << " row " << r;
+  }
+}
+
 class FactorizationRandomLp : public ::testing::TestWithParam<int> {};
 
-TEST_P(FactorizationRandomLp, SparseLuAgreesWithDenseInverse) {
+TEST_P(FactorizationRandomLp, SparseLuAgreesWithDenseTableau) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 92821 + 5);
   const LpProblem p = random_lp(rng);
-  RevisedSimplex dense(options_for(FactorizationKind::kDenseInverse));
-  RevisedSimplex sparse(options_for(FactorizationKind::kSparseLu));
-  dense.load(p);
+  const LpSolution a = lp::SimplexSolver().solve(p);
+  RevisedSimplex sparse;
   sparse.load(p);
-  const LpSolution a = dense.solve();
   const LpSolution b = sparse.solve();
   ASSERT_EQ(a.status, b.status);
   if (a.status != SolveStatus::kOptimal) return;
   EXPECT_NEAR(a.objective, b.objective, kTol);
-  expect_feasible(p, a, "dense-inverse");
+  expect_feasible(p, a, "dense-tableau");
   expect_feasible(p, b, "sparse-lu");
   EXPECT_GT(sparse.factor_stats().factorizations, 0u);
 }
 
+TEST_P(FactorizationRandomLp, TableauRowsMatchDenseRows) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 92821 + 5);
+  const LpProblem p = random_lp(rng);
+  RevisedSimplex simplex;
+  simplex.load(p);
+  if (simplex.solve().status != SolveStatus::kOptimal) return;
+  expect_tableau_rows_match_dense(p, simplex, "seed " + std::to_string(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomLps, FactorizationRandomLp, ::testing::Range(0, 60));
-
-class PricingRandomLp : public ::testing::TestWithParam<int> {};
-
-TEST_P(PricingRandomLp, DevexAndDantzigReachTheSameOptima) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 48611 + 9);
-  const LpProblem p = random_lp(rng);
-  for (const FactorizationKind kind :
-       {FactorizationKind::kDenseInverse, FactorizationKind::kSparseLu}) {
-    SimplexOptions dantzig_options = options_for(kind);
-    dantzig_options.pricing = PricingRule::kDantzig;
-    SimplexOptions devex_options = options_for(kind);
-    devex_options.pricing = PricingRule::kDevex;
-    RevisedSimplex dantzig(dantzig_options);
-    RevisedSimplex devex(devex_options);
-    dantzig.load(p);
-    devex.load(p);
-    const LpSolution a = dantzig.solve();
-    const LpSolution b = devex.solve();
-    ASSERT_EQ(a.status, b.status) << "seed " << GetParam();
-    EXPECT_EQ(dantzig.pricing_resets(), 0u);  // Dantzig never runs the framework
-    if (a.status != SolveStatus::kOptimal) continue;
-    EXPECT_NEAR(a.objective, b.objective, kTol) << "seed " << GetParam();
-    expect_feasible(p, a, "dantzig");
-    expect_feasible(p, b, "devex");
-  }
-}
-
-// The legacy reduced-cost path (per-iteration duals BTRAN + lazy
-// pricing dots, incremental_reduced_costs = false) is kept as the
-// bench's pr5-baseline rung; it must stay a faithful differential
-// twin of the incremental default.
-TEST_P(PricingRandomLp, LegacyReducedCostPathMatchesIncremental) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 76493 + 21);
-  const LpProblem p = random_lp(rng);
-  for (const PricingRule pricing : {PricingRule::kDantzig, PricingRule::kDevex}) {
-    SimplexOptions incr_options = options_for(FactorizationKind::kSparseLu);
-    incr_options.pricing = pricing;
-    SimplexOptions legacy_options = incr_options;
-    legacy_options.incremental_reduced_costs = false;
-    RevisedSimplex incr(incr_options);
-    RevisedSimplex legacy(legacy_options);
-    incr.load(p);
-    legacy.load(p);
-    const LpSolution a = incr.solve();
-    const LpSolution b = legacy.solve();
-    ASSERT_EQ(a.status, b.status) << "seed " << GetParam();
-    if (a.status != SolveStatus::kOptimal) continue;
-    EXPECT_NEAR(a.objective, b.objective, kTol) << "seed " << GetParam();
-    expect_feasible(p, b, "legacy-reduced-costs");
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomLps, PricingRandomLp, ::testing::Range(0, 60));
-
-TEST(BasisUpdateCounters, FactorStatsAttributeUpdatesToTheActiveScheme) {
-  std::size_t exercised = 0;
-  for (int seed = 0; seed < 20 && exercised < 5; ++seed) {
-    Rng rng(static_cast<std::uint64_t>(seed) * 30103 + 17);
-    const LpProblem p = random_lp(rng);
-    SimplexOptions ft_options = options_for(FactorizationKind::kSparseLu);
-    ft_options.basis_update = BasisUpdateKind::kForrestTomlin;
-    SimplexOptions pfi_options = options_for(FactorizationKind::kSparseLu);
-    pfi_options.basis_update = BasisUpdateKind::kProductFormEta;
-    RevisedSimplex ft(ft_options);
-    RevisedSimplex pfi(pfi_options);
-    ft.load(p);
-    pfi.load(p);
-    const LpSolution a = ft.solve();
-    const LpSolution b = pfi.solve();
-    ASSERT_EQ(a.status, b.status) << "seed " << seed;
-    EXPECT_EQ(ft.factor_stats().eta_updates, 0u) << "seed " << seed;
-    EXPECT_EQ(pfi.factor_stats().ft_updates, 0u) << "seed " << seed;
-    EXPECT_EQ(ft.factor_stats().ft_updates, ft.factor_stats().updates);
-    EXPECT_EQ(pfi.factor_stats().eta_updates, pfi.factor_stats().updates);
-    EXPECT_GT(ft.factor_stats().refactor_cadence, 0u);
-    if (ft.factor_stats().updates > 0 && pfi.factor_stats().updates > 0) ++exercised;
-  }
-  EXPECT_GE(exercised, 5u);  // the sweep must hit real update chains
-}
 
 TEST(FactorizationParity, TableauRowsMatchOnTextbookLp) {
   LpProblem p;
@@ -537,54 +499,34 @@ TEST(FactorizationParity, TableauRowsMatchOnTextbookLp) {
   p.add_row({{x, 1.0}, {y, -1.0}}, RowSense::kLessEqual, 2.0);
   p.set_objective({{x, 3.0}, {y, 4.0}}, Objective::kMaximize);
 
-  RevisedSimplex dense(options_for(FactorizationKind::kDenseInverse));
-  RevisedSimplex sparse(options_for(FactorizationKind::kSparseLu));
-  dense.load(p);
-  sparse.load(p);
-  ASSERT_EQ(dense.solve().status, SolveStatus::kOptimal);
-  ASSERT_EQ(sparse.solve().status, SolveStatus::kOptimal);
-
-  for (std::size_t r = 0; r < p.row_count(); ++r) {
-    lp::TableauRow a, b;
-    ASSERT_TRUE(dense.tableau_row(r, a)) << "row " << r;
-    ASSERT_TRUE(sparse.tableau_row(r, b)) << "row " << r;
-    ASSERT_EQ(a.basic_col, b.basic_col) << "row " << r;
-    EXPECT_NEAR(a.basic_value, b.basic_value, 1e-8) << "row " << r;
-    std::map<std::size_t, double> alphas;
-    for (const auto& e : a.entries) alphas[e.col] = e.alpha;
-    ASSERT_EQ(a.entries.size(), b.entries.size()) << "row " << r;
-    for (const auto& e : b.entries) {
-      ASSERT_TRUE(alphas.count(e.col)) << "row " << r << " col " << e.col;
-      EXPECT_NEAR(alphas[e.col], e.alpha, 1e-8) << "row " << r << " col " << e.col;
-    }
-  }
+  RevisedSimplex simplex;
+  simplex.load(p);
+  ASSERT_EQ(simplex.solve().status, SolveStatus::kOptimal);
+  expect_tableau_rows_match_dense(p, simplex, "textbook");
 }
 
-TEST(FactorizationParity, WarmResolveWorksOnBothEngines) {
+TEST(FactorizationParity, WarmResolveMatchesColdSolve) {
   // The branch & bound move: solve, tighten one box, resolve warm.
-  for (const FactorizationKind kind :
-       {FactorizationKind::kDenseInverse, FactorizationKind::kSparseLu}) {
-    Rng rng(99);
-    const LpProblem p = random_lp(rng);
-    RevisedSimplex simplex(options_for(kind));
-    simplex.load(p);
-    const LpSolution cold = simplex.solve();
-    ASSERT_EQ(cold.status, SolveStatus::kOptimal);
-    const lp::SimplexBasis basis = simplex.capture_basis();
-    simplex.set_bounds(0, p.lower_bound(0), 0.5 * (p.lower_bound(0) + p.upper_bound(0)));
-    const LpSolution warm = simplex.resolve(basis);
-    EXPECT_TRUE(simplex.last_resolve_was_warm()) << lp::factorization_kind_name(kind);
-    // Reference: a cold solve of the tightened problem.
-    LpProblem tightened = p;
-    tightened.set_bounds(0, p.lower_bound(0),
-                         0.5 * (p.lower_bound(0) + p.upper_bound(0)));
-    RevisedSimplex reference(options_for(kind));
-    reference.load(tightened);
-    const LpSolution expect = reference.solve();
-    ASSERT_EQ(warm.status, expect.status) << lp::factorization_kind_name(kind);
-    if (warm.status == SolveStatus::kOptimal)
-      EXPECT_NEAR(warm.objective, expect.objective, kTol);
-  }
+  Rng rng(99);
+  const LpProblem p = random_lp(rng);
+  RevisedSimplex simplex;
+  simplex.load(p);
+  const LpSolution cold = simplex.solve();
+  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+  const lp::SimplexBasis basis = simplex.capture_basis();
+  simplex.set_bounds(0, p.lower_bound(0), 0.5 * (p.lower_bound(0) + p.upper_bound(0)));
+  const LpSolution warm = simplex.resolve(basis);
+  EXPECT_TRUE(simplex.last_resolve_was_warm());
+  // Reference: a cold solve of the tightened problem.
+  LpProblem tightened = p;
+  tightened.set_bounds(0, p.lower_bound(0),
+                       0.5 * (p.lower_bound(0) + p.upper_bound(0)));
+  RevisedSimplex reference;
+  reference.load(tightened);
+  const LpSolution expect = reference.solve();
+  ASSERT_EQ(warm.status, expect.status);
+  if (warm.status == SolveStatus::kOptimal)
+    EXPECT_NEAR(warm.objective, expect.objective, kTol);
 }
 
 // ----------------------------------------------- singular-basis recovery
@@ -599,21 +541,17 @@ TEST(SingularBasisRecovery, SingularWarmBasisFallsBackAndIsReported) {
   p.add_row({{x, 2.0}, {y, 4.0}}, RowSense::kLessEqual, 8.0);
   p.set_objective({{x, 1.0}, {y, 1.0}}, Objective::kMaximize);
 
-  for (const FactorizationKind kind :
-       {FactorizationKind::kDenseInverse, FactorizationKind::kSparseLu}) {
-    RevisedSimplex simplex(options_for(kind));
-    simplex.load(p);
-    lp::SimplexBasis degenerate;
-    degenerate.basic = {static_cast<std::int32_t>(x), static_cast<std::int32_t>(y)};
-    // Logicals of <= rows must rest at their (finite) upper bound.
-    degenerate.at_upper = {0, 0, 1, 1};
-    const LpSolution sol = simplex.resolve(degenerate);
-    EXPECT_FALSE(simplex.last_resolve_was_warm()) << lp::factorization_kind_name(kind);
-    ASSERT_EQ(sol.status, SolveStatus::kOptimal) << lp::factorization_kind_name(kind);
-    EXPECT_NEAR(sol.objective, 4.0, kTol) << lp::factorization_kind_name(kind);
-    EXPECT_GE(simplex.factor_stats().singular_recoveries, 1u)
-        << lp::factorization_kind_name(kind);
-  }
+  RevisedSimplex simplex;
+  simplex.load(p);
+  lp::SimplexBasis degenerate;
+  degenerate.basic = {static_cast<std::int32_t>(x), static_cast<std::int32_t>(y)};
+  // Logicals of <= rows must rest at their (finite) upper bound.
+  degenerate.at_upper = {0, 0, 1, 1};
+  const LpSolution sol = simplex.resolve(degenerate);
+  EXPECT_FALSE(simplex.last_resolve_was_warm());
+  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(sol.objective, 4.0, kTol);
+  EXPECT_GE(simplex.factor_stats().singular_recoveries, 1u);
 }
 
 TEST(SingularBasisRecovery, BackendSurfacesRecoveriesInSolverStats) {
@@ -779,11 +717,11 @@ TEST(PivotRowScatter, TighteningReplayOnReluTailMatchesDenseTableau) {
 }
 
 TEST(FactorizationVerdictParity, FullBatteryAcrossBackendsThreadsAndCuts) {
-  for (const std::uint64_t seed : {31u, 32u}) {
+  for (const std::uint64_t seed : {31u, 32u, 41u, 42u}) {
     Rng rng(seed);
     const std::size_t in_n = 3, hidden = 6;
     const nn::Network net = make_tail_net(rng, in_n, hidden);
-    // One SAFE proof that must branch, one easy UNSAFE query.
+    // One SAFE proof that must branch, one easy UNSAFE query per pair.
     const double threshold = seed % 2 == 0 ? -5.0 : forcing_threshold(net, in_n, rng);
     const verify::VerificationQuery q = tail_query(net, in_n, threshold);
 
@@ -792,77 +730,29 @@ TEST(FactorizationVerdictParity, FullBatteryAcrossBackendsThreadsAndCuts) {
     const verify::VerificationResult reference = verify::TailVerifier(base).verify(q);
     ASSERT_NE(reference.verdict, verify::Verdict::kUnknown) << "seed " << seed;
 
-    for (const FactorizationKind factorization :
-         {FactorizationKind::kDenseInverse, FactorizationKind::kSparseLu}) {
-      for (const LpBackendKind backend :
-           {LpBackendKind::kRevisedBounded, LpBackendKind::kDenseTableau}) {
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-          for (const std::size_t rounds : {std::size_t{0}, std::size_t{4}}) {
-            verify::TailVerifierOptions options = base;
-            options.milp.lp_options.factorization = factorization;
-            options.milp.backend = backend;
-            options.milp.threads = threads;
-            options.milp.cuts.root_rounds = rounds;
-            const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
-            EXPECT_EQ(r.verdict, reference.verdict)
-                << "seed " << seed << " factorization "
-                << lp::factorization_kind_name(factorization) << " backend "
-                << solver::lp_backend_kind_name(backend) << " threads " << threads
-                << " rounds " << rounds;
-            if (r.verdict == verify::Verdict::kUnsafe)
-              EXPECT_TRUE(r.counterexample_validated) << "seed " << seed;
-            if (backend == LpBackendKind::kRevisedBounded) {
-              EXPECT_GT(r.solver_stats.basis_factorizations, 0u) << "seed " << seed;
-              if (factorization == FactorizationKind::kSparseLu &&
-                  r.solver_stats.basis_updates > 0)
-                EXPECT_GT(r.solver_stats.eta_nonzeros, 0u) << "seed " << seed;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(PricingVerdictParity, DevexAndSiblingBatchingPreserveVerdictsAcrossGrid) {
-  for (const std::uint64_t seed : {41u, 42u}) {
-    Rng rng(seed);
-    const std::size_t in_n = 3, hidden = 6;
-    const nn::Network net = make_tail_net(rng, in_n, hidden);
-    const double threshold = seed % 2 == 0 ? -5.0 : forcing_threshold(net, in_n, rng);
-    const verify::VerificationQuery q = tail_query(net, in_n, threshold);
-
-    verify::TailVerifierOptions base;
-    base.milp.max_nodes = 20000;
-    const verify::VerificationResult reference = verify::TailVerifier(base).verify(q);
-    ASSERT_NE(reference.verdict, verify::Verdict::kUnknown) << "seed " << seed;
-
-    for (const PricingRule pricing : {PricingRule::kDantzig, PricingRule::kDevex}) {
-      for (const bool batch : {false, true}) {
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-          for (const std::size_t rounds : {std::size_t{0}, std::size_t{4}}) {
-            verify::TailVerifierOptions options = base;
-            options.milp.lp_options.pricing = pricing;
-            options.milp.batch_sibling_solves = batch;
-            options.milp.threads = threads;
-            options.milp.cuts.root_rounds = rounds;
-            const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
-            EXPECT_EQ(r.verdict, reference.verdict)
-                << "seed " << seed << " pricing " << lp::pricing_rule_name(pricing)
-                << " batch " << batch << " threads " << threads << " rounds "
-                << rounds;
-            if (r.verdict == verify::Verdict::kUnsafe)
-              EXPECT_TRUE(r.counterexample_validated) << "seed " << seed;
-            if (pricing == PricingRule::kDantzig)
-              EXPECT_EQ(r.solver_stats.pricing_resets, 0u) << "seed " << seed;
-            if (!batch)
-              EXPECT_EQ(r.solver_stats.sibling_batches, 0u) << "seed " << seed;
-            else if (r.milp_nodes > 2 && threads == 1 && rounds == 0)
-              // A serial branching search with batching on must have
-              // expanded at least one node through solve_children.
-              EXPECT_GT(r.solver_stats.sibling_batches, 0u)
-                  << "seed " << seed << " nodes " << r.milp_nodes;
-          }
+    for (const LpBackendKind backend :
+         {LpBackendKind::kRevisedBounded, LpBackendKind::kDenseTableau}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        for (const std::size_t rounds : {std::size_t{0}, std::size_t{4}}) {
+          verify::TailVerifierOptions options = base;
+          options.milp.backend = backend;
+          options.milp.threads = threads;
+          options.milp.cuts.root_rounds = rounds;
+          const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
+          EXPECT_EQ(r.verdict, reference.verdict)
+              << "seed " << seed << " backend " << solver::lp_backend_kind_name(backend)
+              << " threads " << threads << " rounds " << rounds;
+          if (r.verdict == verify::Verdict::kUnsafe)
+            EXPECT_TRUE(r.counterexample_validated) << "seed " << seed;
+          if (backend != LpBackendKind::kRevisedBounded) continue;
+          EXPECT_GT(r.solver_stats.basis_factorizations, 0u) << "seed " << seed;
+          if (r.solver_stats.basis_updates > 0)
+            EXPECT_GT(r.solver_stats.eta_nonzeros, 0u) << "seed " << seed;
+          // A serial branching search expands at least one node through
+          // the batched sibling re-solve.
+          if (r.milp_nodes > 2 && threads == 1 && rounds == 0)
+            EXPECT_GT(r.solver_stats.sibling_batches, 0u)
+                << "seed " << seed << " nodes " << r.milp_nodes;
         }
       }
     }

@@ -176,6 +176,23 @@ TEST(Serialize, RejectsTruncatedTensor) {
   EXPECT_THROW(load(truncated), ContractViolation);
 }
 
+TEST(Serialize, RejectsMalformedDimensionsBeforeAllocating) {
+  // A negative dimension once wrapped to 2^64 - 1 and reached a layer
+  // constructor (std::length_error), or passed as a wrapped element
+  // count; an oversized one allocated its zero tensors (10^10 weights
+  // here) before any weight was read; dimension products and padded
+  // extents could wrap. Each is now a ContractViolation raised before
+  // the layer is constructed.
+  for (const char* layer : {"dense -1 2\n", "conv2d 1 8 8 -1 3 1 1\n",
+                            "batchnorm -1 1e-5\n", "relu 4 -1 2 2 2\n",
+                            "dense 100000 100000\n1 2 3\n",
+                            "flatten 2 4294967296 4294967296\n",
+                            "conv2d 1 8 8 1 1 1 9223372036854775807\n"}) {
+    std::stringstream buffer(std::string("dpv-network 1\nlayers 1\n") + layer);
+    EXPECT_THROW(load(buffer), ContractViolation) << layer;
+  }
+}
+
 TEST(Serialize, RejectsMissingFile) {
   EXPECT_THROW(load_file("/nonexistent/dpv.txt"), ContractViolation);
 }

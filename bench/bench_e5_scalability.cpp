@@ -1,14 +1,14 @@
 // Experiment E5 (Sec. I): the scalability motivation for layer
-// abstraction — now with solver-backend and thread-count axes.
+// abstraction — with a thread-count axis.
 //
 // Paper claim: direct perception networks "challenge any state-of-the-art
 // formal analysis framework in terms of scalability" — which is why the
 // workflow verifies only the close-to-output sub-network. This bench
 // measures how exact MILP verification cost grows with the width and
 // depth of the verified tail, and how far the solver layer pushes the
-// wall: the warm-started bounded-variable revised simplex vs the
-// reference dense tableau, serial vs parallel branch & bound, and a
-// serial vs pooled query battery (the campaign engine's shape).
+// wall: the warm-started bounded-variable revised simplex under serial
+// vs parallel branch & bound, and a serial vs pooled query battery (the
+// campaign engine's shape).
 //
 // SAFE proofs are forced (unreachable risk threshold) so the solver must
 // exhaust the branch & bound tree — the worst case for verification.
@@ -121,8 +121,8 @@ std::vector<Query> make_query_set() {
 }
 
 /// Runs one query with every solver axis pinned explicitly.
-verify::VerificationResult verify_tail(const Query& query, solver::LpBackendKind backend,
-                                       std::size_t threads, std::size_t cut_rounds = 0) {
+verify::VerificationResult verify_tail(const Query& query, std::size_t threads,
+                                       std::size_t cut_rounds = 0) {
   verify::VerificationQuery vq;
   vq.network = &query.net;
   vq.attach_layer = 0;
@@ -132,7 +132,6 @@ verify::VerificationResult verify_tail(const Query& query, solver::LpBackendKind
   // A modest budget: rows that exhaust it print UNKNOWN — which is itself
   // the scalability message (the wall the paper's layer cut avoids).
   options.milp.max_nodes = 4000;
-  options.milp.backend = backend;
   options.milp.threads = threads;
   options.milp.cuts.root_rounds = cut_rounds;
   return verify::TailVerifier(options).verify(vq);
@@ -173,9 +172,8 @@ bool decided_verdicts_agree(const std::vector<std::string>& sweeps) {
   return true;
 }
 
-/// Aggregate of one (backend, threads) sweep over the query set.
+/// Aggregate of one thread-count sweep over the query set.
 struct SweepResult {
-  std::string backend;
   std::size_t threads = 1;
   double wall_seconds = 0.0;
   std::size_t nodes = 0;
@@ -184,15 +182,13 @@ struct SweepResult {
   std::string verdicts;
 };
 
-SweepResult run_sweep(const std::vector<Query>& queries, solver::LpBackendKind backend,
-                      std::size_t threads) {
+SweepResult run_sweep(const std::vector<Query>& queries, std::size_t threads) {
   SweepResult sweep;
-  sweep.backend = solver::lp_backend_kind_name(backend);
   sweep.threads = threads;
   solver::SolverStats stats;
   const auto start = std::chrono::steady_clock::now();
   for (const Query& query : queries) {
-    const verify::VerificationResult r = verify_tail(query, backend, threads);
+    const verify::VerificationResult r = verify_tail(query, threads);
     sweep.nodes += r.milp_nodes;
     sweep.lp_iterations += r.lp_iterations;
     stats.merge(r.solver_stats);
@@ -217,8 +213,7 @@ double run_battery_pooled(const std::vector<Query>& queries, std::size_t pool) {
       while (true) {
         const std::size_t i = next.fetch_add(1);
         if (i >= queries.size()) return;
-        verdicts[i] =
-            verify_tail(queries[i], solver::LpBackendKind::kRevisedBounded, 1).verdict;
+        verdicts[i] = verify_tail(queries[i], 1).verdict;
       }
     });
   }
@@ -251,8 +246,7 @@ CutsSweep run_cuts_sweep(const std::vector<Query>& queries, const char* config,
   sweep.rounds = rounds;
   const auto start = std::chrono::steady_clock::now();
   for (const Query& query : queries) {
-    const verify::VerificationResult r =
-        verify_tail(query, solver::LpBackendKind::kRevisedBounded, 1, rounds);
+    const verify::VerificationResult r = verify_tail(query, 1, rounds);
     sweep.nodes += r.milp_nodes;
     sweep.lp_iterations += r.lp_iterations;
     sweep.cuts_added += r.solver_stats.cuts_added;
@@ -289,7 +283,7 @@ void emit_cuts_json(const std::vector<CutsSweep>& sweeps, bool parity) {
 }
 
 void print_cuts_report(const std::vector<Query>& queries) {
-  std::printf("\n=== E5: cutting-plane axis (same SAFE-proof battery, revised backend) ===\n");
+  std::printf("\n=== E5: cutting-plane axis (same SAFE-proof battery) ===\n");
   std::printf("%14s | %7s | %9s | %9s | %9s | %9s\n", "config", "cuts", "nodes",
               "lp-iter", "wall s", "nodes/off");
   std::printf("---------------+---------+-----------+-----------+-----------+-----------\n");
@@ -366,7 +360,7 @@ struct LpCoreRow {
 /// Serial, cuts-off verification of `query`, with its wall seconds.
 std::pair<verify::VerificationResult, double> timed_verify(const Query& query) {
   const auto start = std::chrono::steady_clock::now();
-  verify::VerificationResult r = verify_tail(query, solver::LpBackendKind::kRevisedBounded, 1);
+  verify::VerificationResult r = verify_tail(query, 1);
   return {std::move(r),
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count()};
 }
@@ -614,10 +608,10 @@ void emit_json(const std::vector<SweepResult>& sweeps, bool verdicts_match,
   for (std::size_t i = 0; i < sweeps.size(); ++i) {
     const SweepResult& s = sweeps[i];
     std::fprintf(f,
-                 "    {\"backend\": \"%s\", \"threads\": %zu, \"wall_seconds\": %.6f, "
+                 "    {\"threads\": %zu, \"wall_seconds\": %.6f, "
                  "\"nodes\": %zu, \"nodes_per_sec\": %.1f, \"lp_iterations\": %zu, "
                  "\"warm_hit_rate\": %.4f, \"verdicts\": \"%s\"}%s\n",
-                 s.backend.c_str(), s.threads, s.wall_seconds, s.nodes,
+                 s.threads, s.wall_seconds, s.nodes,
                  s.wall_seconds > 0 ? s.nodes / s.wall_seconds : 0.0, s.lp_iterations,
                  s.warm_hit_rate, s.verdicts.c_str(),
                  i + 1 < sweeps.size() ? "," : "");
@@ -635,33 +629,29 @@ void emit_json(const std::vector<SweepResult>& sweeps, bool verdicts_match,
 
 void print_report() {
   std::printf("\n=== E5: exact verification cost vs verified-tail size ===\n");
-  std::printf("(per-query table, revised-bounded backend, serial)\n");
+  std::printf("(per-query table, serial)\n");
   std::printf("%6s | %6s | %8s | %8s | %8s | %8s | %10s\n", "width", "depth", "relu",
               "binaries", "nodes", "lp-iter", "seconds");
   std::printf("-------+--------+----------+----------+----------+----------+-----------\n");
   const std::vector<Query> queries = make_query_set();
   for (const Query& query : queries) {
-    const verify::VerificationResult r =
-        verify_tail(query, solver::LpBackendKind::kRevisedBounded, 1);
+    const verify::VerificationResult r = verify_tail(query, 1);
     std::printf("%6zu | %6zu | %8zu | %8zu | %8zu | %8zu | %10.3f  %s\n", query.width,
                 query.depth, r.encoding.relu_neurons, r.encoding.binaries, r.milp_nodes,
                 r.lp_iterations, r.solve_seconds, verify::verdict_name(r.verdict));
   }
 
-  std::printf("\n=== E5: solver backend x thread-count sweep (same query set) ===\n");
-  std::printf("%16s | %7s | %9s | %9s | %9s | %9s | %8s\n", "backend", "threads",
-              "wall s", "nodes", "nodes/s", "lp-iter", "warm-hit");
-  std::printf("-----------------+---------+-----------+-----------+-----------+-----------+---------\n");
+  std::printf("\n=== E5: thread-count sweep (same query set) ===\n");
+  std::printf("%7s | %9s | %9s | %9s | %9s | %8s\n", "threads", "wall s", "nodes",
+              "nodes/s", "lp-iter", "warm-hit");
+  std::printf("--------+-----------+-----------+-----------+-----------+---------\n");
   std::vector<SweepResult> sweeps;
-  sweeps.push_back(run_sweep(queries, solver::LpBackendKind::kDenseTableau, 1));
-  sweeps.push_back(run_sweep(queries, solver::LpBackendKind::kRevisedBounded, 1));
-  sweeps.push_back(run_sweep(queries, solver::LpBackendKind::kRevisedBounded, 2));
-  sweeps.push_back(run_sweep(queries, solver::LpBackendKind::kRevisedBounded, 4));
+  for (const std::size_t threads : {1u, 2u, 4u}) sweeps.push_back(run_sweep(queries, threads));
   std::vector<std::string> sweep_verdicts;
   for (const SweepResult& s : sweeps) {
     sweep_verdicts.push_back(s.verdicts);
-    std::printf("%16s | %7zu | %9.3f | %9zu | %9.1f | %9zu | %8.3f\n", s.backend.c_str(),
-                s.threads, s.wall_seconds, s.nodes,
+    std::printf("%7zu | %9.3f | %9zu | %9.1f | %9zu | %8.3f\n", s.threads,
+                s.wall_seconds, s.nodes,
                 s.wall_seconds > 0 ? s.nodes / s.wall_seconds : 0.0, s.lp_iterations,
                 s.warm_hit_rate);
   }
@@ -670,14 +660,8 @@ void print_report() {
   // so, like the cuts axis, decided verdicts must agree and UNKNOWN is
   // a budget artifact.
   const bool verdicts_match = decided_verdicts_agree(sweep_verdicts);
-  std::printf("verdict compatibility across backends and thread counts "
-              "(UNKNOWN = budget): %s\n",
+  std::printf("verdict compatibility across thread counts (UNKNOWN = budget): %s\n",
               verdicts_match ? "OK" : "CONFLICT");
-  const double iter_ratio =
-      sweeps[1].lp_iterations > 0
-          ? static_cast<double>(sweeps[0].lp_iterations) / sweeps[1].lp_iterations
-          : 0.0;
-  std::printf("lp-iteration ratio dense/revised (warm starts): %.2fx\n", iter_ratio);
 
   std::printf("\n=== E5: query battery, serial vs 4-thread pool (campaign shape) ===\n");
   const double serial = run_battery_pooled(queries, 1);
@@ -707,7 +691,6 @@ void print_report() {
 void BM_VerifyTail(benchmark::State& state) {
   const std::size_t width = static_cast<std::size_t>(state.range(0));
   const std::size_t depth = static_cast<std::size_t>(state.range(1));
-  const auto backend = static_cast<solver::LpBackendKind>(state.range(2));
   Rng rng(width * 10 + depth);
   Query query;
   query.width = width;
@@ -715,7 +698,7 @@ void BM_VerifyTail(benchmark::State& state) {
   query.net = make_tail(width, depth, rng);
   query.threshold = proof_forcing_threshold(query.net, width, rng);
   for (auto _ : state) {
-    const verify::VerificationResult r = verify_tail(query, backend, 1);
+    const verify::VerificationResult r = verify_tail(query, 1);
     benchmark::DoNotOptimize(r.verdict);
     state.counters["nodes"] = static_cast<double>(r.milp_nodes);
     state.counters["lp_iters"] = static_cast<double>(r.lp_iterations);
@@ -723,12 +706,9 @@ void BM_VerifyTail(benchmark::State& state) {
 }
 BENCHMARK(BM_VerifyTail)
     ->Unit(benchmark::kMillisecond)
-    ->Args({8, 1, 0})
-    ->Args({8, 1, 1})
-    ->Args({16, 1, 0})
-    ->Args({16, 1, 1})
-    ->Args({16, 2, 0})
-    ->Args({16, 2, 1})
+    ->Args({8, 1})
+    ->Args({16, 1})
+    ->Args({16, 2})
     ->Iterations(2);
 
 }  // namespace

@@ -53,7 +53,7 @@ struct CscMatrix {
 };
 
 /// Cumulative factorization-engine counters. Kept by the simplex across
-/// loads (the backend layer reports per-solve deltas into SolverStats).
+/// loads; solver::simplex_stats copies them into SolverStats.
 struct BasisFactorStats {
   std::size_t factorizations = 0;       ///< full (re)factorizations
   std::size_t updates = 0;              ///< pivots absorbed as Forrest–Tomlin updates

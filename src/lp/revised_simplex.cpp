@@ -629,7 +629,7 @@ void RevisedSimplex::extract(LpSolution& solution) const {
   solution.objective = objective_sign_ * raw;
 }
 
-LpSolution RevisedSimplex::solve() {
+LpSolution RevisedSimplex::solve_cold() {
   internal_check(loaded() || (n_ == 0 && m_ == 0),
                  "RevisedSimplex::solve before load");
   LpSolution solution;
@@ -637,37 +637,51 @@ LpSolution RevisedSimplex::solve() {
   for (std::size_t j = 0; j < total_; ++j) {
     if (lo_[j] <= up_[j] + kPrimalTol) continue;
     solution.status = SolveStatus::kInfeasible;
-    last_solve_iterations_ = 0;  // this call spent no pivots
     return solution;
   }
   reset_to_logical_basis();
   run_dual(solution);
   if (solution.status == SolveStatus::kOptimal) extract(solution);
-  last_solve_iterations_ = solution.iterations;
+  return solution;
+}
+
+LpSolution RevisedSimplex::solve() {
+  LpSolution solution = solve_cold();
+  ++solve_stats_.solves;
+  solve_stats_.iterations += solution.iterations;
   return solution;
 }
 
 LpSolution RevisedSimplex::resolve(const SimplexBasis& basis) {
+  last_resolve_was_warm_ = false;
+  if (basis.empty()) return solve();
+  ++solve_stats_.solves;
+  ++solve_stats_.warm_attempts;
   LpSolution solution;
   for (std::size_t j = 0; j < total_; ++j) {
     if (lo_[j] <= up_[j] + kPrimalTol) continue;
     solution.status = SolveStatus::kInfeasible;
-    last_resolve_was_warm_ = false;
-    last_solve_iterations_ = 0;  // this call spent no pivots
     return solution;
   }
-  last_resolve_was_warm_ = !basis.empty() && install_basis(basis);
-  if (!last_resolve_was_warm_) return solve();
-  run_dual(solution);
-  if (solution.status == SolveStatus::kOptimal) extract(solution);
-  if (solution.status == SolveStatus::kIterationLimit) {
-    // A warm basis that leads nowhere numerically: one cold retry.
-    last_resolve_was_warm_ = false;
-    const std::size_t warm_iterations = solution.iterations;
-    solution = solve();
-    solution.iterations += warm_iterations;
+  last_resolve_was_warm_ = install_basis(basis);
+  if (last_resolve_was_warm_) {
+    run_dual(solution);
+    if (solution.status == SolveStatus::kOptimal) extract(solution);
+    if (solution.status == SolveStatus::kIterationLimit) {
+      // A warm basis that leads nowhere numerically: one cold retry.
+      last_resolve_was_warm_ = false;
+      const std::size_t warm_iterations = solution.iterations;
+      solution = solve_cold();
+      solution.iterations += warm_iterations;
+    }
+  } else {
+    solution = solve_cold();
   }
-  last_solve_iterations_ = solution.iterations;
+  solve_stats_.iterations += solution.iterations;
+  if (last_resolve_was_warm_) {
+    ++solve_stats_.warm_hits;
+    solve_stats_.warm_iterations += solution.iterations;
+  }
   return solution;
 }
 

@@ -72,6 +72,16 @@ struct TableauRow {
   std::vector<Entry> entries;  ///< nonbasic columns with alpha != 0
 };
 
+/// Solve accounting of one RevisedSimplex, next to its BasisFactorStats.
+/// A resolve() from an empty basis counts as a plain solve().
+struct SolveStats {
+  std::size_t solves = 0;           ///< solve() and resolve() calls
+  std::size_t warm_attempts = 0;    ///< resolves offered a non-empty basis
+  std::size_t warm_hits = 0;        ///< resolves that ran warm to the end
+  std::size_t iterations = 0;       ///< simplex iterations, all solves
+  std::size_t warm_iterations = 0;  ///< iterations of the warm hits
+};
+
 /// Stateful revised simplex over one loaded problem. `load` copies the
 /// problem; `set_bounds` overrides variable boxes in place (the branch &
 /// bound fixings); `solve` runs from the all-logical basis while
@@ -90,18 +100,12 @@ class RevisedSimplex {
   LpSolution solve();
 
   /// Warm solve from `basis`; falls back to a cold solve when the basis
-  /// does not fit the loaded problem or cannot be refactorized.
+  /// is empty, does not fit the loaded problem or cannot be
+  /// refactorized.
   LpSolution resolve(const SimplexBasis& basis);
 
   /// True when the last resolve() actually ran from the supplied basis.
   bool last_resolve_was_warm() const { return last_resolve_was_warm_; }
-
-  /// Iterations of the most recent solve()/resolve() alone — the
-  /// warm-resolve delta, already isolated from the cumulative counters
-  /// (a warm resolve that fell back cold reports warm + cold together,
-  /// matching the LpSolution it returned). Surfaced per-backend as
-  /// solver::LpBackend::last_solve_iterations.
-  std::size_t last_solve_iterations() const { return last_solve_iterations_; }
 
   /// Snapshot of the current basis (valid after a solve).
   SimplexBasis capture_basis() const;
@@ -111,8 +115,10 @@ class RevisedSimplex {
   /// Returns false before any solve or when `row` is out of range.
   bool tableau_row(std::size_t row, TableauRow& out) const;
 
-  /// Cumulative factorization-engine counters (across loads; the
-  /// backend layer reports per-solve deltas).
+  /// Cumulative solve accounting (across loads).
+  const SolveStats& solve_stats() const { return solve_stats_; }
+
+  /// Cumulative factorization-engine counters (across loads).
   const BasisFactorStats& factor_stats() const { return factor_stats_; }
 
   /// Cumulative Devex reference-framework restarts (weights reset to 1
@@ -125,6 +131,8 @@ class RevisedSimplex {
  private:
   enum : std::int8_t { kAtLower = 0, kAtUpper = 1, kBasic = 2 };
 
+  /// solve() without the accounting (resolve's cold fallback).
+  LpSolution solve_cold();
   void reset_to_logical_basis();
   bool install_basis(const SimplexBasis& basis);
   /// Rebuilds the factorization from basic_; false when singular.
@@ -184,7 +192,7 @@ class RevisedSimplex {
   std::vector<std::uint8_t> is_touched_;
   std::size_t pivots_since_refactor_ = 0;
   bool last_resolve_was_warm_ = false;
-  std::size_t last_solve_iterations_ = 0;
+  SolveStats solve_stats_;
   /// Reduced costs d_j = c_j - y^T A_j, maintained incrementally across
   /// dual pivots (d -= θ_d · α over the touched pivot-row columns — the
   /// textbook update, sparing a full duals BTRAN plus a sparse dot per

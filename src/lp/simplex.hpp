@@ -9,8 +9,8 @@
 // SimplexSolver is a production engine, not only a reference: it solves
 // every bound-tightening LP of the encoder's kLpTightening pre-pass
 // (src/verify/encoder.cpp) and every per-query bound-refresh LP
-// (src/verify/verifier.cpp), and backs the kDenseTableau solver
-// backend. Of SimplexOptions it reads only `max_iterations`,
+// (src/verify/verifier.cpp), and it is the tests' reference for the
+// revised simplex. Of SimplexOptions it reads only `max_iterations`,
 // `bland_after` and `tolerance`; in particular it never polls
 // `run_control`, so the tightening pre-pass runs to completion under a
 // deadline and the refresh loop stops only between variables.

@@ -65,9 +65,8 @@ class Worker {
          const BranchAndBoundOptions& options, SharedSearch& shared,
          search::ParallelFrontier& frontier, search::PseudocostTable& pseudocosts)
       : index_(index), problem_(problem), options_(options), shared_(shared),
-        frontier_(frontier), pseudocosts_(pseudocosts),
-        backend_(solver::make_lp_backend(options.backend, options.lp_options)) {
-    backend_->load(problem.relaxation());
+        frontier_(frontier), pseudocosts_(pseudocosts), simplex_(options.lp_options) {
+    simplex_.load(problem.relaxation());
   }
 
   void run() {
@@ -82,7 +81,11 @@ class Worker {
     }
   }
 
-  const solver::SolverStats& stats() const { return backend_->stats(); }
+  solver::SolverStats stats() const {
+    solver::SolverStats stats = solver::simplex_stats(simplex_);
+    stats.sibling_batches = sibling_batches_;
+    return stats;
+  }
 
  private:
   bool better(double a, double b) const {
@@ -142,12 +145,12 @@ class Worker {
       apply_fixings(node);
       // A node presolved by its parent's sibling batch carries its own
       // relaxation solution: the pop skips the LP entirely. The fixings
-      // above still land on the backend, so reliability probes and this
+      // above still land on the simplex, so reliability probes and this
       // node's own sibling batch solve against the right box.
       const lp::LpSolution lp = node.presolved ? node.presolved->solution
                                 : node.parent_basis
-                                    ? backend_->resolve(*node.parent_basis)
-                                    : backend_->solve();
+                                    ? simplex_.resolve(*node.parent_basis)
+                                    : simplex_.solve();
 
       // Feed the pseudocost table with this child's actual outcome —
       // degradation statistics learned for free from solves the search
@@ -165,17 +168,16 @@ class Worker {
           }
         }
       }
-      std::shared_ptr<const solver::WarmBasis> basis;
-      if (lp.status == lp::SolveStatus::kOptimal && any_fractional &&
-          backend_->supports_warm_start()) {
-        // For a presolved node the backend holds whatever its batch
+      std::shared_ptr<const lp::SimplexBasis> basis;
+      if (lp.status == lp::SolveStatus::kOptimal && any_fractional) {
+        // For a presolved node the simplex holds whatever its batch
         // solved last, not this node's basis — use the snapshot cached
         // with the solution (null only on a failed capture: children
         // then cold-solve, which is merely slower).
         if (node.presolved)
           basis = node.presolved->basis;
         else
-          basis = std::make_shared<const solver::WarmBasis>(backend_->capture_basis());
+          basis = std::make_shared<const lp::SimplexBasis>(simplex_.capture_basis());
       }
       search::BranchDecision decision;
       if (any_fractional) {
@@ -192,7 +194,7 @@ class Worker {
         }
         search::BranchContext ctx;
         ctx.problem = &problem_;
-        ctx.backend = backend_.get();
+        ctx.simplex = &simplex_;
         ctx.lp = &lp;
         ctx.warm_basis = basis.get();
         ctx.integrality_tolerance = options_.integrality_tolerance;
@@ -317,7 +319,7 @@ class Worker {
 
       // ---- Batched sibling re-solves -------------------------------
       // Solve both children now, while the parent basis is the one the
-      // backend just worked from (sharing its factorization and Devex
+      // simplex just worked from (sharing its factorization and Devex
       // pricing weights via the matching-basis fast path), and queue
       // them under their own — strictly tighter — relaxation objectives;
       // an infeasible child is pruned without entering the frontier.
@@ -329,16 +331,20 @@ class Worker {
           decision.down_infeasible || decision.up_infeasible ||
           decision.have_down_bound || decision.have_up_bound;
       if (!probe_touched && basis != nullptr) {
-        const solver::ChildBounds specs[2] = {{branch_var, 0.0, 0.0},
-                                              {branch_var, 1.0, 1.0}};
-        solver::ChildResult results[2];
-        backend_->solve_children(*basis, specs, 2, results);
-        // solve_children leaves the last child's override active on the
-        // backend; track it so apply_fixings resets the box before the
-        // next node's solve.
+        ++sibling_batches_;
+        lp::LpSolution solutions[2];
+        lp::SimplexBasis bases[2];
+        for (int c = 0; c < 2; ++c) {
+          simplex_.set_bounds(branch_var, c, c);
+          solutions[c] = simplex_.resolve(*basis);
+          if (solutions[c].status == lp::SolveStatus::kOptimal)
+            bases[c] = simplex_.capture_basis();
+        }
+        // The last child's override is still active on the simplex; track
+        // it so apply_fixings resets the box before the next node's solve.
         overridden_.push_back(branch_var);
-        push_zero = attach_presolved(zero, results[0]);
-        push_one = attach_presolved(one, results[1]);
+        push_zero = attach_presolved(zero, solutions[0], bases[0]);
+        push_one = attach_presolved(one, solutions[1], bases[1]);
       }
 
       // Push the rounded-toward branch last so the plunge pops it first
@@ -385,8 +391,8 @@ class Worker {
   /// child's relaxation proved infeasible: pruned without ever entering
   /// the frontier. A child the batch could not solve to completion
   /// (iteration limit) is pushed plain and re-solved at pop time.
-  bool attach_presolved(SearchNode& child, solver::ChildResult& result) {
-    const lp::LpSolution& lp = result.solution;
+  bool attach_presolved(SearchNode& child, lp::LpSolution& lp,
+                        lp::SimplexBasis& basis) {
     if (lp.status != lp::SolveStatus::kOptimal &&
         lp.status != lp::SolveStatus::kInfeasible)
       return true;
@@ -396,10 +402,9 @@ class Worker {
     child.bound = lp.objective;
     child.has_bound = true;
     auto cached = std::make_shared<SearchNode::PresolvedChild>();
-    cached->solution = std::move(result.solution);
-    if (!result.basis.empty())
-      cached->basis =
-          std::make_shared<const solver::WarmBasis>(std::move(result.basis));
+    cached->solution = std::move(lp);
+    if (!basis.empty())
+      cached->basis = std::make_shared<const lp::SimplexBasis>(std::move(basis));
     child.presolved = std::move(cached);
     return true;
   }
@@ -408,10 +413,10 @@ class Worker {
   void apply_fixings(const SearchNode& node) {
     const lp::LpProblem& base = problem_.relaxation();
     for (const std::size_t var : overridden_)
-      backend_->set_bounds(var, base.lower_bound(var), base.upper_bound(var));
+      simplex_.set_bounds(var, base.lower_bound(var), base.upper_bound(var));
     overridden_.clear();
     for (const auto& [var, value] : node.fixings) {
-      backend_->set_bounds(var, value, value);
+      simplex_.set_bounds(var, value, value);
       overridden_.push_back(var);
     }
   }
@@ -422,8 +427,9 @@ class Worker {
   SharedSearch& shared_;
   search::ParallelFrontier& frontier_;
   search::PseudocostTable& pseudocosts_;
-  std::unique_ptr<solver::LpBackend> backend_;
+  lp::RevisedSimplex simplex_;
   std::vector<std::size_t> overridden_;
+  std::size_t sibling_batches_ = 0;
 };
 
 }  // namespace
@@ -459,8 +465,8 @@ MilpResult BranchAndBoundSolver::solve(const MilpProblem& problem) const {
       cuts_recycled = options.cuts.initial_cuts->size();
     }
     if (root_cuts_enabled)
-      root_cuts = cuts::run_root_cuts(working, options.cuts, options.backend,
-                                      options.lp_options, options.integrality_tolerance);
+      root_cuts = cuts::run_root_cuts(working, options.cuts, options.lp_options,
+                                      options.integrality_tolerance);
     // Injected rows count as live cuts from here on: the harvest window
     // below and the provenance list both cover them (injected sources
     // first — row order in the problem).

@@ -14,15 +14,14 @@
 // safety verification, where any feasible point is a counterexample
 // and exhaustive infeasibility is the proof.
 //
-// Node relaxations are solved through the pluggable solver backend layer
-// (src/solver/): each node carries its parent's optimal basis, and since
-// branching only tightens a single variable's box, a warm-startable
-// backend re-solves with a handful of dual-simplex pivots instead of a
+// Node relaxations are solved by the bounded-variable revised simplex
+// (src/lp/revised_simplex.hpp): each node carries its parent's optimal
+// basis, and since branching only tightens a single variable's box, the
+// warm re-solve takes a handful of dual-simplex pivots instead of a
 // full cold solve. When a node branches, both children are solved at
-// once from the parent basis still in the backend
-// (LpBackend::solve_children) and queued under their own relaxation
-// objectives, unless reliability probes already solved them. Each
-// worker owns a private backend instance.
+// once from the parent basis still in the simplex and queued under
+// their own relaxation objectives, unless reliability probes already
+// solved them. Each worker owns a private simplex.
 // Verdicts (and optimal objective values) of searches that run to
 // completion are thread-count-invariant; the specific incumbent point,
 // node counts and steal counts may differ between runs. The exception
@@ -48,7 +47,7 @@
 #include <limits>
 #include <vector>
 
-#include "lp/simplex.hpp"
+#include "lp/revised_simplex.hpp"
 #include "milp/cuts/cut_generator.hpp"
 #include "milp/milp_problem.hpp"
 #include "milp/search/branching_rule.hpp"
@@ -126,8 +125,6 @@ struct BranchAndBoundOptions {
   /// Return at the first integral solution (feasibility mode).
   bool stop_at_first_feasible = false;
   lp::SimplexOptions lp_options = {};
-  /// Which LP backend solves the node relaxations.
-  solver::LpBackendKind backend = solver::LpBackendKind::kRevisedBounded;
   /// Worker threads for parallel node exploration (<= 1: serial).
   std::size_t threads = 1;
   /// Cutting-plane engine (off by default; `cuts.root_rounds > 0`

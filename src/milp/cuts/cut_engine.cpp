@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <unordered_set>
 
 #include "milp/cuts/gomory_cuts.hpp"
@@ -130,7 +129,6 @@ bool row_binding(const lp::Row& row, const std::vector<double>& values) {
 }  // namespace
 
 RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
-                            solver::LpBackendKind backend_kind,
                             const lp::SimplexOptions& lp_options,
                             double integrality_tolerance) {
   RootCutReport report;
@@ -140,8 +138,7 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
   const GomoryCutGenerator gomory;
   const CutGenerator* const generators[] = {&relu_split, &gomory};
 
-  const std::unique_ptr<solver::LpBackend> backend =
-      solver::make_lp_backend(backend_kind, lp_options);
+  lp::RevisedSimplex simplex(lp_options);
   const std::size_t n = problem.relaxation().variable_count();
   const std::size_t base_rows = problem.relaxation().row_count();
   std::unordered_set<std::size_t> seen;
@@ -149,7 +146,7 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
   // with the appended cut rows' logicals: the grown basis is block
   // triangular ([B 0; C -I]) and keeps the old duals, so it stays valid
   // and dual feasible — the dual simplex only repairs the violated cuts.
-  solver::WarmBasis basis;
+  lp::SimplexBasis basis;
   // Consecutive non-binding rounds per live cut row (problem row
   // base_rows + k), for aging, and each live row's generator — kept in
   // lockstep so the final report can attribute every surviving cut.
@@ -164,9 +161,9 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
       report.deadline_expired = true;
       break;
     }
-    backend->load(problem.relaxation());
-    const bool try_warm = options.warm_root && !basis.empty();
-    const lp::LpSolution lp = try_warm ? backend->resolve(basis) : backend->solve();
+    simplex.load(problem.relaxation());
+    // Cold while `basis` is empty: the first round, or warm_root off.
+    const lp::LpSolution lp = simplex.resolve(basis);
     if (lp.status == lp::SolveStatus::kDeadline) {
       report.deadline_expired = true;
       break;
@@ -182,7 +179,7 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
     if (!fractional) break;  // integral root: nothing to separate
     ++report.rounds;
 
-    const CutContext ctx{problem, lp, backend.get()};
+    const CutContext ctx{problem, lp, simplex};
     std::vector<Cut> candidates;
     for (const CutGenerator* generator : generators) generator->generate(ctx, candidates);
     std::vector<Cut> kept;
@@ -210,7 +207,7 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
 
     if (kept.empty() && drop.empty()) break;  // separation dried up
 
-    basis = options.warm_root ? backend->capture_basis() : solver::WarmBasis{};
+    basis = options.warm_root ? simplex.capture_basis() : lp::SimplexBasis{};
 
     // With a live basis, only drop rows whose logical is basic (the
     // expected case for a non-binding cut); anything else would leave
@@ -249,7 +246,7 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
           if (row_gone(i)) ++dropped;
           shift[i] = dropped;
         }
-        solver::WarmBasis fixed;
+        lp::SimplexBasis fixed;
         for (const std::int32_t b : basis.basic) {
           const std::size_t j = static_cast<std::size_t>(b);
           if (j < n) {
@@ -303,7 +300,7 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
   }
   report.cuts_live = ages.size();
   report.live_sources = std::move(sources);
-  report.solver_stats = backend->stats();
+  report.solver_stats = solver::simplex_stats(simplex);
   report.warm_rounds = report.solver_stats.warm_hits;
   return report;
 }

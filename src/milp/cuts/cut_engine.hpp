@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "milp/cuts/cut_generator.hpp"
+#include "solver/lp_backend.hpp"
 
 namespace dpv::milp::cuts {
 
@@ -39,11 +40,11 @@ struct RootCutReport {
 };
 
 /// Runs up to `options.root_rounds` rounds of root-node separation on
-/// `problem`: solve the relaxation, generate (ReLU-split and, on
-/// tableau-capable backends, Gomory) cuts for the fractional optimum,
-/// sanitize + dedup, append the 32 most violated through
-/// MilpProblem::add_rows, repeat. Stops early when the root is
-/// integral, infeasible, unsolved, or a round yields nothing new.
+/// `problem`: solve the relaxation, generate ReLU-split and Gomory cuts
+/// for the fractional optimum, sanitize + dedup, append the 32 most
+/// violated through MilpProblem::add_rows, repeat. Stops early when the
+/// root is integral, infeasible, unsolved, or a round yields nothing
+/// new.
 ///
 /// With `options.warm_root` the loop re-solves each round from the
 /// previous round's optimal basis padded with the new cut logicals
@@ -54,7 +55,6 @@ struct RootCutReport {
 /// dead cuts would otherwise tax every node re-solve of the search.
 /// An aged-out cut stays in the dedup set and is never re-added.
 RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
-                            solver::LpBackendKind backend,
                             const lp::SimplexOptions& lp_options,
                             double integrality_tolerance);
 

@@ -14,7 +14,7 @@
 //     big-M ReLU blocks, separated from the MilpProblem's ReluSplitInfo
 //     metadata and the frozen variable boxes.
 //   * GomoryCutGenerator — textbook Gomory mixed-integer cuts read off
-//     the revised simplex tableau via LpBackend::row_of_basis.
+//     the revised simplex tableau via lp::RevisedSimplex::tableau_row.
 // Both separate at the root only; the rows then persist for the whole
 // search.
 #pragma once
@@ -22,9 +22,8 @@
 #include <cstddef>
 #include <vector>
 
-#include "lp/simplex.hpp"
+#include "lp/revised_simplex.hpp"
 #include "milp/milp_problem.hpp"
-#include "solver/lp_backend.hpp"
 
 namespace dpv::milp::cuts {
 
@@ -73,13 +72,12 @@ struct CutOptions {
 };
 
 /// Everything a generator may look at. `relaxation` is the LP optimum
-/// being separated (values indexed by structural variable). `backend`
-/// is the solver that produced it — null or tableau-less backends simply
-/// disable tableau-based generators.
+/// being separated (values indexed by structural variable); `simplex`
+/// is the solver that produced it, whose tableau rows it can read.
 struct CutContext {
   const MilpProblem& problem;
   const lp::LpSolution& relaxation;
-  const solver::LpBackend* backend = nullptr;
+  const lp::RevisedSimplex& simplex;
 };
 
 /// Stateless separator: inspects the context and appends violated,

@@ -18,8 +18,6 @@ constexpr double kMinFraction = 0.02;
 }  // namespace
 
 void GomoryCutGenerator::generate(const CutContext& ctx, std::vector<Cut>& out) const {
-  const solver::LpBackend* backend = ctx.backend;
-  if (backend == nullptr || !backend->supports_tableau()) return;
   const MilpProblem& problem = ctx.problem;
   const std::size_t n = problem.variable_count();
   const std::vector<lp::Row>& rows = problem.relaxation().rows();
@@ -27,7 +25,7 @@ void GomoryCutGenerator::generate(const CutContext& ctx, std::vector<Cut>& out) 
   lp::TableauRow row;
   std::vector<double> coeff(n, 0.0);
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (!backend->row_of_basis(r, row)) continue;
+    if (!ctx.simplex.tableau_row(r, row)) continue;
     if (row.basic_col < 0 || static_cast<std::size_t>(row.basic_col) >= n) continue;
     const std::size_t basic = static_cast<std::size_t>(row.basic_col);
     if (problem.variable_type(basic) != VarType::kBinary) continue;

@@ -19,9 +19,8 @@
 //
 // Root-node only: the derivation uses the bounds the nonbasic columns
 // rest at, which branch & bound tightens below the root — a node-local
-// GMI cut would not be valid for the rest of the tree. Requires a
-// tableau-capable backend (LpBackend::row_of_basis); on the dense
-// reference backend this generator is silently inactive.
+// GMI cut would not be valid for the rest of the tree. Rows come from
+// lp::RevisedSimplex::tableau_row.
 #pragma once
 
 #include "milp/cuts/cut_generator.hpp"

@@ -16,7 +16,7 @@
 // trained neural networks").
 //
 // The derivation only uses the problem-level variable boxes — which
-// branch & bound never changes (fixings live in the backend) — so cuts
+// branch & bound never changes (fixings live in the simplex) — so cuts
 // from this family are globally valid for the whole tree.
 #pragma once
 

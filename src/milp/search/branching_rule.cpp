@@ -185,14 +185,12 @@ struct ProbeOutcome {
 
 ProbeOutcome probe_child(const BranchContext& ctx, std::size_t var, double value,
                          double parent_fractionality) {
-  ctx.backend->set_bounds(var, value, value);
-  const lp::LpSolution child =
-      (ctx.warm_basis != nullptr && !ctx.warm_basis->empty() &&
-       ctx.backend->supports_warm_start())
-          ? ctx.backend->resolve(*ctx.warm_basis)
-          : ctx.backend->solve();
+  ctx.simplex->set_bounds(var, value, value);
+  const lp::LpSolution child = ctx.warm_basis != nullptr
+                                   ? ctx.simplex->resolve(*ctx.warm_basis)
+                                   : ctx.simplex->solve();
   const lp::LpProblem& base = ctx.problem->relaxation();
-  ctx.backend->set_bounds(var, base.lower_bound(var), base.upper_bound(var));
+  ctx.simplex->set_bounds(var, base.lower_bound(var), base.upper_bound(var));
 
   ProbeOutcome out;
   if (child.status == lp::SolveStatus::kInfeasible) {

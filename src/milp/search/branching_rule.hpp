@@ -21,9 +21,9 @@
 #include <utility>
 #include <vector>
 
+#include "lp/revised_simplex.hpp"
 #include "milp/milp_problem.hpp"
 #include "milp/search/node_store.hpp"
-#include "solver/lp_backend.hpp"
 
 namespace dpv::milp::search {
 
@@ -111,16 +111,16 @@ class PseudocostTable {
   std::size_t global_solved_ = 0;
 };
 
-/// Everything the rule consults for one node. The backend is loaded
+/// Everything the rule consults for one node. The simplex is loaded
 /// with the node's bound fixings already applied and `lp` is its
 /// optimal relaxation, so the reliability probes re-solve children in
 /// place (restoring every bound they touch before returning).
 struct BranchContext {
   const MilpProblem* problem = nullptr;
-  solver::LpBackend* backend = nullptr;
+  lp::RevisedSimplex* simplex = nullptr;
   const lp::LpSolution* lp = nullptr;
   /// Node's optimal basis for warm probe re-solves (may be null).
-  const solver::WarmBasis* warm_basis = nullptr;
+  const lp::SimplexBasis* warm_basis = nullptr;
   double integrality_tolerance = 1e-6;
   bool minimize = true;
   /// The search's shared table (required).

@@ -24,7 +24,7 @@
 #include <utility>
 #include <vector>
 
-#include "solver/lp_backend.hpp"
+#include "lp/revised_simplex.hpp"
 
 namespace dpv::milp::search {
 
@@ -41,7 +41,7 @@ struct SearchNode {
   /// (binary variable, 0 or 1) fixings accumulated along the branch.
   std::vector<std::pair<std::size_t, double>> fixings;
   /// Optimal basis of the parent relaxation (shared between siblings).
-  std::shared_ptr<const solver::WarmBasis> parent_basis;
+  std::shared_ptr<const lp::SimplexBasis> parent_basis;
 
   /// Parent relaxation objective in the user's direction — a sound
   /// bound on every integral point under this node. The root carries
@@ -62,12 +62,12 @@ struct SearchNode {
   /// same event again.
   bool probe_recorded = false;
 
-  /// Relaxation already solved at push time by a batched sibling
-  /// re-solve (LpBackend::solve_children): the pop skips the LP and
-  /// reuses this solution/basis.
+  /// Relaxation already solved at push time by the parent's batched
+  /// sibling re-solve: the pop skips the LP and reuses this
+  /// solution/basis.
   struct PresolvedChild {
     lp::LpSolution solution;
-    std::shared_ptr<const solver::WarmBasis> basis;
+    std::shared_ptr<const lp::SimplexBasis> basis;
   };
   std::shared_ptr<const PresolvedChild> presolved;
 };

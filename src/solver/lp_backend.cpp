@@ -2,19 +2,7 @@
 
 #include <algorithm>
 
-#include "common/check.hpp"
-
 namespace dpv::solver {
-
-const char* lp_backend_kind_name(LpBackendKind kind) {
-  switch (kind) {
-    case LpBackendKind::kDenseTableau:
-      return "dense-tableau";
-    case LpBackendKind::kRevisedBounded:
-      return "revised-bounded";
-  }
-  return "unknown";
-}
 
 void SolverStats::merge(const SolverStats& other) {
   lp_solves += other.lp_solves;
@@ -52,145 +40,24 @@ double SolverStats::avg_eta_nonzeros() const {
                                   static_cast<double>(basis_updates);
 }
 
-void LpBackend::solve_children(const WarmBasis& parent,
-                               const ChildBounds* children, std::size_t count,
-                               ChildResult* out) {
-  ++stats_.sibling_batches;
-  for (std::size_t i = 0; i < count; ++i) {
-    set_bounds(children[i].var, children[i].lo, children[i].up);
-    out[i].solution = resolve(parent);
-    out[i].basis = out[i].solution.status == lp::SolveStatus::kOptimal
-                       ? capture_basis()
-                       : WarmBasis{};
-  }
-}
-
-namespace {
-
-/// Reference backend: the stateless dense-tableau solver. Bounds edits
-/// land on a private problem copy; every resolve is a cold solve.
-class DenseTableauBackend final : public LpBackend {
- public:
-  explicit DenseTableauBackend(const lp::SimplexOptions& options) : solver_(options) {}
-
-  LpBackendKind kind() const override { return LpBackendKind::kDenseTableau; }
-  bool supports_warm_start() const override { return false; }
-
-  void load(const lp::LpProblem& problem) override {
-    problem_ = problem;
-    loaded_ = true;
-  }
-
-  void set_bounds(std::size_t var, double lo, double up) override {
-    check(loaded_, "DenseTableauBackend::set_bounds before load");
-    problem_.set_bounds(var, lo, up);
-  }
-
-  lp::LpSolution solve() override {
-    check(loaded_, "DenseTableauBackend::solve before load");
-    const lp::LpSolution solution = solver_.solve(problem_);
-    ++stats_.lp_solves;
-    stats_.lp_iterations += solution.iterations;
-    last_solve_iterations_ = solution.iterations;
-    return solution;
-  }
-
-  lp::LpSolution resolve(const WarmBasis& basis) override {
-    if (!basis.empty()) ++stats_.warm_attempts;  // attempted, never hits
-    return solve();
-  }
-
-  WarmBasis capture_basis() const override { return {}; }
-
- private:
-  lp::SimplexSolver solver_;
-  lp::LpProblem problem_;
-  bool loaded_ = false;
-};
-
-/// Warm-startable backend over the bounded-variable revised simplex.
-class RevisedBoundedBackend final : public LpBackend {
- public:
-  explicit RevisedBoundedBackend(const lp::SimplexOptions& options) : simplex_(options) {}
-
-  LpBackendKind kind() const override { return LpBackendKind::kRevisedBounded; }
-  bool supports_warm_start() const override { return true; }
-
-  void load(const lp::LpProblem& problem) override { simplex_.load(problem); }
-
-  void set_bounds(std::size_t var, double lo, double up) override {
-    simplex_.set_bounds(var, lo, up);
-  }
-
-  lp::LpSolution solve() override {
-    const lp::LpSolution solution = simplex_.solve();
-    ++stats_.lp_solves;
-    stats_.lp_iterations += solution.iterations;
-    // Single source of truth for the per-call delta: the simplex's own
-    // counter, so the two layers cannot diverge.
-    last_solve_iterations_ = simplex_.last_solve_iterations();
-    absorb_factor_stats();
-    return solution;
-  }
-
-  lp::LpSolution resolve(const WarmBasis& basis) override {
-    if (basis.empty()) return solve();
-    const lp::LpSolution solution = simplex_.resolve(basis);
-    ++stats_.lp_solves;
-    ++stats_.warm_attempts;
-    stats_.lp_iterations += solution.iterations;
-    last_solve_iterations_ = simplex_.last_solve_iterations();
-    if (simplex_.last_resolve_was_warm()) {
-      ++stats_.warm_hits;
-      stats_.warm_iterations += solution.iterations;
-    }
-    absorb_factor_stats();
-    return solution;
-  }
-
-  WarmBasis capture_basis() const override { return simplex_.capture_basis(); }
-
-  bool supports_tableau() const override { return true; }
-
-  bool row_of_basis(std::size_t row, TableauRow& out) const override {
-    return simplex_.tableau_row(row, out);
-  }
-
- private:
-  /// Folds the simplex's cumulative factorization counters into stats_
-  /// as deltas since the last solve through this backend.
-  void absorb_factor_stats() {
-    const lp::BasisFactorStats& now = simplex_.factor_stats();
-    stats_.basis_factorizations += now.factorizations - seen_.factorizations;
-    stats_.basis_updates += now.updates - seen_.updates;
-    stats_.eta_nonzeros += now.eta_nonzeros - seen_.eta_nonzeros;
-    stats_.singular_recoveries += now.singular_recoveries - seen_.singular_recoveries;
-    stats_.nonfinite_recoveries += now.nonfinite_recoveries - seen_.nonfinite_recoveries;
-    stats_.factor_seconds += now.factor_seconds - seen_.factor_seconds;
-    stats_.pivot_seconds += now.pivot_seconds - seen_.pivot_seconds;
-    seen_ = now;
-    const std::size_t resets = simplex_.pricing_resets();
-    stats_.pricing_resets += resets - seen_pricing_resets_;
-    seen_pricing_resets_ = resets;
-  }
-
-  lp::RevisedSimplex simplex_;
-  lp::BasisFactorStats seen_;
-  std::size_t seen_pricing_resets_ = 0;
-};
-
-}  // namespace
-
-std::unique_ptr<LpBackend> make_lp_backend(LpBackendKind kind,
-                                           const lp::SimplexOptions& options) {
-  switch (kind) {
-    case LpBackendKind::kDenseTableau:
-      return std::make_unique<DenseTableauBackend>(options);
-    case LpBackendKind::kRevisedBounded:
-      return std::make_unique<RevisedBoundedBackend>(options);
-  }
-  internal_check(false, "make_lp_backend: unknown backend kind");
-  return nullptr;
+SolverStats simplex_stats(const lp::RevisedSimplex& simplex) {
+  const lp::SolveStats& solves = simplex.solve_stats();
+  const lp::BasisFactorStats& factor = simplex.factor_stats();
+  SolverStats stats;
+  stats.lp_solves = solves.solves;
+  stats.warm_attempts = solves.warm_attempts;
+  stats.warm_hits = solves.warm_hits;
+  stats.lp_iterations = solves.iterations;
+  stats.warm_iterations = solves.warm_iterations;
+  stats.basis_factorizations = factor.factorizations;
+  stats.basis_updates = factor.updates;
+  stats.eta_nonzeros = factor.eta_nonzeros;
+  stats.singular_recoveries = factor.singular_recoveries;
+  stats.nonfinite_recoveries = factor.nonfinite_recoveries;
+  stats.factor_seconds = factor.factor_seconds;
+  stats.pivot_seconds = factor.pivot_seconds;
+  stats.pricing_resets = simplex.pricing_resets();
+  return stats;
 }
 
 }  // namespace dpv::solver

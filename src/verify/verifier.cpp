@@ -43,8 +43,7 @@ std::string VerificationResult::summary() const {
     out << " [" << decision_stage_name(decided_by) << "]";
   out << " (relu=" << encoding.relu_neurons
       << ", stable=" << encoding.stable_relus << ", binaries=" << encoding.binaries
-      << ", nodes=" << milp_nodes << ", lp-iters=" << lp_iterations << ", backend="
-      << solver::lp_backend_kind_name(backend);
+      << ", nodes=" << milp_nodes << ", lp-iters=" << lp_iterations;
   if (solver_stats.warm_attempts > 0)
     out << ", warm-hit=" << solver_stats.warm_hit_rate();
   if (solver_stats.cut_rounds > 0 || solver_stats.cuts_added > 0)
@@ -278,7 +277,6 @@ VerificationResult TailVerifier::verify(const VerificationQuery& query) const {
   const milp::MilpResult milp_result = solver.solve(encoding.problem);
   result.milp_nodes = milp_result.nodes_explored;
   result.lp_iterations = milp_result.lp_iterations;
-  result.backend = options_.milp.backend;
   result.solver_stats = milp_result.solver_stats;
   result.cuts_recycled = milp_result.cuts_recycled;
 

@@ -83,8 +83,6 @@ struct VerificationResult {
   double encode_seconds = 0.0;
   /// Wall seconds in the branch & bound search (excludes encoding).
   double solve_seconds = 0.0;
-  /// Which LP backend solved the node relaxations.
-  solver::LpBackendKind backend = solver::LpBackendKind::kRevisedBounded;
   /// Warm-start hit rate, iteration accounting, cutting-plane counters
   /// (`cuts_added`, `cut_rounds`), basis-factorization accounting
   /// (factorizations, eta updates + nonzeros, factor-vs-pivot seconds)
@@ -142,10 +140,10 @@ struct VerificationResult {
 
 struct TailVerifierOptions {
   EncodeOptions encode = {};
-  /// MILP search options; `milp.backend` selects the LP backend,
-  /// `milp.threads` enables parallel node exploration and
-  /// `milp.cuts.root_rounds` turns on the cutting-plane engine
-  /// (verdict-preserving; shrinks proof trees on hard SAFE queries).
+  /// MILP search options; `milp.threads` enables parallel node
+  /// exploration and `milp.cuts.root_rounds` turns on the cutting-plane
+  /// engine (verdict-preserving; shrinks proof trees on hard SAFE
+  /// queries).
   milp::BranchAndBoundOptions milp = {};
   /// Tolerance for re-validating counterexamples on the concrete tail.
   double validation_tolerance = 1e-6;

@@ -2,8 +2,9 @@
 // dense reference on randomized sparse bases, Forrest–Tomlin update
 // equivalence to refactorization across pivot chains, revised-simplex
 // optima against the dense-tableau SimplexSolver, tableau rows against
-// the dense row e_r^T B^{-1} [A | -I], verdict parity across backend x
-// threads x cuts, and the singular-basis crash recovery path.
+// the dense row e_r^T B^{-1} [A | -I], verdicts across threads x cuts
+// against ReLU phase enumeration, and the singular-basis crash recovery
+// path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +17,7 @@
 #include "lp/basis_lu.hpp"
 #include "lp/revised_simplex.hpp"
 #include "milp/cuts/cut_engine.hpp"
+#include "milp_oracle.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "solver/lp_backend.hpp"
@@ -36,7 +38,6 @@ using lp::RevisedSimplex;
 using lp::RowSense;
 using lp::SimplexOptions;
 using lp::SolveStatus;
-using solver::LpBackendKind;
 
 // ------------------------------------------------------- dense reference
 
@@ -333,9 +334,12 @@ TEST(BasisLuFactor, AdaptiveCadenceScalesWithBasisDimension) {
 
 // ------------------------------------------- revised simplex parity
 
-LpProblem random_lp(Rng& rng) {
-  const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 10));
-  const std::size_t m = static_cast<std::size_t>(rng.uniform_int(1, 14));
+/// Random box-bounded LP with a known interior point. `sparse` rows drop
+/// each coefficient with probability 1/2, like the encoder's; dense rows
+/// keep them all.
+LpProblem random_lp(Rng& rng, bool sparse = true) {
+  const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, sparse ? 10 : 8));
+  const std::size_t m = static_cast<std::size_t>(rng.uniform_int(1, sparse ? 14 : 10));
   LpProblem p;
   std::vector<double> interior(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -348,7 +352,7 @@ LpProblem random_lp(Rng& rng) {
     double activity = 0.0;
     std::vector<LinearTerm> terms;
     for (std::size_t c = 0; c < n; ++c) {
-      if (rng.bernoulli(0.5)) continue;  // sparse rows, like the encoder's
+      if (sparse && rng.bernoulli(0.5)) continue;
       const double coeff = rng.uniform(-2.0, 2.0);
       terms.push_back({c, coeff});
       activity += coeff * interior[c];
@@ -462,11 +466,29 @@ void expect_tableau_rows_match_dense(const LpProblem& p, const RevisedSimplex& s
   }
 }
 
-class FactorizationRandomLp : public ::testing::TestWithParam<int> {};
+/// One LP of the random parity sweep: 60 sparse-row and 40 dense-row
+/// instances, each family from its own seed sequence.
+struct RandomLpCase {
+  bool sparse;
+  std::uint64_t seed;
+};
+
+LpProblem random_lp(const RandomLpCase& c) {
+  Rng rng(c.sparse ? c.seed * 92821 + 5 : c.seed * 104729 + 17);
+  return random_lp(rng, c.sparse);
+}
+
+std::vector<RandomLpCase> random_lp_cases() {
+  std::vector<RandomLpCase> cases;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) cases.push_back({true, seed});
+  for (std::uint64_t seed = 0; seed < 40; ++seed) cases.push_back({false, seed});
+  return cases;
+}
+
+class FactorizationRandomLp : public ::testing::TestWithParam<RandomLpCase> {};
 
 TEST_P(FactorizationRandomLp, SparseLuAgreesWithDenseTableau) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 92821 + 5);
-  const LpProblem p = random_lp(rng);
+  const LpProblem p = random_lp(GetParam());
   const LpSolution a = lp::SimplexSolver().solve(p);
   RevisedSimplex sparse;
   sparse.load(p);
@@ -480,15 +502,19 @@ TEST_P(FactorizationRandomLp, SparseLuAgreesWithDenseTableau) {
 }
 
 TEST_P(FactorizationRandomLp, TableauRowsMatchDenseRows) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 92821 + 5);
-  const LpProblem p = random_lp(rng);
+  const LpProblem p = random_lp(GetParam());
   RevisedSimplex simplex;
   simplex.load(p);
   if (simplex.solve().status != SolveStatus::kOptimal) return;
-  expect_tableau_rows_match_dense(p, simplex, "seed " + std::to_string(GetParam()));
+  expect_tableau_rows_match_dense(p, simplex, "seed " + std::to_string(GetParam().seed));
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomLps, FactorizationRandomLp, ::testing::Range(0, 60));
+INSTANTIATE_TEST_SUITE_P(RandomLps, FactorizationRandomLp,
+                         ::testing::ValuesIn(random_lp_cases()),
+                         [](const ::testing::TestParamInfo<RandomLpCase>& info) {
+                           return (info.param.sparse ? "sparse" : "dense") +
+                                  std::to_string(info.param.seed);
+                         });
 
 TEST(FactorizationParity, TableauRowsMatchOnTextbookLp) {
   LpProblem p;
@@ -531,7 +557,7 @@ TEST(FactorizationParity, WarmResolveMatchesColdSolve) {
 
 // ----------------------------------------------- singular-basis recovery
 
-TEST(SingularBasisRecovery, SingularWarmBasisFallsBackAndIsReported) {
+TEST(SingularBasisRecovery, SingularWarmStartFallsBackAndIsReported) {
   // Columns of x and y are linearly dependent across the two rows, so a
   // basis of {x, y} is singular by construction.
   LpProblem p;
@@ -554,7 +580,7 @@ TEST(SingularBasisRecovery, SingularWarmBasisFallsBackAndIsReported) {
   EXPECT_GE(simplex.factor_stats().singular_recoveries, 1u);
 }
 
-TEST(SingularBasisRecovery, BackendSurfacesRecoveriesInSolverStats) {
+TEST(SingularBasisRecovery, SolverStatsSurfaceRecoveries) {
   LpProblem p;
   const std::size_t x = p.add_variable(0.0, 10.0, "x");
   const std::size_t y = p.add_variable(0.0, 10.0, "y");
@@ -562,16 +588,17 @@ TEST(SingularBasisRecovery, BackendSurfacesRecoveriesInSolverStats) {
   p.add_row({{x, 2.0}, {y, 4.0}}, RowSense::kLessEqual, 8.0);
   p.set_objective({{x, 1.0}, {y, 1.0}}, Objective::kMaximize);
 
-  auto backend = solver::make_lp_backend(LpBackendKind::kRevisedBounded, {});
-  backend->load(p);
-  solver::WarmBasis degenerate;
+  RevisedSimplex simplex;
+  simplex.load(p);
+  lp::SimplexBasis degenerate;
   degenerate.basic = {static_cast<std::int32_t>(x), static_cast<std::int32_t>(y)};
   degenerate.at_upper = {0, 0, 1, 1};
-  const LpSolution sol = backend->resolve(degenerate);
-  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_EQ(backend->stats().warm_hits, 0u);  // the degenerate basis missed
-  EXPECT_GE(backend->stats().singular_recoveries, 1u);
-  EXPECT_GT(backend->stats().basis_factorizations, 0u);
+  ASSERT_EQ(simplex.resolve(degenerate).status, SolveStatus::kOptimal);
+  const solver::SolverStats stats = solver::simplex_stats(simplex);
+  EXPECT_EQ(stats.warm_attempts, 1u);
+  EXPECT_EQ(stats.warm_hits, 0u);  // the degenerate basis missed
+  EXPECT_GE(stats.singular_recoveries, 1u);
+  EXPECT_GT(stats.basis_factorizations, 0u);
 }
 
 // ------------------------------------------------------- verdict parity
@@ -716,7 +743,7 @@ TEST(PivotRowScatter, TighteningReplayOnReluTailMatchesDenseTableau) {
   EXPECT_EQ(lp.row_count(), 242u);
 }
 
-TEST(FactorizationVerdictParity, FullBatteryAcrossBackendsThreadsAndCuts) {
+TEST(FactorizationVerdictParity, FullBatteryAcrossThreadsAndCuts) {
   for (const std::uint64_t seed : {31u, 32u, 41u, 42u}) {
     Rng rng(seed);
     const std::size_t in_n = 3, hidden = 6;
@@ -724,35 +751,31 @@ TEST(FactorizationVerdictParity, FullBatteryAcrossBackendsThreadsAndCuts) {
     // One SAFE proof that must branch, one easy UNSAFE query per pair.
     const double threshold = seed % 2 == 0 ? -5.0 : forcing_threshold(net, in_n, rng);
     const verify::VerificationQuery q = tail_query(net, in_n, threshold);
+    const verify::Verdict reference =
+        oracle::risk_reachable_by_phases(net, q.input_box, q.risk) ? verify::Verdict::kUnsafe
+                                                                  : verify::Verdict::kSafe;
 
-    verify::TailVerifierOptions base;
-    base.milp.max_nodes = 20000;
-    const verify::VerificationResult reference = verify::TailVerifier(base).verify(q);
-    ASSERT_NE(reference.verdict, verify::Verdict::kUnknown) << "seed " << seed;
-
-    for (const LpBackendKind backend :
-         {LpBackendKind::kRevisedBounded, LpBackendKind::kDenseTableau}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        for (const std::size_t rounds : {std::size_t{0}, std::size_t{4}}) {
-          verify::TailVerifierOptions options = base;
-          options.milp.backend = backend;
-          options.milp.threads = threads;
-          options.milp.cuts.root_rounds = rounds;
-          const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
-          EXPECT_EQ(r.verdict, reference.verdict)
-              << "seed " << seed << " backend " << solver::lp_backend_kind_name(backend)
-              << " threads " << threads << " rounds " << rounds;
-          if (r.verdict == verify::Verdict::kUnsafe)
-            EXPECT_TRUE(r.counterexample_validated) << "seed " << seed;
-          if (backend != LpBackendKind::kRevisedBounded) continue;
-          EXPECT_GT(r.solver_stats.basis_factorizations, 0u) << "seed " << seed;
-          if (r.solver_stats.basis_updates > 0)
-            EXPECT_GT(r.solver_stats.eta_nonzeros, 0u) << "seed " << seed;
-          // A serial branching search expands at least one node through
-          // the batched sibling re-solve.
-          if (r.milp_nodes > 2 && threads == 1 && rounds == 0)
-            EXPECT_GT(r.solver_stats.sibling_batches, 0u)
-                << "seed " << seed << " nodes " << r.milp_nodes;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      for (const std::size_t rounds : {std::size_t{0}, std::size_t{4}}) {
+        verify::TailVerifierOptions options;
+        options.milp.max_nodes = 20000;
+        options.milp.threads = threads;
+        options.milp.cuts.root_rounds = rounds;
+        const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
+        EXPECT_EQ(r.verdict, reference)
+            << "seed " << seed << " threads " << threads << " rounds " << rounds;
+        if (r.verdict == verify::Verdict::kUnsafe) {
+          EXPECT_TRUE(r.counterexample_validated) << "seed " << seed;
+        }
+        EXPECT_GT(r.solver_stats.basis_factorizations, 0u) << "seed " << seed;
+        if (r.solver_stats.basis_updates > 0) {
+          EXPECT_GT(r.solver_stats.eta_nonzeros, 0u) << "seed " << seed;
+        }
+        // A serial branching search expands at least one node through
+        // the batched sibling re-solve.
+        if (r.milp_nodes > 2 && threads == 1 && rounds == 0) {
+          EXPECT_GT(r.solver_stats.sibling_batches, 0u)
+              << "seed " << seed << " nodes " << r.milp_nodes;
         }
       }
     }
@@ -844,8 +867,8 @@ TEST(RootCutWarmStart, WarmLoopReusesBasesAndAgesOutStaleCuts) {
     options.root_age_limit = 1;  // age out after a single stale round
     milp::MilpProblem copy = p;
     const std::size_t base_rows = p.relaxation().row_count();
-    const milp::cuts::RootCutReport report = milp::cuts::run_root_cuts(
-        copy, options, LpBackendKind::kRevisedBounded, SimplexOptions{}, 1e-6);
+    const milp::cuts::RootCutReport report =
+        milp::cuts::run_root_cuts(copy, options, SimplexOptions{}, 1e-6);
 
     // Bookkeeping invariants: live + aged == appended, and the problem
     // holds exactly base + live rows.
@@ -868,36 +891,18 @@ TEST(RootCutWarmStart, WarmAndAgedSearchStillFindsBruteForceOptima) {
   for (int seed = 0; seed < 12; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed) * 3271 + 29);
     const milp::MilpProblem p = random_mixed_milp(rng);
-
-    // Brute force: best objective over feasible binary assignments,
-    // completing the continuous part with an LP.
-    const std::vector<std::size_t>& bins = p.binary_variables();
-    auto lp_backend = solver::make_lp_backend(LpBackendKind::kDenseTableau, {});
-    lp_backend->load(p.relaxation());
-    const bool maximize = p.relaxation().objective_direction() == Objective::kMaximize;
-    bool any = false;
-    double best = maximize ? -1e100 : 1e100;
-    for (std::size_t mask = 0; mask < (std::size_t{1} << bins.size()); ++mask) {
-      for (std::size_t c = 0; c < bins.size(); ++c) {
-        const double v = (mask >> c) & 1u ? 1.0 : 0.0;
-        lp_backend->set_bounds(bins[c], v, v);
-      }
-      const LpSolution sol = lp_backend->solve();
-      if (sol.status != SolveStatus::kOptimal) continue;
-      any = true;
-      best = maximize ? std::max(best, sol.objective) : std::min(best, sol.objective);
-    }
+    const oracle::BruteForceResult expected = oracle::brute_force_milp(p);
 
     milp::BranchAndBoundOptions options;
     options.cuts.root_rounds = 8;
     options.cuts.warm_root = true;
     options.cuts.root_age_limit = 1;
     const milp::MilpResult r = milp::BranchAndBoundSolver(options).solve(p);
-    if (!any) {
+    if (!expected.feasible) {
       EXPECT_EQ(r.status, milp::MilpStatus::kInfeasible) << "seed " << seed;
     } else {
       ASSERT_EQ(r.status, milp::MilpStatus::kOptimal) << "seed " << seed;
-      EXPECT_NEAR(r.objective, best, 1e-5) << "seed " << seed;
+      EXPECT_NEAR(r.objective, expected.objective, 1e-5) << "seed " << seed;
     }
   }
 }

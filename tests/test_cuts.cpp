@@ -1,8 +1,9 @@
 // Cutting-plane engine tests: tableau accessor identity, cut soundness
 // against pools of feasible integer points (no feasible point may ever
 // be cut off — a verifier that loses a counterexample reports a false
-// SAFE), verdict parity with cuts on/off across both backends at 1 and
-// 4 threads, and stats plumbing through the verifier and campaign.
+// SAFE), verdicts with cuts on/off at 1 and 4 threads against ReLU phase
+// enumeration, and stats plumbing through the verifier and campaign.
+// The reference points and verdicts come from tests/milp_oracle.hpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,9 +13,9 @@
 #include "core/campaign.hpp"
 #include "milp/branch_and_bound.hpp"
 #include "milp/cuts/cut_engine.hpp"
+#include "milp_oracle.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
-#include "solver/lp_backend.hpp"
 #include "verify/verifier.hpp"
 
 namespace dpv {
@@ -28,11 +29,10 @@ using lp::LpSolution;
 using lp::Objective;
 using lp::RowSense;
 using lp::SolveStatus;
-using solver::LpBackendKind;
 
 // ---------------------------------------------------------------- tableau
 
-TEST(TableauAccess, RowOfBasisIdentityHoldsAtTheOptimum) {
+TEST(TableauAccess, TableauRowIdentityHoldsAtTheOptimum) {
   LpProblem p;
   const std::size_t x = p.add_variable(0.0, 10.0, "x");
   const std::size_t y = p.add_variable(0.0, 10.0, "y");
@@ -41,18 +41,17 @@ TEST(TableauAccess, RowOfBasisIdentityHoldsAtTheOptimum) {
   p.add_row({{x, 1.0}, {y, -1.0}}, RowSense::kLessEqual, 2.0);
   p.set_objective({{x, 3.0}, {y, 4.0}}, Objective::kMaximize);
 
-  auto backend = solver::make_lp_backend(LpBackendKind::kRevisedBounded, {});
-  backend->load(p);
-  ASSERT_TRUE(backend->supports_tableau());
-  const LpSolution sol = backend->solve();
+  lp::RevisedSimplex simplex;
+  simplex.load(p);
+  const LpSolution sol = simplex.solve();
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
 
   // The tableau identity x[basic] + sum alpha * x[col] = 0 must hold at
   // the optimum, with nonbasic columns at their recorded resting bound.
   std::size_t rows_read = 0;
   for (std::size_t r = 0; r < p.row_count(); ++r) {
-    solver::TableauRow row;
-    ASSERT_TRUE(backend->row_of_basis(r, row)) << "row " << r;
+    lp::TableauRow row;
+    ASSERT_TRUE(simplex.tableau_row(r, row)) << "row " << r;
     ++rows_read;
     double activity = row.basic_value;
     for (const auto& e : row.entries) {
@@ -65,20 +64,8 @@ TEST(TableauAccess, RowOfBasisIdentityHoldsAtTheOptimum) {
       EXPECT_NEAR(sol.values[static_cast<std::size_t>(row.basic_col)], row.basic_value, 1e-7);
   }
   EXPECT_EQ(rows_read, p.row_count());
-  solver::TableauRow out_of_range;
-  EXPECT_FALSE(backend->row_of_basis(p.row_count(), out_of_range));
-}
-
-TEST(TableauAccess, DenseBackendDeclinesTableauQueries) {
-  LpProblem p;
-  p.add_variable(0.0, 1.0);
-  p.add_row({{0, 1.0}}, RowSense::kLessEqual, 0.5);
-  auto dense = solver::make_lp_backend(LpBackendKind::kDenseTableau, {});
-  dense->load(p);
-  dense->solve();
-  EXPECT_FALSE(dense->supports_tableau());
-  solver::TableauRow row;
-  EXPECT_FALSE(dense->row_of_basis(0, row));
+  lp::TableauRow out_of_range;
+  EXPECT_FALSE(simplex.tableau_row(p.row_count(), out_of_range));
 }
 
 // ------------------------------------------------------------- soundness
@@ -103,13 +90,12 @@ bool row_satisfied(const lp::Row& row, const std::vector<double>& x, double tol)
 }
 
 /// Runs root cuts on a copy of `p` and returns the appended rows.
-std::vector<lp::Row> generate_root_cuts(const milp::MilpProblem& p, LpBackendKind backend,
-                                        std::size_t rounds = 6) {
+std::vector<lp::Row> generate_root_cuts(const milp::MilpProblem& p, std::size_t rounds = 6) {
   milp::MilpProblem working = p;
   milp::cuts::CutOptions options;
   options.root_rounds = rounds;
-  const milp::cuts::RootCutReport report = milp::cuts::run_root_cuts(
-      working, options, backend, lp::SimplexOptions{}, 1e-6);
+  const milp::cuts::RootCutReport report =
+      milp::cuts::run_root_cuts(working, options, lp::SimplexOptions{}, 1e-6);
   const auto& rows = working.relaxation().rows();
   std::vector<lp::Row> cuts(rows.begin() + static_cast<std::ptrdiff_t>(p.relaxation().row_count()),
                             rows.end());
@@ -117,32 +103,19 @@ std::vector<lp::Row> generate_root_cuts(const milp::MilpProblem& p, LpBackendKin
   return cuts;
 }
 
-/// For every binary assignment feasible in `p` (feasibility decided by
-/// an LP over the fixed binaries), the LP completion is a genuine
-/// mixed-integer point: every generated cut must hold on it.
+/// For every binary assignment feasible in `p`, the oracle's LP
+/// completion is a genuine mixed-integer point: every generated cut must
+/// hold on it.
 void expect_cuts_sound_by_enumeration(const milp::MilpProblem& p,
-                                      const std::vector<lp::Row>& cuts, const char* label) {
-  const std::vector<std::size_t>& bins = p.binary_variables();
-  ASSERT_LE(bins.size(), 16u) << label;
-  auto lp_backend = solver::make_lp_backend(LpBackendKind::kDenseTableau, {});
-  lp_backend->load(p.relaxation());
-  std::size_t feasible_points = 0;
-  for (std::size_t mask = 0; mask < (std::size_t{1} << bins.size()); ++mask) {
-    for (std::size_t c = 0; c < bins.size(); ++c) {
-      const double v = (mask >> c) & 1u ? 1.0 : 0.0;
-      lp_backend->set_bounds(bins[c], v, v);
-    }
-    const LpSolution sol = lp_backend->solve();
-    if (sol.status != SolveStatus::kOptimal) continue;
-    ++feasible_points;
+                                      const std::vector<lp::Row>& cuts) {
+  const oracle::BruteForceResult pool = oracle::brute_force_milp(p);
+  for (std::size_t point = 0; point < pool.points.size(); ++point)
     for (std::size_t k = 0; k < cuts.size(); ++k)
-      EXPECT_TRUE(row_satisfied(cuts[k], sol.values, 1e-5))
-          << label << ": cut " << k << " removes feasible point with mask " << mask
-          << " (activity " << row_activity(cuts[k], sol.values) << " rhs " << cuts[k].rhs
-          << ")";
-  }
+      EXPECT_TRUE(row_satisfied(cuts[k], pool.points[point], 1e-5))
+          << "cut " << k << " removes feasible point " << point << " (activity "
+          << row_activity(cuts[k], pool.points[point]) << " rhs " << cuts[k].rhs << ")";
   // The pool must be non-trivial or the test proves nothing.
-  EXPECT_GT(feasible_points, 0u) << label;
+  EXPECT_FALSE(pool.points.empty());
 }
 
 /// Random mixed MILP built around an integer-feasible anchor point, so
@@ -191,11 +164,7 @@ class CutSoundnessSweep : public ::testing::TestWithParam<int> {};
 TEST_P(CutSoundnessSweep, NoFeasibleIntegerPointIsCutOff) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 11);
   const milp::MilpProblem p = random_mixed_milp(rng);
-  for (const LpBackendKind backend :
-       {LpBackendKind::kRevisedBounded, LpBackendKind::kDenseTableau}) {
-    const std::vector<lp::Row> cuts = generate_root_cuts(p, backend);
-    expect_cuts_sound_by_enumeration(p, cuts, solver::lp_backend_kind_name(backend));
-  }
+  expect_cuts_sound_by_enumeration(p, generate_root_cuts(p));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomMixedMilps, CutSoundnessSweep, ::testing::Range(0, 30));
@@ -262,17 +231,12 @@ TEST(ReluSplitCuts, EncoderRegistersBigMBlocksAndCutsStaySound) {
 
   // Cuts generated on the real encoding must not cut off any feasible
   // completion of any phase assignment.
-  for (const LpBackendKind backend :
-       {LpBackendKind::kRevisedBounded, LpBackendKind::kDenseTableau}) {
-    const std::vector<lp::Row> cuts = generate_root_cuts(enc.problem, backend);
-    expect_cuts_sound_by_enumeration(enc.problem, cuts,
-                                     solver::lp_backend_kind_name(backend));
-  }
+  expect_cuts_sound_by_enumeration(enc.problem, generate_root_cuts(enc.problem));
 }
 
 // ----------------------------------------------------- parity and gains
 
-TEST(CutParity, VerdictsMatchCutsOnOffAcrossBackendsAndThreads) {
+TEST(CutParity, VerdictsMatchCutsOnOffAndPhaseEnumeration) {
   for (const std::uint64_t seed : {5u, 6u, 7u, 8u}) {
     Rng rng(seed);
     const std::size_t in_n = 3, hidden = 6;
@@ -280,29 +244,25 @@ TEST(CutParity, VerdictsMatchCutsOnOffAcrossBackendsAndThreads) {
     // Mix of SAFE proofs (forcing threshold) and easy UNSAFE queries.
     const double threshold = seed % 2 == 0 ? forcing_threshold(net, in_n, rng) : -5.0;
     const verify::VerificationQuery q = tail_query(net, in_n, threshold);
+    const verify::Verdict reference =
+        oracle::risk_reachable_by_phases(net, q.input_box, q.risk) ? verify::Verdict::kUnsafe
+                                                                  : verify::Verdict::kSafe;
 
-    verify::TailVerifierOptions base;
-    base.milp.max_nodes = 20000;
-    const verify::VerificationResult reference = verify::TailVerifier(base).verify(q);
-    ASSERT_NE(reference.verdict, verify::Verdict::kUnknown) << "seed " << seed;
-
-    for (const LpBackendKind backend :
-         {LpBackendKind::kRevisedBounded, LpBackendKind::kDenseTableau}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        for (const std::size_t rounds : {std::size_t{0}, std::size_t{5}}) {
-          verify::TailVerifierOptions options = base;
-          options.milp.backend = backend;
-          options.milp.threads = threads;
-          options.milp.cuts.root_rounds = rounds;
-          const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
-          EXPECT_EQ(r.verdict, reference.verdict)
-              << "seed " << seed << " backend " << solver::lp_backend_kind_name(backend)
-              << " threads " << threads << " rounds " << rounds;
-          if (r.verdict == verify::Verdict::kUnsafe)
-            EXPECT_TRUE(r.counterexample_validated) << "seed " << seed;
-          if (rounds > 0)
-            EXPECT_GT(r.solver_stats.cut_rounds + r.solver_stats.cuts_added, 0u)
-                << "cut engine never engaged; seed " << seed;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      for (const std::size_t rounds : {std::size_t{0}, std::size_t{5}}) {
+        verify::TailVerifierOptions options;
+        options.milp.max_nodes = 20000;
+        options.milp.threads = threads;
+        options.milp.cuts.root_rounds = rounds;
+        const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
+        EXPECT_EQ(r.verdict, reference)
+            << "seed " << seed << " threads " << threads << " rounds " << rounds;
+        if (r.verdict == verify::Verdict::kUnsafe) {
+          EXPECT_TRUE(r.counterexample_validated) << "seed " << seed;
+        }
+        if (rounds > 0) {
+          EXPECT_GT(r.solver_stats.cut_rounds + r.solver_stats.cuts_added, 0u)
+              << "cut engine never engaged; seed " << seed;
         }
       }
     }
@@ -313,34 +273,16 @@ TEST(CutParity, MilpOptimaMatchBruteForceWithCutsEnabled) {
   for (int seed = 0; seed < 12; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed) * 3271 + 29);
     const milp::MilpProblem p = random_mixed_milp(rng);
-
-    // Brute force: best objective over feasible binary assignments,
-    // completing the continuous part with an LP.
-    const std::vector<std::size_t>& bins = p.binary_variables();
-    auto lp_backend = solver::make_lp_backend(LpBackendKind::kDenseTableau, {});
-    lp_backend->load(p.relaxation());
-    const bool maximize = p.relaxation().objective_direction() == Objective::kMaximize;
-    bool any = false;
-    double best = maximize ? -1e100 : 1e100;
-    for (std::size_t mask = 0; mask < (std::size_t{1} << bins.size()); ++mask) {
-      for (std::size_t c = 0; c < bins.size(); ++c) {
-        const double v = (mask >> c) & 1u ? 1.0 : 0.0;
-        lp_backend->set_bounds(bins[c], v, v);
-      }
-      const LpSolution sol = lp_backend->solve();
-      if (sol.status != SolveStatus::kOptimal) continue;
-      any = true;
-      best = maximize ? std::max(best, sol.objective) : std::min(best, sol.objective);
-    }
+    const oracle::BruteForceResult expected = oracle::brute_force_milp(p);
 
     milp::BranchAndBoundOptions options;
     options.cuts.root_rounds = 5;
     const milp::MilpResult r = milp::BranchAndBoundSolver(options).solve(p);
-    if (!any) {
+    if (!expected.feasible) {
       EXPECT_EQ(r.status, milp::MilpStatus::kInfeasible) << "seed " << seed;
     } else {
       ASSERT_EQ(r.status, milp::MilpStatus::kOptimal) << "seed " << seed;
-      EXPECT_NEAR(r.objective, best, 1e-5) << "seed " << seed;
+      EXPECT_NEAR(r.objective, expected.objective, 1e-5) << "seed " << seed;
     }
   }
 }

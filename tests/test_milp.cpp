@@ -1,12 +1,18 @@
 // Branch & bound MILP tests: knapsack instances with known optima,
 // feasibility/infeasibility proofs, big-M ReLU gadgets, and randomized
-// cross-checks against brute-force enumeration of binary assignments.
+// cross-checks, serial and threaded with and without root cuts, against
+// brute-force enumeration of binary assignments (tests/milp_oracle.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "milp/branch_and_bound.hpp"
+#include "milp_oracle.hpp"
 
 namespace dpv::milp {
 namespace {
@@ -122,67 +128,81 @@ TEST(Milp, NodeLimitReportsUnknown) {
   EXPECT_EQ(r.status, MilpStatus::kNodeLimit);
 }
 
-// Property sweep: random small MILPs cross-checked against brute force
-// over all binary assignments (continuous part solved by LP).
-class MilpBruteForce : public ::testing::TestWithParam<int> {};
+// ------------------------------------------------ brute-force oracle
 
-TEST_P(MilpBruteForce, MatchesEnumeration) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 1);
-  const std::size_t n_bin = static_cast<std::size_t>(rng.uniform_int(2, 5));
-  const std::size_t n_rows = static_cast<std::size_t>(rng.uniform_int(1, 4));
+/// One random binary MILP: maximize a random objective over n_bin
+/// binaries under n_rows random <= rows, drawn from Rng(seed * multiplier
+/// + offset). Three generator families, one instance list.
+struct RandomMilpCase {
+  char family;
+  std::uint64_t seed;
+};
 
+MilpProblem random_binary_milp(const RandomMilpCase& c) {
+  struct Family {
+    std::uint64_t multiplier, offset;
+    int min_bin, max_bin, min_rows, max_rows;
+  };
+  static constexpr Family kFamilies[] = {
+      {7919, 1, 2, 5, 1, 4}, {6151, 3, 2, 5, 1, 4}, {6151, 11, 3, 6, 2, 4}};
+  const Family& f = kFamilies[c.family - 'a'];
+  Rng rng(c.seed * f.multiplier + f.offset);
+  const std::size_t n_bin = static_cast<std::size_t>(rng.uniform_int(f.min_bin, f.max_bin));
+  const std::size_t n_rows =
+      static_cast<std::size_t>(rng.uniform_int(f.min_rows, f.max_rows));
   MilpProblem p;
   std::vector<std::size_t> bins;
   for (std::size_t i = 0; i < n_bin; ++i)
     bins.push_back(p.add_variable(VarType::kBinary, 0.0, 1.0));
-  std::vector<std::vector<double>> coeffs(n_rows, std::vector<double>(n_bin));
-  std::vector<double> rhs(n_rows);
   for (std::size_t r = 0; r < n_rows; ++r) {
     std::vector<lp::LinearTerm> terms;
-    for (std::size_t c = 0; c < n_bin; ++c) {
-      coeffs[r][c] = rng.uniform(-3.0, 3.0);
-      terms.push_back({bins[c], coeffs[r][c]});
-    }
-    rhs[r] = rng.uniform(-2.0, 4.0);
-    p.add_row(terms, lp::RowSense::kLessEqual, rhs[r]);
+    for (std::size_t c = 0; c < n_bin; ++c) terms.push_back({bins[c], rng.uniform(-3.0, 3.0)});
+    p.add_row(terms, lp::RowSense::kLessEqual, rng.uniform(-2.0, 4.0));
   }
-  std::vector<double> obj(n_bin);
-  std::vector<lp::LinearTerm> obj_terms;
-  for (std::size_t c = 0; c < n_bin; ++c) {
-    obj[c] = rng.uniform(-2.0, 2.0);
-    obj_terms.push_back({bins[c], obj[c]});
-  }
-  p.set_objective(obj_terms, lp::Objective::kMaximize);
+  std::vector<lp::LinearTerm> objective;
+  for (std::size_t c = 0; c < n_bin; ++c) objective.push_back({bins[c], rng.uniform(-2.0, 2.0)});
+  p.set_objective(objective, lp::Objective::kMaximize);
+  return p;
+}
 
-  // Brute force.
-  double best = -1e100;
-  bool any = false;
-  for (std::size_t mask = 0; mask < (1u << n_bin); ++mask) {
-    bool feasible = true;
-    for (std::size_t r = 0; r < n_rows && feasible; ++r) {
-      double act = 0.0;
-      for (std::size_t c = 0; c < n_bin; ++c)
-        if (mask & (1u << c)) act += coeffs[r][c];
-      feasible = act <= rhs[r] + 1e-9;
-    }
-    if (!feasible) continue;
-    any = true;
-    double value = 0.0;
-    for (std::size_t c = 0; c < n_bin; ++c)
-      if (mask & (1u << c)) value += obj[c];
-    best = std::max(best, value);
-  }
+std::vector<RandomMilpCase> random_milp_cases() {
+  std::vector<RandomMilpCase> cases;
+  for (const auto& [family, count] : {std::pair{'a', 30}, {'b', 25}, {'c', 24}})
+    for (int seed = 0; seed < count; ++seed)
+      cases.push_back({family, static_cast<std::uint64_t>(seed)});
+  return cases;
+}
 
-  const MilpResult r = BranchAndBoundSolver().solve(p);
-  if (!any) {
-    EXPECT_EQ(r.status, MilpStatus::kInfeasible) << "seed " << GetParam();
-  } else {
-    ASSERT_EQ(r.status, MilpStatus::kOptimal) << "seed " << GetParam();
-    EXPECT_NEAR(r.objective, best, 1e-5) << "seed " << GetParam();
+/// Random small MILPs: the search, serial and threaded, with and without
+/// root cuts, against brute force over every binary assignment.
+class MilpOracleSweep : public ::testing::TestWithParam<RandomMilpCase> {};
+
+TEST_P(MilpOracleSweep, MatchesBruteForceAcrossThreadsAndCuts) {
+  const MilpProblem p = random_binary_milp(GetParam());
+  const oracle::BruteForceResult expected = oracle::brute_force_milp(p);
+  for (const std::size_t threads : {1u, 4u}) {
+    for (const std::size_t cut_rounds : {0u, 2u}) {
+      BranchAndBoundOptions options;
+      options.threads = threads;
+      options.cuts.root_rounds = cut_rounds;
+      const MilpResult r = BranchAndBoundSolver(options).solve(p);
+      const std::string label =
+          "t" + std::to_string(threads) + "/cuts" + std::to_string(cut_rounds);
+      if (!expected.feasible) {
+        EXPECT_EQ(r.status, MilpStatus::kInfeasible) << label;
+      } else {
+        ASSERT_EQ(r.status, MilpStatus::kOptimal) << label;
+        EXPECT_NEAR(r.objective, expected.objective, kTol) << label;
+      }
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomMilps, MilpBruteForce, ::testing::Range(0, 30));
+INSTANTIATE_TEST_SUITE_P(RandomMilps, MilpOracleSweep, ::testing::ValuesIn(random_milp_cases()),
+                         [](const ::testing::TestParamInfo<RandomMilpCase>& info) {
+                           return std::string(1, info.param.family) +
+                                  std::to_string(info.param.seed);
+                         });
 
 }  // namespace
 }  // namespace dpv::milp

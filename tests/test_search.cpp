@@ -1,8 +1,9 @@
 // Search-layer tests: node-store ordering and steal semantics,
 // work-stealing frontier stress (every node processed exactly once),
-// pseudocost bookkeeping against hand-computed degradations, verdict
-// parity against brute force across (backend x threads x cuts), and
-// best-bound gap reporting on node-limit stops.
+// pseudocost bookkeeping against hand-computed degradations, verifier
+// verdict parity across threads and cuts, and best-bound gap reporting
+// on node-limit stops. The random-MILP parity against brute force lives
+// in tests/test_milp.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "lp/revised_simplex.hpp"
 #include "milp/branch_and_bound.hpp"
 #include "milp/search/branching_rule.hpp"
 #include "milp/search/frontier.hpp"
@@ -272,9 +274,9 @@ TEST(PseudocostRule, ReliabilityProbesRecordHandComputedDegradations) {
   p.add_row({{b0, 2.0}, {b1, 2.0}}, lp::RowSense::kLessEqual, 3.0);
   p.set_objective({{b0, 1.0}, {b1, 1.0}}, lp::Objective::kMaximize);
 
-  const auto backend = solver::make_lp_backend(solver::LpBackendKind::kRevisedBounded);
-  backend->load(p.relaxation());
-  const lp::LpSolution lp = backend->solve();
+  lp::RevisedSimplex simplex;
+  simplex.load(p.relaxation());
+  const lp::LpSolution lp = simplex.solve();
   ASSERT_EQ(lp.status, lp::SolveStatus::kOptimal);
   ASSERT_NEAR(lp.values[b0], 0.5, kTol);
   ASSERT_NEAR(lp.values[b1], 1.0, kTol);
@@ -282,7 +284,7 @@ TEST(PseudocostRule, ReliabilityProbesRecordHandComputedDegradations) {
   search::PseudocostTable table(p.variable_count());
   search::BranchContext ctx;
   ctx.problem = &p;
-  ctx.backend = backend.get();
+  ctx.simplex = &simplex;
   ctx.lp = &lp;
   ctx.minimize = false;
   ctx.pseudocosts = &table;
@@ -310,16 +312,16 @@ TEST(PseudocostRule, InfeasibleProbeChildrenAreRecorded) {
   p.add_row({{b0, 1.0}, {b1, 1.0}}, lp::RowSense::kEqual, 0.5);
   p.set_objective({{b0, 1.0}}, lp::Objective::kMaximize);
 
-  const auto backend = solver::make_lp_backend(solver::LpBackendKind::kRevisedBounded);
-  backend->load(p.relaxation());
-  const lp::LpSolution lp = backend->solve();
+  lp::RevisedSimplex simplex;
+  simplex.load(p.relaxation());
+  const lp::LpSolution lp = simplex.solve();
   ASSERT_EQ(lp.status, lp::SolveStatus::kOptimal);
   ASSERT_NEAR(lp.values[b0], 0.5, kTol);
 
   search::PseudocostTable table(p.variable_count());
   search::BranchContext ctx;
   ctx.problem = &p;
-  ctx.backend = backend.get();
+  ctx.simplex = &simplex;
   ctx.lp = &lp;
   ctx.minimize = false;
   ctx.pseudocosts = &table;
@@ -339,120 +341,7 @@ TEST(PseudocostRule, InfeasibleProbeChildrenAreRecorded) {
   EXPECT_EQ(table.observations(b0, true), 1u);
 }
 
-TEST(WarmResolveIterationDelta, BackendReportsPerSolveIterations) {
-  // The lp/solver layers expose the *last* solve's iteration count so
-  // per-call effort (probe cost accounting) needs no diffing of the
-  // cumulative stats. A warm resolve after a single bound tightening
-  // must report only its own handful of pivots.
-  MilpProblem p;
-  std::vector<lp::LinearTerm> row, obj;
-  for (int i = 0; i < 10; ++i) {
-    const std::size_t b = p.add_variable(VarType::kBinary, 0.0, 1.0);
-    row.push_back({b, 1.0 + 0.1 * i});
-    obj.push_back({b, 2.0 - 0.1 * i});
-  }
-  p.add_row(row, lp::RowSense::kLessEqual, 5.0);
-  p.set_objective(obj, lp::Objective::kMaximize);
-
-  const auto backend = solver::make_lp_backend(solver::LpBackendKind::kRevisedBounded);
-  backend->load(p.relaxation());
-  const lp::LpSolution cold = backend->solve();
-  ASSERT_EQ(cold.status, lp::SolveStatus::kOptimal);
-  EXPECT_EQ(backend->last_solve_iterations(), cold.iterations);
-
-  const solver::WarmBasis basis = backend->capture_basis();
-  backend->set_bounds(0, 0.0, 0.0);
-  const lp::LpSolution warm = backend->resolve(basis);
-  ASSERT_EQ(warm.status, lp::SolveStatus::kOptimal);
-  EXPECT_EQ(backend->last_solve_iterations(), warm.iterations);
-  // The lp layer is the source of truth the backend mirrors.
-  lp::RevisedSimplex simplex;
-  simplex.load(p.relaxation());
-  const lp::LpSolution direct = simplex.solve();
-  ASSERT_EQ(direct.status, lp::SolveStatus::kOptimal);
-  EXPECT_EQ(simplex.last_solve_iterations(), direct.iterations);
-  // The delta is per-call, not cumulative.
-  EXPECT_LT(backend->last_solve_iterations(), cold.iterations + warm.iterations);
-  // And the cumulative counter still carries the total.
-  EXPECT_EQ(backend->stats().lp_iterations, cold.iterations + warm.iterations);
-}
-
 // -------------------------------------------------- verdict parity
-
-/// Random small MILP instances cross-checked against brute force over
-/// all binary assignments, on both backends, serial and threaded, with
-/// and without root cuts.
-TEST(SearchParity, RandomMilpsAgreeWithBruteForce) {
-  for (int seed = 0; seed < 24; ++seed) {
-    Rng rng(static_cast<std::uint64_t>(seed) * 6151 + 11);
-    const std::size_t n_bin = static_cast<std::size_t>(rng.uniform_int(3, 6));
-    const std::size_t n_rows = static_cast<std::size_t>(rng.uniform_int(2, 4));
-
-    MilpProblem p;
-    std::vector<std::size_t> bins;
-    for (std::size_t i = 0; i < n_bin; ++i)
-      bins.push_back(p.add_variable(VarType::kBinary, 0.0, 1.0));
-    std::vector<std::vector<double>> coeffs(n_rows, std::vector<double>(n_bin));
-    std::vector<double> rhs(n_rows);
-    for (std::size_t r = 0; r < n_rows; ++r) {
-      std::vector<lp::LinearTerm> terms;
-      for (std::size_t c = 0; c < n_bin; ++c) {
-        coeffs[r][c] = rng.uniform(-3.0, 3.0);
-        terms.push_back({bins[c], coeffs[r][c]});
-      }
-      rhs[r] = rng.uniform(-2.0, 4.0);
-      p.add_row(terms, lp::RowSense::kLessEqual, rhs[r]);
-    }
-    std::vector<double> obj(n_bin);
-    std::vector<lp::LinearTerm> obj_terms;
-    for (std::size_t c = 0; c < n_bin; ++c) {
-      obj[c] = rng.uniform(-2.0, 2.0);
-      obj_terms.push_back({bins[c], obj[c]});
-    }
-    p.set_objective(obj_terms, lp::Objective::kMaximize);
-
-    double best = -1e100;
-    bool any = false;
-    for (std::size_t mask = 0; mask < (1u << n_bin); ++mask) {
-      bool feasible = true;
-      for (std::size_t r = 0; r < n_rows && feasible; ++r) {
-        double act = 0.0;
-        for (std::size_t c = 0; c < n_bin; ++c)
-          if (mask & (1u << c)) act += coeffs[r][c];
-        feasible = act <= rhs[r] + 1e-9;
-      }
-      if (!feasible) continue;
-      any = true;
-      double value = 0.0;
-      for (std::size_t c = 0; c < n_bin; ++c)
-        if (mask & (1u << c)) value += obj[c];
-      best = std::max(best, value);
-    }
-
-    for (const auto backend : {solver::LpBackendKind::kDenseTableau,
-                               solver::LpBackendKind::kRevisedBounded}) {
-      for (const std::size_t threads : {1u, 4u}) {
-        for (const std::size_t cut_rounds : {0u, 2u}) {
-          BranchAndBoundOptions options;
-          options.backend = backend;
-          options.threads = threads;
-          options.cuts.root_rounds = cut_rounds;
-          const MilpResult r = BranchAndBoundSolver(options).solve(p);
-          const std::string label = std::string(solver::lp_backend_kind_name(backend)) +
-                                    "/t" + std::to_string(threads) + "/cuts" +
-                                    std::to_string(cut_rounds) + " seed " +
-                                    std::to_string(seed);
-          if (!any) {
-            EXPECT_EQ(r.status, MilpStatus::kInfeasible) << label;
-          } else {
-            ASSERT_EQ(r.status, MilpStatus::kOptimal) << label;
-            EXPECT_NEAR(r.objective, best, 1e-5) << label;
-          }
-        }
-      }
-    }
-  }
-}
 
 /// The verifier's shape: a small ReLU tail with a proof-forcing
 /// threshold, identical verdicts serial and threaded, with and without

@@ -1,7 +1,7 @@
-// Solver backend layer tests: dense-tableau vs revised-bounded parity on
-// LPs and MILPs, warm-start correctness and economy, parallel branch &
-// bound verdict invariance, and campaign determinism across thread
-// counts.
+// LP engine and search plumbing tests: revised simplex vs dense-tableau
+// parity on LPs, warm-start correctness and economy and its solve
+// accounting, parallel branch & bound feasibility mode, verifier
+// plumbing, and campaign determinism across thread counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -26,23 +26,17 @@ using lp::LinearTerm;
 using lp::LpProblem;
 using lp::LpSolution;
 using lp::Objective;
+using lp::RevisedSimplex;
 using lp::RowSense;
 using lp::SolveStatus;
-using solver::LpBackendKind;
 
-std::unique_ptr<solver::LpBackend> backend_for(LpBackendKind kind) {
-  return solver::make_lp_backend(kind, {});
-}
-
-/// Solves `p` on both backends and checks status (and objective when
-/// optimal) agree.
+/// Solves `p` with the revised simplex and the dense tableau and checks
+/// status (and objective when optimal) agree.
 void expect_lp_parity(const LpProblem& p, const char* label) {
-  auto dense = backend_for(LpBackendKind::kDenseTableau);
-  auto revised = backend_for(LpBackendKind::kRevisedBounded);
-  dense->load(p);
-  revised->load(p);
-  const LpSolution a = dense->solve();
-  const LpSolution b = revised->solve();
+  const LpSolution a = lp::SimplexSolver().solve(p);
+  RevisedSimplex revised;
+  revised.load(p);
+  const LpSolution b = revised.solve();
   ASSERT_EQ(a.status, b.status) << label;
   if (a.status == SolveStatus::kOptimal) {
     EXPECT_NEAR(a.objective, b.objective, kTol) << label;
@@ -64,7 +58,7 @@ void expect_lp_parity(const LpProblem& p, const char* label) {
   }
 }
 
-TEST(BackendParity, TextbookMaximization) {
+TEST(SimplexParity, TextbookMaximization) {
   LpProblem p;
   const std::size_t x = p.add_variable(0.0, 100.0, "x");
   const std::size_t y = p.add_variable(0.0, 100.0, "y");
@@ -74,16 +68,16 @@ TEST(BackendParity, TextbookMaximization) {
   p.set_objective({{x, 3.0}, {y, 5.0}}, Objective::kMaximize);
   expect_lp_parity(p, "textbook");
 
-  auto revised = backend_for(LpBackendKind::kRevisedBounded);
-  revised->load(p);
-  const LpSolution s = revised->solve();
+  RevisedSimplex revised;
+  revised.load(p);
+  const LpSolution s = revised.solve();
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s.objective, 36.0, kTol);
   EXPECT_NEAR(s.values[x], 2.0, kTol);
   EXPECT_NEAR(s.values[y], 6.0, kTol);
 }
 
-TEST(BackendParity, EqualityAndNegativeBounds) {
+TEST(SimplexParity, EqualityAndNegativeBounds) {
   LpProblem p;
   const std::size_t x = p.add_variable(-50.0, 50.0, "x");
   const std::size_t y = p.add_variable(-50.0, 50.0, "y");
@@ -93,7 +87,7 @@ TEST(BackendParity, EqualityAndNegativeBounds) {
   expect_lp_parity(p, "equalities");
 }
 
-TEST(BackendParity, Infeasibility) {
+TEST(SimplexParity, Infeasibility) {
   LpProblem p;
   const std::size_t x = p.add_variable(0.0, 10.0, "x");
   p.add_row({{x, 1.0}}, RowSense::kGreaterEqual, 5.0);
@@ -101,7 +95,7 @@ TEST(BackendParity, Infeasibility) {
   expect_lp_parity(p, "infeasible");
 }
 
-TEST(BackendParity, PureBoundsAndFixedVariables) {
+TEST(SimplexParity, PureBoundsAndFixedVariables) {
   LpProblem p;
   const std::size_t x = p.add_variable(-1.5, 2.5, "x");
   const std::size_t y = p.add_variable(0.5, 3.0, "y");
@@ -111,7 +105,7 @@ TEST(BackendParity, PureBoundsAndFixedVariables) {
   expect_lp_parity(p, "bounds+fixed");
 }
 
-TEST(BackendParity, RedundantEqualityRows) {
+TEST(SimplexParity, RedundantEqualityRows) {
   LpProblem p;
   const std::size_t x = p.add_variable(-10.0, 10.0, "x");
   const std::size_t y = p.add_variable(-10.0, 10.0, "y");
@@ -120,50 +114,6 @@ TEST(BackendParity, RedundantEqualityRows) {
   p.set_objective({{x, 1.0}}, Objective::kMaximize);
   expect_lp_parity(p, "redundant-equalities");
 }
-
-/// Random box-bounded LPs with a known interior point: both backends must
-/// agree on status and optimum.
-class BackendRandomLp : public ::testing::TestWithParam<int> {};
-
-TEST_P(BackendRandomLp, StatusAndObjectiveAgree) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 17);
-  const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 8));
-  const std::size_t m = static_cast<std::size_t>(rng.uniform_int(1, 10));
-
-  LpProblem p;
-  std::vector<double> interior(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double lo = rng.uniform(-5.0, 0.0);
-    const double hi = rng.uniform(0.5, 5.0);
-    p.add_variable(lo, hi);
-    interior[i] = 0.5 * (lo + hi);
-  }
-  for (std::size_t r = 0; r < m; ++r) {
-    double activity = 0.0;
-    std::vector<LinearTerm> terms;
-    for (std::size_t c = 0; c < n; ++c) {
-      const double coeff = rng.uniform(-2.0, 2.0);
-      terms.push_back({c, coeff});
-      activity += coeff * interior[c];
-    }
-    // Mix senses; keep the interior point feasible.
-    const int sense = rng.uniform_int(0, 2);
-    if (sense == 0) {
-      p.add_row(terms, RowSense::kLessEqual, activity + rng.uniform(0.1, 2.0));
-    } else if (sense == 1) {
-      p.add_row(terms, RowSense::kGreaterEqual, activity - rng.uniform(0.1, 2.0));
-    } else {
-      p.add_row(terms, RowSense::kEqual, activity);
-    }
-  }
-  std::vector<LinearTerm> objective;
-  for (std::size_t c = 0; c < n; ++c) objective.push_back({c, rng.uniform(-1.0, 1.0)});
-  p.set_objective(objective, rng.bernoulli(0.5) ? Objective::kMinimize
-                                                : Objective::kMaximize);
-  expect_lp_parity(p, "random-lp");
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomLps, BackendRandomLp, ::testing::Range(0, 40));
 
 TEST(WarmStart, BoundTighteningResolvesCheaply) {
   // A chain of coupled rows so the cold solve needs real work; then
@@ -179,192 +129,64 @@ TEST(WarmStart, BoundTighteningResolvesCheaply) {
   for (std::size_t i = 0; i < n; ++i) objective.push_back({i, rng.uniform(-1.0, 1.0)});
   p.set_objective(objective, Objective::kMinimize);
 
-  auto revised = backend_for(LpBackendKind::kRevisedBounded);
-  revised->load(p);
-  const LpSolution cold = revised->solve();
+  RevisedSimplex revised;
+  revised.load(p);
+  const LpSolution cold = revised.solve();
   ASSERT_EQ(cold.status, SolveStatus::kOptimal);
-  const solver::WarmBasis basis = revised->capture_basis();
+  const lp::SimplexBasis basis = revised.capture_basis();
   ASSERT_FALSE(basis.empty());
 
   // Tighten: fix variable 3 to its model value rounded toward zero.
-  revised->set_bounds(3, 0.0, 0.0);
-  const LpSolution warm = revised->resolve(basis);
+  revised.set_bounds(3, 0.0, 0.0);
+  const LpSolution warm = revised.resolve(basis);
 
-  // Reference: a fresh cold solve of the tightened problem.
+  // Reference: a dense-tableau solve of the tightened problem.
   LpProblem tightened = p;
   tightened.set_bounds(3, 0.0, 0.0);
-  auto reference = backend_for(LpBackendKind::kDenseTableau);
-  reference->load(tightened);
-  const LpSolution ref = reference->solve();
+  const LpSolution ref = lp::SimplexSolver().solve(tightened);
 
   ASSERT_EQ(warm.status, ref.status);
-  if (ref.status == SolveStatus::kOptimal)
+  if (ref.status == SolveStatus::kOptimal) {
     EXPECT_NEAR(warm.objective, ref.objective, kTol);
-  EXPECT_EQ(revised->stats().warm_attempts, 1u);
-  EXPECT_EQ(revised->stats().warm_hits, 1u);
+  }
   // The warm resolve must be much cheaper than solving from scratch.
   EXPECT_LE(warm.iterations, std::max<std::size_t>(cold.iterations, 2));
-}
 
-TEST(WarmStart, SolveChildrenMatchesSequentialResolvesOnBothBackends) {
-  // The same chained LP as above; branch on variable 3 and compare the
-  // batched sibling solve against two manual set_bounds + resolve calls.
-  Rng rng(91);
-  const std::size_t n = 12;
-  LpProblem p;
-  for (std::size_t i = 0; i < n; ++i) p.add_variable(-2.0, 2.0);
-  for (std::size_t i = 0; i + 1 < n; ++i)
-    p.add_row({{i, 1.0}, {i + 1, rng.uniform(0.3, 1.5)}}, RowSense::kLessEqual,
-              rng.uniform(0.5, 2.0));
-  std::vector<LinearTerm> objective;
-  for (std::size_t i = 0; i < n; ++i) objective.push_back({i, rng.uniform(-1.0, 1.0)});
-  p.set_objective(objective, Objective::kMinimize);
-
-  for (const LpBackendKind kind :
-       {LpBackendKind::kRevisedBounded, LpBackendKind::kDenseTableau}) {
-    auto batched = backend_for(kind);
-    batched->load(p);
-    ASSERT_EQ(batched->solve().status, SolveStatus::kOptimal);
-    const solver::WarmBasis parent = batched->capture_basis();
-
-    const solver::ChildBounds children[2] = {{3, 0.0, 0.0}, {3, 1.0, 1.0}};
-    solver::ChildResult results[2];
-    batched->solve_children(parent, children, 2, results);
-    EXPECT_EQ(batched->stats().sibling_batches, 1u);
-
-    auto manual = backend_for(kind);
-    manual->load(p);
-    ASSERT_EQ(manual->solve().status, SolveStatus::kOptimal);
-    const solver::WarmBasis manual_parent = manual->capture_basis();
-    for (int c = 0; c < 2; ++c) {
-      manual->set_bounds(children[c].var, children[c].lo, children[c].up);
-      const LpSolution ref = manual->resolve(manual_parent);
-      ASSERT_EQ(results[c].solution.status, ref.status)
-          << solver::lp_backend_kind_name(kind) << " child " << c;
-      if (ref.status == SolveStatus::kOptimal) {
-        EXPECT_NEAR(results[c].solution.objective, ref.objective, kTol)
-            << solver::lp_backend_kind_name(kind) << " child " << c;
-        // A warm-capable backend must hand back a usable child basis.
-        if (batched->supports_warm_start())
-          EXPECT_FALSE(results[c].basis.empty());
-      }
-    }
-  }
+  // The simplex's own accounting, as SolverStats reports it.
+  const solver::SolverStats stats = solver::simplex_stats(revised);
+  EXPECT_EQ(stats.lp_solves, 2u);
+  EXPECT_EQ(stats.warm_attempts, 1u);
+  EXPECT_EQ(stats.warm_hits, 1u);
+  EXPECT_EQ(stats.lp_iterations, cold.iterations + warm.iterations);
+  EXPECT_EQ(stats.warm_iterations, warm.iterations);
+  EXPECT_GT(stats.basis_factorizations, 0u);
 }
 
 TEST(WarmStart, StaleBasisFallsBackToColdSolve) {
   LpProblem p;
   p.add_variable(0.0, 1.0);
   p.add_row({{0, 1.0}}, RowSense::kLessEqual, 0.5);
-  auto revised = backend_for(LpBackendKind::kRevisedBounded);
-  revised->load(p);
-  solver::WarmBasis wrong;
+  RevisedSimplex revised;
+  revised.load(p);
+  lp::SimplexBasis wrong;
   wrong.basic = {5};             // out of range for this problem
   wrong.at_upper = {0, 0, 0, 0};
-  const LpSolution s = revised->resolve(wrong);
+  const LpSolution s = revised.resolve(wrong);
   EXPECT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_EQ(revised->stats().warm_attempts, 1u);
-  EXPECT_EQ(revised->stats().warm_hits, 0u);
-}
-
-TEST(WarmStart, DenseBackendNeverClaimsHits) {
-  LpProblem p;
-  p.add_variable(0.0, 1.0);
-  auto dense = backend_for(LpBackendKind::kDenseTableau);
-  dense->load(p);
-  EXPECT_FALSE(dense->supports_warm_start());
-  EXPECT_TRUE(dense->capture_basis().empty());
-  solver::WarmBasis basis;
-  basis.basic = {0};
-  basis.at_upper = {0};
-  const LpSolution s = dense->resolve(basis);
-  EXPECT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_EQ(dense->stats().warm_hits, 0u);
+  EXPECT_FALSE(revised.last_resolve_was_warm());
+  EXPECT_EQ(revised.solve_stats().warm_attempts, 1u);
+  EXPECT_EQ(revised.solve_stats().warm_hits, 0u);
 }
 
 // ---------------------------------------------------------------- MILP
 
-milp::MilpResult solve_milp(const milp::MilpProblem& p, LpBackendKind kind,
-                            std::size_t threads = 1,
+milp::MilpResult solve_milp(const milp::MilpProblem& p, std::size_t threads = 1,
                             bool stop_at_first_feasible = false) {
   milp::BranchAndBoundOptions options;
-  options.backend = kind;
   options.threads = threads;
   options.stop_at_first_feasible = stop_at_first_feasible;
   return milp::BranchAndBoundSolver(options).solve(p);
 }
-
-/// Random small MILPs: both backends (and 1 vs 4 threads) must agree
-/// with brute-force enumeration.
-class MilpBackendSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(MilpBackendSweep, BackendsAndThreadCountsAgree) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 3);
-  const std::size_t n_bin = static_cast<std::size_t>(rng.uniform_int(2, 5));
-  const std::size_t n_rows = static_cast<std::size_t>(rng.uniform_int(1, 4));
-
-  milp::MilpProblem p;
-  std::vector<std::size_t> bins;
-  for (std::size_t i = 0; i < n_bin; ++i)
-    bins.push_back(p.add_variable(milp::VarType::kBinary, 0.0, 1.0));
-  std::vector<std::vector<double>> coeffs(n_rows, std::vector<double>(n_bin));
-  std::vector<double> rhs(n_rows);
-  for (std::size_t r = 0; r < n_rows; ++r) {
-    std::vector<LinearTerm> terms;
-    for (std::size_t c = 0; c < n_bin; ++c) {
-      coeffs[r][c] = rng.uniform(-3.0, 3.0);
-      terms.push_back({bins[c], coeffs[r][c]});
-    }
-    rhs[r] = rng.uniform(-2.0, 4.0);
-    p.add_row(terms, RowSense::kLessEqual, rhs[r]);
-  }
-  std::vector<double> obj(n_bin);
-  std::vector<LinearTerm> obj_terms;
-  for (std::size_t c = 0; c < n_bin; ++c) {
-    obj[c] = rng.uniform(-2.0, 2.0);
-    obj_terms.push_back({bins[c], obj[c]});
-  }
-  p.set_objective(obj_terms, Objective::kMaximize);
-
-  double best = -1e100;
-  bool any = false;
-  for (std::size_t mask = 0; mask < (1u << n_bin); ++mask) {
-    bool feasible = true;
-    for (std::size_t r = 0; r < n_rows && feasible; ++r) {
-      double act = 0.0;
-      for (std::size_t c = 0; c < n_bin; ++c)
-        if (mask & (1u << c)) act += coeffs[r][c];
-      feasible = act <= rhs[r] + 1e-9;
-    }
-    if (!feasible) continue;
-    any = true;
-    double value = 0.0;
-    for (std::size_t c = 0; c < n_bin; ++c)
-      if (mask & (1u << c)) value += obj[c];
-    best = std::max(best, value);
-  }
-
-  for (const LpBackendKind kind :
-       {LpBackendKind::kDenseTableau, LpBackendKind::kRevisedBounded}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      const milp::MilpResult r = solve_milp(p, kind, threads);
-      if (!any) {
-        EXPECT_EQ(r.status, milp::MilpStatus::kInfeasible)
-            << "seed " << GetParam() << " backend " << solver::lp_backend_kind_name(kind)
-            << " threads " << threads;
-      } else {
-        ASSERT_EQ(r.status, milp::MilpStatus::kOptimal)
-            << "seed " << GetParam() << " backend " << solver::lp_backend_kind_name(kind)
-            << " threads " << threads;
-        EXPECT_NEAR(r.objective, best, kTol)
-            << "seed " << GetParam() << " backend " << solver::lp_backend_kind_name(kind)
-            << " threads " << threads;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomMilps, MilpBackendSweep, ::testing::Range(0, 25));
 
 TEST(MilpWarmStart, RevisedBackendReusesParentBases) {
   // An integrally-infeasible instance that forces a full tree search, so
@@ -374,36 +196,11 @@ TEST(MilpWarmStart, RevisedBackendReusesParentBases) {
   for (int i = 0; i < 8; ++i)
     parity.push_back({p.add_variable(milp::VarType::kBinary, 0.0, 1.0), 1.0});
   p.add_row(parity, RowSense::kEqual, 3.5);
-  const milp::MilpResult r = solve_milp(p, LpBackendKind::kRevisedBounded);
+  const milp::MilpResult r = solve_milp(p);
   EXPECT_EQ(r.status, milp::MilpStatus::kInfeasible);
   EXPECT_GT(r.solver_stats.warm_attempts, 0u);
   EXPECT_GT(r.solver_stats.warm_hits, 0u);
   EXPECT_GE(r.solver_stats.warm_hit_rate(), 0.9);
-}
-
-TEST(MilpWarmStart, RevisedBackendNeedsFarFewerLpIterations) {
-  // Same search tree on both backends (identical branching rule); the
-  // warm-started revised backend must spend far fewer simplex pivots.
-  Rng rng(7);
-  milp::MilpProblem p;
-  std::vector<std::size_t> bins;
-  for (int i = 0; i < 10; ++i)
-    bins.push_back(p.add_variable(milp::VarType::kBinary, 0.0, 1.0));
-  std::vector<LinearTerm> sum;
-  for (const std::size_t b : bins) sum.push_back({b, 1.0});
-  p.add_row(sum, RowSense::kEqual, 4.5);  // integrally infeasible
-  for (int r = 0; r < 4; ++r) {
-    std::vector<LinearTerm> terms;
-    for (const std::size_t b : bins) terms.push_back({b, rng.uniform(-1.0, 1.0)});
-    p.add_row(terms, RowSense::kLessEqual, rng.uniform(1.0, 3.0));
-  }
-  const milp::MilpResult dense = solve_milp(p, LpBackendKind::kDenseTableau);
-  const milp::MilpResult revised = solve_milp(p, LpBackendKind::kRevisedBounded);
-  EXPECT_EQ(dense.status, milp::MilpStatus::kInfeasible);
-  EXPECT_EQ(revised.status, milp::MilpStatus::kInfeasible);
-  ASSERT_GT(dense.lp_iterations, 0u);
-  EXPECT_LE(revised.lp_iterations * 2, dense.lp_iterations)
-      << "revised " << revised.lp_iterations << " vs dense " << dense.lp_iterations;
 }
 
 TEST(ParallelBnb, FeasibilityModeStopsEarlyOnAllThreadCounts) {
@@ -415,8 +212,7 @@ TEST(ParallelBnb, FeasibilityModeStopsEarlyOnAllThreadCounts) {
   for (const std::size_t v : vars) sum.push_back({v, 1.0});
   p.add_row(sum, RowSense::kEqual, 4.0);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const milp::MilpResult r =
-        solve_milp(p, LpBackendKind::kRevisedBounded, threads, true);
+    const milp::MilpResult r = solve_milp(p, threads, true);
     ASSERT_EQ(r.status, milp::MilpStatus::kFeasible) << "threads " << threads;
     double total = 0.0;
     for (const std::size_t v : vars) {
@@ -458,29 +254,6 @@ TEST(VerifierPlumbing, LpIterationLimitSurfacesAsExplainedUnknown) {
   const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
   EXPECT_EQ(r.verdict, verify::Verdict::kUnknown);
   EXPECT_NE(r.summary().find("LP iteration limit"), std::string::npos) << r.summary();
-}
-
-TEST(VerifierPlumbing, SummaryNamesBackendAndWarmRate) {
-  Rng rng(33);
-  nn::Network net;
-  auto dense = std::make_unique<nn::Dense>(4, 4);
-  dense->init_he(rng);
-  net.add(std::move(dense));
-  net.add(std::make_unique<nn::ReLU>(Shape{4}));
-  auto out = std::make_unique<nn::Dense>(4, 2);
-  out->init_he(rng);
-  net.add(std::move(out));
-
-  verify::VerificationQuery q;
-  q.network = &net;
-  q.attach_layer = 0;
-  q.input_box = absint::uniform_box(4, -1.0, 1.0);
-  q.risk.output_at_least(0, 2, 1e6);
-
-  const verify::VerificationResult r =
-      verify::TailVerifier(verify::TailVerifierOptions{}).verify(q);
-  EXPECT_NE(r.summary().find("backend=revised-bounded"), std::string::npos)
-      << r.summary();
 }
 
 // ------------------------------------------------------------- campaign

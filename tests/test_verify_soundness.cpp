@@ -1,5 +1,9 @@
 // Property-based soundness tests of the whole verification stack:
 // random tails, random boxes, random risk thresholds. Invariants:
+//   * every decided verdict, serial and threaded with and without root
+//     cuts, matches exhaustive ReLU phase enumeration
+//     (tests/milp_oracle.hpp) unless the exact optimum is within 1e-6 of
+//     the threshold;
 //   * SAFE  => dense random sampling inside the abstraction finds no
 //     output in the risk region (and no h=1 point in it, when a
 //     characterizer is present);
@@ -11,10 +15,12 @@
 //     elimination never change the verdict, only the encoding size.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "milp_oracle.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "nn/network.hpp"
@@ -44,7 +50,7 @@ Tensor sample_in_box(const absint::Box& box, Rng& rng) {
 
 class VerifierSoundnessSweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(VerifierSoundnessSweep, VerdictAgreesWithSampling) {
+TEST_P(VerifierSoundnessSweep, VerdictAgreesWithPhaseEnumerationAndSampling) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 769 + 5);
   const std::size_t in_n = static_cast<std::size_t>(rng.uniform_int(2, 4));
   const std::size_t hidden = static_cast<std::size_t>(rng.uniform_int(3, 6));
@@ -66,6 +72,25 @@ TEST_P(VerifierSoundnessSweep, VerdictAgreesWithSampling) {
 
   const VerificationResult r = TailVerifier().verify(q);
   ASSERT_NE(r.verdict, Verdict::kUnknown) << "seed " << GetParam();
+
+  // The exact verdict, unless the true optimum sits on the threshold
+  // (where floating-point LPs may legitimately go either way).
+  const double optimum = oracle::max_output_by_phases(net, box, 0);
+  if (std::abs(optimum - threshold) > 1e-6) {
+    const Verdict exact = optimum >= threshold ? Verdict::kUnsafe : Verdict::kSafe;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      for (const std::size_t rounds : {std::size_t{0}, std::size_t{4}}) {
+        TailVerifierOptions options;
+        options.milp.threads = threads;
+        options.milp.cuts.root_rounds = rounds;
+        const VerificationResult v = TailVerifier(options).verify(q);
+        if (v.verdict == Verdict::kUnknown) continue;
+        EXPECT_EQ(v.verdict, exact) << "seed " << GetParam() << " threads " << threads
+                                    << " rounds " << rounds << " optimum " << optimum
+                                    << " threshold " << threshold;
+      }
+    }
+  }
 
   if (r.verdict == Verdict::kSafe) {
     for (int i = 0; i < 2000; ++i) {

@@ -16,19 +16,23 @@ fallback to the wrong comparison):
   * the scenario-coverage engine (BENCH_coverage.json, "bench":
     "coverage"): per-config cell/funnel counters, the cross-thread
     determinism flag, and the headline certified-volume fraction
-    (floors: baseline - 5 points absolute, and the file's
+    (floors: baseline - 5 points absolute, and the baseline's
     min_certified_fraction acceptance bar), and
   * the fault-tolerance axis (BENCH_resume.json, "bench": "resume"):
     per-config cell counters across clean / checkpointed / interrupted
     / resumed runs, the resume-fidelity flag (checkpointed and resumed
     tables bit-identical to the clean run), a salvage floor (the
     maximal-salvage resume must restore at least one completed round)
-    and the checkpoint-overhead ceiling the file carries, and
+    and the baseline's checkpoint-overhead ceiling, and
   * delta re-certification (BENCH_delta.json, "bench": "delta"):
     per-config reuse/cut counters and verdict strings across retrain
     magnitudes, the cold-vs-delta verdict-compatibility flag, the
-    artifact-reuse floor and the re-certification wall-fraction ceiling
-    the file carries (both ratios, so the machine constant divides out).
+    baseline's artifact-reuse floor and re-certification wall-fraction
+    ceiling (both ratios, so the machine constant divides out).
+
+Every floor and ceiling comes from the committed baseline's "headline",
+never from the run under test (which could loosen its own gate); a
+baseline that lacks one is an error.
 
 CI machines are heterogeneous, so absolute wall-clock seconds are NOT
 compared.  The contract is on machine-independent quantities: counters
@@ -85,6 +89,15 @@ DELTA_COUNTED = ("entries_exact", "entries_widened", "entries_cold",
 def fail(msg):
     print(f"bench_compare: FAIL: {msg}")
     return 1
+
+
+def baseline_bound(base, key):
+    """A floor or ceiling from the committed baseline's headline; a
+    baseline without it fails the comparison."""
+    value = base.get("headline", {}).get(key)
+    if value is None:
+        sys.exit(fail(f"the baseline has no headline '{key}' bound"))
+    return value
 
 
 def compare_funnel(cur, base, args):
@@ -172,7 +185,7 @@ def compare_coverage(cur, base, args):
     # already normalized. Never fails for certifying MORE than baseline.
     bv = base.get("headline", {}).get("certified_fraction", 0.0)
     cv = cur.get("headline", {}).get("certified_fraction", 0.0)
-    min_frac = cur.get("headline", {}).get("min_certified_fraction", 0.60)
+    min_frac = baseline_bound(base, "min_certified_fraction")
     floor = bv - 0.05
     print(f"  headline certified_fraction: baseline {bv:.1%} -> current "
           f"{cv:.1%} (floor {floor:.1%}, acceptance bar {min_frac:.0%})")
@@ -231,9 +244,9 @@ def compare_resume(cur, base, args):
                    "(checkpoints are not saving settled work)")
 
     # Overhead is a wall-clock *fraction*, so the machine constant divides
-    # out; the ceiling travels in the file like min_certified_fraction.
+    # out; the ceiling is the baseline's.
     overhead = head.get("checkpoint_overhead_fraction", 0.0)
-    ceiling = head.get("max_checkpoint_overhead_fraction", 0.50)
+    ceiling = baseline_bound(base, "max_checkpoint_overhead_fraction")
     print(f"  headline checkpoint_overhead_fraction: {overhead:.2%} "
           f"(ceiling {ceiling:.0%})")
     if overhead > ceiling:
@@ -286,10 +299,10 @@ def compare_delta(cur, base, args):
     head = cur.get("headline", {})
 
     # Reuse fraction: entries that got exact or widened trace reuse over
-    # all entries. The floor travels in the file (like
-    # min_certified_fraction); reusing MORE than baseline never fails.
+    # all entries, against the baseline's floor; reusing MORE than
+    # baseline never fails.
     reuse = head.get("reuse_fraction", 0.0)
-    reuse_floor = head.get("min_reuse_fraction", 1.0)
+    reuse_floor = baseline_bound(base, "min_reuse_fraction")
     print(f"  headline reuse_fraction: {reuse:.1%} (floor {reuse_floor:.0%})")
     if reuse < reuse_floor:
         rc |= fail(f"reuse_fraction {reuse:.1%} is below the "
@@ -297,9 +310,9 @@ def compare_delta(cur, base, args):
 
     # Wall fraction: delta wall over cold wall, summed across configs.
     # A ratio of walls on the same machine, so the machine constant
-    # divides out; the ceiling is the PR's <= 25% acceptance bar.
+    # divides out; the ceiling is the baseline's <= 25% acceptance bar.
     frac = head.get("wall_fraction", 1.0)
-    ceiling = head.get("max_wall_fraction", 0.25)
+    ceiling = baseline_bound(base, "max_wall_fraction")
     print(f"  headline wall_fraction: {frac:.1%} (ceiling {ceiling:.0%}, "
           f"re-certification speedup {head.get('speedup_recert', 0.0):.2f}x)")
     if frac > ceiling:

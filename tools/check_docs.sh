@@ -50,10 +50,10 @@ check_symbol() {
   fi
 }
 
-check_symbol src/solver  "row_of_basis"
-check_symbol src/solver  "supports_tableau"
-check_symbol src/solver  "LpBackendKind"
-check_symbol src/solver  "capture_basis"
+check_symbol src/solver  "simplex_stats"
+check_symbol src/lp      "capture_basis"
+check_symbol src/lp      "tableau_row"
+check_symbol src/lp      "SolveStats"
 check_symbol src/solver  "basis_factorizations"
 check_symbol src/solver  "singular_recoveries"
 check_symbol src/solver  "factor_seconds"
@@ -102,7 +102,6 @@ check_symbol src/core    "WorkflowConfig"
 check_symbol src/monitor "DiffMonitor"
 check_symbol src/lp      "refactor_cadence"
 check_symbol src/lp      "pricing_resets"
-check_symbol src/solver  "solve_children"
 check_symbol src/solver  "sibling_batches"
 check_symbol src/common  "force_scalar"
 check_symbol src/common  "argmax_violation"

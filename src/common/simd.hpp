@@ -1,6 +1,7 @@
 // Small SIMD dispatch layer for the numeric hot loops (FTRAN/BTRAN and
 // dual-simplex pricing, zonotope generator-matrix affine maps,
-// convolution and max-pool rows).
+// convolution and max-pool rows, the MT19937-64 engine and its normal
+// deviates).
 //
 // Design rules:
 //   * The scalar fallback is ALWAYS compiled and reachable at runtime via
@@ -64,6 +65,19 @@ constexpr bool compiled_with_avx2() {
 /// Name of the active backend, for bench/report output.
 inline const char* backend_name() {
   return (compiled_with_avx2() && !force_scalar()) ? "avx2" : "scalar";
+}
+
+/// Returns `v` unchanged but opaque to the optimizer, so `acc += rounded(a * b)`
+/// rounds the product before the add instead of contracting the two into one
+/// fused multiply-add. Marks the library's unfused multiply-add sites.
+inline double rounded(double v) {
+#if defined(__GNUC__) && defined(__x86_64__)
+  __asm__("" : "+x"(v));
+#else
+  volatile double opaque = v;
+  v = opaque;
+#endif
+  return v;
 }
 
 // ---------------------------------------------------------------------------
@@ -511,6 +525,248 @@ inline void window_max(const double* x, std::size_t window, std::size_t x_row, d
     }
     y[j] = best;
   }
+}
+
+// ---------------------------------------------------------------------------
+// MT19937-64 and polar-method normals
+//
+// The standard fixes std::mt19937_64's stream; libstdc++ fixes how
+// generate_canonical and normal_distribution turn it into doubles, and
+// the library's Release build fused two of those steps. These kernels
+// write that arithmetic out (std::fma where the fusions were), so the
+// vector and scalar bodies return the same bits in every build. The one
+// libm call, std::log, stays scalar in both: a vector log would round
+// differently.
+// ---------------------------------------------------------------------------
+
+/// Words in an MT19937-64 state.
+inline constexpr std::size_t kMt64Words = 312;
+
+namespace detail {
+inline constexpr std::size_t kMt64Shift = 156;                   // m
+inline constexpr std::uint64_t kMt64Upper = 0xffffffff80000000ull;  // the top w - r bits
+inline constexpr std::uint64_t kMt64Lower = 0x7fffffffull;
+inline constexpr std::uint64_t kMt64Matrix = 0xb5026f5aa96619e9ull;  // a
+
+/// The largest double below 1.
+inline constexpr double kBelowOne = 0x1.fffffffffffffp-1;
+
+#if defined(__AVX2__) && defined(__FMA__)
+/// mt64_temper on four words.
+inline __m256i mt64_temper4(__m256i z) {
+  z = _mm256_xor_si256(
+      z, _mm256_and_si256(_mm256_srli_epi64(z, 29), _mm256_set1_epi64x(0x5555555555555555ll)));
+  z = _mm256_xor_si256(
+      z, _mm256_and_si256(_mm256_slli_epi64(z, 17), _mm256_set1_epi64x(0x71d67fffeda60000ll)));
+  z = _mm256_xor_si256(z, _mm256_and_si256(_mm256_slli_epi64(z, 37),
+                                           _mm256_set1_epi64x(static_cast<long long>(
+                                               0xfff7eee000000000ull))));
+  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 43));
+}
+
+/// unit_interval on four outputs. AVX2 has no unsigned 64-bit conversion:
+/// each half goes into the mantissa of a power of two (2^84 + hi 2^32 and
+/// 2^52 + lo, both exact), an exact subtraction removes the two powers,
+/// and the one add that joins the halves rounds x to nearest, as the
+/// scalar conversion does.
+inline __m256d unit_interval4(__m256i x) {
+  const __m256i hi = _mm256_or_si256(_mm256_srli_epi64(x, 32),
+                                     _mm256_castpd_si256(_mm256_set1_pd(0x1p84)));
+  const __m256i lo = _mm256_blend_epi32(x, _mm256_castpd_si256(_mm256_set1_pd(0x1p52)), 0xaa);
+  const __m256d joined =
+      _mm256_add_pd(_mm256_sub_pd(_mm256_castsi256_pd(hi), _mm256_set1_pd(0x1p84 + 0x1p52)),
+                    _mm256_castsi256_pd(lo));
+  return _mm256_min_pd(_mm256_mul_pd(joined, _mm256_set1_pd(0x1p-64)),
+                       _mm256_set1_pd(kBelowOne));
+}
+
+/// Eight-lane permutations (two 32-bit halves per double) that move the
+/// lanes set in a 4-bit mask to the front, in lane order.
+struct CompactTable {
+  alignas(32) std::int32_t lanes[16][8];
+};
+constexpr CompactTable make_compact_table() {
+  CompactTable t{};
+  for (int mask = 0; mask < 16; ++mask)
+    for (int lane = 0, out = 0; lane < 4; ++lane)
+      if ((mask >> lane) & 1) {
+        t.lanes[mask][2 * out] = 2 * lane;
+        t.lanes[mask][2 * out + 1] = 2 * lane + 1;
+        ++out;
+      }
+  return t;
+}
+inline constexpr CompactTable kCompactTable = make_compact_table();
+
+inline __m256d compact(__m256d v, int mask) {
+  const __m256i perm =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(kCompactTable.lanes[mask]));
+  return _mm256_castps_pd(_mm256_permutevar8x32_ps(_mm256_castpd_ps(v), perm));
+}
+
+/// polar_pair on the four pairs in words[0 .. 8): y and r2 in pair order,
+/// and the mask of accepted pairs (bit l for pair l).
+inline int polar_pairs4(const std::uint64_t* words, __m256d& y, __m256d& r2) {
+  const __m256d a = unit_interval4(
+      mt64_temper4(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(words))));
+  const __m256d b = unit_interval4(
+      mt64_temper4(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + 4))));
+  // Unpacking leaves the pairs in lane order 0, 2, 1, 3; the permute
+  // restores stream order.
+  const __m256d ux = _mm256_permute4x64_pd(_mm256_unpacklo_pd(a, b), 0xD8);
+  const __m256d uy = _mm256_permute4x64_pd(_mm256_unpackhi_pd(a, b), 0xD8);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d x = _mm256_sub_pd(_mm256_add_pd(ux, ux), one);
+  y = _mm256_sub_pd(_mm256_add_pd(uy, uy), one);
+  r2 = _mm256_fmadd_pd(x, x, _mm256_mul_pd(y, y));
+  const __m256d ok = _mm256_and_pd(_mm256_cmp_pd(r2, one, _CMP_LE_OQ),
+                                   _mm256_cmp_pd(r2, _mm256_setzero_pd(), _CMP_NEQ_OQ));
+  return _mm256_movemask_pd(ok);
+}
+
+/// polar_value on four accepted pairs, given log(r2).
+inline __m256d polar_values4(__m256d y, __m256d r2, __m256d log_r2, __m256d mean,
+                             __m256d stddev) {
+  const __m256d mult =
+      _mm256_sqrt_pd(_mm256_div_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), log_r2), r2));
+  return _mm256_fmadd_pd(_mm256_mul_pd(y, mult), stddev, mean);
+}
+#endif
+}  // namespace detail
+
+/// Regenerates an MT19937-64 state in place: word k becomes
+/// mt[k + m] ^ (y >> 1) ^ (y odd ? a : 0), with y the top bit of mt[k] over
+/// the low 63 of mt[k + 1], indices mod 312, each word taken as it stands
+/// when word k is written (std::mt19937_64's regeneration step).
+inline void mt64_twist(std::uint64_t* mt) {
+  using namespace detail;
+  const auto next = [](std::uint64_t cur, std::uint64_t succ, std::uint64_t far) {
+    const std::uint64_t y = (cur & kMt64Upper) | (succ & kMt64Lower);
+    return far ^ (y >> 1) ^ ((y & 1) ? kMt64Matrix : 0);
+  };
+  std::size_t k = 0;
+#if defined(__AVX2__)
+  if (!force_scalar()) {
+    // Four words at a time: a block reads the old words after it and, in
+    // the second half, the new words 156 before it, never its own lanes.
+    const __m256i upper = _mm256_set1_epi64x(static_cast<long long>(kMt64Upper));
+    const __m256i lower = _mm256_set1_epi64x(static_cast<long long>(kMt64Lower));
+    const __m256i matrix = _mm256_set1_epi64x(static_cast<long long>(kMt64Matrix));
+    const __m256i one = _mm256_set1_epi64x(1);
+    const auto block = [&](std::size_t at, const std::uint64_t* far) {
+      const auto load = [](const std::uint64_t* p) {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+      };
+      const __m256i y = _mm256_or_si256(_mm256_and_si256(load(mt + at), upper),
+                                        _mm256_and_si256(load(mt + at + 1), lower));
+      const __m256i odd = _mm256_sub_epi64(_mm256_setzero_si256(), _mm256_and_si256(y, one));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(mt + at),
+                          _mm256_xor_si256(_mm256_xor_si256(load(far), _mm256_srli_epi64(y, 1)),
+                                           _mm256_and_si256(odd, matrix)));
+    };
+    for (; k < kMt64Words - kMt64Shift; k += 4) block(k, mt + k + kMt64Shift);
+    for (; k + 4 < kMt64Words; k += 4) block(k, mt + k + kMt64Shift - kMt64Words);
+  }
+#endif
+  for (; k < kMt64Words; ++k)
+    mt[k] = next(mt[k], mt[(k + 1) % kMt64Words], mt[(k + kMt64Shift) % kMt64Words]);
+}
+
+/// MT19937-64 output tempering of one state word.
+inline std::uint64_t mt64_temper(std::uint64_t z) {
+  z ^= (z >> 29) & 0x5555555555555555ull;
+  z ^= (z << 17) & 0x71d67fffeda60000ull;
+  z ^= (z << 37) & 0xfff7eee000000000ull;
+  return z ^ (z >> 43);
+}
+
+/// std::generate_canonical<double, 53> of one 64-bit output x: x rounded
+/// to nearest and scaled by 2^-64, or the largest double below 1 when that
+/// rounds up to 1.
+inline double unit_interval(std::uint64_t x) {
+  return std::min(static_cast<double>(x) * 0x1p-64, detail::kBelowOne);
+}
+
+/// One candidate pair of the polar method from two engine outputs:
+/// x = 2 u(wx) - 1, y = 2 u(wy) - 1 (u + u is exact, so only the
+/// subtraction rounds, fused or not) and r2 = fma(x, x, y y). Returns
+/// whether the pair is accepted, i.e. r2 in (0, 1].
+inline bool polar_pair(std::uint64_t wx, std::uint64_t wy, double& y, double& r2) {
+  const double ux = unit_interval(wx), uy = unit_interval(wy);
+  const double x = ux + ux - 1.0;
+  y = uy + uy - 1.0;
+  r2 = std::fma(x, x, y * y);
+  return r2 <= 1.0 && r2 != 0.0;
+}
+
+/// The normal deviate of an accepted pair: fma(y sqrt(-2 log(r2) / r2),
+/// stddev, mean). The x coordinate's deviate is discarded.
+inline double polar_value(double y, double r2, double mean, double stddev) {
+  return std::fma(y * std::sqrt(-2.0 * std::log(r2) / r2), stddev, mean);
+}
+
+/// Normal deviates from consecutive untempered MT19937-64 state words,
+/// one per accepted polar_pair of (temper(words[2 i]),
+/// temper(words[2 i + 1])) in stream order: what successive
+/// std::normal_distribution draws from std::mt19937_64 return when each
+/// uses a fresh distribution. Reads at most `pairs` pairs and stops after
+/// the `want`-th accepted one; returns the number of values written to
+/// `out` and sets `used` to the pairs read. The AVX2 body tests four pairs
+/// at a time and compacts the accepted ones, then finishes them four at a
+/// time around one scalar std::log each.
+inline std::size_t polar_normals(const std::uint64_t* words, std::size_t pairs, double mean,
+                                 double stddev, double* out, std::size_t want,
+                                 std::size_t& used) {
+  constexpr std::size_t kChunk = 64;
+  alignas(32) double ys[kChunk + 4];
+  alignas(32) double r2s[kChunk + 4];
+  std::size_t made = 0;
+  used = 0;
+  while (made < want && used < pairs) {
+    const std::size_t need = std::min(want - made, kChunk);
+    std::size_t found = 0;
+#if defined(__AVX2__) && defined(__FMA__)
+    if (!force_scalar()) {
+      for (; found < need && pairs - used >= 4;) {
+        __m256d y, r2;
+        int mask = detail::polar_pairs4(words + 2 * used, y, r2);
+        std::size_t taken = static_cast<std::size_t>(__builtin_popcount(mask));
+        std::size_t read = 4;
+        if (found + taken >= need) {  // keep the accepted pairs up to the need-th
+          for (; found + taken > need; --taken) mask &= ~(1 << (31 - __builtin_clz(mask)));
+          read = static_cast<std::size_t>(32 - __builtin_clz(mask));
+        }
+        _mm256_storeu_pd(ys + found, detail::compact(y, mask));
+        _mm256_storeu_pd(r2s + found, detail::compact(r2, mask));
+        found += taken;
+        used += read;
+      }
+    }
+#endif
+    for (; found < need && used < pairs; ++used)
+      if (polar_pair(mt64_temper(words[2 * used]), mt64_temper(words[2 * used + 1]), ys[found],
+                     r2s[found]))
+        ++found;
+    std::size_t k = 0;
+#if defined(__AVX2__) && defined(__FMA__)
+    if (!force_scalar() && found >= 4) {
+      alignas(32) double logs[kChunk];
+      for (; k < found; ++k) logs[k] = std::log(r2s[k]);
+      const __m256d vmean = _mm256_set1_pd(mean), vstddev = _mm256_set1_pd(stddev);
+      // A last vector shifted left to end at `found` recomputes a few
+      // values of the one before it, bit for bit.
+      for (std::size_t k0 = 0; k0 < found; k0 += 4) {
+        const std::size_t at = std::min(k0, found - 4);
+        _mm256_storeu_pd(out + made + at,
+                         detail::polar_values4(_mm256_loadu_pd(ys + at), _mm256_loadu_pd(r2s + at),
+                                               _mm256_loadu_pd(logs + at), vmean, vstddev));
+      }
+    }
+#endif
+    for (; k < found; ++k) out[made + k] = polar_value(ys[k], r2s[k], mean, stddev);
+    made += found;
+  }
+  return made;
 }
 
 }  // namespace dpv::simd

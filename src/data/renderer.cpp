@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
+#include "common/simd.hpp"
 
 namespace dpv::data {
 
@@ -14,44 +18,77 @@ constexpr double kMarkingValue = 0.88;
 constexpr double kCenterlineValue = 0.80;
 constexpr double kVehicleValue = 0.68;
 constexpr double kVehicleShadow = 0.30;
+
+/// What the renderer paints a pixel with before lighting. Road (under a
+/// centerline dash too) and grass pixels each take one texture draw.
+enum class Surface : std::uint8_t { kRoad, kCenterline, kMarking, kGrass };
 }  // namespace
 
 double road_center_column(const RoadScenario& scenario, const RenderConfig& config, double t) {
   const double w = static_cast<double>(config.width);
   // Near the vehicle the center reflects the lane offset; toward the
-  // horizon the curvature term bends the road quadratically.
-  return 0.5 * w - scenario.lane_offset * 0.25 * w * (1.0 - t) +
-         scenario.curvature * 0.40 * w * t * t;
+  // horizon the curvature term bends the road quadratically. Every
+  // product rounds except the two fused ones (0.5w is exact).
+  const double lane_term = scenario.lane_offset * 0.25 * w * (1.0 - t);
+  return std::fma(scenario.curvature * 0.40 * w * t, t, std::fma(0.5, w, -lane_term));
 }
 
 double road_half_width(const RenderConfig& config, double t) {
-  return 0.28 * static_cast<double>(config.width) * (1.0 - 0.65 * t);
+  return 0.28 * static_cast<double>(config.width) * std::fma(-0.65, t, 1.0);
 }
 
 Tensor render_road_image(const RoadScenario& scenario, const RenderConfig& config) {
   check(config.width >= 8 && config.height >= 4, "render_road_image: image too small");
-  Rng noise(scenario.noise_seed);
-  Tensor image(Shape{1, config.height, config.width});
+  check(std::isfinite(config.noise_stddev) && config.noise_stddev >= 0.0,
+        "render_road_image: noise_stddev must be finite and non-negative");
+  const std::size_t width = config.width, height = config.height, pixels = width * height;
+  Tensor image(Shape{1, height, width});
+  double* px = image.data().data();
 
-  for (std::size_t row = 0; row < config.height; ++row) {
+  std::vector<Surface> surface(pixels);
+  std::size_t textured = 0;
+  for (std::size_t row = 0; row < height; ++row) {
     // Depth: bottom row is the nearest road surface, top row the horizon.
-    const double t = 1.0 - static_cast<double>(row) / static_cast<double>(config.height - 1);
+    const double t = 1.0 - static_cast<double>(row) / static_cast<double>(height - 1);
     const double center = road_center_column(scenario, config, t);
-    const double half_width = road_half_width(config, t);
-    for (std::size_t col = 0; col < config.width; ++col) {
+    // Rounded where it meets a subtraction below, as the Release build had it.
+    const double half_width = simd::rounded(road_half_width(config, t));
+    for (std::size_t col = 0; col < width; ++col) {
       const double x = static_cast<double>(col) + 0.5;
-      const double dist = x - center;
-      double value;
-      if (std::abs(dist) <= half_width) {
-        value = kRoadValue + noise.normal(0.0, 0.03);  // asphalt texture
-        // Dashed centerline.
-        if (std::abs(dist) < 0.6 && (row % 4) < 2) value = kCenterlineValue;
-      } else if (std::abs(std::abs(dist) - half_width) < 0.9) {
-        value = kMarkingValue;  // lane boundary marking
-      } else {
-        value = kGrassValue + noise.normal(0.0, 0.03);
-      }
-      image.at3(0, row, col) = value;
+      const double dist = std::abs(x - center);
+      Surface& s = surface[row * width + col];
+      if (dist <= half_width)  // asphalt, under a dashed centerline
+        s = dist < 0.6 && (row % 4) < 2 ? Surface::kCenterline : Surface::kRoad;
+      else if (std::abs(dist - half_width) < 0.9)
+        s = Surface::kMarking;  // lane boundary marking
+      else
+        s = Surface::kGrass;
+      textured += s != Surface::kMarking;
+    }
+  }
+
+  // All noise in the stream order of one draw per textured pixel (row
+  // major), then one sensor draw per pixel.
+  std::vector<double> noise(textured + pixels);
+  Rng rng(scenario.noise_seed);
+  rng.normals(0.0, 0.03, noise.data(), textured);
+  rng.normals(0.0, config.noise_stddev, noise.data() + textured, pixels);
+  const double* texture = noise.data();
+  for (std::size_t i = 0; i < pixels; ++i) {
+    switch (surface[i]) {
+      case Surface::kRoad:
+        px[i] = kRoadValue + *texture++;
+        break;
+      case Surface::kCenterline:
+        px[i] = kCenterlineValue;
+        ++texture;
+        break;
+      case Surface::kMarking:
+        px[i] = kMarkingValue;
+        break;
+      case Surface::kGrass:
+        px[i] = kGrassValue + *texture++;
+        break;
     }
   }
 
@@ -61,30 +98,31 @@ Tensor render_road_image(const RoadScenario& scenario, const RenderConfig& confi
     const double t0 = scenario.traffic_distance;
     const double center = road_center_column(scenario, config, t0);
     const double half_width = road_half_width(config, t0);
-    const double vehicle_center = center + 1.9 * half_width;
+    const double vehicle_center = std::fma(1.9, half_width, center);
     const double vehicle_half_w = std::max(1.0, 0.45 * half_width);
-    const double row_center = (1.0 - t0) * static_cast<double>(config.height - 1);
-    const double vehicle_half_h = std::max(1.0, 0.10 * static_cast<double>(config.height) +
-                                                    1.2 * (1.0 - t0));
+    // Rounded before the two sums below, as the Release build had it.
+    const double row_center = simd::rounded((1.0 - t0) * static_cast<double>(height - 1));
+    const double vehicle_half_h =
+        std::max(1.0, std::fma(0.10, static_cast<double>(height), 1.2 * (1.0 - t0)));
     const long row_lo = static_cast<long>(std::floor(row_center - vehicle_half_h));
     const long row_hi = static_cast<long>(std::ceil(row_center + vehicle_half_h));
     for (long row = row_lo; row <= row_hi; ++row) {
-      if (row < 0 || row >= static_cast<long>(config.height)) continue;
-      for (std::size_t col = 0; col < config.width; ++col) {
+      if (row < 0 || row >= static_cast<long>(height)) continue;
+      for (std::size_t col = 0; col < width; ++col) {
         const double x = static_cast<double>(col) + 0.5;
         if (std::abs(x - vehicle_center) > vehicle_half_w) continue;
         const bool shadow_row = row == row_hi;
-        image.at3(0, static_cast<std::size_t>(row), col) =
+        px[static_cast<std::size_t>(row) * width + col] =
             shadow_row ? kVehicleShadow : kVehicleValue;
       }
     }
   }
 
-  // Illumination and sensor noise, clamped to the valid pixel range.
-  for (std::size_t i = 0; i < image.numel(); ++i) {
-    const double lit = image[i] * scenario.brightness + noise.normal(0.0, config.noise_stddev);
-    image[i] = std::clamp(lit, 0.0, 1.0);
-  }
+  // Illumination and sensor noise, clamped to the valid pixel range; the
+  // lit value rounds before the noise is added.
+  const double* sensor = noise.data() + textured;
+  for (std::size_t i = 0; i < pixels; ++i)
+    px[i] = std::clamp(simd::rounded(px[i] * scenario.brightness) + sensor[i], 0.0, 1.0);
   return image;
 }
 

@@ -18,13 +18,16 @@ namespace dpv::data {
 struct RenderConfig {
   std::size_t width = 32;
   std::size_t height = 16;
-  /// Stddev of additive per-pixel sensor noise.
+  /// Stddev of additive per-pixel sensor noise: finite and >= 0 (0 adds
+  /// none).
   double noise_stddev = 0.02;
 };
 
 /// Renders the scenario as a (1, height, width) tensor with values in
-/// [0, 1]. Deterministic in (scenario, config) — the texture/sensor noise
-/// comes from scenario.noise_seed.
+/// [0, 1]. Deterministic in (scenario, config), with the same bits in
+/// every build — the texture/sensor noise comes from scenario.noise_seed.
+/// Throws ContractViolation for an image smaller than 8x4 or a negative
+/// or non-finite noise_stddev.
 Tensor render_road_image(const RoadScenario& scenario, const RenderConfig& config);
 
 /// Road centerline column (in pixel units) at depth t in [0, 1]

@@ -157,7 +157,7 @@ void Conv2D::input_grad_row(const double* /*x*/, const double* g, double* gx) co
             const TapSpan span = col_spans_[kc];
             const double wv = wrow[kc];
             for (std::size_t o = span.first; o < span.last; ++o)
-              gxrow[o * stride_ + kc - padding_] += detail::rounded(grow[o] * wv);
+              gxrow[o * stride_ + kc - padding_] += simd::rounded(grow[o] * wv);
           }
         }
       }

@@ -5,6 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace dpv::nn {
@@ -72,7 +73,7 @@ void Dense::accumulate_param_grads(const double* x, const double* g) {
     const double gr = g[r];
     bias_grad_[r] += gr;
     double* wrow = wg + r * in_features_;
-    for (std::size_t c = 0; c < in_features_; ++c) wrow[c] += detail::rounded(gr * x[c]);
+    for (std::size_t c = 0; c < in_features_; ++c) wrow[c] += simd::rounded(gr * x[c]);
   }
 }
 

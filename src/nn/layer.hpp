@@ -143,19 +143,4 @@ class Layer {
   std::size_t batch_rows_ = 0;  // rows of the last forward_batch; 0 = none
 };
 
-namespace detail {
-/// Returns `v` unchanged but opaque to the optimizer, so `acc += rounded(a * b)`
-/// rounds the product before the add instead of contracting the two into one
-/// fused multiply-add. Marks the training kernels' unfused accumulation sites.
-inline double rounded(double v) {
-#if defined(__GNUC__) && defined(__x86_64__)
-  __asm__("" : "+x"(v));
-#else
-  volatile double opaque = v;
-  v = opaque;
-#endif
-  return v;
-}
-}  // namespace detail
-
 }  // namespace dpv::nn

@@ -1,12 +1,17 @@
 // Road scenario substrate tests: determinism, label geometry, renderer
 // behaviour (curvature visibly bends the road, traffic adds pixels,
-// brightness scales), property oracles, dataset assembly and the
-// perception factory's attachment-point contract.
+// brightness scales), the renderer's noise contract and build-independent
+// bits, property oracles, dataset assembly and the perception factory's
+// attachment-point contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "common/check.hpp"
+#include "common/simd.hpp"
 #include "data/dataset_gen.hpp"
 #include "data/perception_model.hpp"
 #include "data/properties.hpp"
@@ -212,6 +217,58 @@ TEST(Renderer, BrightnessScalesIntensity) {
 TEST(Renderer, RejectsTinyImages) {
   const RenderConfig config{.width = 4, .height = 2};
   EXPECT_THROW(render_road_image(base_scenario(), config), ContractViolation);
+}
+
+TEST(Renderer, RejectsNegativeOrNonFiniteNoise) {
+  for (const double stddev : {-0.02, -std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    const RenderConfig config{.width = 32, .height = 16, .noise_stddev = stddev};
+    EXPECT_THROW(render_road_image(base_scenario(), config), ContractViolation) << stddev;
+  }
+}
+
+/// 64-bit FNV-1a over the bit patterns of an image's values, continuing
+/// from `hash`.
+std::uint64_t fnv1a(std::uint64_t hash, const Tensor& image) {
+  for (const double v : image.data()) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+TEST(Renderer, RenderHashIsBuildIndependent) {
+  // The renderer's arithmetic is written out (explicit fusions, noise
+  // from the explicit engine's block kernel), so every build renders the
+  // same bits: optimized or not, with or without the SIMD bodies, and
+  // forced scalar. The constant is what the std::normal_distribution
+  // renderer this replaced hashed to in its Release build.
+  for (const bool scalar : {false, true}) {
+    simd::set_force_scalar(scalar);
+    std::uint64_t hash = 14695981039346656037ull;
+    RoadDatasetConfig dataset;
+    dataset.count = 600;
+    dataset.seed = 101;
+    for (const RoadSample& sample : generate_road_samples(dataset))
+      hash = fnv1a(hash, sample.image);
+    Rng rng(202);
+    ScenarioBox traffic = scenario_domain();
+    traffic.traffic_adjacent = true;
+    const RenderConfig wide{.width = 40, .height = 20, .noise_stddev = 0.05};
+    for (int i = 0; i < 300; ++i) {
+      const RoadScenario s = sample_scenario_in(traffic, rng);
+      hash = fnv1a(hash, render_road_image(s, RenderConfig{}));
+      hash = fnv1a(hash, render_road_image(s, wide));
+    }
+    EXPECT_EQ(hash, 0x75ac877b623c5481ull) << (scalar ? "forced scalar: " : "dispatch: ")
+                                           << std::hex << hash;
+  }
+  simd::set_force_scalar(false);
 }
 
 /// Random sub-box of the ODD along each dimension (possibly the full

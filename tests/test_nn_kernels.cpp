@@ -404,10 +404,11 @@ double pattern_value(std::size_t k, std::size_t mul, long lo_num, double den) {
 
 TEST_P(KernelOracle, ConvPoolStackHashIsBuildIndependent) {
   // The testbed's convolutional stack (1x16x32 image, 4 and 8 channels),
-  // with parameters and images from integer patterns rather than
-  // Rng::normal or the renderer, whose arithmetic the compiler may fuse.
-  // The specified kernels compute one result in every build: optimized or
-  // not, with or without the SIMD bodies, and forced scalar.
+  // with parameters and images from integer patterns, so the hash covers
+  // the kernels alone (Rng::normal and the renderer are specified too and
+  // hashed in tests/test_rng.cpp and tests/test_data.cpp). The specified
+  // kernels compute one result in every build: optimized or not, with or
+  // without the SIMD bodies, and forced scalar.
   Network net;
   auto conv1 = std::make_unique<Conv2D>(1, 16, 32, 4, 3, 1, 1);
   auto conv2 = std::make_unique<Conv2D>(4, 8, 16, 8, 3, 1, 1);

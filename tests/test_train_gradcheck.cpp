@@ -2,6 +2,7 @@
 // trainable layer arrangement are checked against central differences.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>

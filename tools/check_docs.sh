@@ -112,6 +112,15 @@ check_symbol src/common  "TapGrid"
 check_symbol src/common  "fma_taps"
 check_symbol src/common  "fma_taps_shared_input"
 check_symbol src/common  "window_max"
+check_symbol src/common  "rounded"
+check_symbol src/common  "mt64_twist"
+check_symbol src/common  "mt64_temper"
+check_symbol src/common  "unit_interval"
+check_symbol src/common  "polar_normals"
+check_symbol src/common  "normals"
+check_symbol src/data    "road_center_column"
+check_symbol src/data    "road_half_width"
+check_symbol tests       "RenderHashIsBuildIndependent"
 check_symbol src/verify  "FalsifyOptions"
 check_symbol src/verify  "falsify_query"
 check_symbol src/verify  "prove_by_bounds"

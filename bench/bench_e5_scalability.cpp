@@ -15,8 +15,8 @@
 //
 // Machine-readable results land in BENCH_e5.json (cwd) so the perf
 // trajectory is tracked across PRs; the LP-core axis writes
-// BENCH_simplex.json (deterministic pivot, factorization, pricing and
-// node counters of the one LP-core configuration plus exact verdicts,
+// BENCH_simplex.json (deterministic pivot, factorization, restore,
+// pricing and node counters of the one LP-core configuration plus exact verdicts,
 // for a heavier battery, its widest tail and the E5 battery — compared
 // against bench/baselines/BENCH_simplex.json by tools/bench_compare.py),
 // the cutting-plane axis writes BENCH_cuts.json (B&B node counts with
@@ -378,12 +378,12 @@ void emit_simplex_json(const std::vector<LpCoreRow>& rows) {
     const LpCoreRow& row = rows[i];
     std::fprintf(f,
                  "    {\"config\": \"%s\", \"nodes\": %zu, \"pivots\": %zu, "
-                 "\"refactorizations\": %zu, \"updates\": %zu, \"pricing_resets\": %zu, "
-                 "\"sibling_batches\": %zu, \"avg_eta_nnz\": %.2f, "
+                 "\"refactorizations\": %zu, \"factor_restores\": %zu, \"updates\": %zu, "
+                 "\"pricing_resets\": %zu, \"sibling_batches\": %zu, \"avg_eta_nnz\": %.2f, "
                  "\"wall_seconds\": %.6f, \"factor_seconds\": %.6f, "
                  "\"pivot_seconds\": %.6f, \"verdicts\": \"%s\"}%s\n",
                  row.config.c_str(), row.nodes, row.pivots, row.stats.basis_factorizations,
-                 row.stats.basis_updates, row.stats.pricing_resets,
+                 row.stats.basis_restores, row.stats.basis_updates, row.stats.pricing_resets,
                  row.stats.sibling_batches, row.stats.avg_eta_nonzeros(), row.wall_seconds,
                  row.stats.factor_seconds, row.stats.pivot_seconds, row.verdicts.c_str(),
                  i + 1 < rows.size() ? "," : "");
@@ -411,13 +411,13 @@ void print_simplex_report(const std::vector<Query>& e5_queries) {
   }
 
   std::printf("\n=== E5: LP-core axis (serial, cuts off; counters gated, walls not) ===\n");
-  std::printf("%16s | %8s | %8s | %8s | %8s | %8s | %6s | %8s\n", "config", "wall s",
-              "nodes", "pivots", "refactor", "updates", "resets", "batches");
-  std::printf("-----------------+----------+----------+----------+----------+----------+--------+---------\n");
+  std::printf("%16s | %8s | %8s | %8s | %8s | %8s | %8s | %6s | %8s\n", "config", "wall s",
+              "nodes", "pivots", "refactor", "restores", "updates", "resets", "batches");
+  std::printf("-----------------+----------+----------+----------+----------+----------+----------+--------+---------\n");
   for (const LpCoreRow& row : rows)
-    std::printf("%16s | %8.3f | %8zu | %8zu | %8zu | %8zu | %6zu | %8zu  %s\n",
+    std::printf("%16s | %8.3f | %8zu | %8zu | %8zu | %8zu | %8zu | %6zu | %8zu  %s\n",
                 row.config.c_str(), row.wall_seconds, row.nodes, row.pivots,
-                row.stats.basis_factorizations, row.stats.basis_updates,
+                row.stats.basis_factorizations, row.stats.basis_restores, row.stats.basis_updates,
                 row.stats.pricing_resets, row.stats.sibling_batches, row.verdicts.c_str());
   emit_simplex_json(rows);
 }

@@ -1,6 +1,7 @@
 #include "common/fault_inject.hpp"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -59,7 +60,12 @@ bool should_fire(const char* name) {
   Probe& p = it->second;
   ++p.hits;
   const bool fire = p.hits >= p.fire_at && p.hits < p.fire_at + p.count;
-  if (fire) ++p.fires;
+  if (fire) {
+    ++p.fires;
+    // One line per fire, so a chaos run shows which probes it exercised
+    // (tools/run_chaos.sh fails a spec whose probe never fired).
+    std::fprintf(stderr, "fault: %s fired (hit %zu)\n", name, p.hits);
+  }
   return fire;
 }
 

@@ -33,7 +33,8 @@
 
 namespace dpv::fault {
 
-/// True when probe `name` should simulate its fault on this evaluation.
+/// True when probe `name` should simulate its fault on this evaluation;
+/// each fire writes one "fault: <name> fired (hit <k>)" line to stderr.
 /// Wait-free single atomic load when nothing is armed anywhere.
 bool should_fire(const char* name);
 

@@ -183,8 +183,10 @@ std::string CampaignReport::format_encoding_summary() const {
         << " retries (" << budget_entries_rescued << " rescued)";
   }
   if (solver_totals.basis_factorizations > 0 || solver_totals.basis_updates > 0) {
-    out << "; basis: " << solver_totals.basis_factorizations << " factorizations, "
-        << solver_totals.basis_updates << " updates";
+    out << "; basis: " << solver_totals.basis_factorizations << " factorizations, ";
+    if (solver_totals.basis_restores > 0)
+      out << solver_totals.basis_restores << " restores, ";
+    out << solver_totals.basis_updates << " updates";
     if (solver_totals.basis_updates > 0)
       out << " (avg eta nnz " << solver_totals.avg_eta_nonzeros() << ")";
     if (solver_totals.singular_recoveries > 0)

@@ -123,6 +123,7 @@ void RevisedSimplex::load(const LpProblem& problem) {
   devex_.clear();
   dval_.clear();
   dval_valid_ = false;
+  snapshot_basic_.clear();
 }
 
 void RevisedSimplex::set_bounds(std::size_t var, double lo, double up) {
@@ -247,7 +248,12 @@ bool RevisedSimplex::install_basis(const SimplexBasis& basis) {
   basic_.assign(basis.basic.begin(), basis.basic.end());
   status_ = std::move(status);
   if (!reuse) {
-    if (!refactorize()) {
+    // Going back to the basis factorized last (the second child of a
+    // batched branch, a reliability probe) copies its saved factors
+    // back: the same bits factorize() would compute.
+    if (basic_ == snapshot_basic_) {
+      restore_factors();
+    } else if (!refactorize()) {
       // A singular warm basis: the caller crashes back to the all-logical
       // basis (a cold solve); surface the event in the stats.
       ++factor_stats_.singular_recoveries;
@@ -259,12 +265,17 @@ bool RevisedSimplex::install_basis(const SimplexBasis& basis) {
   return true;
 }
 
-bool RevisedSimplex::tableau_row(std::size_t row, TableauRow& out) const {
+bool RevisedSimplex::basic_in_row(std::size_t row, std::int32_t& col, double& value) const {
   if (row >= m_ || basic_.empty()) return false;
+  col = basic_[row];
+  value = xb_[row];
+  return true;
+}
+
+bool RevisedSimplex::tableau_row(std::size_t row, TableauRow& out) const {
+  if (!basic_in_row(row, out.basic_col, out.basic_value)) return false;
   std::vector<double> rho;
   btran_unit(row, rho);
-  out.basic_col = basic_[row];
-  out.basic_value = xb_[row];
   out.entries.clear();
   for (std::size_t j = 0; j < total_; ++j) {
     if (status_[j] == kBasic) continue;
@@ -295,13 +306,26 @@ bool RevisedSimplex::refactorize(bool allow_fault) {
   // Chaos probe: simulate the factorization discovering a singular basis
   // so the crash-basis fallback is exercised, not assumed.
   if (ok && allow_fault && fault::should_fire("lp.refactor_singular")) ok = false;
-  factor_stats_.factor_seconds += seconds_since(start);
   if (ok) {
+    // Only factors that passed the probe are saved for restore_factors.
+    lu_.save_snapshot();
+    snapshot_basic_ = basic_;
     ++factor_stats_.factorizations;
     factor_stats_.refactor_cadence = lu_.refactor_cadence();
     pivots_since_refactor_ = 0;
   }
+  factor_stats_.factor_seconds += seconds_since(start);
   return ok;
+}
+
+void RevisedSimplex::restore_factors() {
+  const auto start = std::chrono::steady_clock::now();
+  dval_valid_ = false;
+  lu_.restore_snapshot();
+  ++factor_stats_.restores;
+  factor_stats_.refactor_cadence = lu_.refactor_cadence();
+  pivots_since_refactor_ = 0;
+  factor_stats_.factor_seconds += seconds_since(start);
 }
 
 void RevisedSimplex::recover_singular_basis() {

@@ -28,7 +28,9 @@
 // ||e_r B^{-1}||² (the dual steepest-edge measure) kept up to date from
 // the FTRAN column each pivot already computes. Factors and Devex state
 // survive a warm resolve() whose basis is the one already factorized
-// (the branch-and-bound dive fast path: only the bounds changed).
+// (the branch-and-bound dive fast path: only the bounds changed), and a
+// resolve() from the basis factorized last copies that factorization
+// back instead of recomputing it.
 #pragma once
 
 #include <cstddef>
@@ -115,6 +117,10 @@ class RevisedSimplex {
   /// Returns false before any solve or when `row` is out of range.
   bool tableau_row(std::size_t row, TableauRow& out) const;
 
+  /// The basic_col and basic_value tableau_row(row, ...) would report,
+  /// without its BTRAN and pricing; false where tableau_row is.
+  bool basic_in_row(std::size_t row, std::int32_t& col, double& value) const;
+
   /// Cumulative solve accounting (across loads).
   const SolveStats& solve_stats() const { return solve_stats_; }
 
@@ -140,6 +146,9 @@ class RevisedSimplex {
   /// singular-recovery crash refactorization (all-logical, provably
   /// nonsingular) cannot be failed by the harness it is recovering from.
   bool refactorize(bool allow_fault = true);
+  /// Puts back the factors of the last computed factorization, whose
+  /// basis is snapshot_basic_, with refactorize()'s side effects.
+  void restore_factors();
   /// Singular-basis recovery: crash to the all-logical basis (always
   /// factorizable) and count it in factor_stats().
   void recover_singular_basis();
@@ -182,6 +191,9 @@ class RevisedSimplex {
 
   // Basis state.
   std::vector<std::int32_t> basic_;   ///< size m_
+  /// basic_ of the factors lu_ saved last (see BasisLu::save_snapshot);
+  /// empty after load().
+  std::vector<std::int32_t> snapshot_basic_;
   std::vector<std::int8_t> status_;   ///< size total_
   BasisLu lu_;
   std::vector<double> xb_;            ///< basic values, size m_

@@ -1,6 +1,7 @@
 #include "milp/cuts/gomory_cuts.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 namespace dpv::milp::cuts {
 
@@ -25,12 +26,19 @@ void GomoryCutGenerator::generate(const CutContext& ctx, std::vector<Cut>& out) 
   lp::TableauRow row;
   std::vector<double> coeff(n, 0.0);
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (!ctx.simplex.tableau_row(r, row)) continue;
-    if (row.basic_col < 0 || static_cast<std::size_t>(row.basic_col) >= n) continue;
-    const std::size_t basic = static_cast<std::size_t>(row.basic_col);
+    // Only a fractional binary basic yields a cut, and the basic variable
+    // alone decides that: about nine rows in ten hold a logical, a
+    // continuous or an integral value, so test before paying for the
+    // row's BTRAN and pricing.
+    std::int32_t basic_col = -1;
+    double basic_value = 0.0;
+    if (!ctx.simplex.basic_in_row(r, basic_col, basic_value)) continue;
+    if (basic_col < 0 || static_cast<std::size_t>(basic_col) >= n) continue;
+    const std::size_t basic = static_cast<std::size_t>(basic_col);
     if (problem.variable_type(basic) != VarType::kBinary) continue;
-    const double f0 = row.basic_value - std::floor(row.basic_value);
+    const double f0 = basic_value - std::floor(basic_value);
     if (f0 < kMinFraction || f0 > 1.0 - kMinFraction) continue;
+    if (!ctx.simplex.tableau_row(r, row)) continue;
 
     std::fill(coeff.begin(), coeff.end(), 0.0);
     double rhs = f0;

@@ -13,6 +13,7 @@ void SolverStats::merge(const SolverStats& other) {
   cuts_added += other.cuts_added;
   cut_rounds += other.cut_rounds;
   basis_factorizations += other.basis_factorizations;
+  basis_restores += other.basis_restores;
   basis_updates += other.basis_updates;
   eta_nonzeros += other.eta_nonzeros;
   singular_recoveries += other.singular_recoveries;
@@ -50,6 +51,7 @@ SolverStats simplex_stats(const lp::RevisedSimplex& simplex) {
   stats.lp_iterations = solves.iterations;
   stats.warm_iterations = solves.warm_iterations;
   stats.basis_factorizations = factor.factorizations;
+  stats.basis_restores = factor.restores;
   stats.basis_updates = factor.updates;
   stats.eta_nonzeros = factor.eta_nonzeros;
   stats.singular_recoveries = factor.singular_recoveries;

@@ -30,10 +30,12 @@ struct SolverStats {
   std::size_t cuts_added = 0;
   std::size_t cut_rounds = 0;
   /// Basis-factorization accounting from the revised simplex (see
-  /// lp::BasisFactorStats): full (re)factorizations, pivots absorbed as Forrest–Tomlin
-  /// updates, nonzeros appended to the update file, and singular-basis
-  /// fallbacks to the all-logical crash basis.
+  /// lp::BasisFactorStats): computed (re)factorizations, re-installs
+  /// answered from the saved factors instead, pivots absorbed as
+  /// Forrest–Tomlin updates, nonzeros appended to the update file, and
+  /// singular-basis fallbacks to the all-logical crash basis.
   std::size_t basis_factorizations = 0;
+  std::size_t basis_restores = 0;
   std::size_t basis_updates = 0;
   std::size_t eta_nonzeros = 0;
   std::size_t singular_recoveries = 0;
@@ -49,8 +51,9 @@ struct SolverStats {
   /// Batched sibling re-solves, filled by the MILP search (each batch
   /// solves both children of one branch from the shared parent basis).
   std::size_t sibling_batches = 0;
-  /// Where LP wall time goes: inside factorize/refactorize vs the rest
-  /// of the pivot loop (pricing, ratio tests, FTRAN/BTRAN, updates).
+  /// Where LP wall time goes: factorizing, saving and restoring factors
+  /// vs the rest of the pivot loop (pricing, ratio tests, FTRAN/BTRAN,
+  /// updates).
   double factor_seconds = 0.0;
   double pivot_seconds = 0.0;
   /// Work-stealing search accounting, filled by the MILP layer (see

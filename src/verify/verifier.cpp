@@ -52,6 +52,8 @@ std::string VerificationResult::summary() const {
   if (solver_stats.basis_factorizations > 0 || solver_stats.basis_updates > 0) {
     out << ", basis=" << solver_stats.basis_factorizations << "f/"
         << solver_stats.basis_updates << "u";
+    if (solver_stats.basis_restores > 0)
+      out << ", restores=" << solver_stats.basis_restores;
     if (solver_stats.eta_nonzeros > 0)
       out << ", eta-nnz=" << solver_stats.avg_eta_nonzeros();
     if (solver_stats.singular_recoveries > 0)

@@ -1,19 +1,24 @@
 // Sparse LU factorization engine tests: factor/solve identity against a
 // dense reference on randomized sparse bases, Forrest–Tomlin update
-// equivalence to refactorization across pivot chains, revised-simplex
-// optima against the dense-tableau SimplexSolver, tableau rows against
-// the dense row e_r^T B^{-1} [A | -I], verdicts across threads x cuts
-// against ReLU phase enumeration, and the singular-basis crash recovery
-// path.
+// equivalence to refactorization across pivot chains, the count-ordered
+// Markowitz search against a full-scan oracle, restored factors against
+// fresh factorizations bit for bit, revised-simplex optima against the
+// dense-tableau SimplexSolver, tableau rows against the dense row
+// e_r^T B^{-1} [A | -I], verdicts across threads x cuts against ReLU
+// phase enumeration, and the singular-basis crash recovery path.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 
 #include "absint/interval.hpp"
+#include "common/fault_inject.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "lp/basis_lu.hpp"
 #include "lp/revised_simplex.hpp"
 #include "milp/cuts/cut_engine.hpp"
@@ -40,6 +45,14 @@ using lp::SimplexOptions;
 using lp::SolveStatus;
 
 // ------------------------------------------------------- dense reference
+
+/// Bit equality: -0.0 differs from 0.0 and NaN matches itself.
+bool same_bits(double a, double b) {
+  std::uint64_t x = 0, y = 0;
+  std::memcpy(&x, &a, sizeof x);
+  std::memcpy(&y, &b, sizeof y);
+  return x == y;
+}
 
 /// Builds the dense basis matrix selected by `basic` (j < n: structural
 /// column j of A; j >= n: logical -e_{j-n}).
@@ -332,6 +345,187 @@ TEST(BasisLuFactor, AdaptiveCadenceScalesWithBasisDimension) {
   }
 }
 
+// ------------------------------------------- Markowitz pivot search
+
+/// The bump search as a full scan: columns in index order, entries in
+/// position order; threshold stability (|a| >= max(1e-11, 0.01·column
+/// max)); the lowest (r-1)(c-1), then the larger |a|, the first found
+/// on a tie; stop after the first column that holds a cost-0 pivot.
+bool full_scan_oracle(const lp::ActiveSubmatrix& a, std::size_t& row, std::size_t& col) {
+  const std::size_t m = a.cols.size();
+  std::size_t best_cost = std::numeric_limits<std::size_t>::max();
+  double best_abs = 0.0;
+  col = m;
+  for (std::size_t k = 0; k < m; ++k) {
+    if (!a.col_active[k]) continue;
+    double colmax = 0.0;
+    for (const auto& [i, v] : a.cols[k]) colmax = std::max(colmax, std::abs(v));
+    const double accept = std::max(1e-11, 0.01 * colmax);
+    for (const auto& [i, v] : a.cols[k]) {
+      if (std::abs(v) < accept) continue;
+      const std::size_t cost = (a.row_count[i] - 1) * (a.col_count[k] - 1);
+      if (cost < best_cost || (cost == best_cost && std::abs(v) > best_abs)) {
+        best_cost = cost;
+        best_abs = std::abs(v);
+        row = i;
+        col = k;
+      }
+    }
+    if (best_cost == 0) break;
+  }
+  return col != m;
+}
+
+enum class EntryKind { kContinuous, kIntegerTies, kTiny };
+
+/// A random active submatrix with consistent counts. Integer entries
+/// make cost and |a| ties common; kTiny mixes in entries under the
+/// absolute and the relative threshold. Without `singletons` every
+/// active row and column holds at least two entries (the count-ordered
+/// path); with it, about a fifth of the columns hold one.
+lp::ActiveSubmatrix random_active(Rng& rng, EntryKind kind, bool singletons) {
+  const std::size_t m = static_cast<std::size_t>(rng.uniform_int(2, 40));
+  lp::ActiveSubmatrix a;
+  a.cols.assign(m, {});
+  a.row_active.assign(m, 0);
+  a.col_active.assign(m, 0);
+  std::vector<std::size_t> rows, cols;
+  for (std::size_t i = 0; i < m; ++i) {
+    if (rng.bernoulli(0.7)) a.row_active[i] = 1, rows.push_back(i);
+    if (rng.bernoulli(0.7)) a.col_active[i] = 1, cols.push_back(i);
+  }
+  if (rows.size() < 2 || cols.size() < 2) return random_active(rng, kind, singletons);
+  const auto value = [&]() {
+    double v = kind == EntryKind::kIntegerTies
+                   ? static_cast<double>(rng.uniform_int(1, 3))
+                   : rng.uniform(0.1, 3.0);
+    if (kind == EntryKind::kTiny && rng.bernoulli(0.25))
+      v = rng.bernoulli(0.5) ? rng.uniform(1e-14, 2e-11) : rng.uniform(0.001, 0.03);
+    return rng.bernoulli(0.5) ? v : -v;
+  };
+  const auto holds = [&](std::size_t k, std::size_t i) {
+    for (const auto& [r, v] : a.cols[k])
+      if (r == i) return true;
+    return false;
+  };
+  for (const std::size_t k : cols) {
+    const std::size_t want =
+        singletons && rng.bernoulli(0.2)
+            ? 1
+            : std::min<std::size_t>(rows.size(),
+                                    static_cast<std::size_t>(rng.uniform_int(2, 5)));
+    while (a.cols[k].size() < want) {
+      const std::size_t i = rows[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(rows.size()) - 1))];
+      if (!holds(k, i)) a.cols[k].emplace_back(i, value());
+    }
+  }
+  a.row_count.assign(m, 0);
+  for (const std::size_t k : cols)
+    for (const auto& [i, v] : a.cols[k]) ++a.row_count[i];
+  if (!singletons) {
+    // Give each one-entry row a second entry in another column.
+    for (const std::size_t i : rows) {
+      while (a.row_count[i] == 1) {
+        const std::size_t k = cols[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(cols.size()) - 1))];
+        if (holds(k, i)) continue;
+        a.cols[k].emplace_back(i, value());
+        ++a.row_count[i];
+      }
+    }
+  }
+  a.col_count.assign(m, 0);
+  for (std::size_t k = 0; k < m; ++k) a.col_count[k] = a.cols[k].size();
+  return a;
+}
+
+/// Pivots (row, col) out of `a` without fill, the way factorize removes
+/// a pivot row from the other columns (swap with the last entry).
+void eliminate_without_fill(lp::ActiveSubmatrix& a, std::size_t row, std::size_t col) {
+  for (const auto& [i, v] : a.cols[col])
+    if (i != row) --a.row_count[i];
+  a.cols[col].clear();
+  a.col_count[col] = 0;
+  a.col_active[col] = 0;
+  for (std::size_t k = 0; k < a.cols.size(); ++k) {
+    if (!a.col_active[k]) continue;
+    auto& entries = a.cols[k];
+    for (std::size_t e = 0; e < entries.size(); ++e) {
+      if (entries[e].first != row) continue;
+      entries[e] = entries.back();
+      entries.pop_back();
+      --a.col_count[k];
+      break;
+    }
+  }
+  a.row_active[row] = 0;
+}
+
+class MarkowitzSearchParity : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override { simd::set_force_scalar(GetParam()); }
+  void TearDown() override { simd::set_force_scalar(false); }
+};
+
+TEST_P(MarkowitzSearchParity, CountOrderedSearchPicksTheFullScanPivot) {
+  std::size_t picks = 0, count_ordered = 0;
+  for (int seed = 0; seed < 600; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) * 48271 + 5);
+    const EntryKind kind = static_cast<EntryKind>(seed % 3);
+    const bool singletons = seed % 2 == 1;
+    lp::ActiveSubmatrix a = random_active(rng, kind, singletons);
+    // One search object across the whole elimination, as in factorize:
+    // its active lists must follow the rows and columns that leave.
+    lp::MarkowitzSearch search;
+    search.reset();
+    while (true) {
+      bool has_singleton = false;
+      for (std::size_t i = 0; i < a.cols.size(); ++i)
+        has_singleton |= (a.row_active[i] && a.row_count[i] == 1) ||
+                         (a.col_active[i] && a.col_count[i] == 1);
+      std::size_t want_row = 0, want_col = 0, got_row = 0, got_col = 0;
+      const bool want = full_scan_oracle(a, want_row, want_col);
+      const bool got = search.pick(a, got_row, got_col);
+      ASSERT_EQ(got, want) << "seed " << seed << " pick " << picks;
+      if (!want) break;
+      ASSERT_EQ(got_col, want_col) << "seed " << seed << " pick " << picks;
+      ASSERT_EQ(got_row, want_row) << "seed " << seed << " pick " << picks;
+      ++picks;
+      if (!has_singleton) ++count_ordered;
+      eliminate_without_fill(a, want_row, want_col);
+    }
+  }
+  EXPECT_GT(picks, 3000u);
+  EXPECT_GT(count_ordered, 1000u);  // picks with no singleton active
+}
+
+TEST_P(MarkowitzSearchParity, NanEntriesFallBackToTheFullScanOrder) {
+  // NaN passes the threshold test and loses every |a| comparison, so
+  // the full scan's pick depends on its visiting order.
+  for (int seed = 0; seed < 200; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) * 16807 + 3);
+    lp::ActiveSubmatrix a = random_active(rng, EntryKind::kIntegerTies, false);
+    for (auto& col : a.cols)
+      for (auto& entry : col)
+        if (rng.bernoulli(0.1)) entry.second = std::numeric_limits<double>::quiet_NaN();
+    std::size_t want_row = 0, want_col = 0, got_row = 0, got_col = 0;
+    lp::MarkowitzSearch search;
+    search.reset();
+    const bool want = full_scan_oracle(a, want_row, want_col);
+    ASSERT_EQ(search.pick(a, got_row, got_col), want) << "seed " << seed;
+    if (!want) continue;
+    EXPECT_EQ(got_col, want_col) << "seed " << seed;
+    EXPECT_EQ(got_row, want_row) << "seed " << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SimdDispatch, MarkowitzSearchParity, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? std::string("ForceScalar")
+                                             : std::string("Dispatch");
+                         });
+
 // ------------------------------------------- revised simplex parity
 
 /// Random box-bounded LP with a known interior point. `sparse` rows drop
@@ -445,6 +639,11 @@ void expect_tableau_rows_match_dense(const LpProblem& p, const RevisedSimplex& s
     lp::TableauRow row;
     ASSERT_TRUE(simplex.tableau_row(r, row)) << label << " row " << r;
     EXPECT_EQ(row.basic_col, basis.basic[r]) << label << " row " << r;
+    std::int32_t in_row_col = -1;
+    double in_row_value = 0.0;
+    ASSERT_TRUE(simplex.basic_in_row(r, in_row_col, in_row_value)) << label << " row " << r;
+    EXPECT_EQ(in_row_col, row.basic_col) << label << " row " << r;
+    EXPECT_TRUE(same_bits(in_row_value, row.basic_value)) << label << " row " << r;
     std::vector<std::uint8_t> listed(n + m, 0);
     for (const auto& e : row.entries) {
       ASSERT_LT(e.col, n + m) << label;
@@ -553,6 +752,140 @@ TEST(FactorizationParity, WarmResolveMatchesColdSolve) {
   ASSERT_EQ(warm.status, expect.status);
   if (warm.status == SolveStatus::kOptimal)
     EXPECT_NEAR(warm.objective, expect.objective, kTol);
+}
+
+// ------------------------------------------------------- factor restore
+
+void expect_same_solution(const LpSolution& got, const LpSolution& want,
+                          const std::string& label) {
+  ASSERT_EQ(got.status, want.status) << label;
+  EXPECT_EQ(got.iterations, want.iterations) << label;
+  EXPECT_TRUE(same_bits(got.objective, want.objective))
+      << label << ": " << got.objective << " vs " << want.objective;
+  ASSERT_EQ(got.values.size(), want.values.size()) << label;
+  for (std::size_t v = 0; v < got.values.size(); ++v)
+    EXPECT_TRUE(same_bits(got.values[v], want.values[v])) << label << " value " << v;
+}
+
+/// A fresh simplex over `p` with the boxes `lo`/`up`, resolved from `basis`.
+LpSolution fresh_resolve(const LpProblem& p, const std::vector<double>& lo,
+                         const std::vector<double>& up, const lp::SimplexBasis& basis) {
+  RevisedSimplex fresh;
+  fresh.load(p);
+  for (std::size_t v = 0; v < lo.size(); ++v) fresh.set_bounds(v, lo[v], up[v]);
+  return fresh.resolve(basis);
+}
+
+TEST(FactorRestore, RestoredResolvesMatchFreshFactorizationsBitForBit) {
+  // Branch-and-bound's pattern: one captured basis re-installed under a
+  // run of box splits, with other bases installed in between. Every
+  // re-install that restored the saved factors must reproduce a fresh
+  // simplex's resolve from that basis exactly.
+  std::size_t restored = 0;
+  for (int seed = 0; seed < 60; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) * 6151 + 19);
+    const LpProblem p = random_lp(rng, seed % 3 != 0);
+    const std::size_t n = p.variable_count();
+    RevisedSimplex simplex;
+    simplex.load(p);
+    if (simplex.solve().status != SolveStatus::kOptimal) continue;
+    const lp::SimplexBasis root = simplex.capture_basis();
+    std::vector<double> lo(n), up(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      lo[v] = p.lower_bound(v);
+      up[v] = p.upper_bound(v);
+    }
+    std::vector<lp::SimplexBasis> children;
+    for (int step = 0; step < 16; ++step) {
+      const std::size_t v =
+          static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(n) - 1));
+      const double mid = 0.5 * (p.lower_bound(v) + p.upper_bound(v));
+      switch (rng.uniform_int(0, 2)) {
+        case 0:
+          lo[v] = p.lower_bound(v), up[v] = mid;
+          break;
+        case 1:
+          lo[v] = mid, up[v] = p.upper_bound(v);
+          break;
+        default:
+          lo[v] = p.lower_bound(v), up[v] = p.upper_bound(v);
+      }
+      simplex.set_bounds(v, lo[v], up[v]);
+      if (!children.empty() && rng.bernoulli(0.3)) {
+        // Another node's basis: factorized (or restored) in between.
+        simplex.resolve(children[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(children.size()) - 1))]);
+      }
+      const std::size_t restores_before = simplex.factor_stats().restores;
+      const LpSolution got = simplex.resolve(root);
+      if (simplex.factor_stats().restores > restores_before) {
+        ++restored;
+        expect_same_solution(got, fresh_resolve(p, lo, up, root),
+                             "seed " + std::to_string(seed) + " step " + std::to_string(step));
+      }
+      if (got.status == SolveStatus::kOptimal) children.push_back(simplex.capture_basis());
+    }
+  }
+  EXPECT_GT(restored, 100u);
+}
+
+TEST(FactorRestore, FaultedFactorizationIsNeverRestored) {
+  std::size_t faulted = 0;
+  for (int seed = 0; seed < 40; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) * 3571 + 1);
+    const LpProblem p = random_lp(rng, true);
+    const std::size_t n = p.variable_count();
+    RevisedSimplex simplex;
+    simplex.load(p);
+    const LpSolution root_solution = simplex.solve();
+    if (root_solution.status != SolveStatus::kOptimal) continue;
+    const lp::SimplexBasis root = simplex.capture_basis();
+    // Cut the optimum off so the warm solve pivots away from the root
+    // basis: the next install of `root` must factorize it.
+    std::vector<double> lo(n), up(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      lo[v] = p.lower_bound(v);
+      up[v] = p.upper_bound(v);
+    }
+    const double x0 = root_solution.values[0];
+    if (x0 - lo[0] > 1e-3)
+      up[0] = lo[0] + 0.5 * (x0 - lo[0]);
+    else
+      lo[0] = up[0] - 0.5 * (up[0] - x0);
+    simplex.set_bounds(0, lo[0], up[0]);
+    const LpSolution moved = simplex.resolve(root);
+    if (moved.status != SolveStatus::kOptimal || moved.iterations == 0) continue;
+
+    // The factorization of `root` fails by injection: never saved.
+    fault::disarm_all();
+    fault::arm("lp.refactor_singular", 1);
+    const lp::BasisFactorStats before = simplex.factor_stats();
+    simplex.resolve(root);
+    const std::size_t fired = fault::fires("lp.refactor_singular");
+    fault::disarm_all();
+    ASSERT_EQ(fired, 1u) << "seed " << seed;
+    EXPECT_FALSE(simplex.last_resolve_was_warm()) << "seed " << seed;
+    EXPECT_EQ(simplex.factor_stats().singular_recoveries, before.singular_recoveries + 1);
+
+    // Re-installing `root` factorizes it again; only then is it saved,
+    // and the install after that restores it.
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      const lp::BasisFactorStats prior = simplex.factor_stats();
+      const LpSolution again = simplex.resolve(root);
+      const lp::BasisFactorStats& now = simplex.factor_stats();
+      EXPECT_EQ(now.restores, prior.restores + (attempt == 0 ? 0u : 1u))
+          << "seed " << seed << " attempt " << attempt;
+      if (attempt == 0) {
+        EXPECT_GT(now.factorizations, prior.factorizations);
+      }
+      expect_same_solution(again, fresh_resolve(p, lo, up, root),
+                           "seed " + std::to_string(seed));
+      // Move off `root` again before the next install.
+      if (simplex.capture_basis().basic == root.basic) break;
+    }
+    ++faulted;
+  }
+  EXPECT_GT(faulted, 5u);
 }
 
 // ----------------------------------------------- singular-basis recovery

@@ -7,8 +7,9 @@ Five bench shapes are understood, dispatched on the file's "bench" field
 fallback to the wrong comparison):
 
   * the LP core (BENCH_simplex.json, "bench": "e5_lp_core"): node,
-    pivot, factorization, pricing and sibling-batch counters of the one
-    LP-core configuration per battery, and its exact verdict strings,
+    pivot, factorization, factor-restore, pricing and sibling-batch
+    counters of the one LP-core configuration per battery, and its exact
+    verdict strings,
   * the staged-pipeline funnel (BENCH_funnel.json, "bench": "e2_funnel"):
     per-config funnel counters (attack-falsified / zonotope-proved /
     milp-decided / unknown), the verdict-compatibility and
@@ -56,8 +57,8 @@ import sys
 
 # LP-core counters per battery: pivot-path quantities independent of the
 # host's clock speed, deterministic for a given build.
-LP_CORE_COUNTED = ("nodes", "pivots", "refactorizations", "updates",
-                   "pricing_resets", "sibling_batches")
+LP_CORE_COUNTED = ("nodes", "pivots", "refactorizations", "factor_restores",
+                   "updates", "pricing_resets", "sibling_batches")
 
 # Funnel counters: who settled how many queries. Small deterministic
 # integers, so drift is measured against max(baseline, 1).

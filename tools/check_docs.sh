@@ -101,6 +101,12 @@ check_symbol src/core    "run_campaign"
 check_symbol src/core    "WorkflowConfig"
 check_symbol src/monitor "DiffMonitor"
 check_symbol src/lp      "refactor_cadence"
+check_symbol src/lp      "save_snapshot"
+check_symbol src/lp      "restore_snapshot"
+check_symbol src/lp      "MarkowitzSearch"
+check_symbol src/lp      "urows_of_col"
+check_symbol src/lp      "basic_in_row"
+check_symbol src/solver  "basis_restores"
 check_symbol src/lp      "pricing_resets"
 check_symbol src/solver  "sibling_batches"
 check_symbol src/common  "force_scalar"

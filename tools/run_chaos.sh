@@ -5,6 +5,11 @@
 # matches nothing ("0 tests ran"), so without the check a renamed suite
 # would turn a chaos step into a silent no-op.
 #
+# Afterwards every probe named in the spec must have fired at least once:
+# fault::should_fire writes one "fault: <probe> fired" line to stderr per
+# fire, and a probe armed past the last evaluation a run makes injects
+# nothing.
+#
 # Usage: bash tools/run_chaos.sh <DPV_FAULT spec> <test binary> [gtest filter]
 set -u
 if [ $# -lt 2 ]; then
@@ -27,4 +32,21 @@ if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 
-DPV_FAULT="$spec" "$binary" --gtest_filter="$filter"
+log=$(mktemp)
+trap 'rm -f "$log"' EXIT
+DPV_FAULT="$spec" "$binary" --gtest_filter="$filter" 2>"$log"
+status=$?
+cat "$log" >&2
+
+IFS=',' read -r -a entries <<< "$spec"
+for entry in "${entries[@]}"; do
+  [ -n "$entry" ] || continue
+  probe="${entry%%:*}"
+  fired=$(grep -cF "fault: $probe fired" "$log")
+  echo "$binary: probe '$probe' fired $fired time(s)"
+  if [ "$fired" -eq 0 ]; then
+    echo "FAIL: probe '$probe' is armed by '$spec' but never fired in $binary"
+    status=1
+  fi
+done
+exit "$status"

@@ -95,6 +95,14 @@ class BenchCompareTest(unittest.TestCase):
         cur["configs"][0]["pivots"] = round(cur["configs"][0]["pivots"] * 1.25)
         self.assert_rejected(cur, base, "a 25% pivot drift")
 
+    def test_simplex_factor_restore_drift_fails(self):
+        base = load_baseline("BENCH_simplex.json")
+        cur = copy.deepcopy(base)
+        restores = cur["configs"][0]["factor_restores"]
+        self.assertGreater(restores, 0)
+        cur["configs"][0]["factor_restores"] = round(restores * 1.25)
+        self.assert_rejected(cur, base, "a 25% factor_restores drift")
+
     def test_simplex_changed_verdict_fails(self):
         base = load_baseline("BENCH_simplex.json")
         cur = copy.deepcopy(base)

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
@@ -130,26 +129,6 @@ Box propagate_box(const nn::Layer& layer, const Box& in) {
       for (std::size_t i = 0; i < in.size(); ++i) out[i] = relu(in[i]);
       return out;
     }
-    case nn::LayerKind::kLeakyReLU: {
-      const double alpha = static_cast<const nn::LeakyReLU&>(layer).alpha();
-      Box out(in.size());
-      for (std::size_t i = 0; i < in.size(); ++i)
-        out[i] = monotone_image(in[i],
-                                [alpha](double v) { return v > 0.0 ? v : alpha * v; });
-      return out;
-    }
-    case nn::LayerKind::kSigmoid: {
-      Box out(in.size());
-      for (std::size_t i = 0; i < in.size(); ++i)
-        out[i] = monotone_image(in[i], [](double v) { return 1.0 / (1.0 + std::exp(-v)); });
-      return out;
-    }
-    case nn::LayerKind::kTanh: {
-      Box out(in.size());
-      for (std::size_t i = 0; i < in.size(); ++i)
-        out[i] = monotone_image(in[i], [](double v) { return std::tanh(v); });
-      return out;
-    }
     case nn::LayerKind::kBatchNorm:
       return batchnorm_box(static_cast<const nn::BatchNorm&>(layer), in);
     case nn::LayerKind::kConv2D:
@@ -170,20 +149,6 @@ Box propagate_box_range(const nn::Network& net, Box box, std::size_t from_layer,
         "propagate_box_range: invalid layer range");
   for (std::size_t i = from_layer; i < to_layer; ++i) box = propagate_box(net.layer(i), box);
   return box;
-}
-
-std::vector<Box> propagate_box_trace(const nn::Network& net, const Box& box,
-                                     std::size_t from_layer, std::size_t to_layer) {
-  check(from_layer <= to_layer && to_layer <= net.layer_count(),
-        "propagate_box_trace: invalid layer range");
-  std::vector<Box> trace;
-  trace.reserve(to_layer - from_layer);
-  Box current = box;
-  for (std::size_t i = from_layer; i < to_layer; ++i) {
-    current = propagate_box(net.layer(i), current);
-    trace.push_back(current);
-  }
-  return trace;
 }
 
 Box uniform_box(std::size_t dimensions, double lo, double hi) {

@@ -20,11 +20,6 @@ Box propagate_box(const nn::Layer& layer, const Box& in);
 Box propagate_box_range(const nn::Network& net, Box box, std::size_t from_layer,
                         std::size_t to_layer);
 
-/// Boxes after every layer in [from_layer, to_layer): result[k] is the box
-/// after layer from_layer + k. Used by the MILP encoder for big-M bounds.
-std::vector<Box> propagate_box_trace(const nn::Network& net, const Box& box,
-                                     std::size_t from_layer, std::size_t to_layer);
-
 /// Uniform box [lo, hi]^n.
 Box uniform_box(std::size_t dimensions, double lo, double hi);
 

@@ -28,10 +28,6 @@ Interval operator+(const Interval& a, const Interval& b) {
   return Interval(a.lo + b.lo, a.hi + b.hi);
 }
 
-Interval operator-(const Interval& a, const Interval& b) {
-  return Interval(a.lo - b.hi, a.hi - b.lo);
-}
-
 Interval scale(const Interval& a, double factor) {
   if (factor >= 0.0) return Interval(a.lo * factor, a.hi * factor);
   return Interval(a.hi * factor, a.lo * factor);
@@ -43,13 +39,6 @@ Interval shift(const Interval& a, double offset) {
 
 Interval relu(const Interval& a) {
   return Interval(std::max(a.lo, 0.0), std::max(a.hi, 0.0));
-}
-
-bool box_contains(const Box& box, const std::vector<double>& point) {
-  check(box.size() == point.size(), "box_contains: dimension mismatch");
-  for (std::size_t i = 0; i < box.size(); ++i)
-    if (!box[i].contains(point[i])) return false;
-  return true;
 }
 
 double box_total_width(const Box& box) {

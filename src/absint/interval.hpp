@@ -31,7 +31,6 @@ struct Interval {
 };
 
 Interval operator+(const Interval& a, const Interval& b);
-Interval operator-(const Interval& a, const Interval& b);
 
 /// Scale by a scalar (handles negative factors).
 Interval scale(const Interval& a, double factor);
@@ -42,17 +41,8 @@ Interval shift(const Interval& a, double offset);
 /// relu([lo, hi]) = [max(lo,0), max(hi,0)].
 Interval relu(const Interval& a);
 
-/// Image under a monotone non-decreasing function.
-template <typename Fn>
-Interval monotone_image(const Interval& a, Fn fn) {
-  return Interval(fn(a.lo), fn(a.hi));
-}
-
 /// A box: one interval per dimension.
 using Box = std::vector<Interval>;
-
-/// True when `point` lies inside `box` (sizes must match).
-bool box_contains(const Box& box, const std::vector<double>& point);
 
 /// Sum of interval widths — the tightness measure used by the
 /// abstraction-comparison experiment (E4).

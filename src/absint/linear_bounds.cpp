@@ -5,7 +5,6 @@
 
 #include "absint/box_domain.hpp"
 #include "common/check.hpp"
-#include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/dense.hpp"
 
@@ -135,39 +134,6 @@ LinearBounds LinearBounds::relu() const {
   return out;
 }
 
-LinearBounds LinearBounds::leaky_relu(double alpha) const {
-  check(alpha > 0.0 && alpha < 1.0, "LinearBounds::leaky_relu: alpha must be in (0, 1)");
-  const std::size_t n = lower_.size();
-  LinearBounds out = *this;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double lo = concrete_[i].lo;
-    const double hi = concrete_[i].hi;
-    if (lo >= 0.0) continue;  // identity piece
-    if (hi <= 0.0) {          // alpha piece: exact scaling
-      for (double& c : out.lower_[i].coeffs) c *= alpha;
-      for (double& c : out.upper_[i].coeffs) c *= alpha;
-      out.lower_[i].constant *= alpha;
-      out.upper_[i].constant *= alpha;
-      continue;
-    }
-    // Unstable: f convex => chord from (lo, alpha*lo) to (hi, hi) is an
-    // upper bound; the steeper linear piece is the better lower bound.
-    const double slope = (hi - alpha * lo) / (hi - lo);
-    LinearForm upper = upper_[i];
-    for (double& c : upper.coeffs) c *= slope;
-    upper.constant = slope * (upper.constant - lo) + alpha * lo;
-    out.upper_[i] = std::move(upper);
-    if (hi < -lo) {
-      // Lower piece alpha*x dominates on most of the range.
-      for (double& c : out.lower_[i].coeffs) c *= alpha;
-      out.lower_[i].constant *= alpha;
-    }
-    // else keep the identity lower form.
-  }
-  out.refresh_concrete();
-  return out;
-}
-
 void LinearBounds::clamp_concrete(const Box& box) {
   check(box.size() == concrete_.size(), "LinearBounds::clamp_concrete: size mismatch");
   for (std::size_t i = 0; i < concrete_.size(); ++i) {
@@ -214,9 +180,6 @@ std::vector<Box> symbolic_bounds_trace(const nn::Network& net, const Box& input_
       }
       case nn::LayerKind::kReLU:
         state = state.relu();
-        break;
-      case nn::LayerKind::kLeakyReLU:
-        state = state.leaky_relu(static_cast<const nn::LeakyReLU&>(layer).alpha());
         break;
       case nn::LayerKind::kFlatten:
         break;

@@ -56,11 +56,6 @@ class LinearBounds {
   /// ReLU transformer (DeepPoly triangle bounds).
   LinearBounds relu() const;
 
-  /// LeakyReLU transformer: f(x) = max(x, alpha*x) is convex for
-  /// alpha in (0, 1), so the chord is a valid upper form and either
-  /// linear piece a valid lower form.
-  LinearBounds leaky_relu(double alpha) const;
-
   /// Intersects the concrete bounds with an externally-known sound box
   /// (e.g. interval propagation); sharpens later ReLU phase decisions.
   void clamp_concrete(const Box& box);

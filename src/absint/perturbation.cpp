@@ -162,9 +162,6 @@ PerturbationTrace perturbation_radii(const nn::Network& base, const nn::Network&
         r = pool_step(lb, r, /*average=*/true);
         break;
       case nn::LayerKind::kReLU:
-      case nn::LayerKind::kLeakyReLU:
-      case nn::LayerKind::kSigmoid:
-      case nn::LayerKind::kTanh:
       case nn::LayerKind::kFlatten:
         break;  // 1-Lipschitz elementwise (or identity): radii carry over
     }

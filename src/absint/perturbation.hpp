@@ -16,7 +16,7 @@
 //   Dense:      r_k[i] = Σ_j |W'_ij| r_{k-1}[j]
 //                      + Σ_j |ΔW_ij| b̄_{k-1}[j] + |Δb_i|
 //   BatchNorm:  r_k[i] = |s'_i| r_{k-1}[i] + |Δs_i| b̄_{k-1}[i] + |Δh_i|
-//   ReLU/LeakyReLU/Sigmoid/Tanh: 1-Lipschitz, r_k = r_{k-1}
+//   ReLU:       1-Lipschitz, r_k = r_{k-1}
 //   MaxPool/AvgPool: r_k = window max / mean of r_{k-1}
 //   Conv2D:     per-output-channel kernel row sums against the max
 //               input radius / magnitude (conservative)

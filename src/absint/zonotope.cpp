@@ -8,7 +8,6 @@
 
 #include "common/check.hpp"
 #include "common/simd.hpp"
-#include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/dense.hpp"
 
@@ -41,8 +40,6 @@ Box Zonotope::to_box() const {
     box[i] = Interval(center_[i] - radius[i], center_[i] + radius[i]);
   return box;
 }
-
-double Zonotope::total_width() const { return box_total_width(to_box()); }
 
 Zonotope Zonotope::affine(const std::vector<std::vector<double>>& weight,
                           const std::vector<double>& bias) const {
@@ -99,21 +96,14 @@ Interval effective_bounds(const Box& own, const Box* clamp, std::size_t i) {
 }  // namespace
 
 Zonotope Zonotope::relu(const Box* clamp) const {
-  // ReLU is LeakyReLU at alpha = 0: one chord transformer serves both
-  // (the leaky_relu formulas below reduce exactly to the DeepZ ReLU
-  // lambda = hi/(hi-lo), mu = -lambda*lo/2 at alpha = 0).
-  return leaky_relu(0.0, clamp);
-}
-
-Zonotope Zonotope::leaky_relu(double alpha, const Box* clamp) const {
-  check(alpha >= 0.0 && alpha < 1.0,
-        "Zonotope::leaky_relu: alpha must be in [0, 1)");
   if (clamp != nullptr)
-    check(clamp->size() == center_.size(),
-          "Zonotope::leaky_relu: clamp arity mismatch");
+    check(clamp->size() == center_.size(), "Zonotope::relu: clamp arity mismatch");
   const Box bounds = to_box();
   const std::size_t n = center_.size();
   Zonotope out = *this;
+  // The DeepZ transformer. Every product by the zero slope of the x < 0
+  // piece is kept (`0.0 * lo`, `0.0 - s`, `*= 0.0`) so signed zeros and
+  // non-finite bounds come out exactly as the chord formulas give them.
   // Fresh-noise magnitude per unstable dimension (half the chord's
   // maximal deviation from f, attained at the kink x = 0).
   std::vector<double> fresh(n, 0.0);
@@ -122,19 +112,18 @@ Zonotope Zonotope::leaky_relu(double alpha, const Box* clamp) const {
     const double lo = iv.lo;
     const double hi = iv.hi;
     if (lo >= 0.0) continue;  // identity piece
-    if (hi <= 0.0) {          // alpha piece: exact linear map
-      out.center_[i] *= alpha;
-      for (auto& gen : out.generators_) gen[i] *= alpha;
+    if (hi <= 0.0) {          // zero piece: exact linear map
+      out.center_[i] *= 0.0;
+      for (auto& gen : out.generators_) gen[i] *= 0.0;
       continue;
     }
-    // Unstable: f(x) = max(x, alpha*x) is convex, so it lies between
-    // the chord c(x) = s*x + (alpha - s)*lo through (lo, alpha*lo) and
-    // (hi, hi), and c shifted down by its kink deviation
-    // d0 = c(0) - f(0) = (alpha - s)*lo = -lo*hi*(1-alpha)/(hi-lo).
+    // Unstable: f(x) = max(x, 0) is convex, so it lies between the chord
+    // c(x) = s*x - s*lo through (lo, 0) and (hi, hi), and c shifted down
+    // by its kink deviation d0 = c(0) - f(0) = -s*lo = -lo*hi/(hi-lo).
     // Midline plus a fresh symbol of radius d0/2.
-    const double s = (hi - alpha * lo) / (hi - lo);
-    const double d0 = (alpha - s) * lo;
-    out.center_[i] = s * out.center_[i] + (alpha - s) * lo - 0.5 * d0;
+    const double s = (hi - 0.0 * lo) / (hi - lo);
+    const double d0 = (0.0 - s) * lo;
+    out.center_[i] = s * out.center_[i] + (0.0 - s) * lo - 0.5 * d0;
     for (auto& gen : out.generators_) gen[i] *= s;
     fresh[i] = 0.5 * d0;
   }
@@ -188,7 +177,7 @@ namespace {
 /// trace propagation). `pre_clamp`, when non-null, carries externally
 /// proven bounds on the layer's *input* — trace propagation feeds the
 /// interval-intersected box of the previous layer back in, so the
-/// (Leaky)ReLU chord slope is chosen from the clamped bounds instead of
+/// ReLU chord slope is chosen from the clamped bounds instead of
 /// the zonotope's possibly looser own concretization.
 Zonotope zonotope_step(const nn::Layer& layer, Zonotope z, const Box* pre_clamp) {
   switch (layer.kind()) {
@@ -206,8 +195,6 @@ Zonotope zonotope_step(const nn::Layer& layer, Zonotope z, const Box* pre_clamp)
     }
     case nn::LayerKind::kReLU:
       return z.relu(pre_clamp);
-    case nn::LayerKind::kLeakyReLU:
-      return z.leaky_relu(static_cast<const nn::LeakyReLU&>(layer).alpha(), pre_clamp);
     case nn::LayerKind::kBatchNorm: {
       const auto& bn = static_cast<const nn::BatchNorm&>(layer);
       const std::size_t n = bn.input_shape().dim(0);
@@ -224,7 +211,7 @@ Zonotope zonotope_step(const nn::Layer& layer, Zonotope z, const Box* pre_clamp)
       throw ContractViolation(
           "propagate_zonotope_range: unsupported layer kind '" +
           nn::layer_kind_name(layer.kind()) +
-          "' (zonotopes cover verified tails: dense/relu/leakyrelu/batchnorm)");
+          "' (zonotopes cover verified tails: dense/relu/batchnorm)");
   }
 }
 
@@ -248,7 +235,6 @@ bool zonotope_supported(const nn::Network& net, std::size_t from_layer, std::siz
     switch (net.layer(i).kind()) {
       case nn::LayerKind::kDense:
       case nn::LayerKind::kReLU:
-      case nn::LayerKind::kLeakyReLU:
       case nn::LayerKind::kBatchNorm:
       case nn::LayerKind::kFlatten:
         break;
@@ -273,8 +259,8 @@ std::vector<Box> propagate_zonotope_trace(const nn::Network& net, const Box& inp
   // previous *intersected* box — makes every trace entry at least as
   // tight as pure interval propagation while keeping the zonotope's
   // correlation wins. The intersected box also feeds *back* into the
-  // transformer as the pre-activation clamp, so the (Leaky)ReLU chord
-  // slope is chosen from the tightened bounds.
+  // transformer as the pre-activation clamp, so the ReLU chord slope is
+  // chosen from the tightened bounds.
   Box interval_box = input_box;
   for (std::size_t i = from_layer; i < to_layer; ++i) {
     z = zonotope_step(net.layer(i), std::move(z), &interval_box);

@@ -3,13 +3,12 @@
 // Affine forms c + sum_k g_k * e_k with noise symbols e_k in [-1, 1].
 // Exact through affine layers (Dense, BatchNorm) — this is what makes the
 // domain tighter than boxes, which lose all correlation between neurons —
-// and over-approximated through ReLU and LeakyReLU with the standard
-// single-neuron chord relaxation (one fresh noise symbol per unstable
-// activation, as in DeepZ / AI2's zonotope transformer; the LeakyReLU
-// chord reduces to the DeepZ ReLU transformer at alpha = 0).
+// and over-approximated through ReLU with the standard single-neuron
+// chord relaxation (one fresh noise symbol per unstable activation, as in
+// DeepZ / AI2's zonotope transformer).
 //
 // Supported layer kinds are the ones occurring in verified tails (Dense,
-// ReLU, LeakyReLU, BatchNorm, Flatten); convolutional front-ends are cut
+// ReLU, BatchNorm, Flatten); convolutional front-ends are cut
 // away by the paper's Lemma 1 before the domain is applied.
 #pragma once
 
@@ -31,9 +30,6 @@ class Zonotope {
 
   /// Interval concretization per dimension: c_i ± sum_k |g_k[i]|.
   Box to_box() const;
-
-  /// Tightness measure: total width of the concretized box.
-  double total_width() const;
 
   const std::vector<double>& center() const { return center_; }
   const std::vector<std::vector<double>>& generators() const { return generators_; }
@@ -58,13 +54,6 @@ class Zonotope {
   /// still covers all concrete outputs, which is the invariant
   /// propagate_zonotope_trace maintains for its trace boxes.
   Zonotope relu(const Box* clamp = nullptr) const;
-
-  /// LeakyReLU transformer y = max(x, alpha*x), 0 <= alpha < 1: exact
-  /// on stable dimensions (identity / times-alpha), chord relaxation
-  /// with one fresh noise symbol on unstable ones. Same `clamp`
-  /// contract as relu() — which is exactly this transformer at
-  /// alpha = 0 (the DeepZ ReLU).
-  Zonotope leaky_relu(double alpha, const Box* clamp = nullptr) const;
 
   /// Order reduction (Girard's method): when the zonotope carries more
   /// than `max_generators` noise symbols, the smallest ones (by L1 mass,
@@ -93,9 +82,9 @@ Zonotope propagate_zonotope_range(const nn::Network& net, Zonotope z, std::size_
                                   std::size_t to_layer, std::size_t max_generators = 0);
 
 /// True when every layer in [from_layer, to_layer) is covered by the
-/// zonotope transformers (dense / relu / leakyrelu / batchnorm /
-/// flatten). Callers use this to fall back to interval bounds where the
-/// domain does not apply (e.g. pooling layers).
+/// zonotope transformers (dense / relu / batchnorm / flatten). Callers
+/// use this to fall back to interval bounds where the domain does not
+/// apply (e.g. pooling layers).
 bool zonotope_supported(const nn::Network& net, std::size_t from_layer, std::size_t to_layer);
 
 /// Concrete per-layer boxes for layers [from_layer, to_layer) starting

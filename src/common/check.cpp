@@ -10,8 +10,4 @@ void check(bool condition, const std::string& message) {
   if (!condition) throw ContractViolation(message);
 }
 
-void internal_check(bool condition, const std::string& message) {
-  if (!condition) throw InternalError(message);
-}
-
 }  // namespace dpv

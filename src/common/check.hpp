@@ -4,10 +4,10 @@
 // malformed models or shapes get a diagnosable `dpv::ContractViolation`
 // instead of undefined behaviour. Checks stay enabled in release builds.
 // The nn kernels (every layer's `forward`, `backward_input` and training
-// `forward_batch` / `backward_batch`, `matvec`) check sizes once per call,
-// before their loop, then walk raw rows. A check with a string-literal
-// message costs one branch when it passes; hot paths whose message
-// formats values (`matvec`, `Tensor::reshaped`) build it only on failure.
+// `forward_batch` / `backward_batch`) check sizes once per call, before
+// their loop, then walk raw rows. A check with a string-literal message
+// costs one branch when it passes; hot paths whose message formats values
+// (`Tensor::reshaped`) build it only on failure.
 #pragma once
 
 #include <stdexcept>
@@ -40,10 +40,8 @@ inline void check(bool condition, const char* message) {
   if (!condition) detail::throw_contract_violation(message);
 }
 
-/// Throws InternalError with `message` when `condition` is false.
-void internal_check(bool condition, const std::string& message);
-
-/// As above; the message becomes a std::string only on failure.
+/// Throws InternalError with `message` when `condition` is false; the
+/// message becomes a std::string only on failure.
 inline void internal_check(bool condition, const char* message) {
   if (!condition) detail::throw_internal_error(message);
 }

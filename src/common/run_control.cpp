@@ -1,7 +1,6 @@
 #include "common/run_control.hpp"
 
 #include <chrono>
-#include <limits>
 
 namespace dpv {
 
@@ -15,14 +14,6 @@ void RunControl::set_deadline_after(double seconds) {
   deadline_ns_.store(now_ns() + static_cast<std::int64_t>(seconds * 1e9),
                      std::memory_order_relaxed);
   has_deadline_.store(true, std::memory_order_relaxed);
-}
-
-double RunControl::remaining_seconds() const {
-  if (!has_deadline_.load(std::memory_order_relaxed))
-    return std::numeric_limits<double>::infinity();
-  return static_cast<double>(deadline_ns_.load(std::memory_order_relaxed) -
-                             now_ns()) *
-         1e-9;
 }
 
 }  // namespace dpv

@@ -77,10 +77,6 @@ class RunControl {
     return parent_ != nullptr && parent_->expired();
   }
 
-  /// Seconds until the own wall-clock deadline (ignores parent and the
-  /// other expiry sources); +inf when no deadline is armed.
-  double remaining_seconds() const;
-
  private:
   static std::int64_t now_ns();
 

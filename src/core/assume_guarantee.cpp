@@ -1,24 +1,10 @@
 #include "core/assume_guarantee.hpp"
 
-#include <sstream>
-
 #include "absint/box_domain.hpp"
 #include "common/check.hpp"
 #include "monitor/activation_recorder.hpp"
 
 namespace dpv::core {
-
-const char* bounds_source_name(BoundsSource source) {
-  switch (source) {
-    case BoundsSource::kStaticAnalysis:
-      return "static-interval-analysis";
-    case BoundsSource::kMonitorBox:
-      return "monitor-box";
-    case BoundsSource::kMonitorBoxDiff:
-      return "monitor-box+diff";
-  }
-  return "?";
-}
 
 const char* safety_verdict_name(SafetyVerdict verdict) {
   switch (verdict) {
@@ -32,13 +18,6 @@ const char* safety_verdict_name(SafetyVerdict verdict) {
       return "UNKNOWN (resource limit)";
   }
   return "?";
-}
-
-std::string SafetyCase::summary() const {
-  std::ostringstream out;
-  out << safety_verdict_name(verdict) << " via " << bounds_source_name(bounds_source) << "; "
-      << verification.summary();
-  return out.str();
 }
 
 AssumeGuaranteeVerifier::AssumeGuaranteeVerifier(AssumeGuaranteeConfig config)

@@ -28,8 +28,6 @@ namespace dpv::core {
 
 enum class BoundsSource { kStaticAnalysis, kMonitorBox, kMonitorBoxDiff };
 
-const char* bounds_source_name(BoundsSource source);
-
 enum class SafetyVerdict {
   kSafeUnconditional,  ///< proven over a sound static S
   kSafeConditional,    ///< proven over S̃; valid while the monitor is quiet
@@ -93,8 +91,6 @@ struct SafetyCase {
   double delta_widening = 0.0;
   std::size_t delta_cuts_recycled = 0;
   std::size_t delta_cuts_dropped = 0;
-
-  std::string summary() const;
 };
 
 class AssumeGuaranteeVerifier {

@@ -28,17 +28,4 @@ std::vector<CounterexamplePool::Entry> CounterexamplePool::export_entries() cons
   return out;
 }
 
-std::size_t CounterexamplePool::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t total = 0;
-  for (const auto& [key, by_order] : points_) {
-    (void)key;
-    for (const auto& [order, pts] : by_order) {
-      (void)order;
-      total += pts.size();
-    }
-  }
-  return total;
-}
-
 }  // namespace dpv::core

@@ -48,9 +48,6 @@ class CounterexamplePool {
   /// pool reproduces identical snapshots. The checkpoint writer's view.
   std::vector<Entry> export_entries() const;
 
-  /// Total stored points across all keys.
-  std::size_t size() const;
-
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::map<std::size_t, std::vector<Tensor>>> points_;

@@ -81,9 +81,4 @@ void run_parallel_pass(std::size_t count, std::size_t threads,
   if (error) rethrow_wrapped(error_job, options, error);
 }
 
-void run_parallel_pass(std::size_t count, std::size_t threads,
-                       const std::function<void(std::size_t)>& job) {
-  run_parallel_pass(count, threads, job, ParallelPassOptions{});
-}
-
 }  // namespace dpv::core

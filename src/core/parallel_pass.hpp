@@ -70,8 +70,4 @@ void run_parallel_pass(std::size_t count, std::size_t threads,
                        const std::function<void(std::size_t)>& job,
                        const ParallelPassOptions& options);
 
-/// Back-compat overload: no run control, default job labels.
-void run_parallel_pass(std::size_t count, std::size_t threads,
-                       const std::function<void(std::size_t)>& job);
-
 }  // namespace dpv::core

@@ -46,12 +46,6 @@ ScenarioBox scenario_domain() {
   return box;
 }
 
-double scenario_box_volume(const ScenarioBox& box) {
-  double volume = 1.0;
-  for (std::size_t d = 0; d < ScenarioBox::kDimensions; ++d) volume *= box.dim(d).width();
-  return volume;
-}
-
 bool scenario_in_box(const ScenarioBox& box, const RoadScenario& scenario) {
   return box.curvature.contains(scenario.curvature) &&
          box.lane_offset.contains(scenario.lane_offset) &&

@@ -84,9 +84,6 @@ const char* scenario_dimension_name(std::size_t d);
 /// flip `traffic_adjacent` off for the traffic-free domain.
 ScenarioBox scenario_domain();
 
-/// Product of the interval widths (the box's 4-volume).
-double scenario_box_volume(const ScenarioBox& box);
-
 /// True when every continuous parameter lies inside the box and the
 /// traffic flag matches. noise_seed is free (it parameterizes the
 /// renderer, not the operational state).

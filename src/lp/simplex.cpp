@@ -8,22 +8,6 @@
 
 namespace dpv::lp {
 
-const char* solve_status_name(SolveStatus status) {
-  switch (status) {
-    case SolveStatus::kOptimal:
-      return "optimal";
-    case SolveStatus::kInfeasible:
-      return "infeasible";
-    case SolveStatus::kUnbounded:
-      return "unbounded";
-    case SolveStatus::kIterationLimit:
-      return "iteration-limit";
-    case SolveStatus::kDeadline:
-      return "deadline";
-  }
-  return "unknown";
-}
-
 namespace {
 
 /// Dense simplex tableau with an explicit basis.

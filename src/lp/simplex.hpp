@@ -36,9 +36,6 @@ enum class SolveStatus {
   kDeadline,
 };
 
-/// Human-readable status name.
-const char* solve_status_name(SolveStatus status);
-
 struct LpSolution {
   SolveStatus status = SolveStatus::kIterationLimit;
   /// Objective value in the user's direction (only valid when kOptimal).

@@ -17,20 +17,6 @@
 
 namespace dpv::milp {
 
-const char* milp_status_name(MilpStatus status) {
-  switch (status) {
-    case MilpStatus::kOptimal:
-      return "optimal";
-    case MilpStatus::kFeasible:
-      return "feasible";
-    case MilpStatus::kInfeasible:
-      return "infeasible";
-    case MilpStatus::kNodeLimit:
-      return "node-limit";
-  }
-  return "unknown";
-}
-
 namespace {
 
 using search::SearchNode;

@@ -62,9 +62,6 @@ enum class MilpStatus {
   kNodeLimit,   ///< search exhausted the node budget without a proof
 };
 
-/// Human-readable status name.
-const char* milp_status_name(MilpStatus status);
-
 struct MilpResult {
   MilpStatus status = MilpStatus::kNodeLimit;
   double objective = 0.0;

@@ -40,11 +40,6 @@ void PseudocostTable::record_infeasible(std::size_t var, bool up) {
   ++entry(var, up).infeasible;
 }
 
-PseudocostTable::DirectionStats PseudocostTable::stats(std::size_t var, bool up) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entry(var, up);
-}
-
 std::vector<std::pair<PseudocostTable::DirectionStats, PseudocostTable::DirectionStats>>
 PseudocostTable::snapshot(const std::vector<std::size_t>& vars) const {
   std::vector<std::pair<DirectionStats, DirectionStats>> out;
@@ -90,18 +85,6 @@ void PseudocostTable::seed(
     global_gain_sum_ += down.gain_sum + up.gain_sum;
     global_solved_ += down.solved + up.solved;
   }
-}
-
-std::size_t PseudocostTable::observations(std::size_t var, bool up) const {
-  return stats(var, up).observations();
-}
-
-double PseudocostTable::average_gain(std::size_t var, bool up) const {
-  return stats(var, up).average_gain();
-}
-
-double PseudocostTable::infeasible_rate(std::size_t var, bool up) const {
-  return stats(var, up).infeasible_rate();
 }
 
 double PseudocostTable::global_average_gain() const {

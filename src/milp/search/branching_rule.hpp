@@ -66,9 +66,6 @@ class PseudocostTable {
     }
   };
 
-  /// Snapshot of (var, direction) under one lock.
-  DirectionStats stats(std::size_t var, bool up) const;
-
   /// Both directions of every listed variable under ONE lock — the
   /// per-node read path of the pseudocost rule, so the shared mutex is
   /// taken O(1) instead of O(candidates) times per node.
@@ -90,12 +87,6 @@ class PseudocostTable {
   void seed(const std::vector<std::pair<DirectionStats, DirectionStats>>& priors,
             double weight);
 
-  /// Observations (solved + infeasible children) of (var, direction).
-  std::size_t observations(std::size_t var, bool up) const;
-  /// Mean recorded gain of (var, direction); 0 with no solved child.
-  double average_gain(std::size_t var, bool up) const;
-  /// Fraction of observations that were LP-infeasible children.
-  double infeasible_rate(std::size_t var, bool up) const;
   /// Mean gain across every (variable, direction) with a solved child —
   /// the fallback estimate for directions never observed. O(1): kept as
   /// a running aggregate by record().

@@ -1,9 +1,5 @@
 #include "monitor/box_monitor.hpp"
 
-#include <iomanip>
-#include <istream>
-#include <ostream>
-
 #include "common/check.hpp"
 
 namespace dpv::monitor {
@@ -47,27 +43,6 @@ std::vector<std::size_t> BoxMonitor::violations(const Tensor& activation) const 
   for (std::size_t i = 0; i < box_.size(); ++i)
     if (!box_[i].contains(activation[i])) out.push_back(i);
   return out;
-}
-
-void BoxMonitor::save(std::ostream& out) const {
-  out << "dpv-box-monitor 1\n" << box_.size() << '\n' << std::setprecision(17);
-  for (const absint::Interval& iv : box_) out << iv.lo << ' ' << iv.hi << '\n';
-}
-
-BoxMonitor BoxMonitor::load(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  check(static_cast<bool>(in >> magic >> version) && magic == "dpv-box-monitor" && version == 1,
-        "BoxMonitor::load: bad header");
-  std::size_t n = 0;
-  check(static_cast<bool>(in >> n) && n > 0, "BoxMonitor::load: bad dimension count");
-  absint::Box box(n);
-  for (absint::Interval& iv : box) {
-    double lo = 0.0, hi = 0.0;
-    check(static_cast<bool>(in >> lo >> hi), "BoxMonitor::load: truncated bounds");
-    iv = absint::Interval(lo, hi);
-  }
-  return BoxMonitor(std::move(box));
 }
 
 }  // namespace dpv::monitor

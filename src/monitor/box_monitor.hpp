@@ -7,8 +7,6 @@
 // safety proof does not apply to the current frame.
 #pragma once
 
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "absint/interval.hpp"
@@ -24,7 +22,7 @@ class BoxMonitor {
   static BoxMonitor from_activations(const std::vector<Tensor>& activations,
                                      double margin_fraction = 0.0);
 
-  /// Monitor over an explicit box (tests, deserialization).
+  /// Monitor over an explicit box.
   explicit BoxMonitor(absint::Box box);
 
   std::size_t dimensions() const { return box_.size(); }
@@ -35,9 +33,6 @@ class BoxMonitor {
 
   /// Indices of neurons whose value falls outside the recorded interval.
   std::vector<std::size_t> violations(const Tensor& activation) const;
-
-  void save(std::ostream& out) const;
-  static BoxMonitor load(std::istream& in);
 
  private:
   absint::Box box_;

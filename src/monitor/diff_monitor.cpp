@@ -1,9 +1,5 @@
 #include "monitor/diff_monitor.hpp"
 
-#include <iomanip>
-#include <istream>
-#include <ostream>
-
 #include "common/check.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -60,30 +56,6 @@ std::vector<std::string> DiffMonitor::violations(const Tensor& activation) const
                     std::to_string(d) + " outside " + diff_bounds_[i].to_string());
   }
   return out;
-}
-
-void DiffMonitor::save(std::ostream& out) const {
-  out << "dpv-diff-monitor 1\n";
-  box_.save(out);
-  out << diff_bounds_.size() << '\n' << std::setprecision(17);
-  for (const absint::Interval& iv : diff_bounds_) out << iv.lo << ' ' << iv.hi << '\n';
-}
-
-DiffMonitor DiffMonitor::load(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  check(static_cast<bool>(in >> magic >> version) && magic == "dpv-diff-monitor" && version == 1,
-        "DiffMonitor::load: bad header");
-  BoxMonitor box = BoxMonitor::load(in);
-  std::size_t count = 0;
-  check(static_cast<bool>(in >> count), "DiffMonitor::load: missing diff count");
-  std::vector<absint::Interval> diffs(count);
-  for (absint::Interval& iv : diffs) {
-    double lo = 0.0, hi = 0.0;
-    check(static_cast<bool>(in >> lo >> hi), "DiffMonitor::load: truncated diff bounds");
-    iv = absint::Interval(lo, hi);
-  }
-  return DiffMonitor(std::move(box), std::move(diffs));
 }
 
 }  // namespace dpv::monitor

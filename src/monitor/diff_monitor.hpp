@@ -9,7 +9,6 @@
 // The verifier imports both families of constraints as the S̃ polyhedron.
 #pragma once
 
-#include <iosfwd>
 #include <vector>
 
 #include "absint/interval.hpp"
@@ -39,9 +38,6 @@ class DiffMonitor {
   /// Descriptions of violated constraints ("n3 out of range",
   /// "n5 - n4 out of range"), empty when contained.
   std::vector<std::string> violations(const Tensor& activation) const;
-
-  void save(std::ostream& out) const;
-  static DiffMonitor load(std::istream& in);
 
  private:
   BoxMonitor box_;

@@ -1,9 +1,5 @@
 #include "monitor/relation_monitor.hpp"
 
-#include <iomanip>
-#include <istream>
-#include <ostream>
-
 #include "common/check.hpp"
 
 namespace dpv::monitor {
@@ -83,35 +79,6 @@ std::vector<std::string> RelationMonitor::violations(const Tensor& activation) c
                     " outside " + pair_bounds_[k].to_string());
   }
   return out;
-}
-
-void RelationMonitor::save(std::ostream& out) const {
-  out << "dpv-relation-monitor 1\n";
-  box_.save(out);
-  out << pairs_.size() << '\n' << std::setprecision(17);
-  for (std::size_t k = 0; k < pairs_.size(); ++k)
-    out << pairs_[k].first << ' ' << pairs_[k].second << ' ' << pair_bounds_[k].lo << ' '
-        << pair_bounds_[k].hi << '\n';
-}
-
-RelationMonitor RelationMonitor::load(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  check(static_cast<bool>(in >> magic >> version) && magic == "dpv-relation-monitor" &&
-            version == 1,
-        "RelationMonitor::load: bad header");
-  BoxMonitor box = BoxMonitor::load(in);
-  std::size_t count = 0;
-  check(static_cast<bool>(in >> count), "RelationMonitor::load: missing pair count");
-  std::vector<NeuronPair> pairs(count);
-  std::vector<absint::Interval> bounds(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    double lo = 0.0, hi = 0.0;
-    check(static_cast<bool>(in >> pairs[k].first >> pairs[k].second >> lo >> hi),
-          "RelationMonitor::load: truncated pair record");
-    bounds[k] = absint::Interval(lo, hi);
-  }
-  return RelationMonitor(std::move(box), std::move(pairs), std::move(bounds));
 }
 
 }  // namespace dpv::monitor

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <vector>
 
 #include "absint/interval.hpp"
@@ -52,9 +51,6 @@ class RelationMonitor {
 
   bool contains(const Tensor& activation) const;
   std::vector<std::string> violations(const Tensor& activation) const;
-
-  void save(std::ostream& out) const;
-  static RelationMonitor load(std::istream& in);
 
  private:
   BoxMonitor box_;

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
@@ -24,9 +23,6 @@ bool same_structure(const Layer& a, const Layer& b) {
   if (!(a.input_shape() == b.input_shape())) return false;
   if (!(a.output_shape() == b.output_shape())) return false;
   switch (a.kind()) {
-    case LayerKind::kLeakyReLU:
-      return same_bits(static_cast<const LeakyReLU&>(a).alpha(),
-                       static_cast<const LeakyReLU&>(b).alpha());
     case LayerKind::kBatchNorm:
       return same_bits(static_cast<const BatchNorm&>(a).eps(),
                        static_cast<const BatchNorm&>(b).eps());
@@ -41,7 +37,7 @@ bool same_structure(const Layer& a, const Layer& b) {
       return static_cast<const Pool2D&>(a).window() ==
              static_cast<const Pool2D&>(b).window();
     default:
-      return true;  // Dense shapes fix everything; activations/Flatten stateless
+      return true;  // Dense shapes fix everything; ReLU/Flatten stateless
   }
 }
 

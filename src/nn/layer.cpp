@@ -10,12 +10,6 @@ std::string layer_kind_name(LayerKind kind) {
       return "dense";
     case LayerKind::kReLU:
       return "relu";
-    case LayerKind::kLeakyReLU:
-      return "leakyrelu";
-    case LayerKind::kSigmoid:
-      return "sigmoid";
-    case LayerKind::kTanh:
-      return "tanh";
     case LayerKind::kBatchNorm:
       return "batchnorm";
     case LayerKind::kConv2D:

@@ -20,18 +20,18 @@
 
 namespace dpv::nn {
 
-/// Structural discriminator used by the verifier and serializer.
+/// Structural discriminator used by the verifier and serializer. The
+/// values are hashed into `verify::tail_fingerprint`, which delta bundles
+/// and checkpoints persist, so they never change; 2, 3 and 4 belonged to
+/// removed kinds and stay unused.
 enum class LayerKind {
-  kDense,
-  kReLU,
-  kLeakyReLU,
-  kSigmoid,
-  kTanh,
-  kBatchNorm,
-  kConv2D,
-  kMaxPool2D,
-  kAvgPool2D,
-  kFlatten,
+  kDense = 0,
+  kReLU = 1,
+  kBatchNorm = 5,
+  kConv2D = 6,
+  kMaxPool2D = 7,
+  kAvgPool2D = 8,
+  kFlatten = 9,
 };
 
 /// Name used in the serialization format and error messages.

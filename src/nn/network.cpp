@@ -55,17 +55,6 @@ Tensor Network::forward_range(const Tensor& x, std::size_t from, std::size_t to)
   return v;
 }
 
-std::vector<Tensor> Network::all_layer_outputs(const Tensor& x) const {
-  std::vector<Tensor> outs;
-  outs.reserve(layers_.size());
-  Tensor v = x;
-  for (const auto& layer : layers_) {
-    v = layer->forward(v);
-    outs.push_back(v);
-  }
-  return outs;
-}
-
 Tensor Network::input_gradient(const Tensor& x, const Tensor& grad_out, std::size_t from_layer,
                                std::size_t to_layer) const {
   check(from_layer <= to_layer && to_layer <= layers_.size(),
@@ -120,20 +109,6 @@ std::vector<ParamRef> Network::params() {
 Network Network::clone() const {
   Network copy;
   for (const auto& layer : layers_) copy.add(layer->clone());
-  return copy;
-}
-
-Network Network::clone_prefix(std::size_t l) const {
-  check(l <= layers_.size(), "Network::clone_prefix: layer index out of range");
-  Network copy;
-  for (std::size_t i = 0; i < l; ++i) copy.add(layers_[i]->clone());
-  return copy;
-}
-
-Network Network::clone_suffix(std::size_t l) const {
-  check(l <= layers_.size(), "Network::clone_suffix: layer index out of range");
-  Network copy;
-  for (std::size_t i = l; i < layers_.size(); ++i) copy.add(layers_[i]->clone());
   return copy;
 }
 

@@ -44,9 +44,6 @@ class Network {
   /// g^(L)(...g^(l+1)(v)): runs layers l..L-1 on a layer-l activation.
   Tensor forward_suffix(const Tensor& v, std::size_t l) const;
 
-  /// Activations after every layer: result[k] = f^(k+1)(x), size L.
-  std::vector<Tensor> all_layer_outputs(const Tensor& x) const;
-
   /// Gradient of grad_out · f_[from,to)(x) with respect to `x`, where
   /// f_[from,to) runs layers from..to-1 on a layer-`from` activation.
   /// Stateless (forward + backward_input chain), so it is safe to call
@@ -84,12 +81,6 @@ class Network {
   /// Deep copy of structure and weights, with zeroed gradients (training
   /// buffers are not copied).
   Network clone() const;
-
-  /// Deep copy of the first `l` layers (the f^(l) feature extractor).
-  Network clone_prefix(std::size_t l) const;
-
-  /// Deep copy of layers l..L-1 (the verified tail of Lemma 1).
-  Network clone_suffix(std::size_t l) const;
 
  private:
   /// Runs layers from..to-1 on `v` (returns `v` when the range is empty).

@@ -92,16 +92,7 @@ void save_layer(std::ostream& out, const Layer& layer) {
       write_tensor(out, d.bias());
       break;
     }
-    case LayerKind::kReLU:
-    case LayerKind::kSigmoid:
-    case LayerKind::kTanh: {
-      write_shape(out, layer.input_shape());
-      out << '\n';
-      break;
-    }
-    case LayerKind::kLeakyReLU: {
-      const auto& leaky = static_cast<const LeakyReLU&>(layer);
-      out << std::setprecision(17) << leaky.alpha() << ' ';
+    case LayerKind::kReLU: {
       write_shape(out, layer.input_shape());
       out << '\n';
       break;
@@ -155,12 +146,6 @@ std::unique_ptr<Layer> load_layer(RecordReader& in, const std::string& kind) {
     return layer;
   }
   if (kind == "relu") return std::make_unique<ReLU>(read_shape(in));
-  if (kind == "leakyrelu") {
-    const double alpha = read_finite(in);
-    return std::make_unique<LeakyReLU>(read_shape(in), alpha);
-  }
-  if (kind == "sigmoid") return std::make_unique<Sigmoid>(read_shape(in));
-  if (kind == "tanh") return std::make_unique<Tanh>(read_shape(in));
   if (kind == "batchnorm") {
     const std::size_t features = in.size_value();
     const double eps = read_finite(in);

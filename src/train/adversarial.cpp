@@ -1,79 +1,12 @@
 #include "train/adversarial.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "train/loss.hpp"
 
 namespace dpv::train {
-
-namespace {
-
-Tensor loss_input_gradient(const nn::Network& net, const Tensor& input, const Tensor& target,
-                           const Loss& loss) {
-  const Tensor pred = net.forward(input);
-  return net.input_gradient(input, loss.gradient(pred, target));
-}
-
-void project(Tensor& x, const Tensor& center, double epsilon, double lo, double hi) {
-  for (std::size_t i = 0; i < x.numel(); ++i) {
-    x[i] = std::clamp(x[i], center[i] - epsilon, center[i] + epsilon);
-    x[i] = std::clamp(x[i], lo, hi);
-  }
-}
-
-Tensor pgd_from(const nn::Network& net, const Tensor& start, const Tensor& input,
-                const Tensor& target, const Loss& loss, const AttackConfig& config) {
-  Tensor adv = start;
-  for (std::size_t step = 0; step < config.steps; ++step) {
-    const Tensor grad = loss_input_gradient(net, adv, target, loss);
-    for (std::size_t i = 0; i < adv.numel(); ++i) {
-      const double sign = grad[i] > 0.0 ? 1.0 : (grad[i] < 0.0 ? -1.0 : 0.0);
-      adv[i] += config.step_size * sign;
-    }
-    project(adv, input, config.epsilon, config.clamp_lo, config.clamp_hi);
-  }
-  return adv;
-}
-
-}  // namespace
-
-Tensor fgsm_attack(const nn::Network& net, const Tensor& input, const Tensor& target,
-                   const Loss& loss, const AttackConfig& config) {
-  check(config.epsilon > 0.0, "fgsm_attack: epsilon must be positive");
-  const Tensor grad = loss_input_gradient(net, input, target, loss);
-  Tensor adv = input;
-  for (std::size_t i = 0; i < adv.numel(); ++i) {
-    const double sign = grad[i] > 0.0 ? 1.0 : (grad[i] < 0.0 ? -1.0 : 0.0);
-    adv[i] += config.epsilon * sign;
-  }
-  project(adv, input, config.epsilon, config.clamp_lo, config.clamp_hi);
-  return adv;
-}
-
-Tensor pgd_attack(const nn::Network& net, const Tensor& input, const Tensor& target,
-                  const Loss& loss, const AttackConfig& config) {
-  check(config.steps > 0, "pgd_attack: steps must be positive");
-  check(config.restarts > 0, "pgd_attack: restarts must be positive");
-  Rng rng(config.seed);
-  Tensor best_adv = pgd_from(net, input, input, target, loss, config);
-  double best_loss = loss.value(net.forward(best_adv), target);
-  for (std::size_t r = 1; r < config.restarts; ++r) {
-    Tensor start = input;
-    for (std::size_t i = 0; i < start.numel(); ++i)
-      start[i] += rng.uniform(-config.epsilon, config.epsilon);
-    project(start, input, config.epsilon, config.clamp_lo, config.clamp_hi);
-    const Tensor adv = pgd_from(net, start, input, target, loss, config);
-    const double l = loss.value(net.forward(adv), target);
-    if (l > best_loss) {
-      best_loss = l;
-      best_adv = adv;
-    }
-  }
-  return best_adv;
-}
 
 ConcretizationResult concretize_activation(const nn::Network& net, std::size_t l,
                                            const Tensor& target_activation, const Tensor& seed,

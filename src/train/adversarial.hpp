@@ -1,52 +1,23 @@
-// Gradient-based input search: FGSM / PGD attacks and counterexample
-// concretization.
+// Counterexample concretization.
 //
 // Section V of the paper suggests that when a property cannot be proven,
 // "it should be possible to construct a counter example either by
 // capturing more data or by using adversarial perturbation techniques".
-// This module provides both: classic attacks against the perception
-// regressor, and `concretize_activation`, which searches the *input*
-// space for an image whose layer-l features approach a counterexample
+// `concretize_activation` does the latter: it searches the *input* space
+// for an image whose layer-l features approach a counterexample
 // activation n̂_l reported by the MILP verifier.
 //
-// All searches are const on the network: gradients flow through the
+// The search is const on the network: gradients flow through the
 // stateless `Network::input_gradient` VJP path, never the training
-// caches, so campaign workers can attack one shared network from many
-// threads without cloning it. Randomness (multi-start PGD) comes only
-// from `AttackConfig::seed` — there is no global rng state — which is
-// what lets `run_campaign` derive per-entry seeds and keep its report
-// tables bit-identical across thread counts.
+// caches, so campaign workers can search one shared network from many
+// threads without cloning it.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "nn/network.hpp"
-#include "train/loss.hpp"
 
 namespace dpv::train {
-
-struct AttackConfig {
-  double epsilon = 0.05;      ///< max-norm perturbation budget
-  double step_size = 0.01;    ///< PGD step
-  std::size_t steps = 20;     ///< PGD iterations per start
-  double clamp_lo = 0.0;      ///< valid pixel range lower bound
-  double clamp_hi = 1.0;      ///< valid pixel range upper bound
-  std::size_t restarts = 1;   ///< PGD starts: the clean input, then
-                              ///< restarts-1 random points in the ball
-  std::uint64_t seed = 0x5eed;  ///< rng seed for the random restarts
-};
-
-/// One-step fast gradient sign attack maximizing `loss` at (input, target).
-Tensor fgsm_attack(const nn::Network& net, const Tensor& input, const Tensor& target,
-                   const Loss& loss, const AttackConfig& config);
-
-/// Projected gradient descent attack (iterated FGSM with projection onto
-/// the epsilon ball around `input` intersected with the pixel range).
-/// With `config.restarts > 1` the search is repeated from deterministic
-/// random starts inside the ball and the highest-loss candidate wins.
-Tensor pgd_attack(const nn::Network& net, const Tensor& input, const Tensor& target,
-                  const Loss& loss, const AttackConfig& config);
 
 struct ConcretizationResult {
   Tensor input;            ///< best input found

@@ -1,9 +1,6 @@
 #include "train/dataset.hpp"
 
-#include <numeric>
-
 #include "common/check.hpp"
-#include "common/rng.hpp"
 
 namespace dpv::train {
 
@@ -21,23 +18,6 @@ std::vector<Tensor> Dataset::inputs() const {
   xs.reserve(samples_.size());
   for (const Sample& s : samples_) xs.push_back(s.input);
   return xs;
-}
-
-std::pair<Dataset, Dataset> Dataset::split(double fraction, Rng& rng) const {
-  check(fraction >= 0.0 && fraction <= 1.0, "Dataset::split: fraction must be in [0, 1]");
-  std::vector<std::size_t> order(samples_.size());
-  std::iota(order.begin(), order.end(), 0);
-  rng.shuffle(order);
-  const auto cut = static_cast<std::size_t>(fraction * static_cast<double>(samples_.size()));
-  Dataset first, second;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const Sample& s = samples_[order[i]];
-    if (i < cut)
-      first.add(s.input, s.target);
-    else
-      second.add(s.input, s.target);
-  }
-  return {std::move(first), std::move(second)};
 }
 
 }  // namespace dpv::train

@@ -2,14 +2,9 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "tensor/tensor.hpp"
-
-namespace dpv {
-class Rng;
-}
 
 namespace dpv::train {
 
@@ -35,10 +30,6 @@ class Dataset {
 
   /// All inputs (used for activation recording / monitor construction).
   std::vector<Tensor> inputs() const;
-
-  /// Deterministically shuffles and splits off the first `fraction` of
-  /// samples as the first element (e.g. a training split).
-  std::pair<Dataset, Dataset> split(double fraction, Rng& rng) const;
 
  private:
   std::vector<Sample> samples_;

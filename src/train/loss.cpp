@@ -7,11 +7,6 @@
 
 namespace dpv::train {
 
-double Loss::value(const Tensor& pred, const Tensor& target) const {
-  check(pred.same_shape(target), "Loss: prediction and target shapes differ");
-  return row_value(pred.data().data(), target.data().data(), pred.numel());
-}
-
 Tensor Loss::gradient(const Tensor& pred, const Tensor& target) const {
   check(pred.same_shape(target), "Loss: prediction and target shapes differ");
   Tensor g(pred.shape());

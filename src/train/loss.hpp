@@ -17,15 +17,13 @@ class Loss {
  public:
   virtual ~Loss() = default;
 
-  /// Scalar loss value; `pred` and `target` must have the same shape.
-  double value(const Tensor& pred, const Tensor& target) const;
-
-  /// dL/dpred, same shape as `pred`.
+  /// dL/dpred, same shape as `pred`; `pred` and `target` must have the
+  /// same shape.
   Tensor gradient(const Tensor& pred, const Tensor& target) const;
 
-  /// The same two on one sample's `n` raw values, sizes checked by the
-  /// caller: the training loop's allocation-free form over its batch rows.
-  /// `row_gradient` writes dL/dpred into `grad`.
+  /// The loss value and its gradient on one sample's `n` raw values,
+  /// sizes checked by the caller: the training loop's allocation-free
+  /// form over its batch rows. `row_gradient` writes dL/dpred into `grad`.
   virtual double row_value(const double* pred, const double* target, std::size_t n) const = 0;
   virtual void row_gradient(const double* pred, const double* target, std::size_t n,
                             double* grad) const = 0;

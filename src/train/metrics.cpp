@@ -1,6 +1,5 @@
 #include "train/metrics.hpp"
 
-#include <cmath>
 
 #include "common/check.hpp"
 
@@ -48,21 +47,6 @@ double regression_mse(const nn::Network& net, const Dataset& data) {
     for (std::size_t i = 0; i < out.numel(); ++i) {
       const double d = out[i] - s.target[i];
       acc += d * d;
-      ++n;
-    }
-  }
-  return acc / static_cast<double>(n);
-}
-
-double regression_mae(const nn::Network& net, const Dataset& data) {
-  check(!data.empty(), "regression_mae: empty dataset");
-  double acc = 0.0;
-  std::size_t n = 0;
-  for (const Sample& s : data.samples()) {
-    const Tensor out = net.forward(s.input);
-    check(out.same_shape(s.target), "regression_mae: target shape mismatch");
-    for (std::size_t i = 0; i < out.numel(); ++i) {
-      acc += std::abs(out[i] - s.target[i]);
       ++n;
     }
   }

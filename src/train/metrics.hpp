@@ -41,7 +41,4 @@ ConfusionCounts binary_confusion(const nn::Network& classifier, const Dataset& d
 /// Mean squared error of a regressor over a dataset.
 double regression_mse(const nn::Network& net, const Dataset& data);
 
-/// Mean absolute error of a regressor over a dataset.
-double regression_mae(const nn::Network& net, const Dataset& data);
-
 }  // namespace dpv::train

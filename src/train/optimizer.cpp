@@ -6,28 +6,6 @@
 
 namespace dpv::train {
 
-Sgd::Sgd(double learning_rate, double momentum)
-    : learning_rate_(learning_rate), momentum_(momentum) {
-  check(learning_rate > 0.0, "Sgd: learning rate must be positive");
-  check(momentum >= 0.0 && momentum < 1.0, "Sgd: momentum must be in [0, 1)");
-}
-
-void Sgd::step(const std::vector<nn::ParamRef>& params) {
-  if (velocity_.empty())
-    for (const auto& p : params) velocity_.emplace_back(p.value->numel(), 0.0);
-  internal_check(velocity_.size() == params.size(), "Sgd: parameter set changed between steps");
-  for (std::size_t k = 0; k < params.size(); ++k) {
-    Tensor& value = *params[k].value;
-    const Tensor& grad = *params[k].grad;
-    auto& vel = velocity_[k];
-    internal_check(vel.size() == value.numel(), "Sgd: parameter size changed between steps");
-    for (std::size_t i = 0; i < value.numel(); ++i) {
-      vel[i] = momentum_ * vel[i] - learning_rate_ * grad[i];
-      value[i] += vel[i];
-    }
-  }
-}
-
 Adam::Adam(double learning_rate, double beta1, double beta2, double eps)
     : learning_rate_(learning_rate), beta1_(beta1), beta2_(beta2), eps_(eps) {
   check(learning_rate > 0.0, "Adam: learning rate must be positive");

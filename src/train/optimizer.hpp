@@ -1,4 +1,4 @@
-// First-order optimizers.
+// The first-order optimizer: Adam.
 #pragma once
 
 #include <vector>
@@ -7,35 +7,16 @@
 
 namespace dpv::train {
 
-/// Applies accumulated gradients to parameters. Optimizers keep internal
-/// state (momentum buffers) keyed by parameter position, so the same
-/// optimizer instance must be used with the same network throughout.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  /// One update step given the network's current parameter references.
-  virtual void step(const std::vector<nn::ParamRef>& params) = 0;
-};
-
-/// Stochastic gradient descent with optional classical momentum.
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(double learning_rate, double momentum = 0.0);
-  void step(const std::vector<nn::ParamRef>& params) override;
-
- private:
-  double learning_rate_;
-  double momentum_;
-  std::vector<std::vector<double>> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction.
-class Adam : public Optimizer {
+/// Adam (Kingma & Ba) with bias correction. Applies accumulated gradients
+/// to parameters and keeps its moment buffers keyed by parameter position,
+/// so the same instance must be used with the same network throughout.
+class Adam {
  public:
   explicit Adam(double learning_rate, double beta1 = 0.9, double beta2 = 0.999,
                 double eps = 1e-8);
-  void step(const std::vector<nn::ParamRef>& params) override;
+
+  /// One update step given the network's current parameter references.
+  void step(const std::vector<nn::ParamRef>& params);
 
  private:
   double learning_rate_, beta1_, beta2_, eps_;

@@ -10,7 +10,7 @@
 namespace dpv::train {
 
 LossHistory Trainer::fit(nn::Network& net, const Dataset& data, const Loss& loss,
-                         Optimizer& optimizer) {
+                         Adam& optimizer) {
   check(!data.empty(), "Trainer::fit: empty dataset");
   check(config_.batch_size > 0, "Trainer::fit: batch size must be positive");
   const std::vector<nn::ParamRef> params = net.params();
@@ -54,13 +54,6 @@ LossHistory Trainer::fit(nn::Network& net, const Dataset& data, const Loss& loss
       std::printf("epoch %3zu  loss %.6f\n", epoch + 1, history.back());
   }
   return history;
-}
-
-double Trainer::evaluate(const nn::Network& net, const Dataset& data, const Loss& loss) {
-  check(!data.empty(), "Trainer::evaluate: empty dataset");
-  double acc = 0.0;
-  for (const Sample& s : data.samples()) acc += loss.value(net.forward(s.input), s.target);
-  return acc / static_cast<double>(data.size());
 }
 
 }  // namespace dpv::train

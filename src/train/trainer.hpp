@@ -27,10 +27,7 @@ class Trainer {
   explicit Trainer(TrainerConfig config) : config_(config) {}
 
   /// Trains `net` in place; returns mean loss per epoch.
-  LossHistory fit(nn::Network& net, const Dataset& data, const Loss& loss, Optimizer& optimizer);
-
-  /// Mean loss of `net` over `data` (inference mode).
-  static double evaluate(const nn::Network& net, const Dataset& data, const Loss& loss);
+  LossHistory fit(nn::Network& net, const Dataset& data, const Loss& loss, Adam& optimizer);
 
  private:
   TrainerConfig config_;

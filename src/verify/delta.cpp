@@ -123,10 +123,6 @@ std::size_t verdict_index(Verdict verdict) {
 
 }  // namespace
 
-std::size_t DeltaArtifacts::versioned_key() const {
-  return versioned_cache_key(base_fingerprint, delta_chain);
-}
-
 const QueryArtifacts* DeltaArtifacts::find(std::size_t query_key) const {
   for (const QueryArtifacts& entry : queries)
     if (entry.query_key == query_key) return &entry;

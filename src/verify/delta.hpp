@@ -86,8 +86,6 @@ struct DeltaArtifacts {
   std::size_t attach_layer = 0;
   std::vector<QueryArtifacts> queries;
 
-  /// versioned_cache_key(base_fingerprint, delta_chain) — never zero.
-  std::size_t versioned_key() const;
   const QueryArtifacts* find(std::size_t query_key) const;
   /// Insert-or-replace by query_key.
   void upsert(QueryArtifacts artifacts);

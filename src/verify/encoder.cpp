@@ -10,7 +10,6 @@
 #include "absint/zonotope.hpp"
 #include "common/check.hpp"
 #include "lp/simplex.hpp"
-#include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/dense.hpp"
 
@@ -79,7 +78,7 @@ class NetworkEncoder {
     // the whole range up front; the walk below intersects them in after
     // each layer, so neither can ever be looser than plain intervals.
     // Zonotopes fall back to intervals where the domain does not apply
-    // (pooling layers; dense/relu/leakyrelu/batchnorm tails are covered).
+    // (pooling layers; dense/relu/batchnorm tails are covered).
     // An injected external trace replaces the pre-pass entirely — the
     // delta-reuse path pays interval propagation only.
     std::vector<absint::Box> trace;
@@ -109,9 +108,6 @@ class NetworkEncoder {
           break;
         case nn::LayerKind::kReLU:
           encode_relu(tag);
-          break;
-        case nn::LayerKind::kLeakyReLU:
-          encode_leaky_relu(static_cast<const nn::LeakyReLU&>(layer).alpha(), tag);
           break;
         case nn::LayerKind::kFlatten:
           break;  // reshape only: variables and bounds unchanged
@@ -289,65 +285,6 @@ class NetworkEncoder {
       }
       out_vars[i] = y;
       out_bounds[i] = absint::relu(bounds_[i]);
-    }
-    vars_ = std::move(out_vars);
-    bounds_ = std::move(out_bounds);
-    affine_.assign(vars_.size(), std::nullopt);  // outputs are nonlinear
-  }
-
-  void encode_leaky_relu(double alpha, const std::string& tag) {
-    const std::size_t n = vars_.size();
-    std::vector<std::size_t> out_vars(n);
-    absint::Box out_bounds(n);
-    const auto leaky = [alpha](double v) { return v > 0.0 ? v : alpha * v; };
-    for (std::size_t i = 0; i < n; ++i) {
-      ++stats_.relu_neurons;
-      const double lo = bounds_[i].lo;
-      const double hi = bounds_[i].hi;
-      if (options_.eliminate_stable_relus && lo >= 0.0) {
-        ++stats_.stable_relus;
-        out_vars[i] = vars_[i];  // identity piece
-        out_bounds[i] = bounds_[i];
-        continue;
-      }
-      if (options_.eliminate_stable_relus && hi <= 0.0) {
-        // Alpha piece: exact linear relation, no binary needed.
-        ++stats_.stable_relus;
-        const absint::Interval iv(alpha * lo, alpha * hi);
-        const std::size_t y = problem_.add_variable(milp::VarType::kContinuous, iv.lo, iv.hi,
-                                                    tag + "_y" + std::to_string(i));
-        problem_.add_row({{y, 1.0}, {vars_[i], -alpha}}, lp::RowSense::kEqual, 0.0);
-        out_vars[i] = y;
-        out_bounds[i] = iv;
-        continue;
-      }
-      // Unstable: y = max(x, alpha*x) via big-M with phase binary z
-      // (z = 1 on the identity piece, z = 0 on the alpha piece).
-      const double lo_neg = std::min(lo, 0.0);
-      const double hi_pos = std::max(hi, 0.0);
-      const std::size_t y = problem_.add_variable(
-          milp::VarType::kContinuous, leaky(lo), leaky(hi), tag + "_y" + std::to_string(i));
-      const std::size_t z = problem_.add_variable(milp::VarType::kBinary, 0.0, 1.0,
-                                                  tag + "_z" + std::to_string(i));
-      ++stats_.binaries;
-      const std::size_t x = vars_[i];
-      // y >= x and y >= alpha * x (f is the max of the two pieces)
-      problem_.add_row({{y, 1.0}, {x, -1.0}}, lp::RowSense::kGreaterEqual, 0.0);
-      problem_.add_row({{y, 1.0}, {x, -alpha}}, lp::RowSense::kGreaterEqual, 0.0);
-      // y <= alpha*x + (1-alpha)*hi*z
-      problem_.add_row({{y, 1.0}, {x, -alpha}, {z, -(1.0 - alpha) * hi_pos}},
-                       lp::RowSense::kLessEqual, 0.0);
-      // y <= x - (1-alpha)*lo*(1-z)
-      problem_.add_row({{y, 1.0}, {x, -1.0}, {z, -(1.0 - alpha) * lo_neg}},
-                       lp::RowSense::kLessEqual, -(1.0 - alpha) * lo_neg);
-      if (options_.triangle_relaxation && lo < 0.0 && hi > 0.0) {
-        // Convex upper chord from (lo, alpha*lo) to (hi, hi).
-        const double slope = (hi - alpha * lo) / (hi - lo);
-        problem_.add_row({{y, 1.0}, {x, -slope}}, lp::RowSense::kLessEqual,
-                         alpha * lo - slope * lo);
-      }
-      out_vars[i] = y;
-      out_bounds[i] = absint::Interval(leaky(lo), leaky(hi));
     }
     vars_ = std::move(out_vars);
     bounds_ = std::move(out_bounds);

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/check.hpp"
-#include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/dense.hpp"
 
@@ -50,9 +49,6 @@ std::size_t tail_fingerprint(const nn::Network& net, std::size_t from_layer) {
         }
         break;
       }
-      case nn::LayerKind::kLeakyReLU:
-        hash_double(h, static_cast<const nn::LeakyReLU&>(layer).alpha());
-        break;
       default:
         break;  // parameterless layers: kind + shapes suffice
     }
@@ -114,18 +110,6 @@ bool same_pairs(const std::vector<PairConstraint>& a, const std::vector<PairCons
 }  // namespace
 
 SharedTailEncoding::SharedTailEncoding(const VerificationQuery& query,
-                                       const EncodeOptions& options)
-    : options_(options),
-      network_(query.network),
-      attach_layer_(query.attach_layer),
-      input_box_(query.input_box),
-      diff_bounds_(query.diff_bounds),
-      pair_bounds_(query.pair_bounds),
-      base_(encode_tail_base(query, options)) {
-  tail_fingerprint_ = tail_fingerprint(*query.network, query.attach_layer);
-}
-
-SharedTailEncoding::SharedTailEncoding(const VerificationQuery& query,
                                        const EncodeOptions& options, std::size_t fingerprint)
     : options_(options),
       network_(query.network),
@@ -135,12 +119,6 @@ SharedTailEncoding::SharedTailEncoding(const VerificationQuery& query,
       diff_bounds_(query.diff_bounds),
       pair_bounds_(query.pair_bounds),
       base_(encode_tail_base(query, options)) {}
-
-bool SharedTailEncoding::matches(const VerificationQuery& query,
-                                 const EncodeOptions& options) const {
-  check(query.network != nullptr, "SharedTailEncoding::matches: null network");
-  return matches(query, options, tail_fingerprint(*query.network, query.attach_layer));
-}
 
 bool SharedTailEncoding::matches(const VerificationQuery& query, const EncodeOptions& options,
                                  std::size_t fingerprint) const {

@@ -35,13 +35,9 @@ class SharedTailEncoding {
  public:
   /// Builds and freezes the base for `query`'s shared part. The risk
   /// spec and characterizer of `query` are ignored — they are appended
-  /// per instantiation.
-  SharedTailEncoding(const VerificationQuery& query, const EncodeOptions& options);
-
-  /// Same, with a pre-computed tail fingerprint (skips re-hashing the
-  /// weights when the caller — e.g. the cache's miss path — already has
-  /// it). `fingerprint` must equal tail_fingerprint(*query.network,
-  /// query.attach_layer).
+  /// per instantiation. `fingerprint` must equal
+  /// tail_fingerprint(*query.network, query.attach_layer); the cache's
+  /// miss path has it already.
   SharedTailEncoding(const VerificationQuery& query, const EncodeOptions& options,
                      std::size_t fingerprint);
 
@@ -52,10 +48,7 @@ class SharedTailEncoding {
   /// pair bounds, compared exactly) and same bound-method options. Any
   /// mismatch simply means a different cache entry — there is no
   /// in-place invalidation; a changed abstraction produces a new key.
-  bool matches(const VerificationQuery& query, const EncodeOptions& options) const;
-
-  /// Pass a pre-computed tail fingerprint to avoid re-hashing per node
-  /// while walking the cache list.
+  /// `tail_fingerprint` is the query's, computed once per cache walk.
   bool matches(const VerificationQuery& query, const EncodeOptions& options,
                std::size_t tail_fingerprint) const;
 

@@ -294,6 +294,24 @@ nn::Network make_monitored_net(Rng& rng) {
   return net;
 }
 
+/// With a ReLU layer in the verified tail:
+/// dense(2->4) relu | tail dense(4->6) relu dense(6->1).
+nn::Network make_relu_tail_net(Rng& rng) {
+  nn::Network net;
+  auto d1 = std::make_unique<nn::Dense>(2, 4);
+  d1->init_he(rng);
+  net.add(std::move(d1));
+  net.add(std::make_unique<nn::ReLU>(Shape{4}));
+  auto d2 = std::make_unique<nn::Dense>(4, 6);
+  d2->init_he(rng);
+  net.add(std::move(d2));
+  net.add(std::make_unique<nn::ReLU>(Shape{6}));
+  auto d3 = std::make_unique<nn::Dense>(6, 1);
+  d3->init_he(rng);
+  net.add(std::move(d3));
+  return net;
+}
+
 train::Dataset labelled_cloud(Rng& rng, std::size_t count, double threshold) {
   train::Dataset data;
   for (std::size_t i = 0; i < count; ++i) {
@@ -315,7 +333,15 @@ struct CampaignTestbed {
   nn::Network net;
   std::vector<CampaignEntry> entries;
   std::string reference_table;  ///< uninterrupted, no checkpointing
+  std::size_t milp_decided = 0;  ///< entries the reference run settled by B&B
 };
+
+/// Runs the uninterrupted, checkpoint-free reference battery.
+void run_reference(CampaignTestbed& tb) {
+  const CampaignReport report = run_campaign(tb.net, 2, tb.entries, base_config());
+  tb.reference_table = report.format_table();
+  tb.milp_decided = report.funnel_milp_proved + report.funnel_milp_falsified;
+}
 
 const CampaignTestbed& campaign_testbed() {
   static const CampaignTestbed instance = [] {
@@ -334,20 +360,43 @@ const CampaignTestbed& campaign_testbed() {
                           labelled_cloud(rng, 100, 0.0), reachable});
     tb.entries.push_back({"x0-positive", labelled_cloud(rng, 200, 0.0),
                           labelled_cloud(rng, 100, 0.0), unreachable_b});
-    tb.reference_table =
-        run_campaign(tb.net, 2, tb.entries, base_config()).format_table();
+    run_reference(tb);
     return tb;
   }();
   return instance;
 }
 
-TEST(CampaignResume, DeadlineGridIsHonestAndResumesBitIdentically) {
-  // Sweep the deadline through the whole battery: wherever it lands, the
-  // interrupted report must be an honest partial (deadline-skipped rows
-  // tallied as unknown) and a resume must reproduce the uninterrupted
-  // table bit for bit. Budgets grow until one run completes untouched.
-  const CampaignTestbed& tb = campaign_testbed();
-  const std::string path = temp_path("ckpt_campaign_deadline");
+/// A battery that branch and bound decides: the attack and the zonotope
+/// settle every entry of campaign_testbed() before any LP runs, so LP
+/// recoveries (the CI chaos pass's LP fault specs) only happen here.
+const CampaignTestbed& lp_campaign_testbed() {
+  static const CampaignTestbed instance = [] {
+    CampaignTestbed tb;
+    Rng rng(53);
+    tb.net = make_relu_tail_net(rng);
+    verify::RiskSpec unreachable("far-out");
+    unreachable.output_at_least(0, 1, 1e6);
+    // Above every output the data reaches (about 4.4) but inside the
+    // tail's interval output range: no attack finds it and the zonotope
+    // cannot rule it out, so branch and bound proves it.
+    verify::RiskSpec inside("inside-output-range");
+    inside.output_at_least(0, 1, 6.0);
+    tb.entries.push_back({"x0-positive", labelled_cloud(rng, 200, 0.0),
+                          labelled_cloud(rng, 100, 0.0), unreachable});
+    tb.entries.push_back({"x0-positive", labelled_cloud(rng, 200, 0.0),
+                          labelled_cloud(rng, 100, 0.0), inside});
+    run_reference(tb);
+    return tb;
+  }();
+  return instance;
+}
+
+/// Sweeps the deadline through the whole battery: wherever it lands, the
+/// interrupted report must be an honest partial (deadline-skipped rows
+/// tallied as unknown) and a resume must reproduce the uninterrupted
+/// table bit for bit. Budgets grow until one run completes untouched.
+void expect_deadline_grid_resumes(const CampaignTestbed& tb, const std::string& name) {
+  const std::string path = temp_path(name);
   bool saw_interrupt = false;
   bool saw_partial_restore = false;
   bool saw_completion = false;
@@ -382,6 +431,19 @@ TEST(CampaignResume, DeadlineGridIsHonestAndResumesBitIdentically) {
   EXPECT_TRUE(saw_interrupt);
   EXPECT_TRUE(saw_completion);
   EXPECT_TRUE(saw_partial_restore);  // some cut landed mid-battery
+}
+
+TEST(CampaignResume, DeadlineGridIsHonestAndResumesBitIdentically) {
+  expect_deadline_grid_resumes(campaign_testbed(), "ckpt_campaign_deadline");
+}
+
+TEST(CampaignResume, LpDecidedBatteryResumesBitIdentically) {
+  // The same grid over a battery whose second entry only B&B decides: the
+  // cuts land inside LP solves, and under the CI chaos pass the LP fault
+  // probes fire inside them.
+  const CampaignTestbed& tb = lp_campaign_testbed();
+  ASSERT_GT(tb.milp_decided, 0u) << tb.reference_table;
+  expect_deadline_grid_resumes(tb, "ckpt_campaign_lp_deadline");
 }
 
 TEST(CampaignResume, ResumeIsThreadCountInvariant) {

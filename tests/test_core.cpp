@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
+#include <utility>
 
 #include "core/assume_guarantee.hpp"
 #include "core/characterizer.hpp"
@@ -213,6 +215,22 @@ TEST(AssumeGuarantee, MonitorRequiresOddInputs) {
                ContractViolation);
 }
 
+/// Shuffles `data` with `rng` and splits off the first `fraction` of the
+/// samples as the first element: the training and validation sets.
+std::pair<train::Dataset, train::Dataset> split(const train::Dataset& data, double fraction,
+                                                Rng& rng) {
+  std::vector<std::size_t> order(data.size());
+  std::iota(order.begin(), order.end(), 0);
+  rng.shuffle(order);
+  const auto cut = static_cast<std::size_t>(fraction * static_cast<double>(data.size()));
+  train::Dataset first, second;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const train::Sample& s = data[order[i]];
+    (i < cut ? first : second).add(s.input, s.target);
+  }
+  return {std::move(first), std::move(second)};
+}
+
 TEST(Workflow, EndToEndOnTrainedRoadModel) {
   // Small but complete: train the perception CNN on synthetic road data,
   // then run the full workflow for the paper's running property/risk.
@@ -242,7 +260,7 @@ TEST(Workflow, EndToEndOnTrainedRoadModel) {
   const train::Dataset property =
       data::to_property_dataset(samples, data::InputProperty::kBendRightStrong);
   Rng split_rng(2);
-  const auto [prop_train, prop_val] = property.split(0.7, split_rng);
+  const auto [prop_train, prop_val] = split(property, 0.7, split_rng);
 
   verify::RiskSpec risk("steer-far-left");
   risk.output_at_most(1, 2, -0.5);

@@ -136,18 +136,23 @@ void expect_same_verdict(const verify::VerificationResult& cold,
 
 // ---------------------------------------------------- versioned identity
 
+/// The versioned cache key of a bundle: its base fingerprint and chain.
+std::size_t versioned_key(const verify::DeltaArtifacts& bundle) {
+  return verify::versioned_cache_key(bundle.base_fingerprint, bundle.delta_chain);
+}
+
 TEST(DeltaIdentity, VersionedKeysAreNonzeroAndChainOrderSensitive) {
   Rng rng(3);
   const nn::Network net = make_relu_tail(4, 1, rng);
   verify::DeltaArtifacts base = verify::make_base_artifacts(net, 0);
-  EXPECT_NE(base.versioned_key(), 0u);
+  EXPECT_NE(versioned_key(base), 0u);
 
   verify::DeltaArtifacts ab = base;
   ab.delta_chain = {11u, 22u};
   verify::DeltaArtifacts ba = base;
   ba.delta_chain = {22u, 11u};
-  EXPECT_NE(ab.versioned_key(), ba.versioned_key());
-  EXPECT_NE(ab.versioned_key(), base.versioned_key());
+  EXPECT_NE(versioned_key(ab), versioned_key(ba));
+  EXPECT_NE(versioned_key(ab), versioned_key(base));
 
   // advance_artifacts keeps the original base and extends the chain.
   const nn::Network updated = perturb_dense(net, 0, 1e-3);
@@ -155,7 +160,7 @@ TEST(DeltaIdentity, VersionedKeysAreNonzeroAndChainOrderSensitive) {
   EXPECT_EQ(next.base_fingerprint, base.base_fingerprint);
   ASSERT_EQ(next.delta_chain.size(), 1u);
   EXPECT_EQ(next.delta_chain[0], verify::tail_fingerprint(updated, 0));
-  EXPECT_NE(next.versioned_key(), base.versioned_key());
+  EXPECT_NE(versioned_key(next), versioned_key(base));
 }
 
 TEST(DeltaIdentity, QueryFingerprintTracksQueryContent) {
@@ -349,7 +354,7 @@ TEST(DeltaTraceReuse, IdenticalModelPlansExactReuseAndPreservesVerdicts) {
     EXPECT_EQ(plan.trace, verify::TraceReuse::kExact);
     EXPECT_EQ(plan.widening, 0.0);
     EXPECT_EQ(plan.trace_key,
-              verify::advance_artifacts(base.bundle, same).versioned_key());
+              versioned_key(verify::advance_artifacts(base.bundle, same)));
 
     verify::TailVerifierOptions delta_options;
     plan.apply(delta_options);

@@ -19,6 +19,7 @@
 #include "absint/zonotope.hpp"
 #include "common/rng.hpp"
 #include "core/campaign.hpp"
+#include "layer_trace.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "verify/encoding_cache.hpp"
@@ -76,7 +77,8 @@ TEST(SharedTailEncoding, StampedProblemMatchesFreshEncode) {
 
   const verify::EncodeOptions options;
   const verify::TailEncoding fresh = verify::encode_tail_query(q, options);
-  const verify::SharedTailEncoding shared(q, options);
+  const verify::SharedTailEncoding shared(q, options,
+                                         verify::tail_fingerprint(net, q.attach_layer));
   const verify::TailEncoding stamped = shared.instantiate(q);
 
   EXPECT_EQ(fresh.problem.variable_count(), stamped.problem.variable_count());
@@ -287,7 +289,7 @@ TEST(ZonotopeBounds, TraceContainsConcreteSamplesAndRefinesIntervals) {
     const std::vector<absint::Box> zono_trace =
         absint::propagate_zonotope_trace(net, input_box, 0, net.layer_count());
     const std::vector<absint::Box> interval_trace =
-        absint::propagate_box_trace(net, input_box, 0, net.layer_count());
+        reference::box_trace(net, input_box, 0, net.layer_count());
     ASSERT_EQ(zono_trace.size(), net.layer_count());
     ASSERT_EQ(interval_trace.size(), net.layer_count());
 
@@ -372,39 +374,6 @@ TEST(ZonotopeBounds, EncoderNeverAddsBinariesOverIntervalAndKeepsVerdicts) {
       EXPECT_EQ(ri.verdict, rz.verdict) << "seed " << seed << " threshold " << threshold;
     }
   }
-}
-
-TEST(ZonotopeBounds, LeakyReluTailUsesZonotopeBounds) {
-  // The zonotope domain covers LeakyReLU (chord transformer): the
-  // encoder no longer falls back to interval bounds, and the
-  // trace-intersected pre-pass can only be at least as tight.
-  Rng rng(59);
-  nn::Network net;
-  auto dense = std::make_unique<nn::Dense>(4, 4);
-  dense->init_he(rng);
-  net.add(std::move(dense));
-  net.add(std::make_unique<nn::LeakyReLU>(Shape{4}, 0.1));
-  auto out = std::make_unique<nn::Dense>(4, 2);
-  out->init_he(rng);
-  net.add(std::move(out));
-
-  EXPECT_TRUE(absint::zonotope_supported(net, 0, net.layer_count()));
-  const verify::VerificationQuery q = make_query(net, 4, 0.0);
-  verify::EncodeOptions zono;
-  zono.bounds = verify::BoundMethod::kZonotope;
-  const verify::TailEncoding enc_zono = verify::encode_tail_query(q, zono);
-  const verify::TailEncoding enc_interval = verify::encode_tail_query(q, {});
-  // Tighter bounds can stabilize activations, never the reverse.
-  EXPECT_LE(enc_zono.stats.binaries, enc_interval.stats.binaries);
-  EXPECT_GE(enc_zono.stats.stable_relus, enc_interval.stats.stable_relus);
-
-  // Verdict parity across bound methods on the same query.
-  verify::TailVerifierOptions interval_opts;
-  verify::TailVerifierOptions zono_opts;
-  zono_opts.encode.bounds = verify::BoundMethod::kZonotope;
-  const verify::VerificationResult ri = verify::TailVerifier(interval_opts).verify(q);
-  const verify::VerificationResult rz = verify::TailVerifier(zono_opts).verify(q);
-  EXPECT_EQ(ri.verdict, rz.verdict);
 }
 
 // -------------------------------------------------- range analysis

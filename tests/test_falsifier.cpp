@@ -303,7 +303,7 @@ TEST(CounterexamplePool, SnapshotsAreOrderedAndKeyed) {
   pool.contribute("risk-a", 0, Tensor::vector1d({0.0}));
   pool.contribute("risk-a", 0, Tensor::vector1d({0.5}));
   pool.contribute("risk-b", 1, Tensor::vector1d({9.0}));
-  EXPECT_EQ(pool.size(), 4u);
+  EXPECT_EQ(pool.export_entries().size(), 4u);
 
   const std::vector<Tensor> a = pool.snapshot("risk-a");
   ASSERT_EQ(a.size(), 3u);
@@ -391,7 +391,7 @@ TEST(StagedCampaign, PoolRecyclesWitnessesAcrossCampaigns) {
   config.counterexample_pool = std::make_shared<CounterexamplePool>();
   const CampaignReport first = run_campaign(net, 2, entries, config);
   EXPECT_GT(first.pool_points_contributed, 0u);
-  EXPECT_GT(config.counterexample_pool->size(), 0u);
+  EXPECT_GT(config.counterexample_pool->export_entries().size(), 0u);
 
   // A second battery over the same risks starts from the pooled
   // witnesses; the recycled-seed counter proves they were consumed.

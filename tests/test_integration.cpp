@@ -1,6 +1,6 @@
-// Cross-module integration tests: artifacts that travel through files
-// (network, monitors) must reproduce identical verification verdicts, and
-// the solver stack must stay consistent at moderate scale.
+// Cross-module integration tests: a network that travels through a file
+// must reproduce identical verification verdicts, and the solver stack
+// must stay consistent at moderate scale.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -30,7 +30,7 @@ nn::Network make_tail(Rng& rng, std::size_t in_n, std::size_t hidden) {
   return net;
 }
 
-TEST(Integration, VerdictSurvivesModelAndMonitorPersistence) {
+TEST(Integration, VerdictSurvivesModelPersistence) {
   Rng rng(61);
   nn::Network net = make_tail(rng, 4, 6);
 
@@ -48,18 +48,16 @@ TEST(Integration, VerdictSurvivesModelAndMonitorPersistence) {
   query.risk.output_at_least(0, 1, 0.4);
   const verify::VerificationResult original = verify::TailVerifier().verify(query);
 
-  // Round-trip network and monitor through their text formats.
-  std::stringstream net_buffer, mon_buffer;
+  // Round-trip the network through its text format.
+  std::stringstream net_buffer;
   nn::save(net, net_buffer);
-  mon.save(mon_buffer);
   nn::Network restored_net = nn::load(net_buffer);
-  const monitor::DiffMonitor restored_mon = monitor::DiffMonitor::load(mon_buffer);
 
   verify::VerificationQuery restored_query;
   restored_query.network = &restored_net;
   restored_query.attach_layer = 0;
-  restored_query.input_box = restored_mon.box();
-  restored_query.diff_bounds = restored_mon.diff_bounds();
+  restored_query.input_box = mon.box();
+  restored_query.diff_bounds = mon.diff_bounds();
   restored_query.risk = query.risk;
   const verify::VerificationResult restored = verify::TailVerifier().verify(restored_query);
 
@@ -124,8 +122,8 @@ TEST(Integration, ModerateScaleLpSolves) {
 }
 
 TEST(Integration, DeepTailVerificationEndToEnd) {
-  // Four hidden layers with mixed ReLU / LeakyReLU / BatchNorm-free path:
-  // the encoder, bound pre-passes and solver must agree on a forced proof.
+  // Four hidden ReLU layers, BatchNorm-free: the encoder, bound pre-passes
+  // and solver must agree on a forced proof.
   Rng rng(73);
   nn::Network net;
   std::size_t in_n = 4;
@@ -133,10 +131,7 @@ TEST(Integration, DeepTailVerificationEndToEnd) {
     auto dense = std::make_unique<nn::Dense>(in_n, 6);
     dense->init_he(rng);
     net.add(std::move(dense));
-    if (d % 2 == 0)
-      net.add(std::make_unique<nn::ReLU>(Shape{6}));
-    else
-      net.add(std::make_unique<nn::LeakyReLU>(Shape{6}, 0.1));
+    net.add(std::make_unique<nn::ReLU>(Shape{6}));
     in_n = 6;
   }
   auto out = std::make_unique<nn::Dense>(6, 1);

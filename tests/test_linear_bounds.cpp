@@ -9,6 +9,7 @@
 #include "absint/linear_bounds.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "layer_trace.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/dense.hpp"
@@ -88,7 +89,7 @@ TEST_P(SymbolicSoundnessSweep, SampledExecutionsInsideTrace) {
   for (int sample = 0; sample < 60; ++sample) {
     Tensor x(Shape{4});
     for (std::size_t i = 0; i < 4; ++i) x[i] = rng.uniform(-1.0, 1.0);
-    const std::vector<Tensor> outs = net.all_layer_outputs(x);
+    const std::vector<Tensor> outs = reference::layer_outputs(net, x);
     for (std::size_t layer = 0; layer < outs.size(); ++layer) {
       for (std::size_t i = 0; i < trace[layer].size(); ++i) {
         EXPECT_GE(outs[layer][i], trace[layer][i].lo - 1e-9)
@@ -112,7 +113,7 @@ TEST_P(SymbolicDominanceSweep, NeverLooserThanIntervals) {
   const std::vector<Box> symbolic =
       symbolic_bounds_trace(net, input_box, 0, net.layer_count());
   const std::vector<Box> interval =
-      propagate_box_trace(net, input_box, 0, net.layer_count());
+      reference::box_trace(net, input_box, 0, net.layer_count());
   ASSERT_EQ(symbolic.size(), interval.size());
   for (std::size_t layer = 0; layer < symbolic.size(); ++layer)
     EXPECT_LE(box_total_width(symbolic[layer]), box_total_width(interval[layer]) + 1e-9)
@@ -136,8 +137,7 @@ TEST(SymbolicBounds, StrictlyTighterOnCorrelatedChain) {
   const Box input_box = uniform_box(1, 0.25, 1.0);  // ReLU stable-active
   const Box symbolic =
       symbolic_bounds_trace(net, input_box, 0, net.layer_count()).back();
-  const Box interval =
-      propagate_box_trace(net, input_box, 0, net.layer_count()).back();
+  const Box interval = propagate_box_range(net, input_box, 0, net.layer_count());
   EXPECT_NEAR(symbolic[0].lo, 0.0, 1e-12);
   EXPECT_NEAR(symbolic[0].hi, 0.0, 1e-12);
   EXPECT_NEAR(interval[0].width(), 1.5, 1e-12);

@@ -1,10 +1,9 @@
 // Runtime monitor tests: hull construction (Fig. 1 semantics), adjacent
-// difference bounds (Sec. V), containment invariants, violation reports
-// and serialization round-trips.
+// difference bounds (Sec. V), containment invariants and violation
+// reports.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -56,21 +55,6 @@ TEST(BoxMonitor, ViolationsPinpointNeurons) {
   ASSERT_EQ(violations.size(), 2u);
   EXPECT_EQ(violations[0], 1u);
   EXPECT_EQ(violations[1], 2u);
-}
-
-TEST(BoxMonitor, SerializationRoundTrip) {
-  Rng rng(5);
-  std::vector<Tensor> activations;
-  for (int i = 0; i < 20; ++i) activations.push_back(Tensor::randn(Shape{4}, rng, 1.0));
-  const BoxMonitor mon = BoxMonitor::from_activations(activations, 0.05);
-  std::stringstream buffer;
-  mon.save(buffer);
-  const BoxMonitor restored = BoxMonitor::load(buffer);
-  ASSERT_EQ(restored.dimensions(), mon.dimensions());
-  for (std::size_t i = 0; i < mon.dimensions(); ++i) {
-    EXPECT_DOUBLE_EQ(restored.box()[i].lo, mon.box()[i].lo);
-    EXPECT_DOUBLE_EQ(restored.box()[i].hi, mon.box()[i].hi);
-  }
 }
 
 TEST(BoxMonitor, RejectsEmptyInput) {
@@ -132,22 +116,6 @@ TEST(DiffMonitor, ViolationDescriptionsNameConstraints) {
   }
   EXPECT_TRUE(saw_box);
   EXPECT_TRUE(saw_diff);
-}
-
-TEST(DiffMonitor, SerializationRoundTrip) {
-  Rng rng(11);
-  std::vector<Tensor> activations;
-  for (int i = 0; i < 30; ++i) activations.push_back(Tensor::randn(Shape{5}, rng, 1.0));
-  const DiffMonitor mon = DiffMonitor::from_activations(activations, 0.02);
-  std::stringstream buffer;
-  mon.save(buffer);
-  const DiffMonitor restored = DiffMonitor::load(buffer);
-  ASSERT_EQ(restored.dimensions(), mon.dimensions());
-  ASSERT_EQ(restored.diff_bounds().size(), mon.diff_bounds().size());
-  for (std::size_t i = 0; i < mon.diff_bounds().size(); ++i) {
-    EXPECT_DOUBLE_EQ(restored.diff_bounds()[i].lo, mon.diff_bounds()[i].lo);
-    EXPECT_DOUBLE_EQ(restored.diff_bounds()[i].hi, mon.diff_bounds()[i].hi);
-  }
 }
 
 TEST(DiffMonitor, ScalarActivationsHaveNoDiffBounds) {

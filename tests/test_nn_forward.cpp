@@ -2,7 +2,6 @@
 // values, plus network composition (prefix / suffix) semantics.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
 
 #include "common/check.hpp"
@@ -36,20 +35,13 @@ TEST(Dense, RejectsBadParameterShapes) {
                ContractViolation);
 }
 
-TEST(Activations, ReluSigmoidTanh) {
+TEST(Activations, Relu) {
   const Tensor x = Tensor::vector1d({-2.0, 0.0, 3.0});
   const ReLU relu(Shape{3});
-  const Sigmoid sigmoid(Shape{3});
-  const Tanh tanh_layer(Shape{3});
   const Tensor yr = relu.forward(x);
   EXPECT_DOUBLE_EQ(yr[0], 0.0);
   EXPECT_DOUBLE_EQ(yr[1], 0.0);
   EXPECT_DOUBLE_EQ(yr[2], 3.0);
-  const Tensor ys = sigmoid.forward(x);
-  EXPECT_NEAR(ys[1], 0.5, 1e-12);
-  EXPECT_NEAR(ys[2], 1.0 / (1.0 + std::exp(-3.0)), 1e-12);
-  const Tensor yt = tanh_layer.forward(x);
-  EXPECT_NEAR(yt[0], std::tanh(-2.0), 1e-12);
 }
 
 TEST(BatchNorm, InferenceIsFrozenAffine) {
@@ -162,15 +154,6 @@ TEST(Network, PrefixSuffixComposition) {
   }
 }
 
-TEST(Network, AllLayerOutputsMatchPrefixes) {
-  const Network net = make_two_layer_net();
-  const Tensor x = Tensor::vector1d({-1.0, 0.5});
-  const std::vector<Tensor> outs = net.all_layer_outputs(x);
-  ASSERT_EQ(outs.size(), net.layer_count());
-  for (std::size_t l = 1; l <= net.layer_count(); ++l)
-    EXPECT_EQ(max_abs_diff(outs[l - 1], net.forward_prefix(x, l)), 0.0);
-}
-
 TEST(Network, AddRejectsIncompatibleLayer) {
   Network net;
   net.add(std::make_unique<Dense>(2, 3));
@@ -185,19 +168,6 @@ TEST(Network, CloneIsDeepAndEquivalent) {
   // Mutating the copy must not affect the original.
   static_cast<Dense&>(copy.layer(0)).set_parameters(Tensor(Shape{2, 2}), Tensor(Shape{2}));
   EXPECT_GT(max_abs_diff(net.forward(x), copy.forward(x)), 0.0);
-}
-
-TEST(Network, ClonePrefixSuffixPartition) {
-  Network net = make_two_layer_net();
-  const Tensor x = Tensor::vector1d({2.0, -1.0});
-  for (std::size_t l = 0; l <= net.layer_count(); ++l) {
-    Network prefix = net.clone_prefix(l);
-    Network suffix = net.clone_suffix(l);
-    Tensor v = x;
-    if (prefix.layer_count() > 0) v = prefix.forward(v);
-    if (suffix.layer_count() > 0) v = suffix.forward(v);
-    EXPECT_NEAR(v[0], net.forward(x)[0], 1e-12);
-  }
 }
 
 TEST(Network, EmptyNetworkShapeQueriesThrow) {

@@ -40,11 +40,11 @@ Network make_mixed_network(Rng& rng) {
   bn->set_statistics(Tensor::vector1d({0.2, -0.3, 0.0, 0.1}),
                      Tensor::vector1d({1.0, 2.0, 0.5, 1.2}));
   net.add(std::move(bn));
-  net.add(std::make_unique<Tanh>(Shape{4}));
+  net.add(std::make_unique<ReLU>(Shape{4}));
   auto out = std::make_unique<Dense>(4, 2);
   out->init_he(rng);
   net.add(std::move(out));
-  net.add(std::make_unique<Sigmoid>(Shape{2}));
+  net.add(std::make_unique<ReLU>(Shape{2}));
   return net;
 }
 
@@ -119,6 +119,29 @@ TEST(Fingerprint, StableAcrossSerializationRoundTrip) {
         << "from layer " << from;
 }
 
+TEST(Fingerprint, PinnedForAFixedTail) {
+  // Delta bundles and checkpoints persist tail fingerprints, and the
+  // fingerprint hashes each layer's LayerKind value: this tail must keep
+  // the value every earlier build computed. Every parameter is a short
+  // dyadic and var + eps a perfect square, so the BatchNorm effective
+  // scale and shift are exact in any build.
+  Network tail;
+  auto d1 = std::make_unique<Dense>(2, 3);
+  d1->set_parameters(Tensor(Shape{3, 2}, {0.5, -1.0, 0.25, 2.0, -0.75, 1.25}),
+                     Tensor::vector1d({0.125, -0.25, 0.375}));
+  tail.add(std::move(d1));
+  auto bn = std::make_unique<BatchNorm>(3, /*eps=*/0.0625);
+  bn->set_affine(Tensor::vector1d({1.5, -0.5, 2.0}), Tensor::vector1d({0.25, -0.125, 0.0}));
+  bn->set_statistics(Tensor::vector1d({0.25, -1.0, 0.5}),
+                     Tensor::vector1d({0.9375, 3.9375, 0.1875}));
+  tail.add(std::move(bn));
+  tail.add(std::make_unique<ReLU>(Shape{3}));
+  auto d2 = std::make_unique<Dense>(3, 1);
+  d2->set_parameters(Tensor(Shape{1, 3}, {1.0, -2.0, 0.5}), Tensor::vector1d({0.0625}));
+  tail.add(std::move(d2));
+  EXPECT_EQ(verify::tail_fingerprint(tail, 0), std::size_t{17259809853654068071ull});
+}
+
 TEST(Fingerprint, EpsilonWeightChangeAltersFingerprintAndVersionedKey) {
   Rng rng(31);
   Network original = make_mixed_network(rng);
@@ -182,12 +205,14 @@ TEST(Serialize, RejectsMalformedDimensionsBeforeAllocating) {
   // count; an oversized one allocated its zero tensors (10^10 weights
   // here) before any weight was read; dimension products and padded
   // extents could wrap. Each is now a ContractViolation raised before
-  // the layer is constructed.
+  // the layer is constructed. The leakyrelu, sigmoid and tanh records
+  // name layer kinds the library does not have.
   for (const char* layer : {"dense -1 2\n", "conv2d 1 8 8 -1 3 1 1\n",
                             "batchnorm -1 1e-5\n", "relu 4 -1 2 2 2\n",
                             "dense 100000 100000\n1 2 3\n",
                             "flatten 2 4294967296 4294967296\n",
-                            "conv2d 1 8 8 1 1 1 9223372036854775807\n"}) {
+                            "conv2d 1 8 8 1 1 1 9223372036854775807\n",
+                            "leakyrelu 0.1 1 4\n", "sigmoid 1 4\n", "tanh 1 4\n"}) {
     std::stringstream buffer(std::string("dpv-network 1\nlayers 1\n") + layer);
     EXPECT_THROW(load(buffer), ContractViolation) << layer;
   }

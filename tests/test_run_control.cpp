@@ -62,7 +62,6 @@ TEST(RunControlToken, DeadlineSemantics) {
   RunControl future;
   future.set_deadline_after(3600.0);
   EXPECT_FALSE(future.expired());
-  EXPECT_GT(future.remaining_seconds(), 3000.0);
 }
 
 TEST(RunControlToken, ParentChainPropagatesOneWay) {

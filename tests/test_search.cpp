@@ -235,10 +235,18 @@ TEST(WorkStealingFrontier, WideTreeProcessesEveryNodeExactlyOnce) {
 
 // -------------------------------------------------------- pseudocosts
 
+/// One (variable, direction)'s statistics, read through the snapshot the
+/// branching rule reads.
+search::PseudocostTable::DirectionStats direction(const search::PseudocostTable& table,
+                                                  std::size_t var, bool up) {
+  const auto both = table.snapshot({var}).front();
+  return up ? both.second : both.first;
+}
+
 TEST(PseudocostTable, BookkeepingMatchesHandComputedValues) {
   search::PseudocostTable table(3);
-  EXPECT_EQ(table.observations(1, true), 0u);
-  EXPECT_DOUBLE_EQ(table.average_gain(1, true), 0.0);
+  EXPECT_EQ(direction(table, 1, true).observations(), 0u);
+  EXPECT_DOUBLE_EQ(direction(table, 1, true).average_gain(), 0.0);
   EXPECT_DOUBLE_EQ(table.global_average_gain(), 0.0);
 
   table.record(1, true, 2.0);
@@ -247,14 +255,14 @@ TEST(PseudocostTable, BookkeepingMatchesHandComputedValues) {
   table.record(1, false, 1.0);
   table.record_infeasible(2, false);
 
-  EXPECT_EQ(table.observations(1, true), 3u);
-  EXPECT_DOUBLE_EQ(table.average_gain(1, true), 3.0);     // (2 + 4) / 2
-  EXPECT_DOUBLE_EQ(table.infeasible_rate(1, true), 1.0 / 3.0);
-  EXPECT_EQ(table.observations(1, false), 1u);
-  EXPECT_DOUBLE_EQ(table.average_gain(1, false), 1.0);
-  EXPECT_DOUBLE_EQ(table.infeasible_rate(1, false), 0.0);
-  EXPECT_EQ(table.observations(2, false), 1u);
-  EXPECT_DOUBLE_EQ(table.infeasible_rate(2, false), 1.0);
+  EXPECT_EQ(direction(table, 1, true).observations(), 3u);
+  EXPECT_DOUBLE_EQ(direction(table, 1, true).average_gain(), 3.0);  // (2 + 4) / 2
+  EXPECT_DOUBLE_EQ(direction(table, 1, true).infeasible_rate(), 1.0 / 3.0);
+  EXPECT_EQ(direction(table, 1, false).observations(), 1u);
+  EXPECT_DOUBLE_EQ(direction(table, 1, false).average_gain(), 1.0);
+  EXPECT_DOUBLE_EQ(direction(table, 1, false).infeasible_rate(), 0.0);
+  EXPECT_EQ(direction(table, 2, false).observations(), 1u);
+  EXPECT_DOUBLE_EQ(direction(table, 2, false).infeasible_rate(), 1.0);
   // Global mean over the 3 solved observations: (2 + 4 + 1) / 3.
   EXPECT_DOUBLE_EQ(table.global_average_gain(), 7.0 / 3.0);
 }
@@ -290,15 +298,15 @@ TEST(PseudocostRule, ReliabilityProbesRecordHandComputedDegradations) {
   ctx.pseudocosts = &table;
   EXPECT_EQ(search::decide_branch(ctx).var, b0);
 
-  EXPECT_EQ(table.observations(b0, false), 1u);
-  EXPECT_EQ(table.observations(b0, true), 1u);
-  EXPECT_NEAR(table.average_gain(b0, false), 2.0, kTol);
-  EXPECT_NEAR(table.average_gain(b0, true), 0.0, kTol);
-  EXPECT_DOUBLE_EQ(table.infeasible_rate(b0, false), 0.0);
-  EXPECT_DOUBLE_EQ(table.infeasible_rate(b0, true), 0.0);
+  EXPECT_EQ(direction(table, b0, false).observations(), 1u);
+  EXPECT_EQ(direction(table, b0, true).observations(), 1u);
+  EXPECT_NEAR(direction(table, b0, false).average_gain(), 2.0, kTol);
+  EXPECT_NEAR(direction(table, b0, true).average_gain(), 0.0, kTol);
+  EXPECT_DOUBLE_EQ(direction(table, b0, false).infeasible_rate(), 0.0);
+  EXPECT_DOUBLE_EQ(direction(table, b0, true).infeasible_rate(), 0.0);
   // b1 was integral at the node: never probed.
-  EXPECT_EQ(table.observations(b1, false), 0u);
-  EXPECT_EQ(table.observations(b1, true), 0u);
+  EXPECT_EQ(direction(table, b1, false).observations(), 0u);
+  EXPECT_EQ(direction(table, b1, true).observations(), 0u);
 }
 
 TEST(PseudocostRule, InfeasibleProbeChildrenAreRecorded) {
@@ -336,9 +344,9 @@ TEST(PseudocostRule, InfeasibleProbeChildrenAreRecorded) {
   ASSERT_TRUE(decision.have_down_bound);
   EXPECT_NEAR(decision.down_bound, 0.0, kTol);
 
-  EXPECT_NEAR(table.average_gain(b0, false), 1.0, kTol);
-  EXPECT_DOUBLE_EQ(table.infeasible_rate(b0, true), 1.0);
-  EXPECT_EQ(table.observations(b0, true), 1u);
+  EXPECT_NEAR(direction(table, b0, false).average_gain(), 1.0, kTol);
+  EXPECT_DOUBLE_EQ(direction(table, b0, true).infeasible_rate(), 1.0);
+  EXPECT_EQ(direction(table, b0, true).observations(), 1u);
 }
 
 // -------------------------------------------------- verdict parity

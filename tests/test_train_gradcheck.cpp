@@ -15,11 +15,15 @@
 #include "nn/flatten.hpp"
 #include "nn/network.hpp"
 #include "nn/pool2d.hpp"
-#include "train/gradcheck.hpp"
+#include "gradcheck.hpp"
 #include "train/loss.hpp"
 
 namespace dpv::train {
 namespace {
+
+using gradcheck::check_input_gradients;
+using gradcheck::check_parameter_gradients;
+using gradcheck::GradCheckResult;
 
 constexpr double kRelTol = 2e-4;
 
@@ -50,19 +54,23 @@ nn::Network build_dense_relu_dense(Rng& rng) {
   return net;
 }
 
-nn::Network build_sigmoid_tanh(Rng& rng) {
+/// He-initialized weights and random biases: with He's zero biases, a
+/// layer whose inputs are all dead ReLUs would sit exactly on the next
+/// ReLU's kink, where central differences see half a slope.
+std::unique_ptr<nn::Dense> biased_dense(std::size_t in, std::size_t out, Rng& rng) {
+  auto d = std::make_unique<nn::Dense>(in, out);
+  d->init_he(rng);
+  d->set_parameters(d->weight(), Tensor::randn(Shape{out}, rng, 0.5));
+  return d;
+}
+
+nn::Network build_two_relu_layers(Rng& rng) {
   nn::Network net;
-  auto d1 = std::make_unique<nn::Dense>(3, 4);
-  d1->init_he(rng);
-  net.add(std::move(d1));
-  net.add(std::make_unique<nn::Sigmoid>(Shape{4}));
-  auto d2 = std::make_unique<nn::Dense>(4, 4);
-  d2->init_he(rng);
-  net.add(std::move(d2));
-  net.add(std::make_unique<nn::Tanh>(Shape{4}));
-  auto d3 = std::make_unique<nn::Dense>(4, 1);
-  d3->init_he(rng);
-  net.add(std::move(d3));
+  net.add(biased_dense(3, 4, rng));
+  net.add(std::make_unique<nn::ReLU>(Shape{4}));
+  net.add(biased_dense(4, 4, rng));
+  net.add(std::make_unique<nn::ReLU>(Shape{4}));
+  net.add(biased_dense(4, 1, rng));
   return net;
 }
 
@@ -102,26 +110,13 @@ nn::Network build_avgpool(Rng& rng) {
   return net;
 }
 
-nn::Network build_leaky(Rng& rng) {
-  nn::Network net;
-  auto d1 = std::make_unique<nn::Dense>(4, 6);
-  d1->init_he(rng);
-  net.add(std::move(d1));
-  net.add(std::make_unique<nn::LeakyReLU>(Shape{6}, 0.1));
-  auto d2 = std::make_unique<nn::Dense>(6, 2);
-  d2->init_he(rng);
-  net.add(std::move(d2));
-  return net;
-}
-
 const GradCase kCases[] = {
     {"dense", &build_dense, Shape{5}},
     {"dense_relu_dense", &build_dense_relu_dense, Shape{4}},
-    {"sigmoid_tanh", &build_sigmoid_tanh, Shape{3}},
+    {"two_relu_layers", &build_two_relu_layers, Shape{3}},
     {"conv_pool", &build_conv_pool, Shape{1, 4, 4}},
     {"conv_stride", &build_conv_stride, Shape{2, 4, 6}},
     {"avgpool", &build_avgpool, Shape{1, 4, 4}},
-    {"leaky_relu", &build_leaky, Shape{4}},
 };
 
 class GradCheckSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -151,7 +146,7 @@ TEST_P(GradCheckSweep, InputGradientsMatchNumerical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLayerKinds, GradCheckSweep,
-                         ::testing::Combine(::testing::Range(0, 7), ::testing::Range(0, 3)));
+                         ::testing::Combine(::testing::Range(0, 6), ::testing::Range(0, 3)));
 
 TEST(GradCheck, BatchNormGradientsThroughBatchStatistics) {
   // BatchNorm couples samples; check its analytic backward by perturbing
@@ -215,20 +210,23 @@ TEST(GradCheck, BceWithLogitsGradient) {
   }
 }
 
+/// The loss of one scalar prediction.
+double loss_value(const Loss& loss, double pred, double target) {
+  return loss.row_value(&pred, &target, 1);
+}
+
 TEST(Loss, BceNumericallyStableAtExtremeLogits) {
   const BceWithLogitsLoss loss;
-  const double big = loss.value(Tensor::vector1d({500.0}), Tensor::vector1d({0.0}));
-  EXPECT_NEAR(big, 500.0, 1e-9);
-  const double small = loss.value(Tensor::vector1d({500.0}), Tensor::vector1d({1.0}));
-  EXPECT_NEAR(small, 0.0, 1e-9);
-  EXPECT_TRUE(std::isfinite(loss.value(Tensor::vector1d({-800.0}), Tensor::vector1d({1.0}))));
+  EXPECT_NEAR(loss_value(loss, 500.0, 0.0), 500.0, 1e-9);
+  EXPECT_NEAR(loss_value(loss, 500.0, 1.0), 0.0, 1e-9);
+  EXPECT_TRUE(std::isfinite(loss_value(loss, -800.0, 1.0)));
 }
 
 TEST(Loss, MseMatchesHandComputation) {
   const MseLoss loss;
-  const double v =
-      loss.value(Tensor::vector1d({1.0, 2.0}), Tensor::vector1d({0.0, 4.0}));
-  EXPECT_DOUBLE_EQ(v, (1.0 + 4.0) / 2.0);
+  const double pred[] = {1.0, 2.0};
+  const double target[] = {0.0, 4.0};
+  EXPECT_DOUBLE_EQ(loss.row_value(pred, target, 2), (1.0 + 4.0) / 2.0);
 }
 
 }  // namespace

@@ -1,20 +1,15 @@
-// Tests for the output-range analysis API, the characterizer threshold
-// chooser, and LeakyReLU support across the stack (forward, gradients via
-// the shared sweep elsewhere, serialization, box/symbolic domains, MILP
-// encoding).
+// Tests for the output-range analysis API, and for random ReLU tails
+// through the box and symbolic domains and the MILP verifier.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 
 #include "absint/box_domain.hpp"
 #include "absint/linear_bounds.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "core/threshold.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
-#include "nn/serialize.hpp"
 #include "verify/range_analysis.hpp"
 #include "verify/verifier.hpp"
 
@@ -108,104 +103,13 @@ TEST(RangeAnalysis, RejectsBadArguments) {
   EXPECT_THROW(verify::output_functional_range(q, {0.0}), ContractViolation);
 }
 
-/// Identity "perception": features are the inputs themselves.
-nn::Network make_identity_net() {
-  nn::Network net;
-  auto d = std::make_unique<nn::Dense>(1, 1);
-  d->set_parameters(Tensor(Shape{1, 1}, {1.0}), Tensor::vector1d({0.0}));
-  net.add(std::move(d));
-  return net;
-}
-
-TEST(ThresholdChoice, RespectsGammaBudget) {
-  // Characterizer logit = x; positives at x = 0.1..1.0, negatives below.
-  const nn::Network perception = make_identity_net();
-  const nn::Network charac = make_identity_net();
-  train::Dataset data;
-  for (int i = 1; i <= 10; ++i)
-    data.add(Tensor::vector1d({0.1 * i}), Tensor::vector1d({1.0}));
-  for (int i = 1; i <= 10; ++i)
-    data.add(Tensor::vector1d({-0.1 * i}), Tensor::vector1d({0.0}));
-
-  // Budget 0: threshold must keep every positive (smallest positive logit).
-  const core::ThresholdChoice strict =
-      core::choose_characterizer_threshold(perception, 1, charac, data, 0.0);
-  EXPECT_NEAR(strict.threshold, 0.1, 1e-9);
-  EXPECT_DOUBLE_EQ(strict.gamma, 0.0);
-  EXPECT_DOUBLE_EQ(strict.beta, 0.0);
-
-  // Budget 0.1 (= 2 of 20 samples): may sacrifice the two lowest
-  // positives, raising the threshold to the third.
-  const core::ThresholdChoice relaxed =
-      core::choose_characterizer_threshold(perception, 1, charac, data, 0.1);
-  EXPECT_NEAR(relaxed.threshold, 0.3, 1e-9);
-  EXPECT_NEAR(relaxed.gamma, 0.1, 1e-9);
-  EXPECT_GE(relaxed.threshold, strict.threshold);
-}
-
-TEST(ThresholdChoice, OverlappingClassesTradeGammaForBeta) {
-  const nn::Network perception = make_identity_net();
-  const nn::Network charac = make_identity_net();
-  train::Dataset data;
-  // Positives at {0.2, 0.4, 0.6}, negatives at {0.3, 0.5}: overlap.
-  for (const double v : {0.2, 0.4, 0.6}) data.add(Tensor::vector1d({v}), Tensor::vector1d({1.0}));
-  for (const double v : {0.3, 0.5}) data.add(Tensor::vector1d({v}), Tensor::vector1d({0.0}));
-  const core::ThresholdChoice zero =
-      core::choose_characterizer_threshold(perception, 1, charac, data, 0.0);
-  EXPECT_NEAR(zero.threshold, 0.2, 1e-9);
-  EXPECT_DOUBLE_EQ(zero.beta, 0.4);  // both negatives admitted
-  const core::ThresholdChoice one_miss =
-      core::choose_characterizer_threshold(perception, 1, charac, data, 0.2);
-  EXPECT_NEAR(one_miss.threshold, 0.4, 1e-9);
-  EXPECT_DOUBLE_EQ(one_miss.beta, 0.2);  // only the 0.5 negative remains
-}
-
-TEST(ThresholdChoice, ValidatesArguments) {
-  const nn::Network perception = make_identity_net();
-  const nn::Network charac = make_identity_net();
-  train::Dataset empty;
-  EXPECT_THROW(core::choose_characterizer_threshold(perception, 1, charac, empty, 0.1),
-               ContractViolation);
-  train::Dataset negatives_only;
-  negatives_only.add(Tensor::vector1d({0.0}), Tensor::vector1d({0.0}));
-  EXPECT_THROW(
-      core::choose_characterizer_threshold(perception, 1, charac, negatives_only, 0.1),
-      ContractViolation);
-}
-
-TEST(LeakyReLU, ForwardAndClone) {
-  nn::LeakyReLU layer(Shape{3}, 0.1);
-  const Tensor y = layer.forward(Tensor::vector1d({-2.0, 0.0, 3.0}));
-  EXPECT_DOUBLE_EQ(y[0], -0.2);
-  EXPECT_DOUBLE_EQ(y[1], 0.0);
-  EXPECT_DOUBLE_EQ(y[2], 3.0);
-  auto copy = layer.clone();
-  EXPECT_EQ(copy->kind(), nn::LayerKind::kLeakyReLU);
-  EXPECT_THROW(nn::LeakyReLU(Shape{1}, 1.5), ContractViolation);
-}
-
-TEST(LeakyReLU, SerializationRoundTrip) {
-  Rng rng(7);
-  nn::Network net;
-  auto d = std::make_unique<nn::Dense>(3, 3);
-  d->init_he(rng);
-  net.add(std::move(d));
-  net.add(std::make_unique<nn::LeakyReLU>(Shape{3}, 0.05));
-  std::stringstream buffer;
-  nn::save(net, buffer);
-  nn::Network restored = nn::load(buffer);
-  const Tensor x = Tensor::vector1d({-1.0, 0.5, 2.0});
-  for (std::size_t i = 0; i < 3; ++i)
-    EXPECT_DOUBLE_EQ(net.forward(x)[i], restored.forward(x)[i]);
-}
-
-TEST(LeakyReLU, BoxAndSymbolicSoundness) {
+TEST(ReluTail, BoxAndSymbolicSoundness) {
   Rng rng(9);
   nn::Network net;
   auto d1 = std::make_unique<nn::Dense>(3, 5);
   d1->init_he(rng);
   net.add(std::move(d1));
-  net.add(std::make_unique<nn::LeakyReLU>(Shape{5}, 0.1));
+  net.add(std::make_unique<nn::ReLU>(Shape{5}));
   auto d2 = std::make_unique<nn::Dense>(5, 2);
   d2->init_he(rng);
   net.add(std::move(d2));
@@ -231,15 +135,15 @@ TEST(LeakyReLU, BoxAndSymbolicSoundness) {
             absint::box_total_width(via_box) + 1e-9);
 }
 
-class LeakyVerifierSweep : public ::testing::TestWithParam<int> {};
+class ReluTailVerifierSweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(LeakyVerifierSweep, VerdictAgreesWithSampling) {
+TEST_P(ReluTailVerifierSweep, VerdictAgreesWithSampling) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 449 + 13);
   nn::Network net;
   auto d1 = std::make_unique<nn::Dense>(3, 5);
   d1->init_he(rng);
   net.add(std::move(d1));
-  net.add(std::make_unique<nn::LeakyReLU>(Shape{5}, 0.1));
+  net.add(std::make_unique<nn::ReLU>(Shape{5}));
   auto d2 = std::make_unique<nn::Dense>(5, 1);
   d2->init_he(rng);
   net.add(std::move(d2));
@@ -271,7 +175,7 @@ TEST_P(LeakyVerifierSweep, VerdictAgreesWithSampling) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomLeakyTails, LeakyVerifierSweep, ::testing::Range(0, 12));
+INSTANTIATE_TEST_SUITE_P(RandomReluTails, ReluTailVerifierSweep, ::testing::Range(0, 12));
 
 }  // namespace
 }  // namespace dpv

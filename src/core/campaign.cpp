@@ -159,6 +159,8 @@ std::string CampaignReport::format_encoding_summary() const {
   if (cuts_added > 0 || cut_rounds > 0) {
     out << "; cuts: " << cuts_added << " added over " << cut_rounds
         << " root rounds, " << milp_nodes << " B&B nodes total";
+    if (solver_totals.root_warm_starts > 0)
+      out << ", " << solver_totals.root_warm_starts << " root LPs warm-started";
   }
   // Staged-pipeline funnel: only when the falsify pipeline actually ran
   // (a falsify-off campaign reads exactly as before).

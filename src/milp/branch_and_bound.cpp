@@ -70,6 +70,7 @@ class Worker {
   solver::SolverStats stats() const {
     solver::SolverStats stats = solver::simplex_stats(simplex_);
     stats.sibling_batches = sibling_batches_;
+    stats.root_warm_starts = root_warm_starts_;
     return stats;
   }
 
@@ -137,6 +138,9 @@ class Worker {
                                 : node.parent_basis
                                     ? simplex_.resolve(*node.parent_basis)
                                     : simplex_.solve();
+      if (node.branch_var == search::kNoBranchVariable && node.parent_basis &&
+          simplex_.last_resolve_was_warm())
+        ++root_warm_starts_;
 
       // Feed the pseudocost table with this child's actual outcome —
       // degradation statistics learned for free from solves the search
@@ -416,6 +420,7 @@ class Worker {
   lp::RevisedSimplex simplex_;
   std::vector<std::size_t> overridden_;
   std::size_t sibling_batches_ = 0;
+  std::size_t root_warm_starts_ = 0;
 };
 
 }  // namespace
@@ -450,9 +455,21 @@ MilpResult BranchAndBoundSolver::solve(const MilpProblem& problem) const {
       working.add_rows(std::move(injected));
       cuts_recycled = options.cuts.initial_cuts->size();
     }
-    if (root_cuts_enabled)
+    if (root_cuts_enabled) {
+      // Round 0 starts from the caller's root basis when it covers
+      // exactly this problem's columns and rows; the injected cuts'
+      // logicals pad it.
+      lp::SimplexBasis start;
+      const lp::SimplexBasis* stored = options.cuts.root_basis;
+      const std::size_t n = problem.relaxation().variable_count();
+      const std::size_t m = problem.relaxation().row_count();
+      if (stored != nullptr && stored->basic.size() == m && stored->at_upper.size() == n + m) {
+        start = *stored;
+        cuts::pad_basis(start, n, working.relaxation().row_count());
+      }
       root_cuts = cuts::run_root_cuts(working, options.cuts, options.lp_options,
-                                      options.integrality_tolerance);
+                                      options.integrality_tolerance, std::move(start));
+    }
     // Injected rows count as live cuts from here on: the harvest window
     // below and the provenance list both cover them (injected sources
     // first — row order in the problem).
@@ -474,7 +491,12 @@ MilpResult BranchAndBoundSolver::solve(const MilpProblem& problem) const {
 
   SharedSearch shared;
   search::ParallelFrontier frontier(thread_count, minimize);
-  frontier.push(0, SearchNode{});  // root: id 0, no fixings, no bound yet
+  // Root: id 0, no fixings, no bound yet; warm from the basis the cut
+  // loop stopped on.
+  SearchNode root;
+  if (!root_cuts.basis.empty())
+    root.parent_basis = std::make_shared<const lp::SimplexBasis>(std::move(root_cuts.basis));
+  frontier.push(0, std::move(root));
 
   // One shared pseudocost table: every worker's child re-solves feed
   // it, so learning crosses worker boundaries.
@@ -521,6 +543,12 @@ MilpResult BranchAndBoundSolver::solve(const MilpProblem& problem) const {
           k < root_cuts.live_sources.size() ? root_cuts.live_sources[k] : "";
       result.root_cut_rows.push_back({rows[first + k], 0.0, source});
     }
+  }
+  if (options.cuts.harvest_root_cuts) {
+    result.root_basis = std::move(root_cuts.first_basis);
+    if (!cuts::truncate_basis(result.root_basis, problem.relaxation().variable_count(),
+                              problem.relaxation().row_count()))
+      result.root_basis = {};
   }
   if (options.export_pseudocosts) result.pseudocost_snapshot = pseudocosts.snapshot_all();
   if (shared.have_incumbent) {

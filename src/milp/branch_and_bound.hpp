@@ -40,7 +40,9 @@
 // When `options.cuts` enables it, the search is preceded by root-node
 // cutting-plane rounds (ReLU-split + Gomory, see src/milp/cuts/) on a
 // working copy of the problem; cut rows persist for the whole search,
-// so every warm-started node re-solve benefits from them.
+// so every warm-started node re-solve benefits from them. The search's
+// root node starts from the basis the cut loop stopped on instead of
+// solving the root LP cold a second time.
 #pragma once
 
 #include <cstddef>
@@ -100,6 +102,14 @@ struct MilpResult {
   std::vector<double> frontier_values;
   /// Rows injected from options.cuts.initial_cuts (the recycled pool).
   std::size_t cuts_recycled = 0;
+  /// The basis round 0 of the root cut loop stopped on (optimal, or
+  /// proving the root LP infeasible) over the structural columns and the
+  /// problem's own rows, injected cut rows dropped
+  /// (cuts::truncate_basis); populated when
+  /// options.cuts.harvest_root_cuts and round 0 solved, empty when an
+  /// injected cut's logical was nonbasic. Delta re-certification stores
+  /// it as the next run's options.cuts.root_basis.
+  lp::SimplexBasis root_basis;
   /// Live root cuts on return (injected + separated, post aging);
   /// populated when options.cuts.harvest_root_cuts. Rows reference the
   /// solved problem's variable indices; `source` carries the generator

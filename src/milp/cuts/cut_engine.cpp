@@ -128,9 +128,26 @@ bool row_binding(const lp::Row& row, const std::vector<double>& values) {
 
 }  // namespace
 
+void pad_basis(lp::SimplexBasis& basis, std::size_t structural, std::size_t rows) {
+  for (std::size_t i = basis.basic.size(); i < rows; ++i)
+    basis.basic.push_back(static_cast<std::int32_t>(structural + i));
+  basis.at_upper.resize(structural + rows, 0);
+}
+
+bool truncate_basis(lp::SimplexBasis& basis, std::size_t structural, std::size_t rows) {
+  const std::size_t first_cut = structural + rows;
+  std::size_t kept = 0;
+  for (const std::int32_t b : basis.basic)
+    if (static_cast<std::size_t>(b) < first_cut) basis.basic[kept++] = b;
+  if (kept != rows) return false;
+  basis.basic.resize(rows);
+  basis.at_upper.resize(first_cut);
+  return true;
+}
+
 RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
                             const lp::SimplexOptions& lp_options,
-                            double integrality_tolerance) {
+                            double integrality_tolerance, lp::SimplexBasis start) {
   RootCutReport report;
   if (options.root_rounds == 0 || problem.binary_variables().empty()) return report;
 
@@ -142,11 +159,16 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
   const std::size_t n = problem.relaxation().variable_count();
   const std::size_t base_rows = problem.relaxation().row_count();
   std::unordered_set<std::size_t> seen;
-  // Incumbent basis carried across rounds (warm_root), padded each round
-  // with the appended cut rows' logicals: the grown basis is block
-  // triangular ([B 0; C -I]) and keeps the old duals, so it stays valid
-  // and dual feasible — the dual simplex only repairs the violated cuts.
-  lp::SimplexBasis basis;
+  // Incumbent basis carried across rounds, padded each round with the
+  // appended cut rows' logicals: the grown basis is block triangular
+  // ([B 0; C -I]) and keeps the old duals, so it stays valid and dual
+  // feasible — the dual simplex only repairs the violated cuts. Round 0
+  // starts from `start` (cold when it is empty or does not fit).
+  lp::SimplexBasis basis = std::move(start);
+  // True while the simplex holds the optimal or infeasible basis of the
+  // problem as it stands (no row added or removed since the last solve).
+  bool solved = false;
+  bool warm_round0 = false;
   // Consecutive non-binding rounds per live cut row (problem row
   // base_rows + k), for aging, and each live row's generator — kept in
   // lockstep so the final report can attribute every surviving cut.
@@ -162,13 +184,20 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
       break;
     }
     simplex.load(problem.relaxation());
-    // Cold while `basis` is empty: the first round, or warm_root off.
     const lp::LpSolution lp = simplex.resolve(basis);
+    if (round == 0) warm_round0 = simplex.last_resolve_was_warm();
     if (lp.status == lp::SolveStatus::kDeadline) {
       report.deadline_expired = true;
       break;
     }
-    if (lp.status != lp::SolveStatus::kOptimal) break;  // infeasible/limit: search decides
+    if (lp.status != lp::SolveStatus::kOptimal && lp.status != lp::SolveStatus::kInfeasible)
+      break;  // iteration limit: the search decides
+    // The simplex holds the basis this solve stopped on: the optimum, or
+    // the basis whose row proved the LP infeasible (a warm start from it
+    // re-proves that at once).
+    solved = true;
+    if (round == 0) report.first_basis = simplex.capture_basis();
+    if (lp.status == lp::SolveStatus::kInfeasible) break;
     bool fractional = false;
     for (const std::size_t b : problem.binary_variables()) {
       if (std::abs(lp.values[b] - std::round(lp.values[b])) > integrality_tolerance) {
@@ -207,20 +236,16 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
 
     if (kept.empty() && drop.empty()) break;  // separation dried up
 
-    basis = options.warm_root ? simplex.capture_basis() : lp::SimplexBasis{};
+    basis = simplex.capture_basis();
 
-    // With a live basis, only drop rows whose logical is basic (the
-    // expected case for a non-binding cut); anything else would leave
-    // the snapshot unusable and force a cold solve.
-    std::vector<std::uint8_t> is_basic;
-    if (!basis.empty()) {
-      is_basic.assign(n + basis.basic.size(), 0);
-      for (const std::int32_t b : basis.basic) is_basic[static_cast<std::size_t>(b)] = 1;
-    }
+    // Only drop rows whose logical is basic (the expected case for a
+    // non-binding cut); anything else would leave the basis unusable.
+    std::vector<std::uint8_t> is_basic(n + basis.basic.size(), 0);
+    for (const std::int32_t b : basis.basic) is_basic[static_cast<std::size_t>(b)] = 1;
     std::vector<std::uint8_t> removed(ages.size(), 0);
     std::vector<std::size_t> drop_rows;
     for (const std::size_t k : drop) {
-      if (!basis.empty() && !is_basic[n + base_rows + k]) continue;
+      if (!is_basic[n + base_rows + k]) continue;
       removed[k] = 1;
       drop_rows.push_back(base_rows + k);
     }
@@ -228,6 +253,7 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
     // found nothing and no row is actually removable, further rounds
     // would re-solve and re-separate to no effect.
     if (kept.empty() && drop_rows.empty()) break;
+    solved = false;
 
     if (!drop_rows.empty()) {
       problem.remove_rows(drop_rows);
@@ -235,36 +261,34 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
       const auto row_gone = [&](std::size_t i) {
         return i >= base_rows && i < base_rows + removed.size() && removed[i - base_rows];
       };
-      if (!basis.empty()) {
-        // Re-index: structural columns keep their ids; logical n + i
-        // maps to n + (i minus removed rows before i), dropped
-        // logicals leave the basis with their row.
-        const std::size_t old_m = basis.basic.size();
-        std::vector<std::size_t> shift(old_m, 0);
-        std::size_t dropped = 0;
-        for (std::size_t i = 0; i < old_m; ++i) {
-          if (row_gone(i)) ++dropped;
-          shift[i] = dropped;
-        }
-        lp::SimplexBasis fixed;
-        for (const std::int32_t b : basis.basic) {
-          const std::size_t j = static_cast<std::size_t>(b);
-          if (j < n) {
-            fixed.basic.push_back(b);
-            continue;
-          }
-          const std::size_t i = j - n;
-          if (row_gone(i)) continue;
-          fixed.basic.push_back(static_cast<std::int32_t>(n + i - shift[i]));
-        }
-        fixed.at_upper.assign(n + old_m - dropped, 0);
-        for (std::size_t j = 0; j < n; ++j) fixed.at_upper[j] = basis.at_upper[j];
-        for (std::size_t i = 0; i < old_m; ++i) {
-          if (row_gone(i)) continue;
-          fixed.at_upper[n + i - shift[i]] = basis.at_upper[n + i];
-        }
-        basis = std::move(fixed);
+      // Re-index: structural columns keep their ids; logical n + i maps
+      // to n + (i minus removed rows before i), dropped logicals leave
+      // the basis with their row.
+      const std::size_t old_m = basis.basic.size();
+      std::vector<std::size_t> shift(old_m, 0);
+      std::size_t dropped = 0;
+      for (std::size_t i = 0; i < old_m; ++i) {
+        if (row_gone(i)) ++dropped;
+        shift[i] = dropped;
       }
+      lp::SimplexBasis fixed;
+      for (const std::int32_t b : basis.basic) {
+        const std::size_t j = static_cast<std::size_t>(b);
+        if (j < n) {
+          fixed.basic.push_back(b);
+          continue;
+        }
+        const std::size_t i = j - n;
+        if (row_gone(i)) continue;
+        fixed.basic.push_back(static_cast<std::int32_t>(n + i - shift[i]));
+      }
+      fixed.at_upper.assign(n + old_m - dropped, 0);
+      for (std::size_t j = 0; j < n; ++j) fixed.at_upper[j] = basis.at_upper[j];
+      for (std::size_t i = 0; i < old_m; ++i) {
+        if (row_gone(i)) continue;
+        fixed.at_upper[n + i - shift[i]] = basis.at_upper[n + i];
+      }
+      basis = std::move(fixed);
       std::vector<std::size_t> survivors;
       std::vector<const char*> surviving_sources;
       for (std::size_t k = 0; k < ages.size(); ++k) {
@@ -286,21 +310,21 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
         rows.push_back(std::move(cut.row));
         sources.push_back(cut.source);
       }
-      if (!basis.empty()) {
-        // Pad the snapshot: each appended row's logical enters basic.
-        const std::size_t m_before = basis.basic.size();
-        for (std::size_t k = 0; k < rows.size(); ++k)
-          basis.basic.push_back(static_cast<std::int32_t>(n + m_before + k));
-        basis.at_upper.insert(basis.at_upper.end(), rows.size(), 0);
-      }
       report.cuts_added += rows.size();
       ages.insert(ages.end(), rows.size(), 0);
       problem.add_rows(std::move(rows));
+      // Each appended row's logical enters basic.
+      pad_basis(basis, n, problem.relaxation().row_count());
     }
   }
+  // The search's root starts where the loop stopped: the last solve's
+  // basis when the problem did not change after it, else `basis`, which
+  // already covers every row appended since.
+  report.basis = solved ? simplex.capture_basis() : std::move(basis);
   report.cuts_live = ages.size();
   report.live_sources = std::move(sources);
   report.solver_stats = solver::simplex_stats(simplex);
+  report.solver_stats.root_warm_starts = warm_round0 ? 1 : 0;
   report.warm_rounds = report.solver_stats.warm_hits;
   return report;
 }

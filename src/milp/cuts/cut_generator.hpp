@@ -45,11 +45,6 @@ inline constexpr double kMinCutViolation = 1e-4;
 struct CutOptions {
   /// Separation rounds at the root node (0 disables the engine).
   std::size_t root_rounds = 0;
-  /// Warm-start the root separation loop: re-solve each round from the
-  /// previous round's optimal basis padded with the new cut rows'
-  /// logicals (the dual simplex then only repairs the violated cuts)
-  /// instead of solving the grown row set cold.
-  bool warm_root = true;
   /// Age out a root cut after this many consecutive rounds of not being
   /// binding at the separation optimum (0 keeps every cut forever).
   /// Aged-out rows are removed from the problem before the search, so
@@ -65,9 +60,17 @@ struct CutOptions {
   /// of recycling. Injection works with `root_rounds == 0` too (inject
   /// without separating). Not owned; must outlive the solve.
   const std::vector<Cut>* initial_cuts = nullptr;
+  /// Round-0 warm start of the separation loop: a basis over the
+  /// problem's structural columns and its own rows (no cut rows), padded
+  /// with the injected cuts' logicals before use. Delta
+  /// re-certification stores the previous run's MilpResult::root_basis
+  /// here. A warm start only: the loop solves cold when the basis does
+  /// not fit the problem's shape or is singular. Not owned.
+  const lp::SimplexBasis* root_basis = nullptr;
   /// Copy the live root-cut rows (injected + separated, post aging)
-  /// into MilpResult::root_cut_rows on return — the pool a delta
-  /// re-certification run persists for the next model version.
+  /// into MilpResult::root_cut_rows, and the basis round 0 stopped on into
+  /// MilpResult::root_basis, on return — what a delta re-certification
+  /// run persists for the next model version.
   bool harvest_root_cuts = false;
 };
 

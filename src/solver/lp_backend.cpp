@@ -10,6 +10,7 @@ void SolverStats::merge(const SolverStats& other) {
   warm_hits += other.warm_hits;
   lp_iterations += other.lp_iterations;
   warm_iterations += other.warm_iterations;
+  root_warm_starts += other.root_warm_starts;
   cuts_added += other.cuts_added;
   cut_rounds += other.cut_rounds;
   basis_factorizations += other.basis_factorizations;

@@ -24,6 +24,11 @@ struct SolverStats {
   std::size_t warm_hits = 0;       ///< resolves that actually ran warm
   std::size_t lp_iterations = 0;   ///< simplex iterations, all solves
   std::size_t warm_iterations = 0; ///< iterations spent inside warm runs
+  /// Root LPs that ran warm from a handed-over basis instead of cold:
+  /// round 0 of the root cut loop from a stored root basis (delta
+  /// re-certification), and the search's root node from the basis the
+  /// cut loop stopped on. Filled by the MILP layer.
+  std::size_t root_warm_starts = 0;
   /// Cutting-plane accounting, filled by the MILP search (see
   /// src/milp/cuts/): rows appended and separation rounds actually run
   /// at the root.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <unordered_set>
 #include <utility>
@@ -19,7 +20,9 @@ using common::RecordReader;
 using common::RecordWriter;
 
 constexpr const char* kMagic = "dpv-delta-artifacts";
-constexpr std::size_t kVersion = 1;
+/// Version 2 added each query's root basis; version-1 bundles are
+/// rejected (load_delta_artifacts throws), so re-harvest them.
+constexpr std::size_t kVersion = 2;
 
 /// Bitwise double equality: the reuse contracts promise *bit-identical*
 /// reproduction, and operator== would call -0.0 == +0.0 equal even
@@ -79,6 +82,49 @@ absint::Box read_box(RecordReader& reader) {
     iv.hi = reader.dbl();
   }
   return box;
+}
+
+/// `<columns> <rows> <basic column per row> s<columns> <at-upper flag
+/// per column, as 0 or 1>`.
+void write_basis(RecordWriter& writer, const lp::SimplexBasis& basis) {
+  writer.size_value(basis.at_upper.size());
+  writer.size_value(basis.basic.size());
+  for (const std::int32_t b : basis.basic) writer.size_value(static_cast<std::size_t>(b));
+  std::string flags(basis.at_upper.size(), '0');
+  for (std::size_t j = 0; j < flags.size(); ++j)
+    if (basis.at_upper[j]) flags[j] = '1';
+  writer.str(flags);
+}
+
+/// Rejects what no basis can be: more rows than columns, a basic column
+/// out of range or listed twice, a flag string of the wrong length or
+/// with another character than 0 and 1.
+lp::SimplexBasis read_basis(RecordReader& reader) {
+  const std::size_t columns = reader.size_value();
+  if (columns > static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()))
+    reader.fail("root basis has too many columns");
+  lp::SimplexBasis basis;
+  basis.basic.resize(reader.count());
+  if (basis.basic.size() > columns) reader.fail("root basis has more rows than columns");
+  for (std::int32_t& b : basis.basic) {
+    const std::size_t column = reader.size_value();
+    if (column >= columns)
+      reader.fail("root basis column " + std::to_string(column) + " out of range");
+    b = static_cast<std::int32_t>(column);
+  }
+  std::vector<std::int32_t> sorted = basis.basic;
+  std::sort(sorted.begin(), sorted.end());
+  const auto twice = std::adjacent_find(sorted.begin(), sorted.end());
+  if (twice != sorted.end())
+    reader.fail("root basis lists column " + std::to_string(*twice) + " twice");
+  const std::string flags = reader.str();
+  if (flags.size() != columns) reader.fail("root basis flags length " + std::to_string(flags.size()));
+  basis.at_upper.resize(columns);
+  for (std::size_t j = 0; j < columns; ++j) {
+    if (flags[j] != '0' && flags[j] != '1') reader.fail("bad root basis flag");
+    basis.at_upper[j] = flags[j] == '1' ? 1 : 0;
+  }
+  return basis;
 }
 
 void write_stats(RecordWriter& writer,
@@ -192,6 +238,7 @@ QueryArtifacts harvest_to_artifacts(std::size_t query_key, const VerificationQue
   artifacts.tail_boxes = std::move(harvest.tail_boxes);
   artifacts.tail_vars = std::move(harvest.tail_vars);
   artifacts.root_cuts = std::move(harvest.root_cuts);
+  artifacts.root_basis = std::move(harvest.root_basis);
   artifacts.pseudocosts = std::move(harvest.pseudocosts);
   return artifacts;
 }
@@ -247,6 +294,9 @@ void save_delta_artifacts(const std::string& path, const DeltaArtifacts& artifac
       }
       writer.newline();
     }
+    writer.tag("basis");
+    write_basis(writer, entry.root_basis);
+    writer.newline();
     writer.tag("pcs");
     writer.size_value(entry.pseudocosts.size());
     writer.newline();
@@ -310,6 +360,8 @@ bool load_delta_artifacts(const std::string& path, DeltaArtifacts& out) {
         term.coeff = reader.dbl();
       }
     }
+    reader.expect_tag("basis");
+    entry.root_basis = read_basis(reader);
     reader.expect_tag("pcs");
     entry.pseudocosts.resize(reader.count());
     for (NamedPseudocost& prior : entry.pseudocosts) {
@@ -340,6 +392,7 @@ void DeltaPlan::apply(TailVerifierOptions& options) const {
     options.encode.tail_bound_trace_key = trace_key;
   }
   if (!cuts.empty()) options.milp.cuts.initial_cuts = &cuts;
+  if (!root_basis.empty()) options.milp.cuts.root_basis = &root_basis;
   if (!pseudocosts.empty()) options.pseudocost_priors = &pseudocosts;
 }
 
@@ -450,6 +503,11 @@ DeltaPlan plan_delta_reuse(const DeltaArtifacts& artifacts, const QueryArtifacts
   } else if (!entry.root_cuts.empty()) {
     plan.cuts_dropped = entry.root_cuts.size();
   }
+
+  // ---- Root basis -----------------------------------------------------
+  // A warm start of round 0's LP only; branch and bound solves cold when
+  // it does not fit the new problem's shape.
+  plan.root_basis = entry.root_basis;
 
   // ---- Reuse class 3: pseudocost priors -----------------------------
   // Name-keyed, demoted at seed time, order-only: safe whenever the

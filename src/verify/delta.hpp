@@ -27,6 +27,12 @@
 //     radii are exactly zero when the abstraction is unchanged), so the
 //     cut stays valid for the new problem. Gomory cuts bake in the root
 //     tableau and are dropped whenever anything changed.
+//   * The basis round 0 of the root cut loop stopped on (structural
+//     columns plus the per-query rows, no cut rows). A planned
+//     re-certification starts round 0 from it, padded with the recycled
+//     cuts' logicals, and solves cold when it no longer fits the
+//     problem's shape. It is a warm start only: the LP it starts is the
+//     same LP, so it needs no validity argument.
 //   * Pseudocost tables, demoted to warm priors. Keyed by variable
 //     *name* (verify::NamedPseudocost) because a weight delta can flip
 //     ReLU stability and shift every later variable index. Priors bias
@@ -71,6 +77,7 @@ struct QueryArtifacts {
   std::vector<absint::Box> tail_boxes;
   std::vector<std::vector<std::size_t>> tail_vars;
   std::vector<milp::cuts::Cut> root_cuts;
+  lp::SimplexBasis root_basis;  ///< round-0 root basis; empty when none
   std::vector<NamedPseudocost> pseudocosts;
 };
 
@@ -158,10 +165,12 @@ struct DeltaPlan {
   std::vector<absint::Box> bound_trace;
   std::vector<milp::cuts::Cut> cuts;  ///< re-validated, provenance kept
   std::size_t cuts_dropped = 0;       ///< harvested cuts that failed re-validation
+  lp::SimplexBasis root_basis;        ///< round-0 warm start (may not fit)
   std::vector<NamedPseudocost> pseudocosts;
 
   /// Wires the plan into verifier options: bound trace + key into
-  /// `encode`, recycled cuts into `milp.cuts.initial_cuts`, priors into
+  /// `encode`, recycled cuts into `milp.cuts.initial_cuts`, the root
+  /// basis into `milp.cuts.root_basis`, priors into
   /// `pseudocost_priors`. No-ops for the classes the plan rejected.
   void apply(TailVerifierOptions& options) const;
 };

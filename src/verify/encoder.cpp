@@ -153,25 +153,19 @@ class NetworkEncoder {
     return acc;
   }
 
-  /// Optionally tightens [lo, hi] of `var` by solving two LPs on the
-  /// partial relaxation built so far.
+  /// Optionally tightens [lo, hi] of `var` by solving its min and max
+  /// LPs (one solve_range) on the partial relaxation built so far.
   absint::Interval tighten(std::size_t var, absint::Interval bounds) {
     if (options_.bounds != BoundMethod::kLpTightening) return bounds;
     // An injected trace already carries the realized (tightened) boxes;
     // skipping the per-neuron LPs is the whole speedup of trace reuse.
     if (external_trace_ != nullptr) return bounds;
-    const lp::SimplexSolver solver(options_.lp_options);
     lp::LpProblem& relaxation = problem_.relaxation();
+    const lp::LpRange range = lp::SimplexSolver(options_.lp_options).solve_range(relaxation, var);
+    stats_.tightening_lps += 2;
     double lo = bounds.lo, hi = bounds.hi;
-    relaxation.set_objective({{var, 1.0}}, lp::Objective::kMinimize);
-    const lp::LpSolution min_sol = solver.solve(relaxation);
-    ++stats_.tightening_lps;
-    if (min_sol.status == lp::SolveStatus::kOptimal) lo = std::max(lo, min_sol.objective - 1e-9);
-    relaxation.set_objective({{var, 1.0}}, lp::Objective::kMaximize);
-    const lp::LpSolution max_sol = solver.solve(relaxation);
-    ++stats_.tightening_lps;
-    if (max_sol.status == lp::SolveStatus::kOptimal) hi = std::min(hi, max_sol.objective + 1e-9);
-    relaxation.set_objective({}, lp::Objective::kMinimize);
+    if (range.min.status == lp::SolveStatus::kOptimal) lo = std::max(lo, range.min.objective - 1e-9);
+    if (range.max.status == lp::SolveStatus::kOptimal) hi = std::min(hi, range.max.objective + 1e-9);
     if (lo > hi) lo = hi;  // numerical guard; keeps the box non-empty
     relaxation.set_bounds(var, lo, hi);
     return absint::Interval(lo, hi);

@@ -46,6 +46,8 @@ std::string VerificationResult::summary() const {
       << ", nodes=" << milp_nodes << ", lp-iters=" << lp_iterations;
   if (solver_stats.warm_attempts > 0)
     out << ", warm-hit=" << solver_stats.warm_hit_rate();
+  if (solver_stats.root_warm_starts > 0)
+    out << ", root-warm=" << solver_stats.root_warm_starts;
   if (solver_stats.cut_rounds > 0 || solver_stats.cuts_added > 0)
     out << ", cuts=" << solver_stats.cuts_added << "/" << solver_stats.cut_rounds
         << "r";
@@ -204,19 +206,15 @@ VerificationResult TailVerifier::verify(const VerificationQuery& query) const {
       if (run_expired(control)) break;
       double lo = relaxation.lower_bound(var), hi = relaxation.upper_bound(var);
       const double old_width = hi - lo;
-      relaxation.set_objective({{var, 1.0}}, lp::Objective::kMinimize);
-      const lp::LpSolution min_sol = refresh_solver.solve(relaxation);
-      if (min_sol.status == lp::SolveStatus::kOptimal)
-        lo = std::max(lo, min_sol.objective - 1e-9);
-      relaxation.set_objective({{var, 1.0}}, lp::Objective::kMaximize);
-      const lp::LpSolution max_sol = refresh_solver.solve(relaxation);
-      if (max_sol.status == lp::SolveStatus::kOptimal)
-        hi = std::min(hi, max_sol.objective + 1e-9);
+      const lp::LpRange range = refresh_solver.solve_range(relaxation, var);
+      if (range.min.status == lp::SolveStatus::kOptimal)
+        lo = std::max(lo, range.min.objective - 1e-9);
+      if (range.max.status == lp::SolveStatus::kOptimal)
+        hi = std::min(hi, range.max.objective + 1e-9);
       if (lo > hi) lo = hi;  // numerical guard; keeps the box non-empty
       relaxation.set_bounds(var, lo, hi);
       if (hi - lo < old_width) ++result.refreshed_bounds;
     }
-    relaxation.set_objective({}, lp::Objective::kMinimize);
     result.refresh_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - refresh_start)
             .count();
@@ -288,6 +286,7 @@ VerificationResult TailVerifier::verify(const VerificationQuery& query) const {
     harvest.tail_boxes = encoding.realized_tail_boxes;
     harvest.tail_vars = encoding.realized_tail_vars;
     harvest.root_cuts = milp_result.root_cut_rows;
+    harvest.root_basis = milp_result.root_basis;
     harvest.pseudocosts.clear();
     const lp::LpProblem& relaxation = encoding.problem.relaxation();
     for (std::size_t var = 0; var < milp_result.pseudocost_snapshot.size(); ++var) {

@@ -53,14 +53,16 @@ struct NamedPseudocost {
 /// Everything the MILP stage of one verified query can hand to delta
 /// re-certification (see src/verify/delta.hpp): the realized tail
 /// bounds and their variable address map, the surviving root-cut pool
-/// with generator provenance, and the learned pseudocost table. Only
-/// populated when the query actually reached the MILP stage —
-/// attack/zonotope-decided queries leave `captured` false.
+/// with generator provenance, the basis round 0 of the root cut loop
+/// stopped on (milp::MilpResult::root_basis) and the learned pseudocost
+/// table. Only populated when the query actually reached the MILP stage
+/// — attack/zonotope-decided queries leave `captured` false.
 struct DeltaHarvest {
   bool captured = false;
   std::vector<absint::Box> tail_boxes;
   std::vector<std::vector<std::size_t>> tail_vars;
   std::vector<milp::cuts::Cut> root_cuts;
+  lp::SimplexBasis root_basis;
   std::vector<NamedPseudocost> pseudocosts;
 };
 

@@ -302,7 +302,9 @@ TEST(BasisLuFactor, ForrestTomlinMatchesRefactorizationOverHundredPivotChains) {
       basic[r] = static_cast<std::int32_t>(q);
       // A declined marginal pivot restarts from a fresh factorization of
       // the current basis and the chain continues.
-      if (!ok) ASSERT_TRUE(ft.factorize(A, n, basic));
+      if (!ok) {
+        ASSERT_TRUE(ft.factorize(A, n, basic));
+      }
       ++applied;
 
       // The updated engine must agree with a from-scratch factorization
@@ -341,7 +343,9 @@ TEST(BasisLuFactor, AdaptiveCadenceScalesWithBasisDimension) {
     ASSERT_TRUE(ft.factorize(A, m + 4, basic));
     EXPECT_GE(ft.refactor_cadence(), 64u);
     EXPECT_LE(ft.refactor_cadence(), 512u);
-    if (m >= 200) EXPECT_GE(ft.refactor_cadence(), m / 2);
+    if (m >= 200) {
+      EXPECT_GE(ft.refactor_cadence(), m / 2);
+    }
   }
 }
 
@@ -656,8 +660,9 @@ void expect_tableau_rows_match_dense(const LpProblem& p, const RevisedSimplex& s
     double basic_value = 0.0;
     for (std::size_t j = 0; j < n + m; ++j) {
       if (is_basic[j]) continue;
-      if (!listed[j])
+      if (!listed[j]) {
         EXPECT_LT(std::abs(alpha[j]), 1e-9) << label << " row " << r << " col " << j;
+      }
       basic_value -= alpha[j] * resting_value(j);
     }
     EXPECT_NEAR(row.basic_value, basic_value, 1e-7 * std::max(1.0, std::abs(basic_value)))
@@ -698,6 +703,26 @@ TEST_P(FactorizationRandomLp, SparseLuAgreesWithDenseTableau) {
   expect_feasible(p, a, "dense-tableau");
   expect_feasible(p, b, "sparse-lu");
   EXPECT_GT(sparse.factor_stats().factorizations, 0u);
+}
+
+TEST_P(FactorizationRandomLp, DenseSolveRangeMatchesTwoSolvesBitForBit) {
+  const LpProblem p = random_lp(GetParam());
+  const lp::SimplexSolver solver;
+  for (std::size_t v = 0; v < p.variable_count(); ++v) {
+    const lp::LpRange range = solver.solve_range(p, v);
+    LpProblem q = p;
+    for (const auto& [got, direction] :
+         {std::pair{&range.min, Objective::kMinimize}, std::pair{&range.max, Objective::kMaximize}}) {
+      q.set_objective({{v, 1.0}}, direction);
+      const LpSolution want = solver.solve(q);
+      EXPECT_EQ(got->status, want.status) << "var " << v;
+      EXPECT_EQ(got->iterations, want.iterations) << "var " << v;
+      EXPECT_TRUE(same_bits(got->objective, want.objective)) << "var " << v;
+      ASSERT_EQ(got->values.size(), want.values.size()) << "var " << v;
+      for (std::size_t j = 0; j < want.values.size(); ++j)
+        EXPECT_TRUE(same_bits(got->values[j], want.values[j])) << "var " << v << " value " << j;
+    }
+  }
 }
 
 TEST_P(FactorizationRandomLp, TableauRowsMatchDenseRows) {
@@ -750,8 +775,9 @@ TEST(FactorizationParity, WarmResolveMatchesColdSolve) {
   reference.load(tightened);
   const LpSolution expect = reference.solve();
   ASSERT_EQ(warm.status, expect.status);
-  if (warm.status == SolveStatus::kOptimal)
+  if (warm.status == SolveStatus::kOptimal) {
     EXPECT_NEAR(warm.objective, expect.objective, kTol);
+  }
 }
 
 // ------------------------------------------------------- factor restore
@@ -1196,7 +1222,6 @@ TEST(RootCutWarmStart, WarmLoopReusesBasesAndAgesOutStaleCuts) {
     const milp::MilpProblem p = random_mixed_milp(rng);
     milp::cuts::CutOptions options;
     options.root_rounds = 10;
-    options.warm_root = true;
     options.root_age_limit = 1;  // age out after a single stale round
     milp::MilpProblem copy = p;
     const std::size_t base_rows = p.relaxation().row_count();
@@ -1228,7 +1253,6 @@ TEST(RootCutWarmStart, WarmAndAgedSearchStillFindsBruteForceOptima) {
 
     milp::BranchAndBoundOptions options;
     options.cuts.root_rounds = 8;
-    options.cuts.warm_root = true;
     options.cuts.root_age_limit = 1;
     const milp::MilpResult r = milp::BranchAndBoundSolver(options).solve(p);
     if (!expected.feasible) {
@@ -1253,13 +1277,12 @@ TEST(RootCutWarmStart, TailVerdictsUnchangedByWarmLoopAndAging) {
     const verify::VerificationResult reference = verify::TailVerifier(off).verify(q);
     ASSERT_NE(reference.verdict, verify::Verdict::kUnknown);
 
-    for (const bool warm : {false, true}) {
+    for (const std::size_t age_limit : {0u, 1u}) {
       verify::TailVerifierOptions on = off;
       on.milp.cuts.root_rounds = 6;
-      on.milp.cuts.warm_root = warm;
-      on.milp.cuts.root_age_limit = warm ? 1 : 0;
+      on.milp.cuts.root_age_limit = age_limit;
       const verify::VerificationResult r = verify::TailVerifier(on).verify(q);
-      EXPECT_EQ(r.verdict, reference.verdict) << "seed " << seed << " warm " << warm;
+      EXPECT_EQ(r.verdict, reference.verdict) << "seed " << seed << " age limit " << age_limit;
     }
   }
 }

@@ -234,8 +234,11 @@ TEST(CoverageRun, CertifiedVolumeMonotoneAcrossRounds) {
 
 TEST(CoverageRun, SafeCellsAreNeverResplit) {
   const CoverageReport& report = shared_report();
-  for (const CoverageCell& cell : report.map.cells())
-    if (!cell.is_leaf()) EXPECT_NE(cell.status, CellStatus::kCertified) << cell.id;
+  for (const CoverageCell& cell : report.map.cells()) {
+    if (!cell.is_leaf()) {
+      EXPECT_NE(cell.status, CellStatus::kCertified) << cell.id;
+    }
+  }
 }
 
 TEST(CoverageRun, SoundnessOfSafeCells) {

@@ -60,8 +60,9 @@ TEST(TableauAccess, TableauRowIdentityHoldsAtTheOptimum) {
     }
     EXPECT_NEAR(activity, 0.0, 1e-7) << "row " << r;
     // A structural basic column's value must match the solution.
-    if (row.basic_col >= 0 && static_cast<std::size_t>(row.basic_col) < p.variable_count())
+    if (row.basic_col >= 0 && static_cast<std::size_t>(row.basic_col) < p.variable_count()) {
       EXPECT_NEAR(sol.values[static_cast<std::size_t>(row.basic_col)], row.basic_value, 1e-7);
+    }
   }
   EXPECT_EQ(rows_read, p.row_count());
   lp::TableauRow out_of_range;
@@ -311,6 +312,28 @@ TEST(CutGains, RootCutsNeverGrowAForcedProofTree) {
   EXPECT_EQ(a.summary().find("cuts="), std::string::npos) << a.summary();
 }
 
+TEST(CutPlumbing, SearchRootStartsWarmFromTheCutLoopBasis) {
+  Rng rng(123);
+  const std::size_t in_n = 4, hidden = 8;
+  const nn::Network net = make_tail_net(rng, in_n, hidden);
+  const verify::VerificationQuery q =
+      tail_query(net, in_n, forcing_threshold(net, in_n, rng));
+
+  verify::TailVerifierOptions off;
+  verify::TailVerifierOptions on = off;
+  on.milp.cuts.root_rounds = 2;
+  const verify::VerificationResult a = verify::TailVerifier(off).verify(q);
+  const verify::VerificationResult b = verify::TailVerifier(on).verify(q);
+  EXPECT_EQ(b.verdict, a.verdict);
+  // No cut loop, no hand-over: the root solves cold.
+  EXPECT_EQ(a.solver_stats.root_warm_starts, 0u);
+  EXPECT_EQ(a.summary().find("root-warm="), std::string::npos) << a.summary();
+  // Round 0 has no stored basis and solves cold; the search's root then
+  // starts from the basis the loop stopped on.
+  EXPECT_EQ(b.solver_stats.root_warm_starts, 1u);
+  EXPECT_NE(b.summary().find("root-warm=1"), std::string::npos) << b.summary();
+}
+
 // ------------------------------------------------------------- campaign
 
 train::Dataset labelled_cloud(Rng& rng, std::size_t count) {
@@ -356,6 +379,9 @@ TEST(CutPlumbing, CampaignAggregatesCutCounters) {
   EXPECT_GT(report.milp_nodes, 0u);
   EXPECT_GT(report.cut_rounds + report.cuts_added, 0u);
   EXPECT_NE(report.format_encoding_summary().find("cuts:"), std::string::npos)
+      << report.format_encoding_summary();
+  EXPECT_GT(report.solver_totals.root_warm_starts, 0u);
+  EXPECT_NE(report.format_encoding_summary().find("root LPs warm-started"), std::string::npos)
       << report.format_encoding_summary();
 }
 

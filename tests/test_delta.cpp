@@ -9,6 +9,9 @@
 //     path keeps only prefix-local ReLU-split cuts, and the
 //     full-identity path is additionally gated on the query fingerprint
 //     so Gomory cuts never cross a query change.
+//   * Root bases — a warm start only: a stored basis that no longer fits
+//     solves cold, and verdicts agree with and without it on the delta
+//     battery.
 //   * Pseudocost priors — order-only: verdicts match with priors seeded.
 //   * Per-query bound refresh — column-bound tightening preserves
 //     verdicts and counterexamples.
@@ -219,7 +222,12 @@ TEST(DeltaArtifactsFile, RoundTripsBitExactly) {
   prior.down.solved = 4;
   prior.up.infeasible = 2;
   entry.pseudocosts.push_back(prior);
+  entry.root_basis.basic = {5, 0, 7};
+  entry.root_basis.at_upper = {0, 1, 0, 0, 1, 0, 0, 0, 1};
   bundle.queries.push_back(entry);
+  verify::QueryArtifacts no_basis;
+  no_basis.query_key = 43;
+  bundle.queries.push_back(no_basis);
 
   const std::string path = temp_path("delta_roundtrip");
   verify::save_delta_artifacts(path, bundle);
@@ -228,7 +236,7 @@ TEST(DeltaArtifactsFile, RoundTripsBitExactly) {
   EXPECT_EQ(loaded.base_fingerprint, bundle.base_fingerprint);
   EXPECT_EQ(loaded.delta_chain, bundle.delta_chain);
   EXPECT_EQ(loaded.attach_layer, 3u);
-  ASSERT_EQ(loaded.queries.size(), 1u);
+  ASSERT_EQ(loaded.queries.size(), 2u);
   const verify::QueryArtifacts& e = loaded.queries[0];
   EXPECT_EQ(e.query_key, 42u);
   EXPECT_EQ(e.verdict, verify::Verdict::kUnsafe);
@@ -253,6 +261,10 @@ TEST(DeltaArtifactsFile, RoundTripsBitExactly) {
   EXPECT_TRUE(bits_equal(e.pseudocosts[0].down.gain_sum, 0.1));
   EXPECT_EQ(e.pseudocosts[0].down.solved, 4u);
   EXPECT_EQ(e.pseudocosts[0].up.infeasible, 2u);
+  EXPECT_EQ(e.root_basis.basic, entry.root_basis.basic);
+  EXPECT_EQ(e.root_basis.at_upper, entry.root_basis.at_upper);
+  EXPECT_TRUE(loaded.queries[1].root_basis.empty());
+  EXPECT_TRUE(loaded.queries[1].root_basis.at_upper.empty());
 
   EXPECT_FALSE(verify::load_delta_artifacts(temp_path("delta_missing"), loaded));
 }
@@ -270,6 +282,8 @@ TEST(DeltaArtifactsFile, MalformedNumbersAndCountsThrowContractViolation) {
   cut.row.sense = lp::RowSense::kLessEqual;
   cut.source = "relu-split";
   entry.root_cuts.push_back(cut);
+  entry.root_basis.basic = {2, 0};
+  entry.root_basis.at_upper = {0, 1, 0};
   bundle.queries.push_back(entry);
   const std::string path = temp_path("delta_malformed_base");
   verify::save_delta_artifacts(path, bundle);
@@ -288,6 +302,11 @@ TEST(DeltaArtifactsFile, MalformedNumbersAndCountsThrowContractViolation) {
       // A string length that would overflow the bounds check is
       // truncation, not a rewind into earlier text.
       {"s10 relu-split ", "s18446744073709551615 "},
+      // Root bases: at-upper flags of the wrong length, a basic column
+      // out of range, a column basic in two rows.
+      {"s3 010 ", "s2 01 "},
+      {"basis 3 2 2 0 ", "basis 3 2 3 0 "},
+      {"basis 3 2 2 0 ", "basis 3 2 2 2 "},
   };
   for (const auto& [from, to] : cases)
     EXPECT_THROW(verify::load_delta_artifacts(
@@ -570,6 +589,99 @@ TEST(DeltaCutRecycling, RecycledCutsKeepProvenanceAcrossChains) {
     EXPECT_STREQ(second.root_cuts[k].source, plan.cuts[k].source) << "cut " << k;
 }
 
+// ----------------------------------------------------- root bases
+
+TEST(DeltaRootBasis, StoredBasisThatNoLongerFitsSolvesColdWithTheSameVerdict) {
+  Rng rng(19);
+  const nn::Network net = make_relu_tail(6, 2, rng);
+  const verify::VerificationQuery q = make_query(net, 6, 0.3);
+  const HarvestedBase base = certify_base(net, q, cut_options(), 1);
+  const verify::QueryArtifacts* entry = base.bundle.find(1);
+  ASSERT_NE(entry, nullptr);
+  ASSERT_FALSE(entry->root_basis.empty());
+  // The stored basis covers the structural columns and the per-query
+  // rows, never the cut rows harvested beside it.
+  ASSERT_EQ(entry->root_basis.at_upper.size() - entry->root_basis.basic.size(),
+            base.result.encoding.variables);
+  EXPECT_EQ(entry->root_basis.basic.size(), base.result.encoding.rows);
+
+  const verify::DeltaPlan plan = verify::plan_delta_reuse(base.bundle, *entry, net, net, q, {});
+  ASSERT_EQ(plan.root_basis.basic, entry->root_basis.basic);
+  verify::TailVerifierOptions fit_options = cut_options();
+  plan.apply(fit_options);
+  const verify::VerificationResult fit = verify::TailVerifier(fit_options).verify(q);
+  expect_same_verdict(base.result, fit, "stored root basis");
+
+  // One row more than the problem has: round 0 must solve cold, so only
+  // the search's root can start warm.
+  verify::DeltaPlan stale = plan;
+  stale.root_basis.basic.push_back(
+      static_cast<std::int32_t>(stale.root_basis.at_upper.size()));
+  stale.root_basis.at_upper.push_back(0);
+  verify::TailVerifierOptions stale_options = cut_options();
+  stale.apply(stale_options);
+  const verify::VerificationResult cold = verify::TailVerifier(stale_options).verify(q);
+  expect_same_verdict(base.result, cold, "stale root basis");
+  EXPECT_LE(cold.solver_stats.root_warm_starts, 1u);
+  EXPECT_LT(cold.solver_stats.root_warm_starts, fit.solver_stats.root_warm_starts);
+}
+
+/// bench/bench_delta.cpp's battery: a 16x3 ReLU tail, six thresholds,
+/// LP tightening and one root cut round, re-certified for the identical
+/// model and two retrains of the last hidden Dense layer.
+TEST(DeltaRootBasis, BatteryVerdictsAgreeWithAndWithoutTheStoredBasis) {
+  Rng rng(2020);
+  const nn::Network net = make_relu_tail(16, 3, rng);
+  verify::TailVerifierOptions options;
+  options.encode.bounds = verify::BoundMethod::kLpTightening;
+  options.milp.cuts.root_rounds = 1;
+  const double thresholds[] = {10.0, 11.0, 12.0, 13.0, 14.0, 16.0};
+
+  verify::DeltaArtifacts bundle = verify::make_base_artifacts(net, 0);
+  std::vector<verify::Verdict> base_verdicts;
+  for (std::size_t k = 0; k < std::size(thresholds); ++k) {
+    const verify::VerificationQuery q = make_query(net, 16, thresholds[k]);
+    verify::TailVerifierOptions harvest_options = options;
+    verify::DeltaHarvest harvest;
+    harvest_options.harvest = &harvest;
+    const verify::VerificationResult r = verify::TailVerifier(harvest_options).verify(q);
+    base_verdicts.push_back(r.verdict);
+    ASSERT_TRUE(harvest.captured) << "threshold " << thresholds[k];
+    bundle.upsert(verify::harvest_to_artifacts(k + 1, q, r, std::move(harvest)));
+  }
+
+  std::size_t warm_with = 0, warm_without = 0;
+  for (const double eps : {0.0, 1e-4, 1e-3}) {
+    const nn::Network updated = eps == 0.0 ? net.clone() : perturb_dense(net, 4, eps);
+    for (std::size_t k = 0; k < std::size(thresholds); ++k) {
+      const verify::VerificationQuery q = make_query(updated, 16, thresholds[k]);
+      const verify::QueryArtifacts* entry = bundle.find(k + 1);
+      ASSERT_NE(entry, nullptr);
+      const verify::DeltaPlan plan = verify::plan_delta_reuse(bundle, *entry, net, updated, q, {});
+      ASSERT_TRUE(plan.usable);
+      verify::TailVerifierOptions with_basis = options;
+      plan.apply(with_basis);
+      verify::DeltaPlan bare = plan;
+      bare.root_basis = {};
+      verify::TailVerifierOptions without_basis = options;
+      bare.apply(without_basis);
+      const verify::VerificationResult a = verify::TailVerifier(with_basis).verify(q);
+      const verify::VerificationResult b = verify::TailVerifier(without_basis).verify(q);
+      const std::string label = "eps " + std::to_string(eps) + " threshold " +
+                                std::to_string(thresholds[k]);
+      expect_same_verdict(b, a, label.c_str());
+      if (eps == 0.0) {
+        EXPECT_EQ(a.verdict, base_verdicts[k]) << label;
+      }
+      warm_with += a.solver_stats.root_warm_starts;
+      warm_without += b.solver_stats.root_warm_starts;
+    }
+  }
+  // The stored bases were used: round 0 started warm on top of the
+  // search roots that start from the cut loop's basis either way.
+  EXPECT_GT(warm_with, warm_without);
+}
+
 // ----------------------------------- reuse class 3: pseudocost priors
 
 TEST(DeltaPseudocosts, PriorsBiasOrderNotVerdicts) {
@@ -619,7 +731,9 @@ TEST(DeltaRefresh, QueryBoundRefreshPreservesVerdicts) {
     const verify::VerificationResult refreshed = verify::TailVerifier(refresh).verify(q);
     expect_same_verdict(cold, refreshed, "bound refresh");
     EXPECT_LE(refreshed.refreshed_bounds, 6u);
-    if (refreshed.encoding.binaries > 0) EXPECT_GE(refreshed.refresh_seconds, 0.0);
+    if (refreshed.encoding.binaries > 0) {
+      EXPECT_GE(refreshed.refresh_seconds, 0.0);
+    }
   }
 }
 

@@ -190,9 +190,10 @@ TEST(Falsifier, ConcurrentAttacksOnASharedNetworkMatchSerial) {
   for (const FalsifyReport& r : reports) {
     EXPECT_EQ(r.falsified, serial.falsified);
     EXPECT_EQ(r.starts, serial.starts);
-    if (serial.falsified)
+    if (serial.falsified) {
       for (std::size_t i = 0; i < serial.counterexample_activation.numel(); ++i)
         EXPECT_EQ(r.counterexample_activation[i], serial.counterexample_activation[i]);
+    }
   }
 }
 
@@ -333,8 +334,9 @@ TEST(StagedCampaign, VerdictCompatibilityAcrossFalsifyAndThreads) {
   for (std::size_t i = 0; i < report_off.reports.size(); ++i) {
     const SafetyVerdict a = report_off.reports[i].safety.verdict;
     const SafetyVerdict b = report_on.reports[i].safety.verdict;
-    if (a != SafetyVerdict::kUnknown && b != SafetyVerdict::kUnknown)
+    if (a != SafetyVerdict::kUnknown && b != SafetyVerdict::kUnknown) {
       EXPECT_EQ(a, b) << "entry " << i;
+    }
   }
   EXPECT_GE(report_on.safe_count + report_on.unsafe_count,
             report_off.safe_count + report_off.unsafe_count);

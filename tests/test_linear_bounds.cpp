@@ -169,7 +169,9 @@ TEST_P(SymbolicEncoderSweep, KSymbolicNeverChangesVerdictNorAddsBinaries) {
   const verify::VerificationResult b = verify::TailVerifier(symbolic_opts).verify(q);
   EXPECT_EQ(a.verdict, b.verdict) << "seed " << GetParam();
   EXPECT_LE(b.encoding.binaries, a.encoding.binaries) << "seed " << GetParam();
-  if (b.verdict == verify::Verdict::kUnsafe) EXPECT_TRUE(b.counterexample_validated);
+  if (b.verdict == verify::Verdict::kUnsafe) {
+    EXPECT_TRUE(b.counterexample_validated);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTails, SymbolicEncoderSweep, ::testing::Range(0, 12));

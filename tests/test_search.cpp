@@ -436,7 +436,9 @@ TEST(GapReporting, NodeLimitReportsBestBoundAndGap) {
   EXPECT_FALSE(exact.have_best_bound);
   EXPECT_DOUBLE_EQ(exact.best_bound_gap, 0.0);
   // The reported bound was sound: no integral point beats it.
-  if (r.have_best_bound) EXPECT_LE(exact.objective, r.best_bound + kTol);
+  if (r.have_best_bound) {
+    EXPECT_LE(exact.objective, r.best_bound + kTol);
+  }
 }
 
 TEST(GapReporting, BoundTargetServesIncumbentFreeSearches) {

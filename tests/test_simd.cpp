@@ -335,8 +335,9 @@ TEST(SimdSimplexParity, RevisedSimplexOptimaMatchScalarOnRandomLps) {
       b = sca.solve();
     }
     ASSERT_EQ(a.status, b.status) << "seed " << seed;
-    if (a.status == lp::SolveStatus::kOptimal)
+    if (a.status == lp::SolveStatus::kOptimal) {
       EXPECT_NEAR(a.objective, b.objective, 1e-7) << "seed " << seed;
+    }
   }
 }
 

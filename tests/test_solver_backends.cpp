@@ -49,10 +49,15 @@ void expect_lp_parity(const LpProblem& p, const char* label) {
       for (const auto& row : p.rows()) {
         double activity = 0.0;
         for (const LinearTerm& t : row.terms) activity += t.coeff * sol.values[t.var];
-        if (row.sense == RowSense::kLessEqual) EXPECT_LE(activity, row.rhs + kTol) << label;
-        if (row.sense == RowSense::kGreaterEqual)
+        if (row.sense == RowSense::kLessEqual) {
+          EXPECT_LE(activity, row.rhs + kTol) << label;
+        }
+        if (row.sense == RowSense::kGreaterEqual) {
           EXPECT_GE(activity, row.rhs - kTol) << label;
-        if (row.sense == RowSense::kEqual) EXPECT_NEAR(activity, row.rhs, kTol) << label;
+        }
+        if (row.sense == RowSense::kEqual) {
+          EXPECT_NEAR(activity, row.rhs, kTol) << label;
+        }
       }
     }
   }

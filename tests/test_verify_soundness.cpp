@@ -127,12 +127,16 @@ TEST_P(VerifierMonotonicitySweep, ShrinkingAbstractionPreservesSafety) {
 
   const Verdict vw = TailVerifier().verify(wide).verdict;
   const Verdict vn = TailVerifier().verify(narrow).verdict;
-  if (vw == Verdict::kSafe) EXPECT_EQ(vn, Verdict::kSafe) << "seed " << GetParam();
+  if (vw == Verdict::kSafe) {
+    EXPECT_EQ(vn, Verdict::kSafe) << "seed " << GetParam();
+  }
   // And diff constraints can only help:
   VerificationQuery with_diff = wide;
   with_diff.diff_bounds.assign(2, absint::Interval(-0.5, 0.5));
   const Verdict vd = TailVerifier().verify(with_diff).verdict;
-  if (vw == Verdict::kSafe) EXPECT_EQ(vd, Verdict::kSafe) << "seed " << GetParam();
+  if (vw == Verdict::kSafe) {
+    EXPECT_EQ(vd, Verdict::kSafe) << "seed " << GetParam();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTails, VerifierMonotonicitySweep, ::testing::Range(0, 12));
@@ -183,7 +187,9 @@ TEST_P(VerifierCharacterizerSweep, CharacterizerOnlyRestricts) {
   const Verdict vf = TailVerifier().verify(free_q).verdict;
   const VerificationResult rr = TailVerifier().verify(restricted);
   // Adding a constraint can only move UNSAFE -> SAFE, never the reverse.
-  if (vf == Verdict::kSafe) EXPECT_EQ(rr.verdict, Verdict::kSafe) << "seed " << GetParam();
+  if (vf == Verdict::kSafe) {
+    EXPECT_EQ(rr.verdict, Verdict::kSafe) << "seed " << GetParam();
+  }
   if (rr.verdict == Verdict::kUnsafe) {
     EXPECT_TRUE(rr.counterexample_validated);
     EXPECT_GE(rr.characterizer_logit, -1e-6);

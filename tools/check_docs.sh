@@ -83,7 +83,14 @@ check_symbol src/verify  "risk_margin_objective"
 check_symbol src/core    "reallocate_node_budget"
 check_symbol src/milp    "remove_rows"
 check_symbol src/milp    "root_age_limit"
-check_symbol src/milp    "warm_root"
+check_symbol src/milp    "pad_basis"
+check_symbol src/milp    "truncate_basis"
+check_symbol src/milp    "root_basis"
+check_symbol src/solver  "root_warm_starts"
+check_symbol src/verify  "root_basis"
+check_symbol src/lp      "solve_range"
+check_symbol src/lp      "LpRange"
+check_symbol tests       "RecertifyTailTighteningIsPinned"
 check_symbol src/milp    "cuts_aged_out"
 check_symbol src/milp    "CutGenerator"
 check_symbol src/milp    "ReluSplitCutGenerator"

@@ -1,14 +1,14 @@
 // Experiment E5 (Sec. I): the scalability motivation for layer
-// abstraction — with a thread-count axis.
+// abstraction.
 //
 // Paper claim: direct perception networks "challenge any state-of-the-art
 // formal analysis framework in terms of scalability" — which is why the
 // workflow verifies only the close-to-output sub-network. This bench
 // measures how exact MILP verification cost grows with the width and
 // depth of the verified tail, and how far the solver layer pushes the
-// wall: the warm-started bounded-variable revised simplex under serial
-// vs parallel branch & bound, and a serial vs pooled query battery (the
-// campaign engine's shape).
+// wall: the warm-started bounded-variable revised simplex under the one
+// serial branch & bound, and a serial vs pooled query battery (the
+// campaign engine's shape: parallelism across queries).
 //
 // SAFE proofs are forced (unreachable risk threshold) so the solver must
 // exhaust the branch & bound tree — the worst case for verification.
@@ -121,8 +121,7 @@ std::vector<Query> make_query_set() {
 }
 
 /// Runs one query with every solver axis pinned explicitly.
-verify::VerificationResult verify_tail(const Query& query, std::size_t threads,
-                                       std::size_t cut_rounds = 0) {
+verify::VerificationResult verify_tail(const Query& query, std::size_t cut_rounds = 0) {
   verify::VerificationQuery vq;
   vq.network = &query.net;
   vq.attach_layer = 0;
@@ -132,7 +131,6 @@ verify::VerificationResult verify_tail(const Query& query, std::size_t threads,
   // A modest budget: rows that exhaust it print UNKNOWN — which is itself
   // the scalability message (the wall the paper's layer cut avoids).
   options.milp.max_nodes = 4000;
-  options.milp.threads = threads;
   options.milp.cuts.root_rounds = cut_rounds;
   return verify::TailVerifier(options).verify(vq);
 }
@@ -172,9 +170,9 @@ bool decided_verdicts_agree(const std::vector<std::string>& sweeps) {
   return true;
 }
 
-/// Aggregate of one thread-count sweep over the query set.
-struct SweepResult {
-  std::size_t threads = 1;
+/// One run of the battery: totals and comma-joined verdicts in battery
+/// order.
+struct BatteryRun {
   double wall_seconds = 0.0;
   std::size_t nodes = 0;
   std::size_t lp_iterations = 0;
@@ -182,44 +180,43 @@ struct SweepResult {
   std::string verdicts;
 };
 
-SweepResult run_sweep(const std::vector<Query>& queries, std::size_t threads) {
-  SweepResult sweep;
-  sweep.threads = threads;
-  solver::SolverStats stats;
-  const auto start = std::chrono::steady_clock::now();
-  for (const Query& query : queries) {
-    const verify::VerificationResult r = verify_tail(query, threads);
-    sweep.nodes += r.milp_nodes;
-    sweep.lp_iterations += r.lp_iterations;
-    stats.merge(r.solver_stats);
-    if (!sweep.verdicts.empty()) sweep.verdicts += ',';
-    sweep.verdicts += verify::verdict_name(r.verdict);
-  }
-  const auto end = std::chrono::steady_clock::now();
-  sweep.wall_seconds = std::chrono::duration<double>(end - start).count();
-  sweep.warm_hit_rate = stats.warm_hit_rate();
-  return sweep;
-}
-
-/// The campaign-engine shape: the same battery fanned out over a worker
-/// pool, one single-threaded verification per entry.
-double run_battery_pooled(const std::vector<Query>& queries, std::size_t pool) {
+/// Runs the battery on a pool of `pool` workers, one serial search per
+/// query (the campaign engine's shape); `pool == 1` is the serial row.
+/// Every search is deterministic, so totals and verdicts do not depend
+/// on the pool size.
+BatteryRun run_battery(const std::vector<Query>& queries, std::size_t pool) {
+  std::vector<verify::VerificationResult> results(queries.size());
   const auto start = std::chrono::steady_clock::now();
   std::atomic<std::size_t> next{0};
   std::vector<std::thread> workers;
-  std::vector<verify::Verdict> verdicts(queries.size());
   for (std::size_t t = 0; t < pool; ++t) {
     workers.emplace_back([&] {
       while (true) {
         const std::size_t i = next.fetch_add(1);
         if (i >= queries.size()) return;
-        verdicts[i] = verify_tail(queries[i], 1).verdict;
+        results[i] = verify_tail(queries[i]);
       }
     });
   }
   for (std::thread& t : workers) t.join();
-  const auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(end - start).count();
+  BatteryRun run;
+  run.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  solver::SolverStats stats;
+  for (const verify::VerificationResult& r : results) {
+    run.nodes += r.milp_nodes;
+    run.lp_iterations += r.lp_iterations;
+    stats.merge(r.solver_stats);
+    if (!run.verdicts.empty()) run.verdicts += ',';
+    run.verdicts += verify::verdict_name(r.verdict);
+  }
+  run.warm_hit_rate = stats.warm_hit_rate();
+  return run;
+}
+
+/// Same searches, same numbers: the pool changes wall time only.
+bool identical(const BatteryRun& a, const BatteryRun& b) {
+  return a.nodes == b.nodes && a.lp_iterations == b.lp_iterations && a.verdicts == b.verdicts;
 }
 
 // --------------------------------------------------------------------
@@ -246,7 +243,7 @@ CutsSweep run_cuts_sweep(const std::vector<Query>& queries, const char* config,
   sweep.rounds = rounds;
   const auto start = std::chrono::steady_clock::now();
   for (const Query& query : queries) {
-    const verify::VerificationResult r = verify_tail(query, 1, rounds);
+    const verify::VerificationResult r = verify_tail(query, rounds);
     sweep.nodes += r.milp_nodes;
     sweep.lp_iterations += r.lp_iterations;
     sweep.cuts_added += r.solver_stats.cuts_added;
@@ -360,7 +357,7 @@ struct LpCoreRow {
 /// Serial, cuts-off verification of `query`, with its wall seconds.
 std::pair<verify::VerificationResult, double> timed_verify(const Query& query) {
   const auto start = std::chrono::steady_clock::now();
-  verify::VerificationResult r = verify_tail(query, 1);
+  verify::VerificationResult r = verify_tail(query);
   return {std::move(r),
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count()};
 }
@@ -594,9 +591,7 @@ void print_encoding_report() {
   emit_encoding_json(sweeps, thresholds.size(), zonotope_leq_interval);
 }
 
-void emit_json(const std::vector<SweepResult>& sweeps, bool verdicts_match,
-               std::size_t battery_entries, double battery_serial,
-               double battery_pool4) {
+void emit_json(const BatteryRun& serial, const BatteryRun& pool4, std::size_t entries) {
   std::FILE* f = std::fopen("BENCH_e5.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "BENCH_e5.json: cannot open for writing\n");
@@ -604,25 +599,19 @@ void emit_json(const std::vector<SweepResult>& sweeps, bool verdicts_match,
   }
   std::fprintf(f, "{\n  \"bench\": \"e5_scalability\",\n  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"sweeps\": [\n");
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    const SweepResult& s = sweeps[i];
-    std::fprintf(f,
-                 "    {\"threads\": %zu, \"wall_seconds\": %.6f, "
-                 "\"nodes\": %zu, \"nodes_per_sec\": %.1f, \"lp_iterations\": %zu, "
-                 "\"warm_hit_rate\": %.4f, \"verdicts\": \"%s\"}%s\n",
-                 s.threads, s.wall_seconds, s.nodes,
-                 s.wall_seconds > 0 ? s.nodes / s.wall_seconds : 0.0, s.lp_iterations,
-                 s.warm_hit_rate, s.verdicts.c_str(),
-                 i + 1 < sweeps.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"verdicts_compatible\": %s,\n",
-               verdicts_match ? "true" : "false");
+  std::fprintf(f,
+               "  \"serial\": {\"wall_seconds\": %.6f, \"nodes\": %zu, "
+               "\"nodes_per_sec\": %.1f, \"lp_iterations\": %zu, "
+               "\"warm_hit_rate\": %.4f, \"verdicts\": \"%s\"},\n",
+               serial.wall_seconds, serial.nodes,
+               serial.wall_seconds > 0 ? serial.nodes / serial.wall_seconds : 0.0,
+               serial.lp_iterations, serial.warm_hit_rate, serial.verdicts.c_str());
   std::fprintf(f,
                "  \"battery\": {\"entries\": %zu, \"serial_seconds\": %.6f, "
-               "\"pool4_seconds\": %.6f, \"speedup\": %.2f}\n}\n",
-               battery_entries, battery_serial, battery_pool4,
-               battery_pool4 > 0 ? battery_serial / battery_pool4 : 0.0);
+               "\"pool4_seconds\": %.6f, \"speedup\": %.2f, \"pool4_identical\": %s}\n}\n",
+               entries, serial.wall_seconds, pool4.wall_seconds,
+               pool4.wall_seconds > 0 ? serial.wall_seconds / pool4.wall_seconds : 0.0,
+               identical(serial, pool4) ? "true" : "false");
   std::fclose(f);
   std::printf("wrote BENCH_e5.json\n");
 }
@@ -635,45 +624,27 @@ void print_report() {
   std::printf("-------+--------+----------+----------+----------+----------+-----------\n");
   const std::vector<Query> queries = make_query_set();
   for (const Query& query : queries) {
-    const verify::VerificationResult r = verify_tail(query, 1);
+    const verify::VerificationResult r = verify_tail(query);
     std::printf("%6zu | %6zu | %8zu | %8zu | %8zu | %8zu | %10.3f  %s\n", query.width,
                 query.depth, r.encoding.relu_neurons, r.encoding.binaries, r.milp_nodes,
                 r.lp_iterations, r.solve_seconds, verify::verdict_name(r.verdict));
   }
 
-  std::printf("\n=== E5: thread-count sweep (same query set) ===\n");
-  std::printf("%7s | %9s | %9s | %9s | %9s | %8s\n", "threads", "wall s", "nodes",
-              "nodes/s", "lp-iter", "warm-hit");
-  std::printf("--------+-----------+-----------+-----------+-----------+---------\n");
-  std::vector<SweepResult> sweeps;
-  for (const std::size_t threads : {1u, 2u, 4u}) sweeps.push_back(run_sweep(queries, threads));
-  std::vector<std::string> sweep_verdicts;
-  for (const SweepResult& s : sweeps) {
-    sweep_verdicts.push_back(s.verdicts);
-    std::printf("%7zu | %9.3f | %9zu | %9.1f | %9zu | %8.3f\n", s.threads,
-                s.wall_seconds, s.nodes,
-                s.wall_seconds > 0 ? s.nodes / s.wall_seconds : 0.0, s.lp_iterations,
-                s.warm_hit_rate);
-  }
-  // Threads 2/4 run under the shared node budget, where steal timing
-  // decides which subtrees fit (see src/milp/branch_and_bound.hpp) —
-  // so, like the cuts axis, decided verdicts must agree and UNKNOWN is
-  // a budget artifact.
-  const bool verdicts_match = decided_verdicts_agree(sweep_verdicts);
-  std::printf("verdict compatibility across thread counts (UNKNOWN = budget): %s\n",
-              verdicts_match ? "OK" : "CONFLICT");
-
   std::printf("\n=== E5: query battery, serial vs 4-thread pool (campaign shape) ===\n");
-  const double serial = run_battery_pooled(queries, 1);
-  const double pooled = run_battery_pooled(queries, 4);
+  const BatteryRun serial = run_battery(queries, 1);
+  const BatteryRun pool4 = run_battery(queries, 4);
+  std::printf("serial: %zu nodes, %zu lp-iter, warm-hit %.3f\n", serial.nodes,
+              serial.lp_iterations, serial.warm_hit_rate);
   std::printf("serial %.3fs | pool-4 %.3fs | speedup %.2fx (on %u hardware threads)\n",
-              serial, pooled, serial / std::max(pooled, 1e-9),
+              serial.wall_seconds, pool4.wall_seconds,
+              serial.wall_seconds / std::max(pool4.wall_seconds, 1e-9),
               std::thread::hardware_concurrency());
+  std::printf("pool-4 nodes, lp-iter and verdicts identical to serial: %s\n",
+              identical(serial, pool4) ? "yes" : "NO");
   if (std::thread::hardware_concurrency() < 2)
-    std::printf("note: single-core host -- parallel speedup cannot materialize here;\n"
-                "      verdict parity above is the correctness evidence.\n");
+    std::printf("note: single-core host -- parallel speedup cannot materialize here.\n");
 
-  emit_json(sweeps, verdicts_match, queries.size(), serial, pooled);
+  emit_json(serial, pool4, queries.size());
 
   print_simplex_report(queries);
 
@@ -684,8 +655,8 @@ void print_report() {
   std::printf("\npaper shape: cost grows steeply with tail size -- verifying the full\n"
               "million-neuron perception network is hopeless, verifying the layer-l tail\n"
               "is tractable. That asymmetry is the paper's scalability argument; the\n"
-              "solver layer (warm starts + parallelism) moves the wall, it does not\n"
-              "remove the exponent.\n\n");
+              "solver layer (warm starts, cuts, queries in parallel) moves the wall, it\n"
+              "does not remove the exponent.\n\n");
 }
 
 void BM_VerifyTail(benchmark::State& state) {
@@ -698,7 +669,7 @@ void BM_VerifyTail(benchmark::State& state) {
   query.net = make_tail(width, depth, rng);
   query.threshold = proof_forcing_threshold(query.net, width, rng);
   for (auto _ : state) {
-    const verify::VerificationResult r = verify_tail(query, 1);
+    const verify::VerificationResult r = verify_tail(query);
     benchmark::DoNotOptimize(r.verdict);
     state.counters["nodes"] = static_cast<double>(r.milp_nodes);
     state.counters["lp_iters"] = static_cast<double>(r.lp_iterations);

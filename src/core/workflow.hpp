@@ -44,13 +44,10 @@ struct WorkflowConfig {
   /// UNKNOWN by an exhausted node budget are re-run once with an even
   /// share of the pool on top of their budget — easy entries donate to
   /// hard ones instead of the surplus evaporating. Per-entry runs stay
-  /// independently seeded, so with serial per-entry searches
-  /// (`verifier.milp.threads == 1`, the default) the pool, the grants
-  /// and every retried verdict are deterministic and reports remain
-  /// bit-identical across campaign thread counts. (A parallel
-  /// budget-capped search is scheduling-dependent at the budget
-  /// boundary — see src/milp/branch_and_bound.hpp.) The redistribution
-  /// is recorded in CampaignReport.
+  /// independently seeded and every search is deterministic under its
+  /// node budget, so the pool, the grants and every retried verdict are
+  /// deterministic and reports remain bit-identical across campaign
+  /// thread counts. The redistribution is recorded in CampaignReport.
   bool reallocate_node_budget = true;
   /// Share one verify::EncodingCache across all campaign entries: the
   /// query-independent tail encoding is frozen on first use and entries

@@ -1,19 +1,15 @@
 #include "milp/branch_and_bound.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
-#include <limits>
+#include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "common/check.hpp"
 #include "milp/cuts/cut_engine.hpp"
 #include "milp/search/branching_rule.hpp"
-#include "milp/search/frontier.hpp"
+#include "milp/search/node_store.hpp"
 
 namespace dpv::milp {
 
@@ -21,114 +17,62 @@ namespace {
 
 using search::SearchNode;
 
-/// Search state shared by the worker pool beside the frontier: the
-/// incumbent and termination flags live under `mutex`; counters that
-/// only need atomicity do not.
-struct SharedSearch {
-  std::mutex mutex;
-  bool have_incumbent = false;
-  double incumbent_objective = 0.0;
-  std::vector<double> incumbent_values;
-  bool found_first_feasible = false;
-  bool node_budget_exhausted = false;
-  bool lp_iteration_limit_hit = false;
-  bool deadline_expired = false;
-  /// Best fractional relaxation point expanded so far (frontier seed for
-  /// counterexample recycling on node-limit stops). Guarded by `mutex`.
-  bool have_frontier_point = false;
-  double frontier_objective = 0.0;
-  std::vector<double> frontier_values;
-  std::exception_ptr error;
-
-  std::atomic<std::size_t> nodes_explored{0};
-  /// Stable node ids: all node-store tie-breaking orders on them.
-  std::atomic<std::uint64_t> next_node_id{1};
-};
-
-class Worker {
+/// One branch & bound search: the open nodes, the simplex that solves
+/// their relaxations, the pseudocost table, the incumbent, and the
+/// accounting the result reports.
+class Search {
  public:
-  Worker(std::size_t index, const MilpProblem& problem,
-         const BranchAndBoundOptions& options, SharedSearch& shared,
-         search::ParallelFrontier& frontier, search::PseudocostTable& pseudocosts)
-      : index_(index), problem_(problem), options_(options), shared_(shared),
-        frontier_(frontier), pseudocosts_(pseudocosts), simplex_(options.lp_options) {
+  Search(const MilpProblem& problem, const BranchAndBoundOptions& options)
+      : problem_(problem), options_(options),
+        minimize_(problem.relaxation().objective_direction() == lp::Objective::kMinimize),
+        store_(minimize_), simplex_(options.lp_options),
+        pseudocosts_(problem.variable_count()) {
     simplex_.load(problem.relaxation());
+    if (options.pseudocost_priors != nullptr)
+      pseudocosts_.seed(*options.pseudocost_priors, options.pseudocost_prior_weight);
   }
 
-  void run() {
-    try {
-      loop();
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(shared_.mutex);
-        if (!shared_.error) shared_.error = std::current_exception();
-      }
-      frontier_.request_stop();
-    }
-  }
-
-  solver::SolverStats stats() const {
-    solver::SolverStats stats = solver::simplex_stats(simplex_);
-    stats.sibling_batches = sibling_batches_;
-    stats.root_warm_starts = root_warm_starts_;
-    return stats;
+  /// Runs the search from `root` and reports it: status, incumbent,
+  /// node and LP accounting, and — when it stopped with nodes still
+  /// open — the post-mortem (best open bound, gap, frontier point).
+  MilpResult run(SearchNode root) {
+    explore(std::move(root));
+    return report();
   }
 
  private:
-  bool better(double a, double b) const {
-    const bool minimize =
-        problem_.relaxation().objective_direction() == lp::Objective::kMinimize;
-    return minimize ? a < b : a > b;
-  }
+  bool better(double a, double b) const { return minimize_ ? a < b : a > b; }
 
-  void loop() {
-    while (true) {
-      SearchNode node;
-      if (frontier_.acquire(index_, node) != search::ParallelFrontier::Acquire::kGot)
-        return;
-
-      // ---- Cooperative deadline ------------------------------------
+  /// Expands nodes until the tree is exhausted, the first integral
+  /// point ends a feasibility search, or the search is interrupted
+  /// (node budget, deadline, a node LP it could not solve).
+  void explore(SearchNode root) {
+    store_.push(std::move(root));
+    peak_open_ = 1;
+    SearchNode node;
+    while (store_.pop(node)) {
+      // ---- Cooperative deadline and node budget --------------------
       // Checked at the pop — a safe point: the node goes back to the
-      // frontier unexplored, so the node-budget post-mortem (best open
-      // bound, gap, frontier seed) explains the partial result exactly
-      // as it would a budget stop.
+      // store unexplored, so the post-mortem (best open bound, gap,
+      // frontier seed) explains a deadline stop exactly as it would a
+      // budget stop.
       if (run_expired(options_.run_control)) {
-        {
-          std::lock_guard<std::mutex> lock(shared_.mutex);
-          shared_.deadline_expired = true;
-          shared_.node_budget_exhausted = true;
-        }
-        frontier_.abandon(index_, std::move(node));
-        frontier_.request_stop();
+        deadline_expired_ = true;
+        interrupt(std::move(node));
         return;
       }
-
-      // ---- Node budget ---------------------------------------------
-      if (shared_.nodes_explored.fetch_add(1) >= options_.max_nodes) {
-        shared_.nodes_explored.fetch_sub(1);
-        {
-          std::lock_guard<std::mutex> lock(shared_.mutex);
-          shared_.node_budget_exhausted = true;
-        }
-        frontier_.abandon(index_, std::move(node));
-        frontier_.request_stop();
+      if (nodes_explored_ >= options_.max_nodes) {
+        interrupt(std::move(node));
         return;
       }
+      ++nodes_explored_;
 
       // ---- Pop-time pruning -----------------------------------------
-      bool retired = false;
-      {
-        std::lock_guard<std::mutex> lock(shared_.mutex);
-        retired = node.has_bound && shared_.have_incumbent &&
-                  !better(node.bound, shared_.incumbent_objective);
-      }
-      if (retired) {
-        // A later incumbent retired this queued subtree; no LP work.
-        frontier_.complete();
+      // A later incumbent retired this queued subtree; no LP work.
+      if (node.has_bound && have_incumbent_ && !better(node.bound, incumbent_objective_))
         continue;
-      }
 
-      // ---- LP solve outside any lock -------------------------------
+      // ---- LP solve -------------------------------------------------
       apply_fixings(node);
       // A node presolved by its parent's sibling batch carries its own
       // relaxation solution: the pop skips the LP entirely. The fixings
@@ -147,207 +91,220 @@ class Worker {
       // does anyway.
       record_branch_outcome(node, lp);
 
-      // ---- Branch selection ----------------------------------------
-      bool any_fractional = false;
-      if (lp.status == lp::SolveStatus::kOptimal) {
-        for (const std::size_t b : problem_.binary_variables()) {
-          const double v = lp.values[b];
-          if (std::abs(v - std::round(v)) > options_.integrality_tolerance) {
-            any_fractional = true;
-            break;
-          }
-        }
-      }
-      std::shared_ptr<const lp::SimplexBasis> basis;
-      if (lp.status == lp::SolveStatus::kOptimal && any_fractional) {
-        // For a presolved node the simplex holds whatever its batch
-        // solved last, not this node's basis — use the snapshot cached
-        // with the solution (null only on a failed capture: children
-        // then cold-solve, which is merely slower).
-        if (node.presolved)
-          basis = node.presolved->basis;
-        else
-          basis = std::make_shared<const lp::SimplexBasis>(simplex_.capture_basis());
-      }
-      search::BranchDecision decision;
-      if (any_fractional) {
-        if (frontier_.stopped()) {
-          // Don't spend branching-probe LP re-solves on a search that
-          // is already stopping; hand the solved-but-unexpanded node
-          // back so the post-mortem bound scan still counts it — with
-          // the just-computed relaxation objective, strictly tighter
-          // than the parent bound it was queued under.
-          node.bound = lp.objective;
-          node.has_bound = true;
-          frontier_.abandon(index_, std::move(node));
-          return;
-        }
-        search::BranchContext ctx;
-        ctx.problem = &problem_;
-        ctx.simplex = &simplex_;
-        ctx.lp = &lp;
-        ctx.warm_basis = basis.get();
-        ctx.integrality_tolerance = options_.integrality_tolerance;
-        ctx.minimize =
-            problem_.relaxation().objective_direction() == lp::Objective::kMinimize;
-        ctx.pseudocosts = &pseudocosts_;
-        ctx.stop = &frontier_.stop_flag();
-        decision = search::decide_branch(ctx);
-        // A fractional node MUST branch: a decision of "integral" here
-        // would publish a fractional point as an incumbent — under
-        // feasibility mode, a bogus counterexample. Fail loudly instead.
-        internal_check(decision.var != search::kNoBranchVariable,
-                       "branching returned no variable on a fractional node");
-      }
-      const std::size_t branch_var = decision.var;
-
-      // ---- Publish the outcome -------------------------------------
-      std::unique_lock<std::mutex> lock(shared_.mutex);
-      if (lp.status == lp::SolveStatus::kOptimal &&
-          branch_var == search::kNoBranchVariable) {
-        // Integral: new incumbent. Published even when a concurrent
-        // stop was set — a feasible integral point is sound evidence
-        // regardless of why the search is ending (a counterexample in
-        // hand beats "node budget exhausted").
-        if (!shared_.have_incumbent ||
-            better(lp.objective, shared_.incumbent_objective)) {
-          shared_.have_incumbent = true;
-          shared_.incumbent_objective = lp.objective;
-          shared_.incumbent_values = lp.values;
-        }
-        const bool stop_now = options_.stop_at_first_feasible;
-        if (stop_now) shared_.found_first_feasible = true;
-        lock.unlock();
-        frontier_.complete();
-        if (stop_now || frontier_.stopped()) {
-          frontier_.request_stop();
-          return;
-        }
-        continue;
-      }
-      if (lp.status == lp::SolveStatus::kInfeasible) {
-        lock.unlock();
-        frontier_.complete();
-        if (frontier_.stopped()) return;
-        continue;  // pruned
-      }
+      if (lp.status == lp::SolveStatus::kInfeasible) continue;  // pruned
       if (lp.status != lp::SolveStatus::kOptimal) {
         // A node whose relaxation could not be solved (iteration limit /
         // numerical trouble / deadline) cannot be pruned soundly; the
         // search result is inconclusive. Report the resource that ran
         // out rather than guess.
         if (lp.status == lp::SolveStatus::kDeadline)
-          shared_.deadline_expired = true;
+          deadline_expired_ = true;
         else
-          shared_.lp_iteration_limit_hit = true;
-        shared_.node_budget_exhausted = true;
-        lock.unlock();
-        frontier_.abandon(index_, std::move(node));
-        frontier_.request_stop();
+          lp_iteration_limit_hit_ = true;
+        interrupt(std::move(node));
         return;
       }
-      if (frontier_.stopped()) {
-        // The node is solved but will not be expanded; hand it back so
-        // the post-mortem bound scan still counts its subtree, under
-        // its own (tighter) relaxation bound.
-        lock.unlock();
-        node.bound = lp.objective;
-        node.has_bound = true;
-        frontier_.abandon(index_, std::move(node));
-        return;
+
+      bool any_fractional = false;
+      for (const std::size_t b : problem_.binary_variables()) {
+        const double v = lp.values[b];
+        if (std::abs(v - std::round(v)) > options_.integrality_tolerance) {
+          any_fractional = true;
+          break;
+        }
       }
-      // Bound pruning against the incumbent.
-      if (shared_.have_incumbent &&
-          !better(lp.objective, shared_.incumbent_objective)) {
-        lock.unlock();
-        frontier_.complete();
+      if (!any_fractional) {
+        // Integral: a new incumbent, and in feasibility mode the end of
+        // the search.
+        if (!have_incumbent_ || better(lp.objective, incumbent_objective_)) {
+          have_incumbent_ = true;
+          incumbent_objective_ = lp.objective;
+          incumbent_values_ = lp.values;
+        }
+        if (options_.stop_at_first_feasible) {
+          found_first_feasible_ = true;
+          return;
+        }
         continue;
       }
+
+      // ---- Branch selection ----------------------------------------
+      // For a presolved node the simplex holds whatever its batch
+      // solved last, not this node's basis — use the snapshot cached
+      // with the solution (null only on a failed capture: children
+      // then cold-solve, which is merely slower).
+      std::shared_ptr<const lp::SimplexBasis> basis =
+          node.presolved ? node.presolved->basis
+                         : std::make_shared<const lp::SimplexBasis>(simplex_.capture_basis());
+      search::BranchContext ctx;
+      ctx.problem = &problem_;
+      ctx.simplex = &simplex_;
+      ctx.lp = &lp;
+      ctx.warm_basis = basis.get();
+      ctx.integrality_tolerance = options_.integrality_tolerance;
+      ctx.minimize = minimize_;
+      ctx.pseudocosts = &pseudocosts_;
+      const search::BranchDecision decision = search::decide_branch(ctx);
+      // A fractional node MUST branch: a decision of "integral" here
+      // would publish a fractional point as an incumbent — under
+      // feasibility mode, a bogus counterexample. Fail loudly instead.
+      internal_check(decision.var != search::kNoBranchVariable,
+                     "branching returned no variable on a fractional node");
+
+      // Bound pruning against the incumbent.
+      if (have_incumbent_ && !better(lp.objective, incumbent_objective_)) continue;
 
       // Remember the most optimistic fractional point expanded: if the
       // node budget runs out before a proof, it is the search's best
       // near-miss and seeds the falsifier's start-point pool.
-      if (!shared_.have_frontier_point ||
-          better(lp.objective, shared_.frontier_objective)) {
-        shared_.have_frontier_point = true;
-        shared_.frontier_objective = lp.objective;
-        shared_.frontier_values = lp.values;
+      if (!have_frontier_point_ || better(lp.objective, frontier_objective_)) {
+        have_frontier_point_ = true;
+        frontier_objective_ = lp.objective;
+        frontier_values_ = lp.values;
       }
-      lock.unlock();
-
-      // ---- Children ------------------------------------------------
-      // A reliability probe may already have proved a child's
-      // relaxation infeasible; the probe *was* that child's solve, so
-      // it is never pushed (its pseudocost outcome was recorded by the
-      // probe).
-      const double value = lp.values[branch_var];
-      const double parent_frac = search::total_fractionality(problem_, lp.values);
-      SearchNode zero;
-      zero.fixings = node.fixings;
-      zero.fixings.emplace_back(branch_var, 0.0);
-      SearchNode one;
-      one.fixings = std::move(node.fixings);
-      one.fixings.emplace_back(branch_var, 1.0);
-      for (SearchNode* child : {&zero, &one}) {
-        child->id = shared_.next_node_id.fetch_add(1);
-        child->parent_basis = basis;
-        child->bound = lp.objective;
-        child->has_bound = true;
-        child->branch_var = branch_var;
-        child->parent_fractionality = parent_frac;
-      }
-      zero.branch_up = false;
-      zero.branch_frac = value;
-      zero.probe_recorded = decision.down_recorded;
-      if (decision.have_down_bound) zero.bound = decision.down_bound;
-      one.branch_up = true;
-      one.branch_frac = 1.0 - value;
-      one.probe_recorded = decision.up_recorded;
-      if (decision.have_up_bound) one.bound = decision.up_bound;
-      bool push_zero = !decision.down_infeasible;
-      bool push_one = !decision.up_infeasible;
-
-      // ---- Batched sibling re-solves -------------------------------
-      // Solve both children now, while the parent basis is the one the
-      // simplex just worked from (sharing its factorization and Devex
-      // pricing weights via the matching-basis fast path), and queue
-      // them under their own — strictly tighter — relaxation objectives;
-      // an infeasible child is pruned without entering the frontier.
-      // Skipped when the reliability probes already solved either child:
-      // the probe WAS that solve, and batching would repeat the LP work
-      // it paid for. Such children are re-solved at pop time.
-      const bool probe_touched =
-          decision.down_recorded || decision.up_recorded ||
-          decision.down_infeasible || decision.up_infeasible ||
-          decision.have_down_bound || decision.have_up_bound;
-      if (!probe_touched && basis != nullptr) {
-        ++sibling_batches_;
-        lp::LpSolution solutions[2];
-        lp::SimplexBasis bases[2];
-        for (int c = 0; c < 2; ++c) {
-          simplex_.set_bounds(branch_var, c, c);
-          solutions[c] = simplex_.resolve(*basis);
-          if (solutions[c].status == lp::SolveStatus::kOptimal)
-            bases[c] = simplex_.capture_basis();
-        }
-        // The last child's override is still active on the simplex; track
-        // it so apply_fixings resets the box before the next node's solve.
-        overridden_.push_back(branch_var);
-        push_zero = attach_presolved(zero, solutions[0], bases[0]);
-        push_one = attach_presolved(one, solutions[1], bases[1]);
-      }
-
-      // Push the rounded-toward branch last so the plunge pops it first
-      // (dive toward integrality); order is irrelevant to the heap.
-      if (value >= 0.5) {
-        if (push_zero) frontier_.push(index_, std::move(zero));
-        if (push_one) frontier_.push(index_, std::move(one));
-      } else {
-        if (push_one) frontier_.push(index_, std::move(one));
-        if (push_zero) frontier_.push(index_, std::move(zero));
-      }
-      frontier_.complete();
+      branch(std::move(node), lp, basis, decision);
     }
+  }
+
+  /// The search's half of the result; the cut loop's counters and
+  /// harvest are solve()'s.
+  MilpResult report() {
+    MilpResult result;
+    result.nodes_explored = nodes_explored_;
+    result.solver_stats = solver::simplex_stats(simplex_);
+    result.solver_stats.sibling_batches = sibling_batches_;
+    result.solver_stats.root_warm_starts = root_warm_starts_;
+    result.solver_stats.peak_open_nodes = peak_open_;
+    result.lp_iteration_limit_hit = lp_iteration_limit_hit_;
+    result.deadline_expired = deadline_expired_;
+    if (options_.export_pseudocosts) result.pseudocost_snapshot = pseudocosts_.snapshot_all();
+    if (have_incumbent_) {
+      result.objective = incumbent_objective_;
+      result.values = std::move(incumbent_values_);
+    }
+    if (found_first_feasible_) {
+      result.status = MilpStatus::kFeasible;
+      return result;
+    }
+    if (!interrupted_) {
+      result.status = have_incumbent_ ? MilpStatus::kOptimal : MilpStatus::kInfeasible;
+      return result;
+    }
+    result.status = have_incumbent_ ? MilpStatus::kFeasible : MilpStatus::kNodeLimit;
+    if (!have_incumbent_ && have_frontier_point_) {
+      result.have_frontier_point = true;
+      result.frontier_values = std::move(frontier_values_);
+    }
+    // The open nodes left at the stop bound every unexplored integral
+    // point: report the best of them, and the optimality gap against
+    // the incumbent (or the caller's bound target) — the "how close did
+    // the proof get" number for node-limit UNKNOWNs.
+    double best_bound = 0.0;
+    if (!store_.best_bound(best_bound)) return result;
+    result.have_best_bound = true;
+    result.best_bound = best_bound;
+    const double reference = have_incumbent_ ? incumbent_objective_ : options_.bound_target;
+    if (!std::isnan(reference)) {
+      // Directional, clamped at zero: an open bound the reference
+      // already dominates (queued nodes not yet pop-pruned) leaves no
+      // real gap — the incumbent is provably optimal.
+      result.best_bound_gap = minimize_ ? std::max(0.0, reference - best_bound)
+                                        : std::max(0.0, best_bound - reference);
+      result.solver_stats.best_bound_gap = result.best_bound_gap;
+    }
+    return result;
+  }
+
+  /// Stops the search with `node` still open: it goes back to the store
+  /// so the post-mortem bound scan counts its subtree.
+  void interrupt(SearchNode node) {
+    interrupted_ = true;
+    store_.push(std::move(node));
+  }
+
+  /// Queues the children of a fractional node, splitting on
+  /// `decision.var`.
+  void branch(SearchNode node, const lp::LpSolution& lp,
+              const std::shared_ptr<const lp::SimplexBasis>& basis,
+              const search::BranchDecision& decision) {
+    // A reliability probe may already have proved a child's
+    // relaxation infeasible; the probe *was* that child's solve, so
+    // it is never pushed (its pseudocost outcome was recorded by the
+    // probe).
+    const std::size_t branch_var = decision.var;
+    const double value = lp.values[branch_var];
+    const double parent_frac = search::total_fractionality(problem_, lp.values);
+    SearchNode zero;
+    zero.fixings = node.fixings;
+    zero.fixings.emplace_back(branch_var, 0.0);
+    SearchNode one;
+    one.fixings = std::move(node.fixings);
+    one.fixings.emplace_back(branch_var, 1.0);
+    for (SearchNode* child : {&zero, &one}) {
+      child->id = next_node_id_++;
+      child->parent_basis = basis;
+      child->bound = lp.objective;
+      child->has_bound = true;
+      child->branch_var = branch_var;
+      child->parent_fractionality = parent_frac;
+    }
+    zero.branch_up = false;
+    zero.branch_frac = value;
+    zero.probe_recorded = decision.down_recorded;
+    if (decision.have_down_bound) zero.bound = decision.down_bound;
+    one.branch_up = true;
+    one.branch_frac = 1.0 - value;
+    one.probe_recorded = decision.up_recorded;
+    if (decision.have_up_bound) one.bound = decision.up_bound;
+    bool push_zero = !decision.down_infeasible;
+    bool push_one = !decision.up_infeasible;
+
+    // ---- Batched sibling re-solves -------------------------------
+    // Solve both children now, while the parent basis is the one the
+    // simplex just worked from (sharing its factorization and Devex
+    // pricing weights via the matching-basis fast path), and queue
+    // them under their own — strictly tighter — relaxation objectives;
+    // an infeasible child is pruned without entering the store.
+    // Skipped when the reliability probes already solved either child:
+    // the probe WAS that solve, and batching would repeat the LP work
+    // it paid for. Such children are re-solved at pop time.
+    const bool probe_touched =
+        decision.down_recorded || decision.up_recorded ||
+        decision.down_infeasible || decision.up_infeasible ||
+        decision.have_down_bound || decision.have_up_bound;
+    if (!probe_touched && basis != nullptr) {
+      ++sibling_batches_;
+      lp::LpSolution solutions[2];
+      lp::SimplexBasis bases[2];
+      for (int c = 0; c < 2; ++c) {
+        simplex_.set_bounds(branch_var, c, c);
+        solutions[c] = simplex_.resolve(*basis);
+        if (solutions[c].status == lp::SolveStatus::kOptimal)
+          bases[c] = simplex_.capture_basis();
+      }
+      // The last child's override is still active on the simplex; track
+      // it so apply_fixings resets the box before the next node's solve.
+      overridden_.push_back(branch_var);
+      push_zero = attach_presolved(zero, solutions[0], bases[0]);
+      push_one = attach_presolved(one, solutions[1], bases[1]);
+    }
+
+    // Push the rounded-toward branch last so the plunge pops it first
+    // (dive toward integrality); order is irrelevant to the heap.
+    if (value >= 0.5) {
+      if (push_zero) push_child(std::move(zero));
+      if (push_one) push_child(std::move(one));
+    } else {
+      if (push_one) push_child(std::move(one));
+      if (push_zero) push_child(std::move(zero));
+    }
+  }
+
+  /// Queues a child. The node being expanded still counts as open until
+  /// its children are queued, so the peak includes it.
+  void push_child(SearchNode child) {
+    store_.push(std::move(child));
+    peak_open_ = std::max(peak_open_, store_.size() + 1);
   }
 
   /// Pseudocost bookkeeping for the branch that created `node`: the
@@ -361,10 +318,8 @@ class Worker {
       return;
     }
     if (lp.status != lp::SolveStatus::kOptimal || !node.has_bound) return;
-    const bool minimize =
-        problem_.relaxation().objective_direction() == lp::Objective::kMinimize;
     const double degradation = std::max(
-        0.0, minimize ? lp.objective - node.bound : node.bound - lp.objective);
+        0.0, minimize_ ? lp.objective - node.bound : node.bound - lp.objective);
     const double drop =
         std::max(0.0, node.parent_fractionality -
                           search::total_fractionality(problem_, lp.values));
@@ -379,7 +334,7 @@ class Worker {
   /// the child's own relaxation objective, and caches the solution +
   /// basis snapshot so the pop skips the LP. Returns false when the
   /// child's relaxation proved infeasible: pruned without ever entering
-  /// the frontier. A child the batch could not solve to completion
+  /// the store. A child the batch could not solve to completion
   /// (iteration limit) is pushed plain and re-solved at pop time.
   bool attach_presolved(SearchNode& child, lp::LpSolution& lp,
                         lp::SimplexBasis& basis) {
@@ -411,16 +366,34 @@ class Worker {
     }
   }
 
-  const std::size_t index_;
   const MilpProblem& problem_;
   const BranchAndBoundOptions& options_;
-  SharedSearch& shared_;
-  search::ParallelFrontier& frontier_;
-  search::PseudocostTable& pseudocosts_;
+  const bool minimize_;
+  search::NodeStore store_;
   lp::RevisedSimplex simplex_;
+  search::PseudocostTable pseudocosts_;
   std::vector<std::size_t> overridden_;
+
+  /// Stable node ids (the root is 0): all node-store tie-breaking
+  /// orders on them.
+  std::uint64_t next_node_id_ = 1;
+  std::size_t nodes_explored_ = 0;
+  std::size_t peak_open_ = 0;
   std::size_t sibling_batches_ = 0;
   std::size_t root_warm_starts_ = 0;
+
+  bool have_incumbent_ = false;
+  double incumbent_objective_ = 0.0;
+  std::vector<double> incumbent_values_;
+  bool found_first_feasible_ = false;
+  bool interrupted_ = false;
+  bool lp_iteration_limit_hit_ = false;
+  bool deadline_expired_ = false;
+  /// Best fractional relaxation point expanded so far (frontier seed for
+  /// counterexample recycling on node-limit stops).
+  bool have_frontier_point_ = false;
+  double frontier_objective_ = 0.0;
+  std::vector<double> frontier_values_;
 };
 
 }  // namespace
@@ -485,54 +458,17 @@ MilpResult BranchAndBoundSolver::solve(const MilpProblem& problem) const {
     active = &working;
   }
 
-  const bool minimize =
-      active->relaxation().objective_direction() == lp::Objective::kMinimize;
-  const std::size_t thread_count = std::max<std::size_t>(options.threads, 1);
-
-  SharedSearch shared;
-  search::ParallelFrontier frontier(thread_count, minimize);
   // Root: id 0, no fixings, no bound yet; warm from the basis the cut
   // loop stopped on.
   SearchNode root;
   if (!root_cuts.basis.empty())
     root.parent_basis = std::make_shared<const lp::SimplexBasis>(std::move(root_cuts.basis));
-  frontier.push(0, std::move(root));
-
-  // One shared pseudocost table: every worker's child re-solves feed
-  // it, so learning crosses worker boundaries.
-  search::PseudocostTable pseudocosts(problem.variable_count());
-  if (options.pseudocost_priors != nullptr)
-    pseudocosts.seed(*options.pseudocost_priors, options.pseudocost_prior_weight);
-
-  std::vector<std::unique_ptr<Worker>> workers;
-  workers.reserve(thread_count);
-  for (std::size_t t = 0; t < thread_count; ++t)
-    workers.push_back(
-        std::make_unique<Worker>(t, *active, options, shared, frontier, pseudocosts));
-
-  if (thread_count == 1) {
-    workers[0]->run();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(thread_count);
-    for (auto& worker : workers)
-      pool.emplace_back([&worker] { worker->run(); });
-    for (std::thread& t : pool) t.join();
-  }
-  if (shared.error) std::rethrow_exception(shared.error);
-
-  MilpResult result;
-  result.nodes_explored = shared.nodes_explored.load();
-  for (const auto& worker : workers) result.solver_stats.merge(worker->stats());
+  MilpResult result = Search(*active, options).run(std::move(root));
   result.solver_stats.merge(root_cuts.solver_stats);
   result.solver_stats.cuts_added = root_cuts.cuts_added;
   result.solver_stats.cut_rounds = root_cuts.rounds;
-  result.solver_stats.nodes_stolen = frontier.nodes_stolen();
-  result.solver_stats.steal_attempts = frontier.steal_attempts();
-  result.solver_stats.peak_open_nodes = frontier.peak_open();
   result.lp_iterations = result.solver_stats.lp_iterations;
-  result.lp_iteration_limit_hit = shared.lp_iteration_limit_hit;
-  result.deadline_expired = shared.deadline_expired || root_cuts.deadline_expired;
+  result.deadline_expired = result.deadline_expired || root_cuts.deadline_expired;
   result.cuts_recycled = cuts_recycled;
   if (options.cuts.harvest_root_cuts && root_cuts.cuts_live > 0) {
     const std::vector<lp::Row>& rows = active->relaxation().rows();
@@ -549,44 +485,6 @@ MilpResult BranchAndBoundSolver::solve(const MilpProblem& problem) const {
     if (!cuts::truncate_basis(result.root_basis, problem.relaxation().variable_count(),
                               problem.relaxation().row_count()))
       result.root_basis = {};
-  }
-  if (options.export_pseudocosts) result.pseudocost_snapshot = pseudocosts.snapshot_all();
-  if (shared.have_incumbent) {
-    result.objective = shared.incumbent_objective;
-    result.values = std::move(shared.incumbent_values);
-  }
-  if (shared.found_first_feasible) {
-    result.status = MilpStatus::kFeasible;
-  } else if (shared.node_budget_exhausted) {
-    result.status = shared.have_incumbent ? MilpStatus::kFeasible : MilpStatus::kNodeLimit;
-    if (!shared.have_incumbent && shared.have_frontier_point) {
-      result.have_frontier_point = true;
-      result.frontier_values = std::move(shared.frontier_values);
-    }
-    // The frontier that survived the stop bounds every unexplored
-    // integral point: report it, and the optimality gap against the
-    // incumbent (or the caller's bound target) — the "how close did
-    // the proof get" number for node-limit UNKNOWNs.
-    double best_bound = 0.0;
-    if (frontier.best_open_bound(best_bound)) {
-      result.have_best_bound = true;
-      result.best_bound = best_bound;
-      double reference = std::numeric_limits<double>::quiet_NaN();
-      if (shared.have_incumbent)
-        reference = shared.incumbent_objective;
-      else if (!std::isnan(options.bound_target))
-        reference = options.bound_target;
-      if (!std::isnan(reference)) {
-        // Directional, clamped at zero: an open bound the reference
-        // already dominates (queued nodes not yet pop-pruned) leaves
-        // no real gap — the incumbent is provably optimal.
-        result.best_bound_gap = minimize ? std::max(0.0, reference - best_bound)
-                                         : std::max(0.0, best_bound - reference);
-        result.solver_stats.best_bound_gap = result.best_bound_gap;
-      }
-    }
-  } else {
-    result.status = shared.have_incumbent ? MilpStatus::kOptimal : MilpStatus::kInfeasible;
   }
   return result;
 }

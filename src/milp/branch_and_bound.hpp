@@ -1,18 +1,17 @@
 // LP-relaxation branch & bound for MILP.
 //
-// One search (src/milp/search/): a NodeStore orders each worker's open
+// One serial search (src/milp/search/): a NodeStore orders the open
 // nodes (a bounded depth-first plunge, then a restart from the best
-// open relaxation bound), reliability-initialized pseudocost branching
-// picks the split variable (fed by every child re-solve's objective
-// degradation, fractionality reduction and infeasibility), and with
-// `threads > 1` a work-stealing frontier of per-worker deques replaces
-// a single contended stack. Nodes are pruned by LP infeasibility and by
-// objective bound against the incumbent (checked again at pop time, so
-// a late incumbent retires queued subtrees without an LP solve). For
-// pure feasibility queries (`stop_at_first_feasible`), the solver
-// returns as soon as any integral point is found — the common mode for
-// safety verification, where any feasible point is a counterexample
-// and exhaustive infeasibility is the proof.
+// open relaxation bound), and reliability-initialized pseudocost
+// branching picks the split variable (fed by every child re-solve's
+// objective degradation, fractionality reduction and infeasibility).
+// Nodes are pruned by LP infeasibility and by objective bound against
+// the incumbent (checked again at pop time, so a late incumbent
+// retires queued subtrees without an LP solve). For pure feasibility
+// queries (`stop_at_first_feasible`), the solver returns as soon as any
+// integral point is found — the common mode for safety verification,
+// where any feasible point is a counterexample and exhaustive
+// infeasibility is the proof.
 //
 // Node relaxations are solved by the bounded-variable revised simplex
 // (src/lp/revised_simplex.hpp): each node carries its parent's optimal
@@ -21,15 +20,13 @@
 // full cold solve. When a node branches, both children are solved at
 // once from the parent basis still in the simplex and queued under
 // their own relaxation objectives, unless reliability probes already
-// solved them. Each worker owns a private simplex.
-// Verdicts (and optimal objective values) of searches that run to
-// completion are thread-count-invariant; the specific incumbent point,
-// node counts and steal counts may differ between runs. The exception
-// is a *binding node budget* with threads > 1: scheduling decides
-// which subtrees fit inside the budget, so the budget/no-budget
-// boundary (kNodeLimit vs a finished proof) can vary across runs —
-// campaigns that need bit-identical reports keep `threads == 1` per
-// search and parallelize across entries instead.
+// solved them.
+//
+// The search is deterministic: the same problem and options give the
+// same node order, node count, incumbent and post-mortem on every run,
+// under a node budget too (a wall-clock deadline stop, by nature, is
+// not). Parallelism lives one level up, across queries (campaign
+// entries, coverage cells), each running its own search.
 //
 // A search that stops on its node budget reports the most optimistic
 // relaxation bound still open and the optimality gap against the
@@ -80,10 +77,9 @@ struct MilpResult {
   /// / `best_bound_gap` / `frontier_values` are populated exactly as for
   /// a node-budget stop, and any incumbent found before expiry stands.
   bool deadline_expired = false;
-  /// Warm-start and iteration accounting, merged across workers; also
-  /// carries the cutting-plane counters (`cuts_added`, `cut_rounds`)
-  /// when the engine ran, and the search-layer counters
-  /// (`nodes_stolen`, `steal_attempts`, `peak_open_nodes`,
+  /// Warm-start and iteration accounting; also carries the
+  /// cutting-plane counters (`cuts_added`, `cut_rounds`) when the engine
+  /// ran, and the search-layer counters (`peak_open_nodes`,
   /// `best_bound_gap`).
   solver::SolverStats solver_stats;
   /// Most optimistic relaxation bound over the nodes still open when a
@@ -132,8 +128,6 @@ struct BranchAndBoundOptions {
   /// Return at the first integral solution (feasibility mode).
   bool stop_at_first_feasible = false;
   lp::SimplexOptions lp_options = {};
-  /// Worker threads for parallel node exploration (<= 1: serial).
-  std::size_t threads = 1;
   /// Cutting-plane engine (off by default; `cuts.root_rounds > 0`
   /// enables root separation, `cuts.initial_cuts` injects a recycled
   /// pool). Cuts are appended to a working copy of the problem — the

@@ -13,7 +13,7 @@ namespace dpv::milp::search {
 PseudocostTable::PseudocostTable(std::size_t variable_count)
     : entries_(variable_count * 2) {}
 
-const PseudocostTable::DirectionStats& PseudocostTable::entry(std::size_t var,
+const PseudocostTable::DirectionStats& PseudocostTable::stats(std::size_t var,
                                                               bool up) const {
   internal_check(var * 2 + (up ? 1 : 0) < entries_.size(),
                  "PseudocostTable: variable out of range");
@@ -27,7 +27,6 @@ PseudocostTable::DirectionStats& PseudocostTable::entry(std::size_t var, bool up
 }
 
 void PseudocostTable::record(std::size_t var, bool up, double gain) {
-  std::lock_guard<std::mutex> lock(mutex_);
   DirectionStats& e = entry(var, up);
   e.gain_sum += gain;
   ++e.solved;
@@ -36,24 +35,12 @@ void PseudocostTable::record(std::size_t var, bool up, double gain) {
 }
 
 void PseudocostTable::record_infeasible(std::size_t var, bool up) {
-  std::lock_guard<std::mutex> lock(mutex_);
   ++entry(var, up).infeasible;
-}
-
-std::vector<std::pair<PseudocostTable::DirectionStats, PseudocostTable::DirectionStats>>
-PseudocostTable::snapshot(const std::vector<std::size_t>& vars) const {
-  std::vector<std::pair<DirectionStats, DirectionStats>> out;
-  out.reserve(vars.size());
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const std::size_t var : vars)
-    out.emplace_back(entry(var, false), entry(var, true));
-  return out;
 }
 
 std::vector<std::pair<PseudocostTable::DirectionStats, PseudocostTable::DirectionStats>>
 PseudocostTable::snapshot_all() const {
   std::vector<std::pair<DirectionStats, DirectionStats>> out;
-  std::lock_guard<std::mutex> lock(mutex_);
   out.reserve(entries_.size() / 2);
   for (std::size_t var = 0; var * 2 + 1 < entries_.size(); ++var)
     out.emplace_back(entries_[var * 2], entries_[var * 2 + 1]);
@@ -76,7 +63,6 @@ void PseudocostTable::seed(
     d.gain_sum = s.average_gain() * static_cast<double>(d.solved);
     return d;
   };
-  std::lock_guard<std::mutex> lock(mutex_);
   for (std::size_t var = 0; var < priors.size() && var * 2 + 1 < entries_.size(); ++var) {
     const DirectionStats down = demote(priors[var].first);
     const DirectionStats up = demote(priors[var].second);
@@ -88,7 +74,6 @@ void PseudocostTable::seed(
 }
 
 double PseudocostTable::global_average_gain() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   return global_solved_ == 0
              ? 0.0
              : global_gain_sum_ / static_cast<double>(global_solved_);
@@ -191,7 +176,7 @@ ProbeOutcome probe_child(const BranchContext& ctx, std::size_t var, double value
   return out;
 }
 
-/// Records one probe outcome into the shared table through the common
+/// Records one probe outcome into the table through the common
 /// record_child_outcome scale; probes that solved to neither optimal
 /// nor infeasible carry no information and record nothing.
 void record_probe(PseudocostTable& table, std::size_t var, bool up, double distance,
@@ -236,25 +221,16 @@ BranchDecision decide_branch(const BranchContext& ctx) {
   decision.var = candidates.front().var;
   PseudocostTable& table = *ctx.pseudocosts;
 
-  // One-lock snapshot of every candidate's statistics: this runs per
-  // node on every worker, so the shared mutex must stay cold.
-  std::vector<std::size_t> vars;
-  vars.reserve(candidates.size());
-  for (const Candidate& c : candidates) vars.push_back(c.var);
-  auto snap = table.snapshot(vars);
-
   // Reliability initialization: probe (both children of) the most
   // fractional candidates whose statistics are still thin, up to the
   // per-node probe budget. Probe outcomes are kept: if the chosen
   // variable was probed, its infeasible children need not be pushed.
   const double parent_frac = total_fractionality(*ctx.problem, ctx.lp->values);
   std::vector<std::pair<std::size_t, std::pair<ProbeOutcome, ProbeOutcome>>> probed;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
+  for (const Candidate& c : candidates) {
     if (probed.size() >= kProbeCandidates) break;
-    if (ctx.stop != nullptr && ctx.stop->load(std::memory_order_acquire)) break;
-    const Candidate& c = candidates[i];
-    if (snap[i].first.observations() >= kReliability &&
-        snap[i].second.observations() >= kReliability)
+    if (table.stats(c.var, false).observations() >= kReliability &&
+        table.stats(c.var, true).observations() >= kReliability)
       continue;
     const ProbeOutcome down = probe_child(ctx, c.var, 0.0, parent_frac);
     const ProbeOutcome up = probe_child(ctx, c.var, 1.0, parent_frac);
@@ -270,15 +246,13 @@ BranchDecision decide_branch(const BranchContext& ctx) {
     }
     probed.emplace_back(c.var, std::make_pair(down, up));
   }
-  if (!probed.empty()) snap = table.snapshot(vars);  // fold probes in
 
-  // Product score over both directions.
+  // Product score over both directions, probe outcomes included.
   const double global_gain = table.global_average_gain();
   double best_score = -1.0;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const Candidate& c = candidates[i];
-    const double down = direction_score(snap[i].first, c.value, global_gain);
-    const double up = direction_score(snap[i].second, 1.0 - c.value, global_gain);
+  for (const Candidate& c : candidates) {
+    const double down = direction_score(table.stats(c.var, false), c.value, global_gain);
+    const double up = direction_score(table.stats(c.var, true), 1.0 - c.value, global_gain);
     const double score = (1e-6 + down) * (1e-6 + up);
     if (score > best_score) {
       best_score = score;

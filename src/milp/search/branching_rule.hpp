@@ -1,6 +1,6 @@
 // Branching: which fractional binary a node splits on.
 //
-// Reliability-initialized pseudocost branching. A shared
+// Reliability-initialized pseudocost branching. The search's
 // PseudocostTable accumulates, per (variable, direction), the observed
 // branch gain of every child LP re-solve the search performs: objective
 // degradation plus integer-infeasibility reduction per unit of
@@ -11,13 +11,11 @@
 // through the node's warm basis, at most 4 candidates per node —
 // seeding the table before its estimates are trusted.
 //
-// The rule is a stateless function; cross-worker learning flows
-// through the PseudocostTable, which is internally synchronized.
+// The rule is a stateless function; what the search learns lives in
+// the PseudocostTable.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -27,8 +25,8 @@
 
 namespace dpv::milp::search {
 
-/// Shared per-variable branch-outcome statistics feeding pseudocost
-/// scores. Thread-safe: one table serves every worker of a search.
+/// Per-variable branch-outcome statistics feeding pseudocost scores;
+/// one table per search.
 ///
 /// The recorded gain of a solved child is
 ///   (max(0, objective degradation) + max(0, fractionality reduction))
@@ -48,9 +46,7 @@ class PseudocostTable {
   /// Records an LP-infeasible child in direction `up`.
   void record_infeasible(std::size_t var, bool up);
 
-  /// One (variable, direction)'s accumulated statistics, readable in a
-  /// single lock acquisition — selection loops run per node on every
-  /// worker, so the table is read far more often than written.
+  /// One (variable, direction)'s accumulated statistics.
   struct DirectionStats {
     double gain_sum = 0.0;
     std::size_t solved = 0;
@@ -66,11 +62,8 @@ class PseudocostTable {
     }
   };
 
-  /// Both directions of every listed variable under ONE lock — the
-  /// per-node read path of the pseudocost rule, so the shared mutex is
-  /// taken O(1) instead of O(candidates) times per node.
-  std::vector<std::pair<DirectionStats, DirectionStats>> snapshot(
-      const std::vector<std::size_t>& vars) const;
+  /// The statistics of `var` in direction `up`.
+  const DirectionStats& stats(std::size_t var, bool up) const;
 
   /// The whole table in variable order (element [var] = (down, up)) —
   /// the export delta re-certification persists as warm priors.
@@ -93,10 +86,8 @@ class PseudocostTable {
   double global_average_gain() const;
 
  private:
-  const DirectionStats& entry(std::size_t var, bool up) const;
   DirectionStats& entry(std::size_t var, bool up);
 
-  mutable std::mutex mutex_;
   std::vector<DirectionStats> entries_;  ///< [var * 2 + up]
   double global_gain_sum_ = 0.0;
   std::size_t global_solved_ = 0;
@@ -114,12 +105,8 @@ struct BranchContext {
   const lp::SimplexBasis* warm_basis = nullptr;
   double integrality_tolerance = 1e-6;
   bool minimize = true;
-  /// The search's shared table (required).
+  /// The search's table (required).
   PseudocostTable* pseudocosts = nullptr;
-  /// Optional cooperative-cancel flag (the frontier's stop flag): the
-  /// probe loop polls it between candidates so a search that is
-  /// already stopping does not keep burning probe LP re-solves.
-  const std::atomic<bool>* stop = nullptr;
 };
 
 /// The rule's verdict for one node: the variable to split on, plus any

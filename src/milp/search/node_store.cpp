@@ -61,18 +61,6 @@ bool NodeStore::pop(SearchNode& out) {
   return true;
 }
 
-std::size_t NodeStore::steal_half(std::vector<SearchNode>& out) {
-  if (!heap_.empty()) {
-    const std::size_t k = (heap_.size() + 1) / 2;
-    for (std::size_t i = 0; i < k; ++i) out.push_back(heap_pop());
-    return k;
-  }
-  const std::size_t k = (dive_.size() + 1) / 2;
-  for (std::size_t i = 0; i < k; ++i) out.push_back(std::move(dive_[i]));
-  dive_.erase(dive_.begin(), dive_.begin() + static_cast<std::ptrdiff_t>(k));
-  return k;
-}
-
 bool NodeStore::best_bound(double& out) const {
   bool found = false;
   for (const std::vector<SearchNode>* nodes : {&dive_, &heap_}) {

@@ -1,6 +1,6 @@
 // Node store: the open-node container behind branch & bound.
 //
-// A NodeStore owns the order in which one worker expands its open
+// A NodeStore owns the order in which the search expands its open
 // nodes: dive-then-best-bound with plunging. Fresh children land on a
 // LIFO dive stack and pop from it for up to 8 consecutive pops (the
 // plunge, which reaches integral points fast); then the dive stack
@@ -10,12 +10,8 @@
 //
 // Determinism: every heap decision tie-breaks on the stable node id
 // (`SearchNode::id`, assigned from a per-search counter) — never on
-// pointer values or insertion addresses — so a serial search replays
+// pointer values or insertion addresses — so the search replays
 // identically and heap order is reproducible across runs.
-//
-// Stores are NOT thread-safe; the parallel frontier (frontier.hpp)
-// wraps one store per worker behind a per-deque mutex and steals
-// between them.
 #pragma once
 
 #include <cstddef>
@@ -83,13 +79,6 @@ class NodeStore {
   bool pop(SearchNode& out);
   std::size_t size() const { return dive_.size() + heap_.size(); }
   bool empty() const { return size() == 0; }
-
-  /// Moves roughly half of this store's entries into `out`: the best
-  /// half of the heap (the shareable frontier, spreading good bounds
-  /// across workers), or — when the heap is empty — the oldest half of
-  /// the dive stack (the entries the owner would reach last). Returns
-  /// the number of nodes moved. Deterministic given the store's content.
-  std::size_t steal_half(std::vector<SearchNode>& out);
 
   /// Most optimistic bound over the open nodes (direction-aware);
   /// false when empty or no stored node carries a bound yet.

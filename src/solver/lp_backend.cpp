@@ -23,8 +23,6 @@ void SolverStats::merge(const SolverStats& other) {
   sibling_batches += other.sibling_batches;
   factor_seconds += other.factor_seconds;
   pivot_seconds += other.pivot_seconds;
-  nodes_stolen += other.nodes_stolen;
-  steal_attempts += other.steal_attempts;
   // Width / gap high-water marks, not volumes: keep the worst.
   peak_open_nodes = std::max(peak_open_nodes, other.peak_open_nodes);
   best_bound_gap = std::max(best_bound_gap, other.best_bound_gap);

@@ -61,13 +61,9 @@ struct SolverStats {
   /// updates).
   double factor_seconds = 0.0;
   double pivot_seconds = 0.0;
-  /// Work-stealing search accounting, filled by the MILP layer (see
-  /// src/milp/search/frontier.hpp): nodes moved between per-worker
-  /// deques, victim probes issued, and the frontier's high-water mark
-  /// of simultaneously open nodes (merge keeps the max — a width, not
-  /// a volume).
-  std::size_t nodes_stolen = 0;
-  std::size_t steal_attempts = 0;
+  /// The MILP search's high-water mark of simultaneously open nodes,
+  /// counting the node being expanded (merge keeps the max — a width,
+  /// not a volume).
   std::size_t peak_open_nodes = 0;
   /// Optimality gap still open when a search stopped on its node
   /// budget: |incumbent − best surviving bound|, or |bound target −

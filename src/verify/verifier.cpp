@@ -67,9 +67,6 @@ std::string VerificationResult::summary() const {
     out << ", pricing-resets=" << solver_stats.pricing_resets;
   if (solver_stats.sibling_batches > 0)
     out << ", sibling-batches=" << solver_stats.sibling_batches;
-  if (solver_stats.steal_attempts > 0)
-    out << ", steals=" << solver_stats.nodes_stolen << "/"
-        << solver_stats.steal_attempts << "a";
   if (solver_stats.peak_open_nodes > 1)
     out << ", peak-open=" << solver_stats.peak_open_nodes;
   if (have_best_bound_gap) out << ", gap=" << best_bound_gap;

@@ -88,8 +88,8 @@ struct VerificationResult {
   /// Warm-start hit rate, iteration accounting, cutting-plane counters
   /// (`cuts_added`, `cut_rounds`), basis-factorization accounting
   /// (factorizations, eta updates + nonzeros, factor-vs-pivot seconds)
-  /// and search-layer counters (`nodes_stolen`, `steal_attempts`,
-  /// `peak_open_nodes`, `best_bound_gap`) from the MILP search.
+  /// and search-layer counters (`peak_open_nodes`, `best_bound_gap`)
+  /// from the MILP search.
   solver::SolverStats solver_stats;
   /// True when the verdict is kUnknown because the MILP node budget ran
   /// out (as opposed to an LP iteration limit) — the signal campaign
@@ -142,10 +142,9 @@ struct VerificationResult {
 
 struct TailVerifierOptions {
   EncodeOptions encode = {};
-  /// MILP search options; `milp.threads` enables parallel node
-  /// exploration and `milp.cuts.root_rounds` turns on the cutting-plane
-  /// engine (verdict-preserving; shrinks proof trees on hard SAFE
-  /// queries).
+  /// MILP search options; `milp.cuts.root_rounds` turns on the
+  /// cutting-plane engine (verdict-preserving; shrinks proof trees on
+  /// hard SAFE queries).
   milp::BranchAndBoundOptions milp = {};
   /// Tolerance for re-validating counterexamples on the concrete tail.
   double validation_tolerance = 1e-6;

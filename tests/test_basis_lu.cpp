@@ -4,7 +4,7 @@
 // Markowitz search against a full-scan oracle, restored factors against
 // fresh factorizations bit for bit, revised-simplex optima against the
 // dense-tableau SimplexSolver, tableau rows against the dense row
-// e_r^T B^{-1} [A | -I], verdicts across threads x cuts against ReLU
+// e_r^T B^{-1} [A | -I], verdicts with cuts off and on against ReLU
 // phase enumeration, and the singular-basis crash recovery path.
 #include <gtest/gtest.h>
 
@@ -1102,7 +1102,7 @@ TEST(PivotRowScatter, TighteningReplayOnReluTailMatchesDenseTableau) {
   EXPECT_EQ(lp.row_count(), 242u);
 }
 
-TEST(FactorizationVerdictParity, FullBatteryAcrossThreadsAndCuts) {
+TEST(FactorizationVerdictParity, FullBatteryAcrossCuts) {
   for (const std::uint64_t seed : {31u, 32u, 41u, 42u}) {
     Rng rng(seed);
     const std::size_t in_n = 3, hidden = 6;
@@ -1114,28 +1114,24 @@ TEST(FactorizationVerdictParity, FullBatteryAcrossThreadsAndCuts) {
         oracle::risk_reachable_by_phases(net, q.input_box, q.risk) ? verify::Verdict::kUnsafe
                                                                   : verify::Verdict::kSafe;
 
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      for (const std::size_t rounds : {std::size_t{0}, std::size_t{4}}) {
-        verify::TailVerifierOptions options;
-        options.milp.max_nodes = 20000;
-        options.milp.threads = threads;
-        options.milp.cuts.root_rounds = rounds;
-        const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
-        EXPECT_EQ(r.verdict, reference)
-            << "seed " << seed << " threads " << threads << " rounds " << rounds;
-        if (r.verdict == verify::Verdict::kUnsafe) {
-          EXPECT_TRUE(r.counterexample_validated) << "seed " << seed;
-        }
-        EXPECT_GT(r.solver_stats.basis_factorizations, 0u) << "seed " << seed;
-        if (r.solver_stats.basis_updates > 0) {
-          EXPECT_GT(r.solver_stats.eta_nonzeros, 0u) << "seed " << seed;
-        }
-        // A serial branching search expands at least one node through
-        // the batched sibling re-solve.
-        if (r.milp_nodes > 2 && threads == 1 && rounds == 0) {
-          EXPECT_GT(r.solver_stats.sibling_batches, 0u)
-              << "seed " << seed << " nodes " << r.milp_nodes;
-        }
+    for (const std::size_t rounds : {std::size_t{0}, std::size_t{4}}) {
+      verify::TailVerifierOptions options;
+      options.milp.max_nodes = 20000;
+      options.milp.cuts.root_rounds = rounds;
+      const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
+      EXPECT_EQ(r.verdict, reference) << "seed " << seed << " rounds " << rounds;
+      if (r.verdict == verify::Verdict::kUnsafe) {
+        EXPECT_TRUE(r.counterexample_validated) << "seed " << seed;
+      }
+      EXPECT_GT(r.solver_stats.basis_factorizations, 0u) << "seed " << seed;
+      if (r.solver_stats.basis_updates > 0) {
+        EXPECT_GT(r.solver_stats.eta_nonzeros, 0u) << "seed " << seed;
+      }
+      // A branching search without cuts expands at least one node
+      // through the batched sibling re-solve.
+      if (r.milp_nodes > 2 && rounds == 0) {
+        EXPECT_GT(r.solver_stats.sibling_batches, 0u)
+            << "seed " << seed << " nodes " << r.milp_nodes;
       }
     }
   }

@@ -1,8 +1,8 @@
 // Cutting-plane engine tests: tableau accessor identity, cut soundness
 // against pools of feasible integer points (no feasible point may ever
 // be cut off — a verifier that loses a counterexample reports a false
-// SAFE), verdicts with cuts on/off at 1 and 4 threads against ReLU phase
-// enumeration, and stats plumbing through the verifier and campaign.
+// SAFE), verdicts with cuts on/off against ReLU phase enumeration, and
+// stats plumbing through the verifier and campaign.
 // The reference points and verdicts come from tests/milp_oracle.hpp.
 #include <gtest/gtest.h>
 
@@ -249,22 +249,18 @@ TEST(CutParity, VerdictsMatchCutsOnOffAndPhaseEnumeration) {
         oracle::risk_reachable_by_phases(net, q.input_box, q.risk) ? verify::Verdict::kUnsafe
                                                                   : verify::Verdict::kSafe;
 
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      for (const std::size_t rounds : {std::size_t{0}, std::size_t{5}}) {
-        verify::TailVerifierOptions options;
-        options.milp.max_nodes = 20000;
-        options.milp.threads = threads;
-        options.milp.cuts.root_rounds = rounds;
-        const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
-        EXPECT_EQ(r.verdict, reference)
-            << "seed " << seed << " threads " << threads << " rounds " << rounds;
-        if (r.verdict == verify::Verdict::kUnsafe) {
-          EXPECT_TRUE(r.counterexample_validated) << "seed " << seed;
-        }
-        if (rounds > 0) {
-          EXPECT_GT(r.solver_stats.cut_rounds + r.solver_stats.cuts_added, 0u)
-              << "cut engine never engaged; seed " << seed;
-        }
+    for (const std::size_t rounds : {std::size_t{0}, std::size_t{5}}) {
+      verify::TailVerifierOptions options;
+      options.milp.max_nodes = 20000;
+      options.milp.cuts.root_rounds = rounds;
+      const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
+      EXPECT_EQ(r.verdict, reference) << "seed " << seed << " rounds " << rounds;
+      if (r.verdict == verify::Verdict::kUnsafe) {
+        EXPECT_TRUE(r.counterexample_validated) << "seed " << seed;
+      }
+      if (rounds > 0) {
+        EXPECT_GT(r.solver_stats.cut_rounds + r.solver_stats.cuts_added, 0u)
+            << "cut engine never engaged; seed " << seed;
       }
     }
   }

@@ -30,6 +30,7 @@
 
 #include "absint/box_domain.hpp"
 #include "common/check.hpp"
+#include "common/fault_inject.hpp"
 #include "common/rng.hpp"
 #include "core/campaign.hpp"
 #include "nn/activations.hpp"
@@ -355,12 +356,23 @@ TEST(DeltaTraceReuse, ExactReuseReproducesEncodingBitIdentically) {
   }
 }
 
+/// Fires so far over the fault-probe catalog (src/common/fault_inject.hpp);
+/// stays 0 unless a probe is armed.
+std::size_t probe_fires() {
+  std::size_t total = 0;
+  for (const char* probe : {"lp.refactor_singular", "lp.ftran_nonfinite", "lp.btran_nonfinite",
+                            "verify.encode_alloc", "core.worker_throw"})
+    total += fault::fires(probe);
+  return total;
+}
+
 TEST(DeltaTraceReuse, IdenticalModelPlansExactReuseAndPreservesVerdicts) {
   Rng rng(11);
   const nn::Network net = make_relu_tail(6, 2, rng);
   const nn::Network same = net.clone();
 
   for (const double threshold : {-0.5, 0.3, 5.0}) {
+    const std::size_t fires_before = probe_fires();
     const verify::VerificationQuery q = make_query(net, 6, threshold);
     const HarvestedBase base = certify_base(net, q, {}, 1);
     const verify::QueryArtifacts* entry = base.bundle.find(1);
@@ -383,7 +395,10 @@ TEST(DeltaTraceReuse, IdenticalModelPlansExactReuseAndPreservesVerdicts) {
 
     // With the order-biasing priors disabled, an exact-reuse search
     // reproduces the base run's tree node for node — the strongest
-    // observable form of "the problem is bit-identical".
+    // observable form of "the problem is bit-identical". A fault probe
+    // armed through DPV_FAULT (the chaos runs) that fires in only one of
+    // the two runs changes its tree, so the node check holds only when
+    // none fired; the verdict checks hold either way.
     verify::DeltaPlanOptions no_priors;
     no_priors.reuse_pseudocosts = false;
     const verify::DeltaPlan bare =
@@ -393,7 +408,9 @@ TEST(DeltaTraceReuse, IdenticalModelPlansExactReuseAndPreservesVerdicts) {
     bare.apply(bare_options);
     const verify::VerificationResult replay = verify::TailVerifier(bare_options).verify(dq);
     expect_same_verdict(base.result, replay, "exact trace reuse, no priors");
-    EXPECT_EQ(base.result.milp_nodes, replay.milp_nodes) << "threshold " << threshold;
+    if (probe_fires() == fires_before) {
+      EXPECT_EQ(base.result.milp_nodes, replay.milp_nodes) << "threshold " << threshold;
+    }
   }
 }
 

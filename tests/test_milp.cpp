@@ -1,7 +1,7 @@
 // Branch & bound MILP tests: knapsack instances with known optima,
 // feasibility/infeasibility proofs, big-M ReLU gadgets, and randomized
-// cross-checks, serial and threaded with and without root cuts, against
-// brute-force enumeration of binary assignments (tests/milp_oracle.hpp).
+// cross-checks, with and without root cuts, against brute-force
+// enumeration of binary assignments (tests/milp_oracle.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -173,27 +173,23 @@ std::vector<RandomMilpCase> random_milp_cases() {
   return cases;
 }
 
-/// Random small MILPs: the search, serial and threaded, with and without
-/// root cuts, against brute force over every binary assignment.
+/// Random small MILPs: the search, with and without root cuts, against
+/// brute force over every binary assignment.
 class MilpOracleSweep : public ::testing::TestWithParam<RandomMilpCase> {};
 
-TEST_P(MilpOracleSweep, MatchesBruteForceAcrossThreadsAndCuts) {
+TEST_P(MilpOracleSweep, MatchesBruteForceAcrossCuts) {
   const MilpProblem p = random_binary_milp(GetParam());
   const oracle::BruteForceResult expected = oracle::brute_force_milp(p);
-  for (const std::size_t threads : {1u, 4u}) {
-    for (const std::size_t cut_rounds : {0u, 2u}) {
-      BranchAndBoundOptions options;
-      options.threads = threads;
-      options.cuts.root_rounds = cut_rounds;
-      const MilpResult r = BranchAndBoundSolver(options).solve(p);
-      const std::string label =
-          "t" + std::to_string(threads) + "/cuts" + std::to_string(cut_rounds);
-      if (!expected.feasible) {
-        EXPECT_EQ(r.status, MilpStatus::kInfeasible) << label;
-      } else {
-        ASSERT_EQ(r.status, MilpStatus::kOptimal) << label;
-        EXPECT_NEAR(r.objective, expected.objective, kTol) << label;
-      }
+  for (const std::size_t cut_rounds : {0u, 2u}) {
+    BranchAndBoundOptions options;
+    options.cuts.root_rounds = cut_rounds;
+    const MilpResult r = BranchAndBoundSolver(options).solve(p);
+    const std::string label = "cuts" + std::to_string(cut_rounds);
+    if (!expected.feasible) {
+      EXPECT_EQ(r.status, MilpStatus::kInfeasible) << label;
+    } else {
+      ASSERT_EQ(r.status, MilpStatus::kOptimal) << label;
+      EXPECT_NEAR(r.objective, expected.objective, kTol) << label;
     }
   }
 }

@@ -1,22 +1,19 @@
-// Search-layer tests: node-store ordering and steal semantics,
-// work-stealing frontier stress (every node processed exactly once),
-// pseudocost bookkeeping against hand-computed degradations, verifier
-// verdict parity across threads and cuts, and best-bound gap reporting
-// on node-limit stops. The random-MILP parity against brute force lives
-// in tests/test_milp.cpp.
+// Search-layer tests: node-store ordering, pseudocost bookkeeping
+// against hand-computed degradations, verifier verdict parity across
+// cuts, run-to-run determinism of node-limited searches (and a pinned
+// node count and peak), and best-bound gap reporting on node-limit
+// stops. The random-MILP parity against brute force lives in
+// tests/test_milp.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "lp/revised_simplex.hpp"
 #include "milp/branch_and_bound.hpp"
 #include "milp/search/branching_rule.hpp"
-#include "milp/search/frontier.hpp"
 #include "milp/search/node_store.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
@@ -101,47 +98,6 @@ TEST(NodeStore, HeapPopsBoundOrderWithStableIdTieBreak) {
   }
 }
 
-TEST(NodeStore, StealsBestHeapHalfElseOldestDiveHalf) {
-  // Dive stack only: thieves take the oldest half, the owner keeps the
-  // newest (its dive).
-  search::NodeStore dive(/*minimize=*/true);
-  for (std::uint64_t id = 0; id < 5; ++id) dive.push(make_node(id, 0.0));
-  std::vector<search::SearchNode> loot;
-  EXPECT_EQ(dive.steal_half(loot), 3u);  // ceil(5/2) oldest entries
-  ASSERT_EQ(loot.size(), 3u);
-  EXPECT_EQ(loot[0].id, 0u);
-  EXPECT_EQ(loot[1].id, 1u);
-  EXPECT_EQ(loot[2].id, 2u);
-  search::SearchNode node;
-  ASSERT_TRUE(dive.pop(node));
-  EXPECT_EQ(node.id, 4u);
-  ASSERT_TRUE(dive.pop(node));
-  EXPECT_EQ(node.id, 3u);
-  EXPECT_FALSE(dive.pop(node));
-
-  // Heap non-empty: thieves take its best half and leave the dive alone.
-  search::NodeStore store(/*minimize=*/true);
-  for (std::uint64_t id = 0; id < 4; ++id) store.push(make_node(id, static_cast<double>(id)));
-  plunge_through_fillers(store, 10);
-  ASSERT_TRUE(store.pop(node));  // spills ids 0..3, pops the best
-  EXPECT_EQ(node.id, 0u);
-  store.push(make_node(20, 0.5));
-  store.push(make_node(21, 0.5));
-  loot.clear();
-  EXPECT_EQ(store.steal_half(loot), 2u);  // ceil(3/2) of the heap
-  ASSERT_EQ(loot.size(), 2u);
-  EXPECT_EQ(loot[0].id, 1u);  // best bounds leave first
-  EXPECT_EQ(loot[1].id, 2u);
-  EXPECT_EQ(store.size(), 3u);
-  loot.clear();
-  EXPECT_EQ(store.steal_half(loot), 1u);
-  EXPECT_EQ(loot[0].id, 3u);
-  loot.clear();
-  EXPECT_EQ(store.steal_half(loot), 1u);  // heap empty: oldest dive entry
-  EXPECT_EQ(loot[0].id, 20u);
-  EXPECT_EQ(store.size(), 1u);
-}
-
 TEST(NodeStore, BestBoundCoversDiveAndHeap) {
   search::NodeStore store(/*minimize=*/true);
   double bound = 0.0;
@@ -171,82 +127,12 @@ TEST(NodeStore, BestBoundCoversDiveAndHeap) {
   EXPECT_DOUBLE_EQ(bound, 6.0);
 }
 
-// ---------------------------------------------------------- frontier
-
-/// Wide synthetic tree driven straight through the frontier: every
-/// worker expands nodes into `kFanout` children down to `kDepth`, and
-/// each processed id is recorded. The invariant under test is the
-/// scheduler's: every pushed node is processed exactly once, across
-/// owners and thieves alike.
-TEST(WorkStealingFrontier, WideTreeProcessesEveryNodeExactlyOnce) {
-  constexpr std::size_t kWorkers = 4;
-  constexpr std::size_t kFanout = 3;
-  constexpr std::size_t kDepth = 7;  // (3^8 - 1) / 2 = 3280 nodes
-  std::size_t expected = 0, layer = 1;
-  for (std::size_t d = 0; d <= kDepth; ++d, layer *= kFanout) expected += layer;
-
-  search::ParallelFrontier frontier(kWorkers, /*minimize=*/true);
-  std::atomic<std::uint64_t> next_id{1};
-  search::SearchNode root;  // id 0, depth encoded in `bound`
-  root.bound = 0.0;
-  root.has_bound = true;
-  frontier.push(0, root);
-
-  std::vector<std::vector<std::uint64_t>> seen(kWorkers);
-  const auto work = [&](std::size_t w) {
-    search::SearchNode node;
-    while (frontier.acquire(w, node) == search::ParallelFrontier::Acquire::kGot) {
-      seen[w].push_back(node.id);
-      const auto depth = static_cast<std::size_t>(node.bound);
-      if (depth < kDepth) {
-        for (std::size_t c = 0; c < kFanout; ++c) {
-          search::SearchNode child;
-          child.id = next_id.fetch_add(1);
-          child.bound = static_cast<double>(depth + 1);
-          child.has_bound = true;
-          frontier.push(w, child);
-        }
-      }
-      frontier.complete();
-    }
-  };
-  std::vector<std::thread> pool;
-  for (std::size_t w = 0; w < kWorkers; ++w) pool.emplace_back(work, w);
-  for (std::thread& t : pool) t.join();
-
-  std::vector<std::uint64_t> all;
-  bool others_worked = false;
-  for (std::size_t w = 0; w < kWorkers; ++w) {
-    all.insert(all.end(), seen[w].begin(), seen[w].end());
-    if (w > 0 && !seen[w].empty()) others_worked = true;
-  }
-  ASSERT_EQ(all.size(), expected);
-  std::sort(all.begin(), all.end());
-  for (std::uint64_t id = 0; id < expected; ++id)
-    ASSERT_EQ(all[id], id) << "duplicate or lost node";
-  // Only worker 0 holds the root: anything processed elsewhere must
-  // have been stolen.
-  if (others_worked) {
-    EXPECT_GT(frontier.nodes_stolen(), 0u);
-  }
-  EXPECT_EQ(frontier.open_count(), 0u);
-  EXPECT_GE(frontier.peak_open(), kFanout);
-}
-
 // -------------------------------------------------------- pseudocosts
-
-/// One (variable, direction)'s statistics, read through the snapshot the
-/// branching rule reads.
-search::PseudocostTable::DirectionStats direction(const search::PseudocostTable& table,
-                                                  std::size_t var, bool up) {
-  const auto both = table.snapshot({var}).front();
-  return up ? both.second : both.first;
-}
 
 TEST(PseudocostTable, BookkeepingMatchesHandComputedValues) {
   search::PseudocostTable table(3);
-  EXPECT_EQ(direction(table, 1, true).observations(), 0u);
-  EXPECT_DOUBLE_EQ(direction(table, 1, true).average_gain(), 0.0);
+  EXPECT_EQ(table.stats(1, true).observations(), 0u);
+  EXPECT_DOUBLE_EQ(table.stats(1, true).average_gain(), 0.0);
   EXPECT_DOUBLE_EQ(table.global_average_gain(), 0.0);
 
   table.record(1, true, 2.0);
@@ -255,14 +141,14 @@ TEST(PseudocostTable, BookkeepingMatchesHandComputedValues) {
   table.record(1, false, 1.0);
   table.record_infeasible(2, false);
 
-  EXPECT_EQ(direction(table, 1, true).observations(), 3u);
-  EXPECT_DOUBLE_EQ(direction(table, 1, true).average_gain(), 3.0);  // (2 + 4) / 2
-  EXPECT_DOUBLE_EQ(direction(table, 1, true).infeasible_rate(), 1.0 / 3.0);
-  EXPECT_EQ(direction(table, 1, false).observations(), 1u);
-  EXPECT_DOUBLE_EQ(direction(table, 1, false).average_gain(), 1.0);
-  EXPECT_DOUBLE_EQ(direction(table, 1, false).infeasible_rate(), 0.0);
-  EXPECT_EQ(direction(table, 2, false).observations(), 1u);
-  EXPECT_DOUBLE_EQ(direction(table, 2, false).infeasible_rate(), 1.0);
+  EXPECT_EQ(table.stats(1, true).observations(), 3u);
+  EXPECT_DOUBLE_EQ(table.stats(1, true).average_gain(), 3.0);  // (2 + 4) / 2
+  EXPECT_DOUBLE_EQ(table.stats(1, true).infeasible_rate(), 1.0 / 3.0);
+  EXPECT_EQ(table.stats(1, false).observations(), 1u);
+  EXPECT_DOUBLE_EQ(table.stats(1, false).average_gain(), 1.0);
+  EXPECT_DOUBLE_EQ(table.stats(1, false).infeasible_rate(), 0.0);
+  EXPECT_EQ(table.stats(2, false).observations(), 1u);
+  EXPECT_DOUBLE_EQ(table.stats(2, false).infeasible_rate(), 1.0);
   // Global mean over the 3 solved observations: (2 + 4 + 1) / 3.
   EXPECT_DOUBLE_EQ(table.global_average_gain(), 7.0 / 3.0);
 }
@@ -298,15 +184,15 @@ TEST(PseudocostRule, ReliabilityProbesRecordHandComputedDegradations) {
   ctx.pseudocosts = &table;
   EXPECT_EQ(search::decide_branch(ctx).var, b0);
 
-  EXPECT_EQ(direction(table, b0, false).observations(), 1u);
-  EXPECT_EQ(direction(table, b0, true).observations(), 1u);
-  EXPECT_NEAR(direction(table, b0, false).average_gain(), 2.0, kTol);
-  EXPECT_NEAR(direction(table, b0, true).average_gain(), 0.0, kTol);
-  EXPECT_DOUBLE_EQ(direction(table, b0, false).infeasible_rate(), 0.0);
-  EXPECT_DOUBLE_EQ(direction(table, b0, true).infeasible_rate(), 0.0);
+  EXPECT_EQ(table.stats(b0, false).observations(), 1u);
+  EXPECT_EQ(table.stats(b0, true).observations(), 1u);
+  EXPECT_NEAR(table.stats(b0, false).average_gain(), 2.0, kTol);
+  EXPECT_NEAR(table.stats(b0, true).average_gain(), 0.0, kTol);
+  EXPECT_DOUBLE_EQ(table.stats(b0, false).infeasible_rate(), 0.0);
+  EXPECT_DOUBLE_EQ(table.stats(b0, true).infeasible_rate(), 0.0);
   // b1 was integral at the node: never probed.
-  EXPECT_EQ(direction(table, b1, false).observations(), 0u);
-  EXPECT_EQ(direction(table, b1, true).observations(), 0u);
+  EXPECT_EQ(table.stats(b1, false).observations(), 0u);
+  EXPECT_EQ(table.stats(b1, true).observations(), 0u);
 }
 
 TEST(PseudocostRule, InfeasibleProbeChildrenAreRecorded) {
@@ -344,17 +230,16 @@ TEST(PseudocostRule, InfeasibleProbeChildrenAreRecorded) {
   ASSERT_TRUE(decision.have_down_bound);
   EXPECT_NEAR(decision.down_bound, 0.0, kTol);
 
-  EXPECT_NEAR(direction(table, b0, false).average_gain(), 1.0, kTol);
-  EXPECT_DOUBLE_EQ(direction(table, b0, true).infeasible_rate(), 1.0);
-  EXPECT_EQ(direction(table, b0, true).observations(), 1u);
+  EXPECT_NEAR(table.stats(b0, false).average_gain(), 1.0, kTol);
+  EXPECT_DOUBLE_EQ(table.stats(b0, true).infeasible_rate(), 1.0);
+  EXPECT_EQ(table.stats(b0, true).observations(), 1u);
 }
 
 // -------------------------------------------------- verdict parity
 
 /// The verifier's shape: a small ReLU tail with a proof-forcing
-/// threshold, identical verdicts serial and threaded, with and without
-/// root cuts.
-TEST(SearchParity, VerifierVerdictsAgreeAcrossThreadsAndCuts) {
+/// threshold, identical verdicts with and without root cuts.
+TEST(SearchParity, VerifierVerdictsAgreeAcrossCuts) {
   Rng rng(77);
   nn::Network net;
   auto d1 = std::make_unique<nn::Dense>(5, 8);
@@ -381,24 +266,113 @@ TEST(SearchParity, VerifierVerdictsAgreeAcrossThreadsAndCuts) {
 
     bool have_reference = false;
     verify::Verdict reference = verify::Verdict::kUnknown;
-    for (const std::size_t threads : {1u, 4u}) {
-      for (const std::size_t cut_rounds : {0u, 2u}) {
-        verify::TailVerifierOptions options;
-        options.milp.threads = threads;
-        options.milp.cuts.root_rounds = cut_rounds;
-        const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
-        if (!have_reference) {
-          reference = r.verdict;
-          have_reference = true;
-        }
-        EXPECT_EQ(r.verdict, reference)
-            << "t" << threads << "/cuts" << cut_rounds << " threshold " << threshold;
-        if (r.verdict == verify::Verdict::kUnsafe) {
-          EXPECT_TRUE(r.counterexample_validated);
-        }
+    for (const std::size_t cut_rounds : {0u, 2u}) {
+      verify::TailVerifierOptions options;
+      options.milp.cuts.root_rounds = cut_rounds;
+      const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
+      if (!have_reference) {
+        reference = r.verdict;
+        have_reference = true;
+      }
+      EXPECT_EQ(r.verdict, reference) << "cuts" << cut_rounds << " threshold " << threshold;
+      if (r.verdict == verify::Verdict::kUnsafe) {
+        EXPECT_TRUE(r.counterexample_validated);
       }
     }
   }
+}
+
+// ------------------------------------------------------- determinism
+
+/// An integrally infeasible parity row (ten binaries summing to 5.5)
+/// under a weighted objective: every node's relaxation sits on the row,
+/// so no incumbent ever appears and a node-limited search stops with a
+/// frontier point, a best open bound and a gap against its target.
+MilpProblem weighted_parity_gadget() {
+  MilpProblem p;
+  std::vector<lp::LinearTerm> parity, obj;
+  for (int i = 0; i < 10; ++i) {
+    const std::size_t b = p.add_variable(VarType::kBinary, 0.0, 1.0);
+    parity.push_back({b, 1.0});
+    obj.push_back({b, 1.0 + (i * 3) % 5});  // small integers: exact LP arithmetic
+  }
+  p.add_row(parity, lp::RowSense::kEqual, 5.5);
+  p.set_objective(obj, lp::Objective::kMaximize);
+  return p;
+}
+
+TEST(SearchDeterminism, NodeLimitedMilpRepeatsBitForBit) {
+  const MilpProblem p = weighted_parity_gadget();
+  BranchAndBoundOptions options;
+  options.max_nodes = 9;
+  options.bound_target = 5.0;
+  const MilpResult a = BranchAndBoundSolver(options).solve(p);
+  const MilpResult b = BranchAndBoundSolver(options).solve(p);
+  ASSERT_EQ(a.status, MilpStatus::kNodeLimit);
+  ASSERT_TRUE(a.have_best_bound);
+  ASSERT_TRUE(a.have_frontier_point);
+  EXPECT_EQ(b.status, a.status);
+  EXPECT_EQ(b.nodes_explored, a.nodes_explored);
+  EXPECT_EQ(b.lp_iterations, a.lp_iterations);
+  EXPECT_EQ(b.have_best_bound, a.have_best_bound);
+  EXPECT_EQ(b.best_bound, a.best_bound);  // bit for bit, not within a tolerance
+  EXPECT_EQ(b.best_bound_gap, a.best_bound_gap);
+  EXPECT_EQ(b.have_frontier_point, a.have_frontier_point);
+  EXPECT_EQ(b.frontier_values, a.frontier_values);
+  EXPECT_EQ(b.solver_stats.peak_open_nodes, a.solver_stats.peak_open_nodes);
+}
+
+TEST(SearchDeterminism, NodeLimitedVerifierQueryRepeatsBitForBit) {
+  Rng rng(1002);
+  nn::Network net;
+  auto d1 = std::make_unique<nn::Dense>(7, 7);
+  d1->init_he(rng);
+  net.add(std::move(d1));
+  net.add(std::make_unique<nn::ReLU>(Shape{7}));
+  auto d2 = std::make_unique<nn::Dense>(7, 2);
+  d2->init_he(rng);
+  net.add(std::move(d2));
+  double sampled_max = -1e100;
+  for (int i = 0; i < 200; ++i) {
+    Tensor x(Shape{7});
+    for (std::size_t j = 0; j < 7; ++j) x[j] = rng.uniform(-1.0, 1.0);
+    sampled_max = std::max(sampled_max, net.forward(x)[0]);
+  }
+
+  verify::VerificationQuery q;
+  q.network = &net;
+  q.attach_layer = 0;
+  q.input_box = absint::uniform_box(7, -1.0, 1.0);
+  q.risk.output_at_least(0, 2, sampled_max + 0.5);
+  verify::TailVerifierOptions options;
+  options.milp.max_nodes = 3;
+  const verify::VerificationResult a = verify::TailVerifier(options).verify(q);
+  const verify::VerificationResult b = verify::TailVerifier(options).verify(q);
+  ASSERT_EQ(a.verdict, verify::Verdict::kUnknown);
+  ASSERT_TRUE(a.hit_node_limit);
+  ASSERT_TRUE(a.have_best_bound_gap);
+  ASSERT_TRUE(a.have_frontier_activation);
+  EXPECT_EQ(b.verdict, a.verdict);
+  EXPECT_EQ(b.milp_nodes, a.milp_nodes);
+  EXPECT_EQ(b.lp_iterations, a.lp_iterations);
+  EXPECT_EQ(b.best_bound_gap, a.best_bound_gap);
+  ASSERT_EQ(b.frontier_activation.numel(), a.frontier_activation.numel());
+  for (std::size_t i = 0; i < a.frontier_activation.numel(); ++i) {
+    EXPECT_EQ(b.frontier_activation[i], a.frontier_activation[i]) << "activation " << i;
+  }
+  EXPECT_EQ(b.solver_stats.peak_open_nodes, a.solver_stats.peak_open_nodes);
+  EXPECT_EQ(b.summary().substr(0, b.summary().find(", encode=")),
+            a.summary().substr(0, a.summary().find(", encode=")));
+}
+
+TEST(SearchDeterminism, FullSearchNodeCountAndPeakArePinned) {
+  // A change to node order, branching or open-node accounting moves
+  // these. They hold in every build: the gadget's LP arithmetic is
+  // exact, and a -O0 build without the SIMD bodies prints the same.
+  const MilpResult r = BranchAndBoundSolver().solve(weighted_parity_gadget());
+  ASSERT_EQ(r.status, MilpStatus::kInfeasible);
+  EXPECT_EQ(r.nodes_explored, 461u);
+  EXPECT_EQ(r.solver_stats.peak_open_nodes, 48u);
 }
 
 // ------------------------------------------------------ gap reporting

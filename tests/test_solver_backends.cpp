@@ -1,7 +1,7 @@
 // LP engine and search plumbing tests: revised simplex vs dense-tableau
 // parity on LPs, warm-start correctness and economy and its solve
-// accounting, parallel branch & bound feasibility mode, verifier
-// plumbing, and campaign determinism across thread counts.
+// accounting, warm re-solves inside branch & bound, verifier plumbing,
+// and campaign determinism across thread counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -185,14 +185,6 @@ TEST(WarmStart, StaleBasisFallsBackToColdSolve) {
 
 // ---------------------------------------------------------------- MILP
 
-milp::MilpResult solve_milp(const milp::MilpProblem& p, std::size_t threads = 1,
-                            bool stop_at_first_feasible = false) {
-  milp::BranchAndBoundOptions options;
-  options.threads = threads;
-  options.stop_at_first_feasible = stop_at_first_feasible;
-  return milp::BranchAndBoundSolver(options).solve(p);
-}
-
 TEST(MilpWarmStart, RevisedBackendReusesParentBases) {
   // An integrally-infeasible instance that forces a full tree search, so
   // the warm-start machinery gets real traffic.
@@ -201,31 +193,11 @@ TEST(MilpWarmStart, RevisedBackendReusesParentBases) {
   for (int i = 0; i < 8; ++i)
     parity.push_back({p.add_variable(milp::VarType::kBinary, 0.0, 1.0), 1.0});
   p.add_row(parity, RowSense::kEqual, 3.5);
-  const milp::MilpResult r = solve_milp(p);
+  const milp::MilpResult r = milp::BranchAndBoundSolver().solve(p);
   EXPECT_EQ(r.status, milp::MilpStatus::kInfeasible);
   EXPECT_GT(r.solver_stats.warm_attempts, 0u);
   EXPECT_GT(r.solver_stats.warm_hits, 0u);
   EXPECT_GE(r.solver_stats.warm_hit_rate(), 0.9);
-}
-
-TEST(ParallelBnb, FeasibilityModeStopsEarlyOnAllThreadCounts) {
-  milp::MilpProblem p;
-  std::vector<std::size_t> vars;
-  for (int i = 0; i < 8; ++i)
-    vars.push_back(p.add_variable(milp::VarType::kBinary, 0.0, 1.0));
-  std::vector<LinearTerm> sum;
-  for (const std::size_t v : vars) sum.push_back({v, 1.0});
-  p.add_row(sum, RowSense::kEqual, 4.0);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const milp::MilpResult r = solve_milp(p, threads, true);
-    ASSERT_EQ(r.status, milp::MilpStatus::kFeasible) << "threads " << threads;
-    double total = 0.0;
-    for (const std::size_t v : vars) {
-      EXPECT_NEAR(r.values[v], std::round(r.values[v]), 1e-6);
-      total += r.values[v];
-    }
-    EXPECT_NEAR(total, 4.0, kTol) << "threads " << threads;
-  }
 }
 
 // ------------------------------------------------------------- verifier

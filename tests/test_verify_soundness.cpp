@@ -1,7 +1,7 @@
 // Property-based soundness tests of the whole verification stack:
 // random tails, random boxes, random risk thresholds. Invariants:
-//   * every decided verdict, serial and threaded with and without root
-//     cuts, matches exhaustive ReLU phase enumeration
+//   * every decided verdict, with and without root cuts, matches
+//     exhaustive ReLU phase enumeration
 //     (tests/milp_oracle.hpp) unless the exact optimum is within 1e-6 of
 //     the threshold;
 //   * SAFE  => dense random sampling inside the abstraction finds no
@@ -78,17 +78,13 @@ TEST_P(VerifierSoundnessSweep, VerdictAgreesWithPhaseEnumerationAndSampling) {
   const double optimum = oracle::max_output_by_phases(net, box, 0);
   if (std::abs(optimum - threshold) > 1e-6) {
     const Verdict exact = optimum >= threshold ? Verdict::kUnsafe : Verdict::kSafe;
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      for (const std::size_t rounds : {std::size_t{0}, std::size_t{4}}) {
-        TailVerifierOptions options;
-        options.milp.threads = threads;
-        options.milp.cuts.root_rounds = rounds;
-        const VerificationResult v = TailVerifier(options).verify(q);
-        if (v.verdict == Verdict::kUnknown) continue;
-        EXPECT_EQ(v.verdict, exact) << "seed " << GetParam() << " threads " << threads
-                                    << " rounds " << rounds << " optimum " << optimum
-                                    << " threshold " << threshold;
-      }
+    for (const std::size_t rounds : {std::size_t{0}, std::size_t{4}}) {
+      TailVerifierOptions options;
+      options.milp.cuts.root_rounds = rounds;
+      const VerificationResult v = TailVerifier(options).verify(q);
+      if (v.verdict == Verdict::kUnknown) continue;
+      EXPECT_EQ(v.verdict, exact) << "seed " << GetParam() << " rounds " << rounds
+                                  << " optimum " << optimum << " threshold " << threshold;
     }
   }
 

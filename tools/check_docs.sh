@@ -66,8 +66,6 @@ check_symbol src/lp      "btran"
 check_symbol src/milp    "NodeStore"
 check_symbol src/milp    "decide_branch"
 check_symbol src/milp    "PseudocostTable"
-check_symbol src/milp    "ParallelFrontier"
-check_symbol src/milp    "steal_half"
 check_symbol src/milp    "kPlungeLimit"
 check_symbol src/milp    "kProbeCandidates"
 check_symbol src/milp    "pseudocost_priors"
@@ -75,8 +73,6 @@ check_symbol src/milp    "initial_cuts"
 check_symbol src/milp    "harvest_root_cuts"
 check_symbol src/milp    "bound_target"
 check_symbol src/milp    "best_bound"
-check_symbol src/solver  "nodes_stolen"
-check_symbol src/solver  "steal_attempts"
 check_symbol src/solver  "peak_open_nodes"
 check_symbol src/solver  "best_bound_gap"
 check_symbol src/verify  "risk_margin_objective"

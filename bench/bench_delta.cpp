@@ -10,8 +10,13 @@
 // reuse elides; the headline target is delta wall <= 25% of cold wall
 // at full verdict compatibility.
 //
+// After the timed delta pass, three untimed ablation passes re-run the
+// delta battery with one reuse class switched off each (pseudocost
+// priors, root basis, bound trace), so each class shows what it saves:
+// the first two in MILP LP iterations, the trace in tightening LPs.
+//
 // Writes BENCH_delta.json (kind "delta") for tools/bench_compare.py:
-// machine-independent reuse/verdict counters compared strictly, wall
+// machine-independent reuse/verdict/LP counters compared strictly, wall
 // ratios (not absolute seconds) checked against the floors/ceilings the
 // file itself carries.
 #include <benchmark/benchmark.h>
@@ -71,10 +76,10 @@ nn::Network perturb_dense(const nn::Network& net, std::size_t layer_index, doubl
 }
 
 /// Risk thresholds from just-above the decision boundary (small proof
-/// tree, generates cuts worth recycling) to clearly provable (settles
-/// at the root), so encode cost dominates the battery — the regime
-/// where re-certification saves the most, because trace reuse elides
-/// exactly the bound-tightening LPs the cold encode pays for.
+/// tree) to clearly provable (settles at the root), so encode cost
+/// dominates the battery — the regime where re-certification saves the
+/// most, because trace reuse elides exactly the bound-tightening LPs the
+/// cold encode pays for.
 const std::vector<double>& battery_thresholds() {
   static const std::vector<double> thresholds = {10.0, 11.0, 12.0, 13.0, 14.0, 16.0};
   return thresholds;
@@ -101,24 +106,34 @@ verify::TailVerifierOptions battery_options() {
 
 // ------------------------------------------------------------ one config
 
+/// The reuse class a delta pass switches off, by clearing the plan's
+/// own field before applying it.
+enum class Ablation { kNone, kPriors, kRootBasis, kTrace };
+
+/// Totals of one pass of the battery over a model.
+struct BatteryPass {
+  std::size_t entries_exact = 0;
+  std::size_t entries_widened = 0;
+  std::size_t entries_cold = 0;
+  std::size_t bounds_refreshed = 0;
+  std::size_t nodes = 0;
+  std::size_t lp_iterations = 0;
+  std::size_t tightening_lps = 0;
+  double encode_seconds = 0.0;
+  double solve_seconds = 0.0;
+  std::vector<verify::Verdict> verdicts;
+};
+
 struct DeltaSweep {
   std::string config;
   double cold_wall_seconds = 0.0;
   double delta_wall_seconds = 0.0;
-  std::size_t entries_exact = 0;
-  std::size_t entries_widened = 0;
-  std::size_t entries_cold = 0;
-  std::size_t cuts_recycled = 0;
-  std::size_t cuts_dropped = 0;
-  std::size_t bounds_refreshed = 0;
-  std::size_t cold_nodes = 0;
-  std::size_t delta_nodes = 0;
-  double cold_encode_seconds = 0.0;
-  double cold_solve_seconds = 0.0;
-  double delta_encode_seconds = 0.0;
-  double delta_solve_seconds = 0.0;
-  std::string cold_verdicts;
-  std::string delta_verdicts;
+  BatteryPass cold;
+  BatteryPass delta;
+  /// The ablation passes: the delta battery with one class switched off.
+  std::size_t priors_off_lp_iterations = 0;
+  std::size_t basis_off_lp_iterations = 0;
+  std::size_t trace_off_tightening_lps = 0;
   bool compatible = true;
 };
 
@@ -143,39 +158,33 @@ verify::DeltaArtifacts certify_base(const nn::Network& base) {
   return bundle;
 }
 
-DeltaSweep run_sweep(const std::string& config, const nn::Network& base,
-                     const nn::Network& updated, const verify::DeltaArtifacts& bundle) {
-  DeltaSweep sweep;
-  sweep.config = config;
-
-  // Cold re-certification: the updated model from scratch.
-  std::vector<verify::Verdict> cold_verdicts;
-  const auto cold_start = std::chrono::steady_clock::now();
-  for (const double threshold : battery_thresholds()) {
-    const verify::VerificationQuery q = make_query(updated, threshold);
-    const verify::VerificationResult r =
-        verify::TailVerifier(battery_options()).verify(q);
-    cold_verdicts.push_back(r.verdict);
-    sweep.cold_nodes += r.milp_nodes;
-    sweep.cold_encode_seconds += r.encode_seconds;
-    sweep.cold_solve_seconds += r.solve_seconds;
-    if (!sweep.cold_verdicts.empty()) sweep.cold_verdicts += ',';
-    sweep.cold_verdicts += verify::verdict_name(r.verdict);
-  }
-  sweep.cold_wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - cold_start).count();
-
-  // Delta re-certification: plan artifact reuse per query, then verify.
-  const auto delta_start = std::chrono::steady_clock::now();
+/// Certifies `updated` over the battery: cold when `bundle` is null,
+/// else with reuse planned against it, minus the class `ablation` names.
+BatteryPass run_pass(const nn::Network& base, const nn::Network& updated,
+                     const verify::DeltaArtifacts* bundle, Ablation ablation) {
+  BatteryPass pass;
   std::size_t key = 1;
-  std::size_t index = 0;
   for (const double threshold : battery_thresholds()) {
     const verify::VerificationQuery q = make_query(updated, threshold);
     verify::TailVerifierOptions options = battery_options();
     verify::DeltaPlan plan;
-    const verify::QueryArtifacts* entry = bundle.find(key);
+    const verify::QueryArtifacts* entry = bundle != nullptr ? bundle->find(key) : nullptr;
+    ++key;
     if (entry != nullptr) {
-      plan = verify::plan_delta_reuse(bundle, *entry, base, updated, q, {});
+      plan = verify::plan_delta_reuse(*bundle, *entry, base, updated, q, {});
+      switch (ablation) {
+        case Ablation::kNone:
+          break;
+        case Ablation::kPriors:
+          plan.pseudocosts.clear();
+          break;
+        case Ablation::kRootBasis:
+          plan.root_basis = {};
+          break;
+        case Ablation::kTrace:
+          plan.trace = verify::TraceReuse::kNone;
+          break;
+      }
       if (plan.usable) {
         plan.apply(options);
         // Mirror the campaign wiring: a widened trace over a drifted
@@ -187,34 +196,70 @@ DeltaSweep run_sweep(const std::string& config, const nn::Network& base,
     }
     switch (plan.usable ? plan.trace : verify::TraceReuse::kNone) {
       case verify::TraceReuse::kExact:
-        ++sweep.entries_exact;
+        ++pass.entries_exact;
         break;
       case verify::TraceReuse::kWidened:
-        ++sweep.entries_widened;
+        ++pass.entries_widened;
         break;
       case verify::TraceReuse::kNone:
-        ++sweep.entries_cold;
+        ++pass.entries_cold;
         break;
     }
-    sweep.cuts_dropped += plan.cuts_dropped;
     const verify::VerificationResult r = verify::TailVerifier(options).verify(q);
-    sweep.delta_nodes += r.milp_nodes;
-    sweep.delta_encode_seconds += r.encode_seconds;
-    sweep.delta_solve_seconds += r.solve_seconds;
-    sweep.cuts_recycled += r.cuts_recycled;
-    sweep.bounds_refreshed += r.refreshed_bounds;
-    if (!sweep.delta_verdicts.empty()) sweep.delta_verdicts += ',';
-    sweep.delta_verdicts += verify::verdict_name(r.verdict);
-    if (r.verdict != cold_verdicts[index]) sweep.compatible = false;
-    ++key;
-    ++index;
+    pass.nodes += r.milp_nodes;
+    pass.lp_iterations += r.lp_iterations;
+    pass.tightening_lps += r.encoding.tightening_lps;
+    pass.encode_seconds += r.encode_seconds;
+    pass.solve_seconds += r.solve_seconds;
+    pass.bounds_refreshed += r.refreshed_bounds;
+    pass.verdicts.push_back(r.verdict);
   }
-  sweep.delta_wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - delta_start).count();
+  return pass;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+DeltaSweep run_sweep(const std::string& config, const nn::Network& base,
+                     const nn::Network& updated, const verify::DeltaArtifacts& bundle) {
+  DeltaSweep sweep;
+  sweep.config = config;
+
+  // Cold re-certification: the updated model from scratch.
+  const auto cold_start = std::chrono::steady_clock::now();
+  sweep.cold = run_pass(base, updated, nullptr, Ablation::kNone);
+  sweep.cold_wall_seconds = seconds_since(cold_start);
+
+  // Delta re-certification: plan artifact reuse per query, then verify.
+  const auto delta_start = std::chrono::steady_clock::now();
+  sweep.delta = run_pass(base, updated, &bundle, Ablation::kNone);
+  sweep.delta_wall_seconds = seconds_since(delta_start);
+
+  // Untimed ablations. Every pass is a sound re-certification, so its
+  // verdicts must equal the cold ones too.
+  const BatteryPass priors_off = run_pass(base, updated, &bundle, Ablation::kPriors);
+  const BatteryPass basis_off = run_pass(base, updated, &bundle, Ablation::kRootBasis);
+  const BatteryPass trace_off = run_pass(base, updated, &bundle, Ablation::kTrace);
+  sweep.priors_off_lp_iterations = priors_off.lp_iterations;
+  sweep.basis_off_lp_iterations = basis_off.lp_iterations;
+  sweep.trace_off_tightening_lps = trace_off.tightening_lps;
+  sweep.compatible = sweep.delta.verdicts == sweep.cold.verdicts;
+  for (const BatteryPass* pass : {&priors_off, &basis_off, &trace_off})
+    sweep.compatible = sweep.compatible && pass->verdicts == sweep.cold.verdicts;
   return sweep;
 }
 
 // -------------------------------------------------------------- reporting
+
+std::string verdict_list(const std::vector<verify::Verdict>& verdicts) {
+  std::string out;
+  for (const verify::Verdict verdict : verdicts) {
+    if (!out.empty()) out += ',';
+    out += verify::verdict_name(verdict);
+  }
+  return out;
+}
 
 void emit_delta_json(const std::vector<DeltaSweep>& sweeps) {
   std::FILE* f = std::fopen("BENCH_delta.json", "w");
@@ -229,8 +274,9 @@ void emit_delta_json(const std::vector<DeltaSweep>& sweeps) {
   for (const DeltaSweep& s : sweeps) {
     cold_total += s.cold_wall_seconds;
     delta_total += s.delta_wall_seconds;
-    reused += s.entries_exact + s.entries_widened;
-    entries += s.entries_exact + s.entries_widened + s.entries_cold;
+    const BatteryPass& d = s.delta;
+    reused += d.entries_exact + d.entries_widened;
+    entries += d.entries_exact + d.entries_widened + d.entries_cold;
     compatible = compatible && s.compatible;
     const double fraction =
         s.cold_wall_seconds > 0.0 ? s.delta_wall_seconds / s.cold_wall_seconds : 0.0;
@@ -238,15 +284,18 @@ void emit_delta_json(const std::vector<DeltaSweep>& sweeps) {
                  "    {\"config\": \"%s\", \"cold_wall_seconds\": %.6f, "
                  "\"delta_wall_seconds\": %.6f, \"wall_fraction\": %.4f, "
                  "\"entries_exact\": %zu, \"entries_widened\": %zu, "
-                 "\"entries_cold\": %zu, \"cuts_recycled\": %zu, "
-                 "\"cuts_dropped\": %zu, \"bounds_refreshed\": %zu, "
+                 "\"entries_cold\": %zu, \"bounds_refreshed\": %zu, "
                  "\"cold_nodes\": %zu, \"delta_nodes\": %zu, "
+                 "\"delta_lp_iterations\": %zu, \"delta_tightening_lps\": %zu, "
+                 "\"priors_off_lp_iterations\": %zu, \"basis_off_lp_iterations\": %zu, "
+                 "\"trace_off_tightening_lps\": %zu, "
                  "\"cold_verdicts\": \"%s\", \"delta_verdicts\": \"%s\"}%s\n",
                  s.config.c_str(), s.cold_wall_seconds, s.delta_wall_seconds, fraction,
-                 s.entries_exact, s.entries_widened, s.entries_cold, s.cuts_recycled,
-                 s.cuts_dropped, s.bounds_refreshed, s.cold_nodes, s.delta_nodes,
-                 s.cold_verdicts.c_str(), s.delta_verdicts.c_str(),
-                 &s == &sweeps.back() ? "" : ",");
+                 d.entries_exact, d.entries_widened, d.entries_cold, d.bounds_refreshed,
+                 s.cold.nodes, d.nodes, d.lp_iterations, d.tightening_lps,
+                 s.priors_off_lp_iterations, s.basis_off_lp_iterations,
+                 s.trace_off_tightening_lps, verdict_list(s.cold.verdicts).c_str(),
+                 verdict_list(d.verdicts).c_str(), &s == &sweeps.back() ? "" : ",");
   }
   const double wall_fraction = cold_total > 0.0 ? delta_total / cold_total : 0.0;
   const double reuse_fraction =
@@ -267,15 +316,13 @@ void print_delta_report() {
   Rng rng(2020);
   const nn::Network base = make_relu_tail(rng);
   std::printf("\n=== delta re-certification: artifact reuse across model versions ===\n");
-  std::printf("battery: %zu queries, tail %zux%zu ReLU, cuts on\n",
+  std::printf("battery: %zu queries, tail %zux%zu ReLU, one root cut round\n",
               battery_thresholds().size(), kWidth, kDepth);
 
   const auto harvest_start = std::chrono::steady_clock::now();
   const verify::DeltaArtifacts bundle = certify_base(base);
   std::printf("base certification + harvest: %.3f s (%zu query entries)\n",
-              std::chrono::duration<double>(std::chrono::steady_clock::now() - harvest_start)
-                  .count(),
-              bundle.queries.size());
+              seconds_since(harvest_start), bundle.queries.size());
 
   std::vector<DeltaSweep> sweeps;
   sweeps.push_back(run_sweep("identical", base, base.clone(), bundle));
@@ -284,19 +331,24 @@ void print_delta_report() {
   sweeps.push_back(run_sweep("eps-1e-3", base, perturb_dense(base, kPerturbLayer, 1e-3),
                              bundle));
 
-  std::printf("%10s | %8s | %8s | %6s | %15s | %7s | %7s | %7s\n", "config", "cold s",
-              "delta s", "frac", "exact/wide/cold", "cuts", "refresh", "compat");
+  std::printf("%10s | %8s | %8s | %6s | %15s | %8s | %7s | %7s\n", "config", "cold s",
+              "delta s", "frac", "exact/wide/cold", "lp iters", "refresh", "compat");
   std::printf(
-      "-----------+----------+----------+--------+-----------------+---------+---------+---\n");
+      "-----------+----------+----------+--------+-----------------+----------+---------+---\n");
   for (const DeltaSweep& s : sweeps) {
-    std::printf("%10s | %8.3f | %8.3f | %6.3f | %5zu/%4zu/%4zu | %7zu | %7zu | %s\n",
+    const BatteryPass& d = s.delta;
+    std::printf("%10s | %8.3f | %8.3f | %6.3f | %5zu/%4zu/%4zu | %8zu | %7zu | %s\n",
                 s.config.c_str(), s.cold_wall_seconds, s.delta_wall_seconds,
                 s.cold_wall_seconds > 0.0 ? s.delta_wall_seconds / s.cold_wall_seconds : 0.0,
-                s.entries_exact, s.entries_widened, s.entries_cold, s.cuts_recycled,
-                s.bounds_refreshed, s.compatible ? "yes" : "NO");
+                d.entries_exact, d.entries_widened, d.entries_cold, d.lp_iterations,
+                d.bounds_refreshed, s.compatible ? "yes" : "NO");
     std::printf("%10s | encode %.3f -> %.3f s, solve %.3f -> %.3f s, nodes %zu -> %zu\n", "",
-                s.cold_encode_seconds, s.delta_encode_seconds, s.cold_solve_seconds,
-                s.delta_solve_seconds, s.cold_nodes, s.delta_nodes);
+                s.cold.encode_seconds, d.encode_seconds, s.cold.solve_seconds,
+                d.solve_seconds, s.cold.nodes, d.nodes);
+    std::printf("%10s | ablation: priors off %zu, basis off %zu LP iterations; "
+                "trace off %zu tightening LPs (full delta %zu)\n",
+                "", s.priors_off_lp_iterations, s.basis_off_lp_iterations,
+                s.trace_off_tightening_lps, d.tightening_lps);
   }
   emit_delta_json(sweeps);
 }

@@ -5,10 +5,8 @@
 
 #include "common/check.hpp"
 #include "nn/batchnorm.hpp"
-#include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/diff.hpp"
-#include "nn/pool2d.hpp"
 
 namespace dpv::absint {
 
@@ -51,69 +49,6 @@ std::vector<double> batchnorm_step(const nn::BatchNorm& base, const nn::BatchNor
   return r_out;
 }
 
-std::vector<double> conv_step(const nn::Conv2D& base, const nn::Conv2D& upd,
-                              const std::vector<double>& r_in, const Box& in_box) {
-  // Conservative: every output cell of channel o reads at most one
-  // kernel's worth of inputs, each bounded by the worst input radius
-  // and magnitude (padding cells contribute zero to both sums).
-  double r_max = 0.0;
-  for (double r : r_in) r_max = std::max(r_max, r);
-  double mag_max = 0.0;
-  for (const Interval& iv : in_box) mag_max = std::max(mag_max, magnitude(iv));
-
-  const Tensor& wu = upd.weight();
-  const Tensor& wb = base.weight();
-  const std::size_t out_c = wu.shape().dim(0);
-  const std::size_t per_channel = wu.numel() / out_c;
-  const Shape out_shape = upd.output_shape();
-  const std::size_t plane = out_shape.numel() / out_c;
-  std::vector<double> r_out(out_shape.numel(), 0.0);
-  for (std::size_t o = 0; o < out_c; ++o) {
-    double abs_sum = 0.0, delta_sum = 0.0;
-    for (std::size_t k = 0; k < per_channel; ++k) {
-      abs_sum += std::fabs(wu[o * per_channel + k]);
-      delta_sum += std::fabs(wu[o * per_channel + k] - wb[o * per_channel + k]);
-    }
-    const double r = abs_sum * r_max + delta_sum * mag_max +
-                     std::fabs(upd.bias()[o] - base.bias()[o]);
-    for (std::size_t p = 0; p < plane; ++p) r_out[o * plane + p] = r;
-  }
-  return r_out;
-}
-
-std::vector<double> pool_step(const nn::Layer& layer, const std::vector<double>& r_in,
-                              bool average) {
-  // Non-overlapping windows (stride == window): max pooling is
-  // 1-Lipschitz per window in ∞-norm; average pooling averages radii.
-  const auto& pool = static_cast<const nn::Pool2D&>(layer);
-  const Shape in_shape = layer.input_shape();
-  const Shape out_shape = layer.output_shape();
-  const std::size_t channels = in_shape.dim(0);
-  const std::size_t ih = in_shape.dim(1), iw = in_shape.dim(2);
-  const std::size_t oh = out_shape.dim(1), ow = out_shape.dim(2);
-  const std::size_t win = pool.window();
-  std::vector<double> r_out(out_shape.numel(), 0.0);
-  for (std::size_t c = 0; c < channels; ++c) {
-    for (std::size_t r = 0; r < oh; ++r) {
-      for (std::size_t col = 0; col < ow; ++col) {
-        double acc = 0.0;
-        std::size_t cells = 0;
-        for (std::size_t dr = 0; dr < win; ++dr) {
-          for (std::size_t dc = 0; dc < win; ++dc) {
-            const std::size_t rr = r * win + dr, cc = col * win + dc;
-            if (rr >= ih || cc >= iw) continue;
-            const double v = r_in[(c * ih + rr) * iw + cc];
-            acc = average ? acc + v : std::max(acc, v);
-            ++cells;
-          }
-        }
-        r_out[(c * oh + r) * ow + col] = average && cells > 0 ? acc / cells : acc;
-      }
-    }
-  }
-  return r_out;
-}
-
 }  // namespace
 
 PerturbationTrace perturbation_radii(const nn::Network& base, const nn::Network& updated,
@@ -152,15 +87,9 @@ PerturbationTrace perturbation_radii(const nn::Network& base, const nn::Network&
                            static_cast<const nn::BatchNorm&>(lu), r, *in_box);
         break;
       case nn::LayerKind::kConv2D:
-        r = conv_step(static_cast<const nn::Conv2D&>(lb),
-                      static_cast<const nn::Conv2D&>(lu), r, *in_box);
-        break;
       case nn::LayerKind::kMaxPool2D:
-        r = pool_step(lb, r, /*average=*/false);
-        break;
       case nn::LayerKind::kAvgPool2D:
-        r = pool_step(lb, r, /*average=*/true);
-        break;
+        return {};  // never in a verified tail (Lemma 1): no radii
       case nn::LayerKind::kReLU:
       case nn::LayerKind::kFlatten:
         break;  // 1-Lipschitz elementwise (or identity): radii carry over

@@ -17,14 +17,15 @@
 //                      + Σ_j |ΔW_ij| b̄_{k-1}[j] + |Δb_i|
 //   BatchNorm:  r_k[i] = |s'_i| r_{k-1}[i] + |Δs_i| b̄_{k-1}[i] + |Δh_i|
 //   ReLU:       1-Lipschitz, r_k = r_{k-1}
-//   MaxPool/AvgPool: r_k = window max / mean of r_{k-1}
-//   Conv2D:     per-output-channel kernel row sums against the max
-//               input radius / magnitude (conservative)
 //   Flatten:    identity
 // where b̄_{k-1}[j] = max(|lo|, |hi|) over the *base* box of the layer
 // input (f_k(x) stays inside the base trace — x ∈ X by construction),
 // W'/s' are the *updated* weights and Δ the elementwise deltas. Since
 // f_k(x) ∈ B_k, f'_k(x')_i ∈ B_k[i] ⊕ [-r_k[i], +r_k[i]].
+//
+// Conv2D and pooling layers get no radii (`supported` is false): the
+// encoder rejects them in a verified tail (Lemma 1), so delta planning,
+// which widens only verified tails, never needs them.
 //
 // The widened boxes feed the MILP encoder's bound-trace override;
 // big-M encodings stay *exact* under any valid (possibly loose)
@@ -41,7 +42,8 @@ namespace dpv::absint {
 
 /// Per-layer perturbation radii over layers [from_layer, L).
 struct PerturbationTrace {
-  /// False when the architectures differ (no radii computed).
+  /// False when the architectures differ or a layer in range is a
+  /// Conv2D or pooling layer (no radii computed).
   bool supported = false;
   /// radii[k][i] bounds |f'(x')_i - f(x)_i| after layer from_layer + k.
   std::vector<std::vector<double>> radii;

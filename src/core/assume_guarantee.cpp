@@ -80,7 +80,7 @@ SafetyCase AssumeGuaranteeVerifier::finish(verify::VerificationQuery& query) con
 
   // Delta re-certification: plan artifact reuse against the base
   // version's bundle and apply the surviving classes to a per-query
-  // options copy. The plan owns the widened trace / recycled cuts /
+  // options copy. The plan owns the widened trace / root basis /
   // priors that apply() wires in by pointer, so it must live until
   // verify() returns.
   verify::TailVerifierOptions options = config_.verifier;
@@ -96,7 +96,6 @@ SafetyCase AssumeGuaranteeVerifier::finish(verify::VerificationQuery& query) con
         plan.apply(options);
         result.delta_trace = plan.trace;
         result.delta_widening = plan.widening;
-        result.delta_cuts_dropped = plan.cuts_dropped;
         // A widened trace over a *drifted* abstraction leaves the
         // query's entry boxes loose; the selective refresh recovers
         // per-query tightness with a few LPs instead of a full bound
@@ -115,7 +114,6 @@ SafetyCase AssumeGuaranteeVerifier::finish(verify::VerificationQuery& query) con
 
   const verify::TailVerifier verifier(options);
   result.verification = verifier.verify(query);
-  result.delta_cuts_recycled = result.verification.cuts_recycled;
   if (config_.delta_harvest != nullptr && harvest.captured)
     *config_.delta_harvest = verify::harvest_to_artifacts(
         config_.delta_query_key, query, result.verification, std::move(harvest));

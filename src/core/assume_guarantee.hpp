@@ -85,12 +85,10 @@ struct SafetyCase {
   std::optional<monitor::DiffMonitor> deployed_monitor;
 
   /// Delta-reuse accounting (meaningful when the config carried delta
-  /// artifacts): how the bound trace was reused, the max widening radius
-  /// applied, and the recycled/dropped cut split from planning.
+  /// artifacts): how the bound trace was reused and the max widening
+  /// radius applied.
   verify::TraceReuse delta_trace = verify::TraceReuse::kNone;
   double delta_widening = 0.0;
-  std::size_t delta_cuts_recycled = 0;
-  std::size_t delta_cuts_dropped = 0;
 };
 
 class AssumeGuaranteeVerifier {

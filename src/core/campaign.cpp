@@ -204,8 +204,7 @@ std::string CampaignReport::format_encoding_summary() const {
   }
   if (delta_entries_exact + delta_entries_widened + delta_entries_cold > 0) {
     out << "; delta: " << delta_entries_exact << " exact / " << delta_entries_widened
-        << " widened / " << delta_entries_cold << " cold trace reuse, "
-        << delta_cuts_recycled << " cuts recycled (" << delta_cuts_dropped << " dropped)";
+        << " widened / " << delta_entries_cold << " cold trace reuse";
     if (delta_bounds_refreshed > 0)
       out << ", " << delta_bounds_refreshed << " bounds refreshed in "
           << delta_refresh_seconds << "s";
@@ -552,8 +551,6 @@ CampaignReport run_campaign(const nn::Network& perception, std::size_t attach_la
           ++report.delta_entries_cold;
           break;
       }
-      report.delta_cuts_recycled += wr.safety.delta_cuts_recycled;
-      report.delta_cuts_dropped += wr.safety.delta_cuts_dropped;
     }
     if (wr.deadline_skipped) {
       // Deadline honesty: an entry the deadline skipped (or interrupted

@@ -92,14 +92,14 @@ struct CampaignReport {
 
   /// Delta re-certification accounting (all zero unless the config set
   /// `delta_base` + `delta_artifacts_path` and the bundle loaded).
-  /// Entries partition by how their bound trace was reused; cut counts
-  /// are summed over entries, and `delta_bounds_refreshed` totals the
-  /// per-query feature bounds the selective refresh actually shrank.
+  /// Entries partition by how their bound trace was reused, and
+  /// `delta_bounds_refreshed` totals the per-query feature bounds the
+  /// selective refresh actually shrank.
   std::size_t delta_entries_exact = 0;    ///< bit-identical trace reuse
   std::size_t delta_entries_widened = 0;  ///< Lipschitz-widened trace reuse
   std::size_t delta_entries_cold = 0;     ///< no reuse (no entry / over budget)
+  /// Always 0; kept for perfbench's `milp.cuts_recycled` counter.
   std::size_t delta_cuts_recycled = 0;
-  std::size_t delta_cuts_dropped = 0;
   std::size_t delta_bounds_refreshed = 0;
   double delta_refresh_seconds = 0.0;
   /// True when `delta_artifacts_out_path` was configured and the

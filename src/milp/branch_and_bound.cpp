@@ -409,52 +409,21 @@ MilpResult BranchAndBoundSolver::solve(const MilpProblem& problem) const {
   // Root cutting-plane rounds run on a working copy appended through
   // MilpProblem::add_rows, so the caller's problem — possibly a frozen
   // cache base's stamp-out — is never mutated.
-  const bool root_cuts_enabled =
-      options.cuts.root_rounds > 0 && !problem.binary_variables().empty();
-  const bool inject_cuts =
-      options.cuts.initial_cuts != nullptr && !options.cuts.initial_cuts->empty();
   MilpProblem working;
   const MilpProblem* active = &problem;
   cuts::RootCutReport root_cuts;
-  std::size_t cuts_recycled = 0;
-  if (root_cuts_enabled || inject_cuts) {
+  if (options.cuts.root_rounds > 0 && !problem.binary_variables().empty()) {
     working = problem;
-    if (inject_cuts) {
-      // Recycled pool first, so separation rounds see (and dedup
-      // against) the injected rows instead of re-deriving them.
-      std::vector<lp::Row> injected;
-      injected.reserve(options.cuts.initial_cuts->size());
-      for (const cuts::Cut& cut : *options.cuts.initial_cuts) injected.push_back(cut.row);
-      working.add_rows(std::move(injected));
-      cuts_recycled = options.cuts.initial_cuts->size();
-    }
-    if (root_cuts_enabled) {
-      // Round 0 starts from the caller's root basis when it covers
-      // exactly this problem's columns and rows; the injected cuts'
-      // logicals pad it.
-      lp::SimplexBasis start;
-      const lp::SimplexBasis* stored = options.cuts.root_basis;
-      const std::size_t n = problem.relaxation().variable_count();
-      const std::size_t m = problem.relaxation().row_count();
-      if (stored != nullptr && stored->basic.size() == m && stored->at_upper.size() == n + m) {
-        start = *stored;
-        cuts::pad_basis(start, n, working.relaxation().row_count());
-      }
-      root_cuts = cuts::run_root_cuts(working, options.cuts, options.lp_options,
-                                      options.integrality_tolerance, std::move(start));
-    }
-    // Injected rows count as live cuts from here on: the harvest window
-    // below and the provenance list both cover them (injected sources
-    // first — row order in the problem).
-    root_cuts.cuts_live += cuts_recycled;
-    if (inject_cuts) {
-      std::vector<const char*> merged;
-      merged.reserve(root_cuts.cuts_live);
-      for (const cuts::Cut& cut : *options.cuts.initial_cuts) merged.push_back(cut.source);
-      merged.insert(merged.end(), root_cuts.live_sources.begin(),
-                    root_cuts.live_sources.end());
-      root_cuts.live_sources = std::move(merged);
-    }
+    // Round 0 starts from the caller's root basis when it covers
+    // exactly this problem's columns and rows.
+    lp::SimplexBasis start;
+    const lp::SimplexBasis* stored = options.cuts.root_basis;
+    const std::size_t m = problem.relaxation().row_count();
+    if (stored != nullptr && stored->basic.size() == m &&
+        stored->at_upper.size() == problem.relaxation().variable_count() + m)
+      start = *stored;
+    root_cuts = cuts::run_root_cuts(working, options.cuts, options.lp_options,
+                                    options.integrality_tolerance, std::move(start));
     active = &working;
   }
 
@@ -469,23 +438,7 @@ MilpResult BranchAndBoundSolver::solve(const MilpProblem& problem) const {
   result.solver_stats.cut_rounds = root_cuts.rounds;
   result.lp_iterations = result.solver_stats.lp_iterations;
   result.deadline_expired = result.deadline_expired || root_cuts.deadline_expired;
-  result.cuts_recycled = cuts_recycled;
-  if (options.cuts.harvest_root_cuts && root_cuts.cuts_live > 0) {
-    const std::vector<lp::Row>& rows = active->relaxation().rows();
-    const std::size_t first = rows.size() - root_cuts.cuts_live;
-    result.root_cut_rows.reserve(root_cuts.cuts_live);
-    for (std::size_t k = 0; k < root_cuts.cuts_live; ++k) {
-      const char* source =
-          k < root_cuts.live_sources.size() ? root_cuts.live_sources[k] : "";
-      result.root_cut_rows.push_back({rows[first + k], 0.0, source});
-    }
-  }
-  if (options.cuts.harvest_root_cuts) {
-    result.root_basis = std::move(root_cuts.first_basis);
-    if (!cuts::truncate_basis(result.root_basis, problem.relaxation().variable_count(),
-                              problem.relaxation().row_count()))
-      result.root_basis = {};
-  }
+  result.root_basis = std::move(root_cuts.first_basis);
   return result;
 }
 

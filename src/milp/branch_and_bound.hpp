@@ -37,9 +37,10 @@
 // When `options.cuts` enables it, the search is preceded by root-node
 // cutting-plane rounds (ReLU-split + Gomory, see src/milp/cuts/) on a
 // working copy of the problem; cut rows persist for the whole search,
-// so every warm-started node re-solve benefits from them. The search's
-// root node starts from the basis the cut loop stopped on instead of
-// solving the root LP cold a second time.
+// so every warm-started node re-solve benefits from them. Round 0 can
+// start from a stored basis (`options.cuts.root_basis`), and the
+// search's root node starts from the basis the cut loop stopped on
+// instead of solving the root LP cold a second time.
 #pragma once
 
 #include <cstddef>
@@ -96,23 +97,12 @@ struct MilpResult {
   /// attack seed material — the staged falsifier's start-point pool.
   bool have_frontier_point = false;
   std::vector<double> frontier_values;
-  /// Rows injected from options.cuts.initial_cuts (the recycled pool).
-  std::size_t cuts_recycled = 0;
   /// The basis round 0 of the root cut loop stopped on (optimal, or
   /// proving the root LP infeasible) over the structural columns and the
-  /// problem's own rows, injected cut rows dropped
-  /// (cuts::truncate_basis); populated when
-  /// options.cuts.harvest_root_cuts and round 0 solved, empty when an
-  /// injected cut's logical was nonbasic. Delta re-certification stores
-  /// it as the next run's options.cuts.root_basis.
+  /// problem's own rows; empty when the cut loop did not run or round 0
+  /// did not solve. Delta re-certification stores it as the next run's
+  /// options.cuts.root_basis.
   lp::SimplexBasis root_basis;
-  /// Live root cuts on return (injected + separated, post aging);
-  /// populated when options.cuts.harvest_root_cuts. Rows reference the
-  /// solved problem's variable indices; `source` carries the generator
-  /// provenance ("relu-split", "gomory-mi", or the source an injected
-  /// cut arrived with), which delta re-certification needs to decide
-  /// recyclability. `violation` is not meaningful here.
-  std::vector<cuts::Cut> root_cut_rows;
   /// Final pseudocost table in variable order (element [var] =
   /// (down, up)); populated when options.export_pseudocosts. Persisted
   /// by delta re-certification as warm priors for the next model
@@ -129,10 +119,9 @@ struct BranchAndBoundOptions {
   bool stop_at_first_feasible = false;
   lp::SimplexOptions lp_options = {};
   /// Cutting-plane engine (off by default; `cuts.root_rounds > 0`
-  /// enables root separation, `cuts.initial_cuts` injects a recycled
-  /// pool). Cuts are appended to a working copy of the problem — the
-  /// caller's instance, including cached/stamped encodings, is never
-  /// mutated.
+  /// enables root separation). Cuts are appended to a working copy of
+  /// the problem — the caller's instance, including cached/stamped
+  /// encodings, is never mutated.
   cuts::CutOptions cuts = {};
   /// Reference for the reported `best_bound_gap` when a node-limit stop
   /// holds no incumbent (NaN = no reference). The verifier sets this to

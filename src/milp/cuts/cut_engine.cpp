@@ -126,24 +126,16 @@ bool row_binding(const lp::Row& row, const std::vector<double>& values) {
   return true;
 }
 
-}  // namespace
-
+/// Pads `basis` (over `structural` columns and its own rows) to `rows`
+/// rows, each added row's logical basic: a valid basis of the problem
+/// with those rows appended, dual feasible when `basis` was.
 void pad_basis(lp::SimplexBasis& basis, std::size_t structural, std::size_t rows) {
   for (std::size_t i = basis.basic.size(); i < rows; ++i)
     basis.basic.push_back(static_cast<std::int32_t>(structural + i));
   basis.at_upper.resize(structural + rows, 0);
 }
 
-bool truncate_basis(lp::SimplexBasis& basis, std::size_t structural, std::size_t rows) {
-  const std::size_t first_cut = structural + rows;
-  std::size_t kept = 0;
-  for (const std::int32_t b : basis.basic)
-    if (static_cast<std::size_t>(b) < first_cut) basis.basic[kept++] = b;
-  if (kept != rows) return false;
-  basis.basic.resize(rows);
-  basis.at_upper.resize(first_cut);
-  return true;
-}
+}  // namespace
 
 RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
                             const lp::SimplexOptions& lp_options,
@@ -170,10 +162,8 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
   bool solved = false;
   bool warm_round0 = false;
   // Consecutive non-binding rounds per live cut row (problem row
-  // base_rows + k), for aging, and each live row's generator — kept in
-  // lockstep so the final report can attribute every surviving cut.
+  // base_rows + k), for aging.
   std::vector<std::size_t> ages;
-  std::vector<const char*> sources;
 
   for (std::size_t round = 0; round < options.root_rounds; ++round) {
     // Cooperative deadline between rounds: every appended cut is already
@@ -290,14 +280,9 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
       }
       basis = std::move(fixed);
       std::vector<std::size_t> survivors;
-      std::vector<const char*> surviving_sources;
-      for (std::size_t k = 0; k < ages.size(); ++k) {
-        if (removed[k]) continue;
-        survivors.push_back(ages[k]);
-        surviving_sources.push_back(sources[k]);
-      }
+      for (std::size_t k = 0; k < ages.size(); ++k)
+        if (!removed[k]) survivors.push_back(ages[k]);
       ages = std::move(survivors);
-      sources = std::move(surviving_sources);
     }
 
     if (!kept.empty()) {
@@ -306,10 +291,7 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
       if (kept.size() > kMaxCutsPerRound) kept.resize(kMaxCutsPerRound);
       std::vector<lp::Row> rows;
       rows.reserve(kept.size());
-      for (Cut& cut : kept) {
-        rows.push_back(std::move(cut.row));
-        sources.push_back(cut.source);
-      }
+      for (Cut& cut : kept) rows.push_back(std::move(cut.row));
       report.cuts_added += rows.size();
       ages.insert(ages.end(), rows.size(), 0);
       problem.add_rows(std::move(rows));
@@ -322,7 +304,6 @@ RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
   // already covers every row appended since.
   report.basis = solved ? simplex.capture_basis() : std::move(basis);
   report.cuts_live = ages.size();
-  report.live_sources = std::move(sources);
   report.solver_stats = solver::simplex_stats(simplex);
   report.solver_stats.root_warm_starts = warm_round0 ? 1 : 0;
   report.warm_rounds = report.solver_stats.warm_hits;

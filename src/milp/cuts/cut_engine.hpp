@@ -33,9 +33,10 @@ struct RootCutReport {
   /// LP work spent separating (merged into the search's stats);
   /// `root_warm_starts` is 1 when round 0 ran warm from `start`.
   solver::SolverStats solver_stats;
-  /// Optimal basis of round 0's LP (the problem as handed in, before
-  /// any separated row); empty when round 0 did not solve to optimality.
-  /// Delta re-certification harvests it (see truncate_basis).
+  /// The basis round 0's LP stopped on (the problem as handed in,
+  /// before any separated row): optimal, or proving the root LP
+  /// infeasible; empty when round 0 did not solve. Branch and bound
+  /// returns it as MilpResult::root_basis.
   lp::SimplexBasis first_basis;
   /// The basis the loop stopped on, valid for the problem on return: the
   /// last optimum when no row changed after it, else the incumbent
@@ -43,11 +44,6 @@ struct RootCutReport {
   /// root node starts from it instead of solving cold. Empty when no
   /// round ran or the first one did not solve.
   lp::SimplexBasis basis;
-  /// Generator provenance of each live cut, aligned with the last
-  /// `cuts_live` rows of the problem on return ("relu-split" or
-  /// "gomory-mi"). Harvesting reads this so delta re-certification can
-  /// recycle only cut families whose validity survives a weight change.
-  std::vector<const char*> live_sources;
 };
 
 /// Runs up to `options.root_rounds` rounds of root-node separation on
@@ -71,16 +67,6 @@ struct RootCutReport {
 RootCutReport run_root_cuts(MilpProblem& problem, const CutOptions& options,
                             const lp::SimplexOptions& lp_options,
                             double integrality_tolerance, lp::SimplexBasis start = {});
-
-/// Pads `basis` (over `structural` columns and its own rows) to `rows`
-/// rows, each added row's logical basic: a valid basis of the problem
-/// with those rows appended, dual feasible when `basis` was.
-void pad_basis(lp::SimplexBasis& basis, std::size_t structural, std::size_t rows);
-
-/// Cuts `basis` back to the first `rows` rows of its problem, dropping
-/// the logicals of the rows past them. False (and `basis` unusable)
-/// when one of those logicals is nonbasic: the rest would not be square.
-bool truncate_basis(lp::SimplexBasis& basis, std::size_t structural, std::size_t rows);
 
 /// Cleans one candidate in place: merges duplicate variables, scales
 /// the row to unit inf-norm, drops near-zero coefficients by soundly

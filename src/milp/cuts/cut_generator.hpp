@@ -32,7 +32,6 @@ namespace dpv::milp::cuts {
 struct Cut {
   lp::Row row;
   double violation = 0.0;
-  const char* source = "";
 };
 
 /// Minimum violation (after normalizing the row to unit inf-norm) for a
@@ -50,28 +49,12 @@ struct CutOptions {
   /// Aged-out rows are removed from the problem before the search, so
   /// dead cuts stop taxing every node re-solve.
   std::size_t root_age_limit = 3;
-  /// Pre-validated, globally valid cuts appended to the working copy
-  /// before the first separation round (delta re-certification
-  /// recycles a previous run's harvested root pool here, after
-  /// re-validating it against the new weights). The injector owns the
-  /// validity proof: every row must hold for EVERY mixed-integer
-  /// feasible point of the problem, or verdicts break. Sources are
-  /// carried through to the next harvest so provenance survives chains
-  /// of recycling. Injection works with `root_rounds == 0` too (inject
-  /// without separating). Not owned; must outlive the solve.
-  const std::vector<Cut>* initial_cuts = nullptr;
   /// Round-0 warm start of the separation loop: a basis over the
-  /// problem's structural columns and its own rows (no cut rows), padded
-  /// with the injected cuts' logicals before use. Delta
+  /// problem's structural columns and its own rows (no cut rows). Delta
   /// re-certification stores the previous run's MilpResult::root_basis
   /// here. A warm start only: the loop solves cold when the basis does
   /// not fit the problem's shape or is singular. Not owned.
   const lp::SimplexBasis* root_basis = nullptr;
-  /// Copy the live root-cut rows (injected + separated, post aging)
-  /// into MilpResult::root_cut_rows, and the basis round 0 stopped on into
-  /// MilpResult::root_basis, on return — what a delta re-certification
-  /// run persists for the next model version.
-  bool harvest_root_cuts = false;
 };
 
 /// Everything a generator may look at. `relaxation` is the LP optimum
@@ -91,7 +74,6 @@ struct CutContext {
 class CutGenerator {
  public:
   virtual ~CutGenerator() = default;
-  virtual const char* name() const = 0;
   virtual void generate(const CutContext& ctx, std::vector<Cut>& out) const = 0;
 };
 

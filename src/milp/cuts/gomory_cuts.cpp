@@ -86,7 +86,6 @@ void GomoryCutGenerator::generate(const CutContext& ctx, std::vector<Cut>& out) 
     cut.row.sense = lp::RowSense::kGreaterEqual;
     cut.row.rhs = rhs;
     cut.violation = f0;  // by construction; sanitize_cut re-measures
-    cut.source = name();
     out.push_back(std::move(cut));
   }
 }

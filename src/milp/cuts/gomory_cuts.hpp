@@ -29,7 +29,6 @@ namespace dpv::milp::cuts {
 
 class GomoryCutGenerator final : public CutGenerator {
  public:
-  const char* name() const override { return "gomory-mi"; }
   void generate(const CutContext& ctx, std::vector<Cut>& out) const override;
 };
 

@@ -55,7 +55,6 @@ void ReluSplitCutGenerator::generate(const CutContext& ctx, std::vector<Cut>& ou
     cut.row.sense = lp::RowSense::kLessEqual;
     cut.row.rhs = -a;
     cut.violation = violation;
-    cut.source = name();
     out.push_back(std::move(cut));
   }
 }

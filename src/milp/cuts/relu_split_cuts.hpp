@@ -26,7 +26,6 @@ namespace dpv::milp::cuts {
 
 class ReluSplitCutGenerator final : public CutGenerator {
  public:
-  const char* name() const override { return "relu-split"; }
   void generate(const CutContext& ctx, std::vector<Cut>& out) const override;
 };
 

@@ -90,10 +90,10 @@ void diff_batchnorm(const BatchNorm& base, const BatchNorm& upd, LayerDelta& d) 
 void diff_conv(const Conv2D& base, const Conv2D& upd, LayerDelta& d) {
   const Tensor& wb = base.weight();
   const Tensor& wu = upd.weight();
-  // Weight is [out_c, in_c, k, k]; one output channel's kernel slides
-  // over every position, so Σ|Δ| over its kernel is that channel's
-  // ∞-operator row sum.
-  const std::size_t out_c = wb.shape().dim(0);
+  // Weight holds [out_c, in_c, k, k] flat, so the bias gives out_c; one
+  // output channel's kernel slides over every position, so Σ|Δ| over
+  // its kernel is that channel's ∞-operator row sum.
+  const std::size_t out_c = base.bias().numel();
   const std::size_t per_channel = wb.numel() / out_c;
   for (std::size_t o = 0; o < out_c; ++o) {
     double row_sum = 0.0;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
-#include <mutex>
-#include <unordered_set>
 #include <utility>
 
 #include "absint/perturbation.hpp"
@@ -20,9 +18,10 @@ using common::RecordReader;
 using common::RecordWriter;
 
 constexpr const char* kMagic = "dpv-delta-artifacts";
-/// Version 2 added each query's root basis; version-1 bundles are
+/// Version 3 dropped the root-cut pools and what only they needed (the
+/// query fingerprint and the tail variable map). Older bundles are
 /// rejected (load_delta_artifacts throws), so re-harvest them.
-constexpr std::size_t kVersion = 2;
+constexpr std::size_t kVersion = 3;
 
 /// Bitwise double equality: the reuse contracts promise *bit-identical*
 /// reproduction, and operator== would call -0.0 == +0.0 equal even
@@ -34,37 +33,6 @@ bool same_box_bits(const absint::Box& a, const absint::Box& b) {
   for (std::size_t i = 0; i < a.size(); ++i)
     if (!same_bits(a[i].lo, b[i].lo) || !same_bits(a[i].hi, b[i].hi)) return false;
   return true;
-}
-
-/// FNV-1a over raw bytes; used for the query-content fingerprint.
-struct Fnv1a {
-  std::size_t state = 1469598103934665603ull;
-  void bytes(const void* data, std::size_t count) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < count; ++i) {
-      state ^= p[i];
-      state *= 1099511628211ull;
-    }
-  }
-  void u64(std::size_t value) {
-    for (int i = 0; i < 8; ++i) {
-      const unsigned char byte = static_cast<unsigned char>(value >> (8 * i));
-      bytes(&byte, 1);
-    }
-  }
-  void dbl(double value) { bytes(&value, sizeof(double)); }
-};
-
-/// Cut sources are `const char*` with static storage when they come
-/// from a generator; loaded artifacts intern their source strings here
-/// so the pointers stay valid for the process lifetime (unordered_set
-/// node pointers are stable across rehash).
-const char* intern_source(const std::string& source) {
-  if (source.empty()) return "";
-  static std::mutex mutex;
-  static std::unordered_set<std::string> pool;
-  const std::lock_guard<std::mutex> lock(mutex);
-  return pool.insert(source).first->c_str();
 }
 
 void write_box(RecordWriter& writer, const absint::Box& box) {
@@ -201,43 +169,13 @@ DeltaArtifacts advance_artifacts(const DeltaArtifacts& previous, const nn::Netwo
   return next;
 }
 
-std::size_t delta_query_fingerprint(const VerificationQuery& query) {
-  Fnv1a hash;
-  hash.u64(query.characterizer != nullptr ? tail_fingerprint(*query.characterizer, 0) : 0);
-  hash.dbl(query.characterizer_threshold);
-  hash.u64(query.diff_bounds.size());
-  for (const absint::Interval& iv : query.diff_bounds) {
-    hash.dbl(iv.lo);
-    hash.dbl(iv.hi);
-  }
-  hash.u64(query.pair_bounds.size());
-  for (const PairConstraint& pair : query.pair_bounds) {
-    hash.u64(pair.first);
-    hash.u64(pair.second);
-    hash.dbl(pair.bounds.lo);
-    hash.dbl(pair.bounds.hi);
-  }
-  hash.u64(query.risk.inequalities().size());
-  for (const OutputInequality& inequality : query.risk.inequalities()) {
-    hash.u64(static_cast<std::size_t>(inequality.sense));
-    hash.dbl(inequality.rhs);
-    hash.u64(inequality.coeffs.size());
-    for (const double coeff : inequality.coeffs) hash.dbl(coeff);
-  }
-  // Zero is the "no fingerprint" sentinel in QueryArtifacts.
-  return hash.state != 0 ? hash.state : 1;
-}
-
 QueryArtifacts harvest_to_artifacts(std::size_t query_key, const VerificationQuery& query,
                                     const VerificationResult& result, DeltaHarvest harvest) {
   QueryArtifacts artifacts;
   artifacts.query_key = query_key;
   artifacts.verdict = result.verdict;
-  artifacts.query_fingerprint = delta_query_fingerprint(query);
   artifacts.input_box = query.input_box;
   artifacts.tail_boxes = std::move(harvest.tail_boxes);
-  artifacts.tail_vars = std::move(harvest.tail_vars);
-  artifacts.root_cuts = std::move(harvest.root_cuts);
   artifacts.root_basis = std::move(harvest.root_basis);
   artifacts.pseudocosts = std::move(harvest.pseudocosts);
   return artifacts;
@@ -263,8 +201,6 @@ void save_delta_artifacts(const std::string& path, const DeltaArtifacts& artifac
     writer.size_value(entry.query_key);
     writer.tag("verdict");
     writer.size_value(verdict_index(entry.verdict));
-    writer.tag("qfp");
-    writer.size_value(entry.query_fingerprint);
     writer.newline();
     writer.tag("box");
     write_box(writer, entry.input_box);
@@ -273,27 +209,6 @@ void save_delta_artifacts(const std::string& path, const DeltaArtifacts& artifac
     writer.size_value(entry.tail_boxes.size());
     for (const absint::Box& box : entry.tail_boxes) write_box(writer, box);
     writer.newline();
-    writer.tag("vars");
-    writer.size_value(entry.tail_vars.size());
-    for (const std::vector<std::size_t>& layer : entry.tail_vars) {
-      writer.size_value(layer.size());
-      for (const std::size_t var : layer) writer.size_value(var);
-    }
-    writer.newline();
-    writer.tag("cuts");
-    writer.size_value(entry.root_cuts.size());
-    writer.newline();
-    for (const milp::cuts::Cut& cut : entry.root_cuts) {
-      writer.str(cut.source);
-      writer.size_value(static_cast<std::size_t>(cut.row.sense));
-      writer.dbl(cut.row.rhs);
-      writer.size_value(cut.row.terms.size());
-      for (const lp::LinearTerm& term : cut.row.terms) {
-        writer.size_value(term.var);
-        writer.dbl(term.coeff);
-      }
-      writer.newline();
-    }
     writer.tag("basis");
     write_basis(writer, entry.root_basis);
     writer.newline();
@@ -333,33 +248,11 @@ bool load_delta_artifacts(const std::string& path, DeltaArtifacts& out) {
     entry.query_key = reader.size_value();
     reader.expect_tag("verdict");
     entry.verdict = verdict_from_index(reader.size_value(), reader);
-    reader.expect_tag("qfp");
-    entry.query_fingerprint = reader.size_value();
     reader.expect_tag("box");
     entry.input_box = read_box(reader);
     reader.expect_tag("boxes");
     entry.tail_boxes.resize(reader.count());
     for (absint::Box& box : entry.tail_boxes) box = read_box(reader);
-    reader.expect_tag("vars");
-    entry.tail_vars.resize(reader.count());
-    for (std::vector<std::size_t>& layer : entry.tail_vars) {
-      layer.resize(reader.count());
-      for (std::size_t& var : layer) var = reader.size_value();
-    }
-    reader.expect_tag("cuts");
-    entry.root_cuts.resize(reader.count());
-    for (milp::cuts::Cut& cut : entry.root_cuts) {
-      cut.source = intern_source(reader.str());
-      const std::size_t sense = reader.size_value();
-      if (sense > 2) reader.fail("bad row sense " + std::to_string(sense));
-      cut.row.sense = static_cast<lp::RowSense>(sense);
-      cut.row.rhs = reader.dbl();
-      cut.row.terms.resize(reader.count());
-      for (lp::LinearTerm& term : cut.row.terms) {
-        term.var = reader.size_value();
-        term.coeff = reader.dbl();
-      }
-    }
     reader.expect_tag("basis");
     entry.root_basis = read_basis(reader);
     reader.expect_tag("pcs");
@@ -391,7 +284,6 @@ void DeltaPlan::apply(TailVerifierOptions& options) const {
     options.encode.tail_bound_trace = &bound_trace;
     options.encode.tail_bound_trace_key = trace_key;
   }
-  if (!cuts.empty()) options.milp.cuts.initial_cuts = &cuts;
   if (!root_basis.empty()) options.milp.cuts.root_basis = &root_basis;
   if (!pseudocosts.empty()) options.pseudocost_priors = &pseudocosts;
 }
@@ -430,8 +322,14 @@ DeltaPlan plan_delta_reuse(const DeltaArtifacts& artifacts, const QueryArtifacts
   chain.push_back(tail_fingerprint(updated, 0));
   plan.trace_key = versioned_cache_key(artifacts.base_fingerprint, chain);
 
-  // ---- Reuse class 1: bound trace -----------------------------------
-  if (options.reuse_bound_trace && entry.tail_boxes.size() == tail_length) {
+  // ---- Bound trace -----------------------------------------------------
+  // Only a trace with one box of the layer's width per tail layer can
+  // bound this tail. A bundle may hold any other (a malformed file, or
+  // one harvested from another network); that plans no reuse.
+  bool trace_fits = entry.tail_boxes.size() == tail_length;
+  for (std::size_t k = 0; trace_fits && k < tail_length; ++k)
+    trace_fits = entry.tail_boxes[k].size() == updated.layer(attach + k).output_shape().numel();
+  if (trace_fits) {
     if (plan.tail_identical && same_box) {
       // Bit-identical tail + abstraction: the realized boxes ARE the
       // bounds a fresh encode would compute; injecting them reproduces
@@ -451,68 +349,15 @@ DeltaPlan plan_delta_reuse(const DeltaArtifacts& artifacts, const QueryArtifacts
     }
   }
 
-  // ---- Reuse class 2: root-cut pool ---------------------------------
-  // Gated on trace reuse + unchanged abstraction: those are exactly the
-  // conditions under which the unchanged-prefix big-M blocks reproduce
-  // bit-identically (prefix widening radii are zero when the input box
-  // is unchanged), which is what the validity argument rests on.
-  if (options.recycle_cuts && same_box && plan.trace != TraceReuse::kNone &&
-      !entry.root_cuts.empty()) {
-    const bool full_identity = plan.tail_identical && entry.query_fingerprint != 0 &&
-                               entry.query_fingerprint == delta_query_fingerprint(query);
-    if (full_identity) {
-      // The whole per-query problem — tail encoding AND the per-query
-      // characterizer/abstraction/risk rows (the fingerprint just
-      // matched) — reproduces bit-identically, so every harvested cut,
-      // including tableau-derived Gomory cuts, is valid verbatim.
-      plan.cuts = entry.root_cuts;
-    } else {
-      // Partial reuse: ReLU-split cuts whose variables were all created
-      // before the first changed tail layer. Variables are created in
-      // encoding order and each layer's activation variable precedes its
-      // phase binaries, so "every index below the changed layer's first
-      // activation variable" is exactly "created in the unchanged
-      // prefix", and a ReLU-split cut depends on nothing beyond its own
-      // big-M block, which reproduces bit-identically there. With an
-      // identical tail but a changed query, *every* block reproduces, so
-      // every ReLU-split cut survives. Gomory cuts bake in the whole
-      // root tableau — per-query rows included — and are dropped
-      // whenever anything at all changed.
-      std::size_t var_limit = 0;
-      if (plan.tail_identical) {
-        var_limit = static_cast<std::size_t>(-1);
-      } else {
-        const std::size_t prefix_index = tail_first_changed - attach;
-        if (prefix_index < entry.tail_vars.size() && !entry.tail_vars[prefix_index].empty())
-          var_limit = *std::min_element(entry.tail_vars[prefix_index].begin(),
-                                        entry.tail_vars[prefix_index].end());
-      }
-      for (const milp::cuts::Cut& cut : entry.root_cuts) {
-        const bool relu_split = std::strcmp(cut.source, "relu-split") == 0;
-        const bool prefix_local =
-            relu_split && std::all_of(cut.row.terms.begin(), cut.row.terms.end(),
-                                      [&](const lp::LinearTerm& term) {
-                                        return term.var < var_limit;
-                                      });
-        if (prefix_local)
-          plan.cuts.push_back(cut);
-        else
-          ++plan.cuts_dropped;
-      }
-    }
-  } else if (!entry.root_cuts.empty()) {
-    plan.cuts_dropped = entry.root_cuts.size();
-  }
-
   // ---- Root basis -----------------------------------------------------
   // A warm start of round 0's LP only; branch and bound solves cold when
   // it does not fit the new problem's shape.
   plan.root_basis = entry.root_basis;
 
-  // ---- Reuse class 3: pseudocost priors -----------------------------
+  // ---- Pseudocost priors ----------------------------------------------
   // Name-keyed, demoted at seed time, order-only: safe whenever the
   // architecture matches.
-  if (options.reuse_pseudocosts) plan.pseudocosts = entry.pseudocosts;
+  plan.pseudocosts = entry.pseudocosts;
 
   return plan;
 }

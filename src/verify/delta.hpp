@@ -15,29 +15,22 @@
 //     the coupling argument documented there; big-M encodings stay
 //     exact under any sound bounds, so verdicts are preserved either
 //     way.
-//   * Root-cut pools (harvested with generator provenance). Recycled
-//     only when their validity provably carries over: either the whole
-//     per-query problem reproduces bit-identically (tail identical +
-//     same abstraction + matching query fingerprint — any source,
-//     including Gomory), or the cut is a ReLU-split cut referencing
-//     only variables created before the first changed tail layer.
-//     ReLU-split cuts depend on nothing but
-//     one big-M block's rows and boxes; an unchanged-prefix block
-//     reproduces bit-identically under trace reuse (prefix widening
-//     radii are exactly zero when the abstraction is unchanged), so the
-//     cut stays valid for the new problem. Gomory cuts bake in the root
-//     tableau and are dropped whenever anything changed.
 //   * The basis round 0 of the root cut loop stopped on (structural
 //     columns plus the per-query rows, no cut rows). A planned
-//     re-certification starts round 0 from it, padded with the recycled
-//     cuts' logicals, and solves cold when it no longer fits the
-//     problem's shape. It is a warm start only: the LP it starts is the
-//     same LP, so it needs no validity argument.
+//     re-certification starts round 0 from it, and solves cold when it
+//     no longer fits the problem's shape. It is a warm start only: the
+//     LP it starts is the same LP, so it needs no validity argument.
 //   * Pseudocost tables, demoted to warm priors. Keyed by variable
 //     *name* (verify::NamedPseudocost) because a weight delta can flip
 //     ReLU stability and shift every later variable index. Priors bias
 //     node order only; verdicts of searches run to completion are
 //     unaffected, so this class needs no parity caveats at all.
+//
+// Root cuts are not reused. A separated cut stays valid for another
+// problem only when the whole per-query problem reproduces bit for bit,
+// and re-certifying with recycled cut pools took more LP iterations
+// than separating afresh (perfbench recertify, seed 0: 8,803 against
+// 7,054).
 //
 // Artifacts carry a versioned identity: the base model's fingerprint
 // folded with the fingerprint of every retrained version since
@@ -66,17 +59,8 @@ namespace dpv::verify {
 struct QueryArtifacts {
   std::size_t query_key = 0;
   Verdict verdict = Verdict::kUnknown;  ///< the base run's verdict
-  /// Content hash of everything beyond the tail + input box that shapes
-  /// the per-query problem: diff/pair bounds, characterizer weights +
-  /// threshold, risk inequalities (delta_query_fingerprint). Whole-pool
-  /// cut recycling — the only reuse class whose argument needs the
-  /// *entire* problem to reproduce bit-identically — requires it to
-  /// match; every other class survives a mismatch.
-  std::size_t query_fingerprint = 0;
   absint::Box input_box;  ///< abstraction the artifacts assume
   std::vector<absint::Box> tail_boxes;
-  std::vector<std::vector<std::size_t>> tail_vars;
-  std::vector<milp::cuts::Cut> root_cuts;
   lp::SimplexBasis root_basis;  ///< round-0 root basis; empty when none
   std::vector<NamedPseudocost> pseudocosts;
 };
@@ -107,15 +91,9 @@ DeltaArtifacts make_base_artifacts(const nn::Network& network, std::size_t attac
 /// upserts fresh harvests as queries complete).
 DeltaArtifacts advance_artifacts(const DeltaArtifacts& previous, const nn::Network& updated);
 
-/// Packages one query's DeltaHarvest for persistence (computes the
-/// query fingerprint from `query`).
+/// Packages one query's DeltaHarvest for persistence.
 QueryArtifacts harvest_to_artifacts(std::size_t query_key, const VerificationQuery& query,
                                     const VerificationResult& result, DeltaHarvest harvest);
-
-/// Content hash of the per-query problem shape beyond tail + input box:
-/// diff/pair bounds, characterizer weights + decision threshold, risk
-/// inequalities. See QueryArtifacts::query_fingerprint.
-std::size_t delta_query_fingerprint(const VerificationQuery& query);
 
 /// Atomic save (temp file + rename) in the shared record-I/O format.
 void save_delta_artifacts(const std::string& path, const DeltaArtifacts& artifacts);
@@ -124,9 +102,6 @@ void save_delta_artifacts(const std::string& path, const DeltaArtifacts& artifac
 bool load_delta_artifacts(const std::string& path, DeltaArtifacts& out);
 
 struct DeltaPlanOptions {
-  bool reuse_bound_trace = true;
-  bool recycle_cuts = true;
-  bool reuse_pseudocosts = true;
   /// Fall back to a fresh bound pre-pass when the widening's largest
   /// radius exceeds this: verdicts would still be preserved (widened
   /// bounds are sound), but big-M constants grow with the radii and a
@@ -145,7 +120,9 @@ const char* trace_reuse_name(TraceReuse reuse);
 
 /// One query's reuse decision plus the owned data backing it. The plan
 /// must outlive every verify() call it is applied to — apply() wires
-/// raw pointers into the options.
+/// raw pointers into the options. To switch one class off, clear its
+/// field before apply(): `trace = TraceReuse::kNone`, `root_basis = {}`
+/// or `pseudocosts.clear()`.
 struct DeltaPlan {
   /// False when the architectures differ or the artifacts belong to a
   /// different attach layer: nothing can be reused, run cold.
@@ -163,14 +140,11 @@ struct DeltaPlan {
   /// updated fingerprint); becomes the encoder's trace key.
   std::size_t trace_key = 0;
   std::vector<absint::Box> bound_trace;
-  std::vector<milp::cuts::Cut> cuts;  ///< re-validated, provenance kept
-  std::size_t cuts_dropped = 0;       ///< harvested cuts that failed re-validation
-  lp::SimplexBasis root_basis;        ///< round-0 warm start (may not fit)
+  lp::SimplexBasis root_basis;  ///< round-0 warm start (may not fit)
   std::vector<NamedPseudocost> pseudocosts;
 
   /// Wires the plan into verifier options: bound trace + key into
-  /// `encode`, recycled cuts into `milp.cuts.initial_cuts`, the root
-  /// basis into `milp.cuts.root_basis`, priors into
+  /// `encode`, the root basis into `milp.cuts.root_basis`, priors into
   /// `pseudocost_priors`. No-ops for the classes the plan rejected.
   void apply(TailVerifierOptions& options) const;
 };

@@ -64,13 +64,9 @@ class NetworkEncoder {
     external_trace_ = trace;
   }
 
-  /// Captures the realized (post-intersection, post-tightening) box and
-  /// variable list after every layer of the next encode_range call.
-  void set_capture(std::vector<absint::Box>* boxes,
-                   std::vector<std::vector<std::size_t>>* vars) {
-    capture_boxes_ = boxes;
-    capture_vars_ = vars;
-  }
+  /// Captures the realized (post-intersection, post-tightening) box
+  /// after every layer of the next encode_range call.
+  void set_capture(std::vector<absint::Box>* boxes) { capture_boxes_ = boxes; }
 
   void encode_range(const nn::Network& net, std::size_t from_layer, std::size_t to_layer,
                     const std::string& prefix) {
@@ -120,7 +116,6 @@ class NetworkEncoder {
       if (trace_ptr != nullptr && !trace_ptr->empty())
         apply_external_bounds((*trace_ptr)[i - from_layer]);
       if (capture_boxes_ != nullptr) capture_boxes_->push_back(bounds_);
-      if (capture_vars_ != nullptr) capture_vars_->push_back(vars_);
     }
   }
 
@@ -290,7 +285,6 @@ class NetworkEncoder {
   EncodingStats& stats_;
   const std::vector<absint::Box>* external_trace_ = nullptr;
   std::vector<absint::Box>* capture_boxes_ = nullptr;
-  std::vector<std::vector<std::size_t>>* capture_vars_ = nullptr;
   std::vector<std::size_t> vars_;
   absint::Box bounds_;
   /// Per current variable: affine expansion over the previous layer
@@ -350,7 +344,7 @@ TailEncoding encode_tail_base(const VerificationQuery& query, const EncodeOption
           "encode_tail_base: tail_bound_trace requires a nonzero trace key");
     tail.set_external_trace(options.tail_bound_trace);
   }
-  tail.set_capture(&enc.realized_tail_boxes, &enc.realized_tail_vars);
+  tail.set_capture(&enc.realized_tail_boxes);
   tail.encode_range(net, query.attach_layer, net.layer_count(), "tail");
   enc.output_vars = tail.vars();
 

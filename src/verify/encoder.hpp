@@ -106,10 +106,6 @@ struct TailEncoding {
   /// bit-identically; widening them (absint/perturbation) yields sound
   /// bounds for a small-delta retrained tail.
   std::vector<absint::Box> realized_tail_boxes;
-  /// Problem variables per tail layer: realized_tail_vars[k][i] is the
-  /// variable carrying neuron i after layer attach_layer + k — the
-  /// address map delta reuse and per-query bound refresh use.
-  std::vector<std::vector<std::size_t>> realized_tail_vars;
   EncodingStats stats;
 };
 

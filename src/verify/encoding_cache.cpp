@@ -136,7 +136,6 @@ TailEncoding SharedTailEncoding::instantiate(const VerificationQuery& query) con
   enc.input_vars = base_.input_vars;
   enc.output_vars = base_.output_vars;
   enc.realized_tail_boxes = base_.realized_tail_boxes;
-  enc.realized_tail_vars = base_.realized_tail_vars;
   enc.stats = base_.stats;
   enc.stats.from_cache = true;
   enc.stats.reused_variables = base_.stats.variables;

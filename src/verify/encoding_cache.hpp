@@ -86,7 +86,7 @@ std::size_t tail_fingerprint(const nn::Network& net, std::size_t from_layer);
 /// retrained version since (the "delta chain", oldest first). Chain
 /// order matters — certifying v2-from-v1-from-v0 and v2-from-v0
 /// produce different keys, because the reused artifacts (widened
-/// traces, recycled cuts) differ even when the final weights agree.
+/// traces, root bases, priors) differ even when the final weights agree.
 /// The result is never zero, so it can serve directly as
 /// EncodeOptions::tail_bound_trace_key and as the identity stamped
 /// into persisted delta artifacts (verify::DeltaArtifacts).

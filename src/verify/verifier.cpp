@@ -265,25 +265,19 @@ VerificationResult TailVerifier::verify(const VerificationQuery& query) const {
     }
     milp_options.pseudocost_priors = &prior_table;
   }
-  if (options_.harvest != nullptr) {
-    milp_options.cuts.harvest_root_cuts = true;
-    milp_options.export_pseudocosts = true;
-  }
+  if (options_.harvest != nullptr) milp_options.export_pseudocosts = true;
 
   const milp::BranchAndBoundSolver solver(milp_options);
-  const milp::MilpResult milp_result = solver.solve(encoding.problem);
+  milp::MilpResult milp_result = solver.solve(encoding.problem);
   result.milp_nodes = milp_result.nodes_explored;
   result.lp_iterations = milp_result.lp_iterations;
   result.solver_stats = milp_result.solver_stats;
-  result.cuts_recycled = milp_result.cuts_recycled;
 
   if (options_.harvest != nullptr) {
     DeltaHarvest& harvest = *options_.harvest;
     harvest.captured = true;
     harvest.tail_boxes = encoding.realized_tail_boxes;
-    harvest.tail_vars = encoding.realized_tail_vars;
-    harvest.root_cuts = milp_result.root_cut_rows;
-    harvest.root_basis = milp_result.root_basis;
+    harvest.root_basis = std::move(milp_result.root_basis);
     harvest.pseudocosts.clear();
     const lp::LpProblem& relaxation = encoding.problem.relaxation();
     for (std::size_t var = 0; var < milp_result.pseudocost_snapshot.size(); ++var) {

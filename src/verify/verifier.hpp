@@ -52,16 +52,13 @@ struct NamedPseudocost {
 
 /// Everything the MILP stage of one verified query can hand to delta
 /// re-certification (see src/verify/delta.hpp): the realized tail
-/// bounds and their variable address map, the surviving root-cut pool
-/// with generator provenance, the basis round 0 of the root cut loop
-/// stopped on (milp::MilpResult::root_basis) and the learned pseudocost
-/// table. Only populated when the query actually reached the MILP stage
-/// — attack/zonotope-decided queries leave `captured` false.
+/// bounds, the basis round 0 of the root cut loop stopped on
+/// (milp::MilpResult::root_basis) and the learned pseudocost table.
+/// Only populated when the query actually reached the MILP stage —
+/// attack/zonotope-decided queries leave `captured` false.
 struct DeltaHarvest {
   bool captured = false;
   std::vector<absint::Box> tail_boxes;
-  std::vector<std::vector<std::size_t>> tail_vars;
-  std::vector<milp::cuts::Cut> root_cuts;
   lp::SimplexBasis root_basis;
   std::vector<NamedPseudocost> pseudocosts;
 };
@@ -133,8 +130,7 @@ struct VerificationResult {
   /// box actually shrank, and the wall seconds the refresh LPs took.
   std::size_t refreshed_bounds = 0;
   double refresh_seconds = 0.0;
-  /// Recycled cut rows injected into this query's search (mirrors
-  /// milp::MilpResult::cuts_recycled).
+  /// Always 0; kept for perfbench's `milp.cuts_recycled` counter.
   std::size_t cuts_recycled = 0;
 
   std::string summary() const;
@@ -188,10 +184,9 @@ struct TailVerifierOptions {
   /// order only, never verdicts. Not owned; must outlive verify().
   const std::vector<NamedPseudocost>* pseudocost_priors = nullptr;
   /// Out-slot for delta re-certification: when set, the MILP stage runs
-  /// with root-cut harvesting + pseudocost export enabled and fills this
-  /// with the artifacts of src/verify/delta.hpp. Overwritten per query;
-  /// left `captured == false` when a cheap pipeline stage decided. Not
-  /// owned.
+  /// with pseudocost export enabled and fills this with the artifacts of
+  /// src/verify/delta.hpp. Overwritten per query; left
+  /// `captured == false` when a cheap pipeline stage decided. Not owned.
   DeltaHarvest* harvest = nullptr;
   /// Selective per-query bound refresh: after the problem is stamped
   /// out (typically from a delta-reused trace), re-tighten only the

@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "absint/box_domain.hpp"
+#include "absint/perturbation.hpp"
 #include "absint/zonotope.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -324,6 +325,38 @@ TEST(Zonotope, TraceClampFeedbackNeverLoosensBounds) {
     EXPECT_LE(box_total_width(trace.back()), box_total_width(plain.to_box()) + 1e-9)
         << "trial " << trial;
   }
+}
+
+// Delta planning widens only verified tails, and the encoder rejects
+// Conv2D and pooling layers there (Lemma 1), so the radii cover neither.
+TEST(Perturbation, ConvAndPoolLayersGetNoRadii) {
+  Rng rng(5);
+  nn::Network net;
+  auto conv = std::make_unique<nn::Conv2D>(1, 4, 4, 2, 3, 1, 1);
+  conv->init_he(rng);
+  net.add(std::move(conv));
+  net.add(std::make_unique<nn::MaxPool2D>(2, 4, 4, 2));
+  net.add(std::make_unique<nn::Flatten>(Shape{2, 2, 2}));
+  auto dense = std::make_unique<nn::Dense>(8, 2);
+  dense->init_he(rng);
+  net.add(std::move(dense));
+  const nn::Network updated = net.clone();
+
+  std::vector<Box> trace;
+  Box box = uniform_box(16, -1.0, 1.0);
+  for (std::size_t l = 0; l < net.layer_count(); ++l) {
+    box = propagate_box(net.layer(l), box);
+    trace.push_back(box);
+  }
+  const Box input = uniform_box(16, -1.0, 1.0);
+  EXPECT_FALSE(perturbation_radii(net, updated, trace, input, input, 0).supported);
+
+  // The Flatten -> Dense part alone gets radii (zero: nothing changed).
+  const std::vector<Box> tail(trace.begin() + 2, trace.end());
+  const PerturbationTrace radii = perturbation_radii(net, updated, tail, trace[1], trace[1], 2);
+  ASSERT_TRUE(radii.supported);
+  EXPECT_EQ(radii.radii.size(), 2u);
+  EXPECT_EQ(radii.max_radius, 0.0);
 }
 
 TEST(BoxHelpers, TotalWidth) {

@@ -4,11 +4,7 @@
 //   * Bound traces — exact reuse reproduces the encoding bit-identically
 //     (rows AND column bounds); widened reuse always contains the
 //     updated model's freshly realized boxes, and verdicts match a cold
-//     run either way.
-//   * Root-cut pools — recycled pools preserve verdicts; the partial
-//     path keeps only prefix-local ReLU-split cuts, and the
-//     full-identity path is additionally gated on the query fingerprint
-//     so Gomory cuts never cross a query change.
+//     run either way; a trace whose boxes do not fit the tail plans cold.
 //   * Root bases — a warm start only: a stored basis that no longer fits
 //     solves cold, and verdicts agree with and without it on the delta
 //     battery.
@@ -34,6 +30,7 @@
 #include "common/rng.hpp"
 #include "core/campaign.hpp"
 #include "nn/activations.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/diff.hpp"
 #include "verify/delta.hpp"
@@ -167,29 +164,28 @@ TEST(DeltaIdentity, VersionedKeysAreNonzeroAndChainOrderSensitive) {
   EXPECT_NE(versioned_key(next), versioned_key(base));
 }
 
-TEST(DeltaIdentity, QueryFingerprintTracksQueryContent) {
-  Rng rng(5);
-  const nn::Network net = make_relu_tail(4, 1, rng);
-  const nn::Network charac = make_characterizer(4, rng);
-  verify::VerificationQuery q = make_query(net, 4, 0.3);
-  q.characterizer = &charac;
-  q.characterizer_threshold = 0.1;
-  const std::size_t fp = verify::delta_query_fingerprint(q);
-  EXPECT_NE(fp, 0u);
-  EXPECT_EQ(fp, verify::delta_query_fingerprint(q));  // deterministic
+TEST(NetworkDiff, ConvDeltaIndexesByOutputChannel) {
+  // Conv2D keeps its [out_c, in_c, k, k] weight flat: the row sum covers
+  // one output channel's whole kernel, and the bias has out_c entries.
+  Rng rng(47);
+  nn::Network net;
+  auto conv = std::make_unique<nn::Conv2D>(1, 4, 4, 2, 3, 1, 1);
+  conv->init_he(rng);
+  net.add(std::move(conv));
+  EXPECT_TRUE(nn::diff_networks(net, net.clone()).identical());
 
-  verify::VerificationQuery threshold = q;
-  threshold.characterizer_threshold = 0.2;
-  EXPECT_NE(verify::delta_query_fingerprint(threshold), fp);
-
-  verify::VerificationQuery risk = q;
-  risk.risk = verify::RiskSpec("other");
-  risk.risk.output_at_least(0, 2, 0.7);
-  EXPECT_NE(verify::delta_query_fingerprint(risk), fp);
-
-  verify::VerificationQuery diff = q;
-  diff.diff_bounds.push_back(absint::Interval(-1.0, 1.0));
-  EXPECT_NE(verify::delta_query_fingerprint(diff), fp);
+  nn::Network updated = net.clone();
+  auto& layer = dynamic_cast<nn::Conv2D&>(updated.layer(0));
+  Tensor w = layer.weight();
+  Tensor b = layer.bias();
+  for (std::size_t k = 0; k < 9; ++k) w[k] += 1e-3;  // every tap of channel 0
+  b[1] += 2e-3;
+  layer.set_parameters(std::move(w), std::move(b));
+  const nn::NetworkDiff diff = nn::diff_networks(net, updated);
+  ASSERT_EQ(diff.layers.size(), 1u);
+  EXPECT_TRUE(diff.layers[0].changed);
+  EXPECT_NEAR(diff.layers[0].weight_row_sum, 9e-3, 1e-12);
+  EXPECT_NEAR(diff.layers[0].bias_abs, 2e-3, 1e-12);
 }
 
 // ------------------------------------------------------ bundle round trip
@@ -203,20 +199,10 @@ TEST(DeltaArtifactsFile, RoundTripsBitExactly) {
   verify::QueryArtifacts entry;
   entry.query_key = 42;
   entry.verdict = verify::Verdict::kUnsafe;
-  entry.query_fingerprint = 0xabad1deaULL;
   // Doubles chosen to break decimal round-trips.
   entry.input_box = {absint::Interval(5e-324, 1.0 / 3.0), absint::Interval(-0.0, 1e308)};
-  entry.tail_boxes = {{absint::Interval(-1e-200, 0.1)}};
-  entry.tail_vars = {{3, 1, 4}};
-  milp::cuts::Cut cut;
-  cut.row.terms = {{0, 1.0 / 7.0}, {5, -2.2250738585072014e-308}};
-  cut.row.sense = lp::RowSense::kGreaterEqual;
-  cut.row.rhs = -0.0;
-  cut.source = "relu-split";
-  entry.root_cuts.push_back(cut);
-  cut.source = "gomory-mi";
-  cut.row.sense = lp::RowSense::kLessEqual;
-  entry.root_cuts.push_back(cut);
+  entry.tail_boxes = {{absint::Interval(-1e-200, 0.1)},
+                      {absint::Interval(-2.2250738585072014e-308, 1.0 / 7.0)}};
   verify::NamedPseudocost prior;
   prior.var = "y a3 n7";  // spaces must survive the token stream
   prior.down.gain_sum = 0.1;
@@ -241,22 +227,14 @@ TEST(DeltaArtifactsFile, RoundTripsBitExactly) {
   const verify::QueryArtifacts& e = loaded.queries[0];
   EXPECT_EQ(e.query_key, 42u);
   EXPECT_EQ(e.verdict, verify::Verdict::kUnsafe);
-  EXPECT_EQ(e.query_fingerprint, entry.query_fingerprint);
   ASSERT_EQ(e.input_box.size(), 2u);
   EXPECT_TRUE(bits_equal(e.input_box[0].lo, 5e-324));
   EXPECT_TRUE(bits_equal(e.input_box[0].hi, 1.0 / 3.0));
   EXPECT_TRUE(bits_equal(e.input_box[1].lo, -0.0));  // signed zero survives
-  ASSERT_EQ(e.tail_boxes.size(), 1u);
+  ASSERT_EQ(e.tail_boxes.size(), 2u);
   EXPECT_TRUE(bits_equal(e.tail_boxes[0][0].lo, -1e-200));
-  EXPECT_EQ(e.tail_vars, entry.tail_vars);
-  ASSERT_EQ(e.root_cuts.size(), 2u);
-  EXPECT_STREQ(e.root_cuts[0].source, "relu-split");
-  EXPECT_STREQ(e.root_cuts[1].source, "gomory-mi");
-  EXPECT_EQ(e.root_cuts[0].row.sense, lp::RowSense::kGreaterEqual);
-  ASSERT_EQ(e.root_cuts[0].row.terms.size(), 2u);
-  EXPECT_EQ(e.root_cuts[0].row.terms[1].var, 5u);
-  EXPECT_TRUE(bits_equal(e.root_cuts[0].row.terms[0].coeff, 1.0 / 7.0));
-  EXPECT_TRUE(bits_equal(e.root_cuts[0].row.rhs, -0.0));
+  EXPECT_TRUE(bits_equal(e.tail_boxes[1][0].lo, -2.2250738585072014e-308));
+  EXPECT_TRUE(bits_equal(e.tail_boxes[1][0].hi, 1.0 / 7.0));
   ASSERT_EQ(e.pseudocosts.size(), 1u);
   EXPECT_EQ(e.pseudocosts[0].var, "y a3 n7");
   EXPECT_TRUE(bits_equal(e.pseudocosts[0].down.gain_sum, 0.1));
@@ -278,11 +256,9 @@ TEST(DeltaArtifactsFile, MalformedNumbersAndCountsThrowContractViolation) {
   verify::QueryArtifacts entry;
   entry.input_box = {absint::Interval(0.0, 1.0)};
   entry.tail_boxes = {{absint::Interval(-1.0, 1.0)}};
-  milp::cuts::Cut cut;
-  cut.row.terms = {{0, 1.0}};
-  cut.row.sense = lp::RowSense::kLessEqual;
-  cut.source = "relu-split";
-  entry.root_cuts.push_back(cut);
+  verify::NamedPseudocost prior;
+  prior.var = "tail_l1_z3";
+  entry.pseudocosts.push_back(prior);
   entry.root_basis.basic = {2, 0};
   entry.root_basis.at_upper = {0, 1, 0};
   bundle.queries.push_back(entry);
@@ -292,6 +268,8 @@ TEST(DeltaArtifactsFile, MalformedNumbersAndCountsThrowContractViolation) {
   ASSERT_TRUE(verify::load_delta_artifacts(path, loaded));
 
   const std::pair<const char*, const char*> cases[] = {
+      // Version 2 bundles carried root-cut pools; they are not read.
+      {"dpv-delta-artifacts 3 ", "dpv-delta-artifacts 2 "},
       // Counts the rest of the file cannot hold fail before the
       // container is sized from them.
       {"chain 1 ", "chain 99999999999999 "},
@@ -302,7 +280,7 @@ TEST(DeltaArtifactsFile, MalformedNumbersAndCountsThrowContractViolation) {
       {"attach 3 ", "attach 3abc "},
       // A string length that would overflow the bounds check is
       // truncation, not a rewind into earlier text.
-      {"s10 relu-split ", "s18446744073709551615 "},
+      {"s10 tail_l1_z3 ", "s18446744073709551615 "},
       // Root bases: at-upper flags of the wrong length, a basic column
       // out of range, a column basic in two rows.
       {"s3 010 ", "s2 01 "},
@@ -393,17 +371,14 @@ TEST(DeltaTraceReuse, IdenticalModelPlansExactReuseAndPreservesVerdicts) {
     const verify::VerificationResult delta = verify::TailVerifier(delta_options).verify(dq);
     expect_same_verdict(base.result, delta, "exact trace reuse");
 
-    // With the order-biasing priors disabled, an exact-reuse search
+    // With the order-biasing priors cleared, an exact-reuse search
     // reproduces the base run's tree node for node — the strongest
     // observable form of "the problem is bit-identical". A fault probe
     // armed through DPV_FAULT (the chaos runs) that fires in only one of
     // the two runs changes its tree, so the node check holds only when
     // none fired; the verdict checks hold either way.
-    verify::DeltaPlanOptions no_priors;
-    no_priors.reuse_pseudocosts = false;
-    const verify::DeltaPlan bare =
-        verify::plan_delta_reuse(base.bundle, *entry, net, same, q, no_priors);
-    ASSERT_EQ(bare.trace, verify::TraceReuse::kExact);
+    verify::DeltaPlan bare = plan;
+    bare.pseudocosts.clear();
     verify::TailVerifierOptions bare_options;
     bare.apply(bare_options);
     const verify::VerificationResult replay = verify::TailVerifier(bare_options).verify(dq);
@@ -474,139 +449,58 @@ TEST(DeltaTraceReuse, WideningBudgetDegradesToColdNotUnsound) {
       verify::plan_delta_reuse(base.bundle, *base.bundle.find(1), net, updated, uq, tight);
   ASSERT_TRUE(plan.usable);
   EXPECT_EQ(plan.trace, verify::TraceReuse::kNone);  // over budget: run cold
-  // With no trace, cut recycling must have been declined too (its
-  // soundness argument rests on the trace reproducing the prefix).
-  EXPECT_TRUE(plan.cuts.empty());
 }
 
-// --------------------------------------- reuse class 2: root-cut pools
+TEST(DeltaTraceReuse, MismatchedTraceWidthsPlanCold) {
+  // A bundle the loader accepts can hold one box per tail layer, each of
+  // the wrong width. Such a trace bounds nothing in this tail, so neither
+  // the exact nor the widened path may take it.
+  Rng rng(43);
+  nn::Network net;
+  auto hidden = std::make_unique<nn::Dense>(4, 8);
+  hidden->init_he(rng);
+  net.add(std::move(hidden));
+  net.add(std::make_unique<nn::ReLU>(Shape{8}));
+  auto out = std::make_unique<nn::Dense>(8, 2);
+  out->init_he(rng);
+  net.add(std::move(out));
 
-verify::TailVerifierOptions cut_options() {
-  verify::TailVerifierOptions options;
-  options.milp.cuts.root_rounds = 2;
-  options.milp.cuts.root_age_limit = 0;  // keep every cut for the harvest
-  return options;
-}
+  const verify::VerificationQuery q = make_query(net, 4, 0.3);
+  HarvestedBase base = certify_base(net, q, {}, 1);
+  verify::QueryArtifacts narrow = *base.bundle.find(1);
+  ASSERT_EQ(narrow.tail_boxes.size(), 3u);
+  for (absint::Box& box : narrow.tail_boxes) box = {absint::Interval(-1.0, 1.0)};
+  base.bundle.upsert(narrow);
+  const std::string path = temp_path("delta_narrow_trace");
+  verify::save_delta_artifacts(path, base.bundle);
+  verify::DeltaArtifacts loaded;
+  ASSERT_TRUE(verify::load_delta_artifacts(path, loaded));
 
-TEST(DeltaCutRecycling, FullPoolRecyclesOnIdenticalModelAndQuery) {
-  Rng rng(19);
-  const nn::Network net = make_relu_tail(6, 2, rng);
   const nn::Network same = net.clone();
-  const verify::VerificationQuery q = make_query(net, 6, 0.3);
-  const HarvestedBase base = certify_base(net, q, cut_options(), 1);
-  const verify::QueryArtifacts* entry = base.bundle.find(1);
-  ASSERT_NE(entry, nullptr);
-
-  const verify::DeltaPlan plan =
-      verify::plan_delta_reuse(base.bundle, *entry, net, same, q, {});
-  ASSERT_TRUE(plan.usable);
-  // Identical tail + box + query fingerprint: the whole pool carries
-  // over, Gomory cuts included.
-  EXPECT_EQ(plan.cuts.size(), entry->root_cuts.size());
-  EXPECT_EQ(plan.cuts_dropped, 0u);
-
-  verify::TailVerifierOptions delta_options = cut_options();
-  plan.apply(delta_options);
-  const verify::VerificationResult delta = verify::TailVerifier(delta_options).verify(q);
-  expect_same_verdict(base.result, delta, "full cut recycling");
-  EXPECT_EQ(delta.cuts_recycled, plan.cuts.size());
-}
-
-TEST(DeltaCutRecycling, QueryChangeDropsGomoryButKeepsReluSplit) {
-  Rng rng(23);
-  const nn::Network net = make_relu_tail(6, 2, rng);
-  const nn::Network same = net.clone();
-  const verify::VerificationQuery q = make_query(net, 6, 0.3);
-  const HarvestedBase base = certify_base(net, q, cut_options(), 1);
-  const verify::QueryArtifacts* entry = base.bundle.find(1);
-  ASSERT_NE(entry, nullptr);
-
-  // Same model, same box, different risk threshold: the query
-  // fingerprint gate must refuse the full-identity path. ReLU-split
-  // cuts constrain only the big-M blocks (valid for any risk rows);
-  // Gomory cuts bake per-query rows into the tableau and must go.
-  verify::VerificationQuery other = make_query(same, 6, 0.9);
-  const verify::DeltaPlan plan =
-      verify::plan_delta_reuse(base.bundle, *entry, net, same, other, {});
-  ASSERT_TRUE(plan.usable);
-  EXPECT_TRUE(plan.tail_identical);
-  EXPECT_EQ(plan.cuts.size() + plan.cuts_dropped, entry->root_cuts.size());
-  for (const milp::cuts::Cut& cut : plan.cuts)
-    EXPECT_STREQ(cut.source, "relu-split");
-
-  // Soundness: the recycled cuts must not change the other query's
-  // verdict relative to its own cold run.
-  const verify::VerificationResult cold = verify::TailVerifier(cut_options()).verify(other);
-  verify::TailVerifierOptions delta_options = cut_options();
-  plan.apply(delta_options);
-  const verify::VerificationResult delta = verify::TailVerifier(delta_options).verify(other);
-  expect_same_verdict(cold, delta, "cut recycling across query change");
-}
-
-TEST(DeltaCutRecycling, WeightChangeKeepsOnlyPrefixLocalReluSplitCuts) {
-  Rng rng(29);
-  const nn::Network net = make_relu_tail(6, 2, rng);
-  const nn::Network updated = perturb_dense(net, net.layer_count() - 1, 1e-3);
-  const verify::VerificationQuery q = make_query(net, 6, 0.3);
-  const HarvestedBase base = certify_base(net, q, cut_options(), 1);
-  const verify::QueryArtifacts* entry = base.bundle.find(1);
-  ASSERT_NE(entry, nullptr);
-
-  verify::VerificationQuery uq = make_query(updated, 6, 0.3);
-  const verify::DeltaPlan plan =
-      verify::plan_delta_reuse(base.bundle, *entry, net, updated, uq, {});
-  ASSERT_TRUE(plan.usable);
-  ASSERT_FALSE(plan.tail_identical);
-  EXPECT_EQ(plan.cuts.size() + plan.cuts_dropped, entry->root_cuts.size());
-
-  // Every surviving cut is a ReLU-split cut over variables created
-  // before the changed layer's first variable.
-  const std::size_t changed_index = (net.layer_count() - 1) - q.attach_layer;
-  ASSERT_LT(changed_index, entry->tail_vars.size());
-  std::size_t var_limit = static_cast<std::size_t>(-1);
-  for (const std::size_t var : entry->tail_vars[changed_index])
-    var_limit = std::min(var_limit, var);
-  for (const milp::cuts::Cut& cut : plan.cuts) {
-    EXPECT_STREQ(cut.source, "relu-split");
-    for (const lp::LinearTerm& term : cut.row.terms) EXPECT_LT(term.var, var_limit);
+  const nn::Network retrained = perturb_dense(net, 2, 1e-3);
+  for (const nn::Network* updated : {&same, &retrained}) {
+    const verify::VerificationQuery uq = make_query(*updated, 4, 0.3);
+    const verify::DeltaPlan plan =
+        verify::plan_delta_reuse(loaded, *loaded.find(1), net, *updated, uq, {});
+    ASSERT_TRUE(plan.usable);
+    EXPECT_EQ(plan.trace, verify::TraceReuse::kNone);
+    const verify::VerificationResult cold = verify::TailVerifier(verify::TailVerifierOptions{}).verify(uq);
+    verify::TailVerifierOptions delta_options;
+    plan.apply(delta_options);
+    const verify::VerificationResult delta = verify::TailVerifier(delta_options).verify(uq);
+    expect_same_verdict(cold, delta, updated == &same ? "identical" : "retrained");
   }
-
-  const verify::VerificationResult cold = verify::TailVerifier(cut_options()).verify(uq);
-  verify::TailVerifierOptions delta_options = cut_options();
-  plan.apply(delta_options);
-  const verify::VerificationResult delta = verify::TailVerifier(delta_options).verify(uq);
-  expect_same_verdict(cold, delta, "prefix-local cut recycling");
-}
-
-TEST(DeltaCutRecycling, RecycledCutsKeepProvenanceAcrossChains) {
-  // A cut recycled into a run and harvested again must keep its ORIGINAL
-  // generator source — the partial-path filter of the NEXT delta depends
-  // on it ("relu-split" stays recyclable, "gomory-mi" stays droppable).
-  Rng rng(31);
-  const nn::Network net = make_relu_tail(6, 2, rng);
-  const nn::Network same = net.clone();
-  const verify::VerificationQuery q = make_query(net, 6, 0.3);
-  const HarvestedBase base = certify_base(net, q, cut_options(), 1);
-  const verify::QueryArtifacts* entry = base.bundle.find(1);
-  ASSERT_NE(entry, nullptr);
-  if (entry->root_cuts.empty()) GTEST_SKIP() << "no cuts separated on this instance";
-
-  const verify::DeltaPlan plan =
-      verify::plan_delta_reuse(base.bundle, *entry, net, same, q, {});
-  verify::TailVerifierOptions delta_options = cut_options();
-  delta_options.milp.cuts.root_rounds = 0;  // inject only, no fresh separation
-  plan.apply(delta_options);
-  verify::DeltaHarvest second;
-  delta_options.harvest = &second;
-  const verify::VerificationResult rerun = verify::TailVerifier(delta_options).verify(q);
-  ASSERT_TRUE(second.captured);
-  EXPECT_EQ(rerun.cuts_recycled, plan.cuts.size());
-  ASSERT_EQ(second.root_cuts.size(), plan.cuts.size());
-  for (std::size_t k = 0; k < second.root_cuts.size(); ++k)
-    EXPECT_STREQ(second.root_cuts[k].source, plan.cuts[k].source) << "cut " << k;
 }
 
 // ----------------------------------------------------- root bases
+
+/// Two root separation rounds, no cut aging.
+verify::TailVerifierOptions cut_options() {
+  verify::TailVerifierOptions options;
+  options.milp.cuts.root_rounds = 2;
+  options.milp.cuts.root_age_limit = 0;
+  return options;
+}
 
 TEST(DeltaRootBasis, StoredBasisThatNoLongerFitsSolvesColdWithTheSameVerdict) {
   Rng rng(19);
@@ -617,7 +511,7 @@ TEST(DeltaRootBasis, StoredBasisThatNoLongerFitsSolvesColdWithTheSameVerdict) {
   ASSERT_NE(entry, nullptr);
   ASSERT_FALSE(entry->root_basis.empty());
   // The stored basis covers the structural columns and the per-query
-  // rows, never the cut rows harvested beside it.
+  // rows, never the cut rows.
   ASSERT_EQ(entry->root_basis.at_upper.size() - entry->root_basis.basic.size(),
             base.result.encoding.variables);
   EXPECT_EQ(entry->root_basis.basic.size(), base.result.encoding.rows);
@@ -699,7 +593,7 @@ TEST(DeltaRootBasis, BatteryVerdictsAgreeWithAndWithoutTheStoredBasis) {
   EXPECT_GT(warm_with, warm_without);
 }
 
-// ----------------------------------- reuse class 3: pseudocost priors
+// ----------------------------------- reuse class 2: pseudocost priors
 
 TEST(DeltaPseudocosts, PriorsBiasOrderNotVerdicts) {
   Rng rng(37);
@@ -713,14 +607,10 @@ TEST(DeltaPseudocosts, PriorsBiasOrderNotVerdicts) {
     ASSERT_NE(entry, nullptr);
 
     verify::VerificationQuery uq = make_query(updated, 6, threshold);
-    verify::DeltaPlanOptions priors_only;
-    priors_only.reuse_bound_trace = false;
-    priors_only.recycle_cuts = false;
-    const verify::DeltaPlan plan =
-        verify::plan_delta_reuse(base.bundle, *entry, net, updated, uq, priors_only);
+    verify::DeltaPlan plan =
+        verify::plan_delta_reuse(base.bundle, *entry, net, updated, uq, {});
     ASSERT_TRUE(plan.usable);
-    EXPECT_EQ(plan.trace, verify::TraceReuse::kNone);
-    EXPECT_TRUE(plan.cuts.empty());
+    plan.trace = verify::TraceReuse::kNone;  // priors only
 
     const verify::VerificationResult cold = verify::TailVerifier(verify::TailVerifierOptions{}).verify(uq);
     verify::TailVerifierOptions delta_options;

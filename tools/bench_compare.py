@@ -26,10 +26,12 @@ fallback to the wrong comparison):
     maximal-salvage resume must restore at least one completed round)
     and the baseline's checkpoint-overhead ceiling, and
   * delta re-certification (BENCH_delta.json, "bench": "delta"):
-    per-config reuse/cut counters and verdict strings across retrain
+    per-config reuse/LP counters and verdict strings across retrain
     magnitudes, the cold-vs-delta verdict-compatibility flag, the
-    baseline's artifact-reuse floor and re-certification wall-fraction
-    ceiling (both ratios, so the machine constant divides out).
+    ablation gate (each reuse class switched off must cost more LP work
+    than the full delta run), the baseline's artifact-reuse floor and
+    re-certification wall-fraction ceiling (both ratios, so the machine
+    constant divides out).
 
 Every floor and ceiling comes from the committed baseline's "headline",
 never from the run under test (which could loosen its own gate); a
@@ -80,11 +82,21 @@ RESUME_COUNTED = ("cells_total", "cells_certified", "cells_unsafe",
                   "cells_unknown", "rounds", "rounds_restored", "nodes")
 
 # Delta re-certification counters: how each retrain magnitude's entries
-# partitioned by trace reuse, what the cut recycler kept/dropped, and
-# the search-tree sizes. All deterministic for fixed seeds.
+# partitioned by trace reuse, the search-tree sizes, and the LP work of
+# the full delta run and of its ablations. All deterministic for fixed
+# seeds.
 DELTA_COUNTED = ("entries_exact", "entries_widened", "entries_cold",
-                 "cuts_recycled", "cuts_dropped", "bounds_refreshed",
-                 "cold_nodes", "delta_nodes")
+                 "bounds_refreshed", "cold_nodes", "delta_nodes",
+                 "delta_lp_iterations", "delta_tightening_lps",
+                 "priors_off_lp_iterations", "basis_off_lp_iterations",
+                 "trace_off_tightening_lps")
+
+# Delta ablations: (ablation counter, full-delta counter it must exceed).
+# A reuse class whose ablation costs no more LP work than the full run
+# no longer earns its place.
+DELTA_ABLATIONS = (("priors_off_lp_iterations", "delta_lp_iterations"),
+                   ("basis_off_lp_iterations", "delta_lp_iterations"),
+                   ("trace_off_tightening_lps", "delta_tightening_lps"))
 
 
 def fail(msg):
@@ -264,8 +276,9 @@ def compare_resume(cur, base, args):
 
 def compare_delta(cur, base, args):
     """Drift-check BENCH_delta.json: cold-vs-delta verdict compatibility,
-    per-config reuse/cut counters and verdict strings, the artifact-reuse
-    floor and the re-certification wall-fraction ceiling."""
+    per-config reuse/LP counters and verdict strings, the ablation gate,
+    the artifact-reuse floor and the re-certification wall-fraction
+    ceiling."""
     rc = 0
 
     if not cur.get("verdict_compatibility", False):
@@ -297,6 +310,16 @@ def compare_delta(cur, base, args):
             if bv != cv:
                 rc |= fail(f"{name}: {key} changed: '{bv}' -> '{cv}'")
 
+    # Ablation gate, on every config of the current run.
+    for c in cur.get("configs", []):
+        for ablated, full in DELTA_ABLATIONS:
+            av, fv = c.get(ablated), c.get(full)
+            if av is None or fv is None:
+                rc |= fail(f"{c['config']}: missing {ablated} or {full}")
+            elif av <= fv:
+                rc |= fail(f"{c['config']}: {ablated} {av} does not exceed "
+                           f"{full} {fv} (that reuse class saves nothing)")
+
     head = cur.get("headline", {})
 
     # Reuse fraction: entries that got exact or widened trace reuse over
@@ -322,7 +345,8 @@ def compare_delta(cur, base, args):
 
     if rc == 0:
         print("bench_compare: OK (delta counters and verdicts match "
-              f"baseline within {args.tolerance:.0%}; reuse "
+              f"baseline within {args.tolerance:.0%}; every ablation costs "
+              f"more LP work than the full delta run; reuse "
               f"{reuse:.1%} >= {reuse_floor:.0%}; re-certification wall "
               f"{frac:.1%} <= {ceiling:.0%} of cold; verdicts compatible)")
     return rc

@@ -69,8 +69,6 @@ check_symbol src/milp    "PseudocostTable"
 check_symbol src/milp    "kPlungeLimit"
 check_symbol src/milp    "kProbeCandidates"
 check_symbol src/milp    "pseudocost_priors"
-check_symbol src/milp    "initial_cuts"
-check_symbol src/milp    "harvest_root_cuts"
 check_symbol src/milp    "bound_target"
 check_symbol src/milp    "best_bound"
 check_symbol src/solver  "peak_open_nodes"
@@ -80,7 +78,6 @@ check_symbol src/core    "reallocate_node_budget"
 check_symbol src/milp    "remove_rows"
 check_symbol src/milp    "root_age_limit"
 check_symbol src/milp    "pad_basis"
-check_symbol src/milp    "truncate_basis"
 check_symbol src/milp    "root_basis"
 check_symbol src/solver  "root_warm_starts"
 check_symbol src/verify  "root_basis"
@@ -196,14 +193,11 @@ check_symbol src/verify  "versioned_cache_key"
 check_symbol src/verify  "tail_bound_trace_key"
 check_symbol src/verify  "DeltaArtifacts"
 check_symbol src/verify  "plan_delta_reuse"
-check_symbol src/verify  "delta_query_fingerprint"
 check_symbol src/verify  "advance_artifacts"
 check_symbol src/verify  "save_delta_artifacts"
 check_symbol src/verify  "NamedPseudocost"
 check_symbol src/verify  "refresh_query_bounds"
 check_symbol src/verify  "abstraction_changed"
-check_symbol src/milp    "initial_cuts"
-check_symbol src/milp    "cuts_recycled"
 check_symbol src/core    "delta_artifacts_out_path"
 check_symbol src/core    "delta_entries_widened"
 check_symbol .github     "tools/check_reachable.sh"

@@ -5,7 +5,8 @@ needs no build).
 Every committed baseline in bench/baselines/ must pass against itself,
 and edited copies that a sound gate rejects must fail: a run that
 declares a looser floor or ceiling of its own, a baseline that lacks a
-bound, counter drift past the tolerance, and a changed verdict.
+bound, counter drift past the tolerance, a changed verdict, and a delta
+reuse class whose ablation saves nothing.
 
 Run from anywhere: python3 tools/test_bench_compare.py
 """
@@ -76,6 +77,17 @@ class BenchCompareTest(unittest.TestCase):
         cur["headline"]["reuse_fraction"] = 0.5
         cur["headline"]["min_reuse_fraction"] = 0.4
         self.assert_rejected(cur, base, "reuse fraction 0.5 (floor 1.0)")
+
+    def test_delta_ablation_that_saves_nothing_fails(self):
+        # Both files agree, so no counter drifts: only the ablation gate
+        # can reject a root basis whose ablation costs no more LP work.
+        base = load_baseline("BENCH_delta.json")
+        for cfg in base["configs"]:
+            cfg["basis_off_lp_iterations"] = cfg["delta_lp_iterations"]
+        rc, out = self.compare(base, base)
+        self.assertNotEqual(rc, 0, out)
+        self.assertIn("basis_off_lp_iterations", out)
+        self.assertIn("does not exceed", out)
 
     def test_resume_overhead_ceiling_comes_from_the_baseline(self):
         base = load_baseline("BENCH_resume.json")
